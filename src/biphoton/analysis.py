@@ -4,7 +4,7 @@ polynomial phase fitting, and Monte Carlo uncertainty propagation."""
 
 import heapq
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,7 +74,10 @@ def sigma_mask(i: IntensityGrid2D, n_sigma: float) -> np.ndarray:
     intensity centroid (2x2 intensity covariance)."""
     if not n_sigma > 0:
         raise ValueError("n_sigma must be positive")
-    w = i.values / i.values.sum()
+    total = i.values.sum()
+    if not total > 0:
+        raise ValueError("sigma mask needs a grid with positive total intensity")
+    w = i.values / total
     xs = i.axis_s.values()[:, None] * np.ones_like(w)
     ys = i.axis_i.values()[None, :] * np.ones_like(w)
     mx = np.sum(w * xs)
@@ -211,7 +214,7 @@ def monte_carlo_uncertainty(
 
     Returns (stddevs, trial_values) as dicts keyed by 'chirp_s' / 'chirp_i'.
     """
-    from .gating import poissonize
+    from .gating import poissonize_set
     from .pipeline import preprocess_set, retrieve_and_fit
 
     if trials < 2:
@@ -222,15 +225,7 @@ def monte_carlo_uncertainty(
     for t in range(trials):
         noise_seed, retr_seed = int(trial_seeds[t, 0]), int(trial_seeds[t, 1])
         try:
-            from .retrieve import MeasurementSet
-
-            noisy = MeasurementSet(
-                i_ww=poissonize(raw.i_ww, peak_counts, noise_seed),
-                i_wt=poissonize(raw.i_wt, peak_counts, noise_seed + 1),
-                i_tw=poissonize(raw.i_tw, peak_counts, noise_seed + 2),
-                i_tt=poissonize(raw.i_tt, peak_counts, noise_seed + 3),
-            )
-            clean = preprocess_set(noisy, pipeline_cfg)
+            clean = preprocess_set(poissonize_set(raw, peak_counts, noise_seed), pipeline_cfg)
             fit = retrieve_and_fit(clean, pipeline_cfg, seed=retr_seed)
             values["chirp_s"].append(fit.chirp_s)
             values["chirp_i"].append(fit.chirp_i)

@@ -11,7 +11,6 @@ import sys
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import pipeline as pl
 from .analysis import FitError, fit_retrieved_phase, monte_carlo_uncertainty, tbp_numeric
@@ -141,7 +140,12 @@ def preprocess(manifest_path, measurements_path, out_dir, verbose):
 
 
 def _parse_mask(mask):
+    """'wwtt' -> {'ww', 'tt'}; plane names are two letters, each given once."""
+    if len(mask) % 2:
+        raise ValueError(f"mask {mask!r} has odd length; planes are two letters each")
     planes = [mask[i : i + 2] for i in range(0, len(mask), 2)]
+    if len(set(planes)) != len(planes):
+        raise ValueError(f"mask {mask!r} names a plane more than once")
     return frozenset(planes)
 
 
@@ -149,7 +153,7 @@ def _parse_mask(mask):
 @click.option("--measurements", "measurements_path", required=True, type=click.Path(exists=True))
 @click.option("--iterations", type=int, default=1000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--mask", default="wwwtwttt", show_default=True, help="active planes, e.g. wwtt")
+@click.option("--mask", default="wwwttwtt", show_default=True, help="active planes, e.g. wwtt")
 @click.option("--init", default="random_phase", show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
 def retrieve(measurements_path, iterations, seed, mask, init, out_path):

@@ -343,3 +343,10 @@ def poissonize(h: IntensityGrid2D, peak_counts: float, seed: int) -> IntensityGr
     mean = np.clip(h.values, 0.0, None) * (peak_counts / peak)
     rng = np.random.default_rng(seed)
     return h.with_values(rng.poisson(mean).astype(float))
+
+
+def poissonize_set(m: MeasurementSet, peak_counts: float, seed: int) -> MeasurementSet:
+    """Poissonize all four planes; ww, wt, tw, tt draw with seeds seed,
+    seed + 1, seed + 2, seed + 3."""
+    noisy = {f"i_{p}": poissonize(g, peak_counts, seed + k) for k, (p, g) in enumerate(m.grids().items())}
+    return replace(m, **noisy)

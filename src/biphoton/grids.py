@@ -10,7 +10,7 @@ normalization, so total power is preserved.
 """
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -153,6 +153,14 @@ class IntensityGrid2D:
         return IntensityGrid2D(self.axis_s, self.axis_i, values)
 
 
+def dft_scale(axis: Axis, direction: str) -> float:
+    """Factor that makes ``np.fft.fft`` (``to_time``) or ``np.fft.ifft``
+    (``to_frequency``) along ``axis`` the unitary centered transform."""
+    if direction == TO_TIME:
+        return axis.step / np.sqrt(2.0 * np.pi)
+    return axis.count * axis.step / np.sqrt(2.0 * np.pi)
+
+
 def transform_photon(g: ComplexGrid2D, photon: str, direction: str) -> ComplexGrid2D:
     """Unitary centered DFT along one photon's axis.
 
@@ -176,13 +184,8 @@ def transform_photon(g: ComplexGrid2D, photon: str, direction: str) -> ComplexGr
         )
 
     v = np.fft.ifftshift(g.values, axes=ax_idx)
-    if direction == TO_TIME:
-        v = np.fft.fft(v, axis=ax_idx)
-        scale = axis.step / np.sqrt(2.0 * np.pi)
-    else:
-        v = np.fft.ifft(v, axis=ax_idx)
-        scale = axis.count * axis.step / np.sqrt(2.0 * np.pi)
-    v = np.fft.fftshift(v, axes=ax_idx) * scale
+    v = (np.fft.fft if direction == TO_TIME else np.fft.ifft)(v, axis=ax_idx)
+    v = np.fft.fftshift(v, axes=ax_idx) * dft_scale(axis, direction)
 
     new_axis = conjugate_axis(axis)
     if photon == SIGNAL:

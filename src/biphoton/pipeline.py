@@ -4,12 +4,12 @@ phase.  The same configuration objects back the CLI subcommands."""
 
 import csv
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .analysis import PhaseFit, fit_retrieved_phase, tbp_numeric
-from .gating import GatePulse, GatingModel, RefractiveModel, poissonize, simulate_measurements
+from .gating import GatePulse, GatingModel, RefractiveModel, poissonize_set, simulate_measurements
 from .grids import FREQUENCY, ComplexGrid2D, IntensityGrid2D
 from .preprocess import PreprocessConfig, preprocess_grid
 from .retrieve import MeasurementSet, RetrievalConfig, RetrievalResult, run_retrieval
@@ -136,14 +136,7 @@ def simulate(cfg: PipelineConfig):
     truth = build_state(cfg)
     raw = simulate_measurements(truth, build_gating_model(cfg))
     if cfg.poisson_peak_counts:
-        base = cfg.seed
-        raw = MeasurementSet(
-            i_ww=poissonize(raw.i_ww, cfg.poisson_peak_counts, base),
-            i_wt=poissonize(raw.i_wt, cfg.poisson_peak_counts, base + 1),
-            i_tw=poissonize(raw.i_tw, cfg.poisson_peak_counts, base + 2),
-            i_tt=poissonize(raw.i_tt, cfg.poisson_peak_counts, base + 3),
-            coverage_warning=raw.coverage_warning,
-        )
+        raw = poissonize_set(raw, cfg.poisson_peak_counts, cfg.seed)
     return raw, truth
 
 

@@ -2,7 +2,6 @@
 by the retrieval: square-grid interpolation, corner-suppression background
 subtraction, and Wiener deconvolution with a top-hat low-pass."""
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np

@@ -4,23 +4,31 @@ One iteration visits the planes ww -> wt -> tt -> tw -> ww, replacing the
 magnitude with the measured one at each active plane while keeping the phase,
 and moving between planes with the single-photon Fourier transforms.  The
 FROG-trace error against the ww constraint is recorded every iteration.
+
+The loop works on plain arrays.  At entry the initial state and the four
+measured intensities are ``ifftshift``-ed once on both axes, so each centered
+transform becomes one ``np.fft.fft``/``ifft`` along one axis, done in place;
+at exit the state is ``fftshift``-ed back into a single
+:class:`~biphoton.grids.ComplexGrid2D`.  The unitary factors of the transforms
+(:func:`~biphoton.grids.dft_scale`) are not applied inside the loop: every
+projection resets the magnitude, so they are carried as one running scalar
+``scale`` with ``physical field = scale * array``.  The zero-magnitude
+epsilon is applied to the physical field: a pixel whose ``|scale * array|``
+is below ``zero_magnitude_epsilon`` takes phase 1.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .grids import (
     FREQUENCY,
-    IDLER,
-    SIGNAL,
-    TIME,
     TO_FREQUENCY,
     TO_TIME,
     ComplexGrid2D,
     IntensityGrid2D,
     conjugate_axis,
-    transform_photon,
+    dft_scale,
 )
 
 PLANES = ("ww", "wt", "tw", "tt")
@@ -90,14 +98,24 @@ class RetrievalResult:
     iterations_run: int
 
 
+def _project(g: np.ndarray, amp: np.ndarray, eps: float, work: np.ndarray) -> np.ndarray:
+    """In place: replace |g| with amp, keeping the phase.  Where |g| < eps the
+    phase factor is taken as 1.  ``work`` is real scratch of g's shape."""
+    mag = np.abs(g, out=work)
+    small = mag < eps
+    np.copyto(g, 1.0, where=small)
+    np.copyto(mag, 1.0, where=small)
+    g *= np.divide(amp, mag, out=mag)
+    return g
+
+
 def project_magnitude(f: ComplexGrid2D, i: IntensityGrid2D, eps: float = 1e-12) -> ComplexGrid2D:
     """Replace |f| with sqrt(i), keeping the phase.  Where |f| < eps the
     phase factor is taken as 1 so the output is real sqrt(i)."""
     if not (f.axis_s.compatible_with(i.axis_s) and f.axis_i.compatible_with(i.axis_i)):
         raise ValueError("projection axes do not match")
-    mag = np.abs(f.values)
-    phase = np.where(mag < eps, 1.0 + 0.0j, f.values / np.where(mag < eps, 1.0, mag))
-    return f.with_values(phase * np.sqrt(i.values))
+    values = np.array(f.values)
+    return f.with_values(_project(values, np.sqrt(i.values), eps, np.empty(values.shape)))
 
 
 def frog_error(i_meas: IntensityGrid2D, i_rec) -> float:
@@ -138,6 +156,11 @@ def _initial_state(m: MeasurementSet, cfg: RetrievalConfig) -> ComplexGrid2D:
     return ComplexGrid2D(m.i_ww.axis_s, m.i_ww.axis_i, values)
 
 
+def _intensity(g: np.ndarray, work: np.ndarray) -> np.ndarray:
+    np.abs(g, out=work)
+    return np.square(work, out=work)
+
+
 def run_retrieval(m: MeasurementSet, cfg: RetrievalConfig) -> RetrievalResult:
     """Run the alternating-projection loop for cfg.iterations iterations.
 
@@ -145,32 +168,37 @@ def run_retrieval(m: MeasurementSet, cfg: RetrievalConfig) -> RetrievalResult:
     at the end of each cycle (before the next projection), which is the
     quantity the algorithm never increases when all four constraints are on.
     """
-    eps = cfg.zero_magnitude_epsilon
-    mask = cfg.constraint_mask
     f = _initial_state(m, cfg)
+    measured = {p: np.fft.ifftshift(grid.values) for p, grid in m.grids().items()}
+    amp = {p: np.sqrt(measured[p]) for p in cfg.constraint_mask}
+    # plane projected before the step, step transform, its axis, its unitary factor
+    cycle = (
+        ("ww", np.fft.fft, 1, dft_scale(f.axis_i, TO_TIME)),
+        ("wt", np.fft.fft, 0, dft_scale(f.axis_s, TO_TIME)),
+        ("tt", np.fft.ifft, 1, dft_scale(conjugate_axis(f.axis_i), TO_FREQUENCY)),
+        ("tw", np.fft.ifft, 0, dft_scale(conjugate_axis(f.axis_s), TO_FREQUENCY)),
+    )
+    eps = cfg.zero_magnitude_epsilon
+    g = np.fft.ifftshift(f.values)
+    work = np.empty(g.shape)
+    scale = 1.0  # physical field = scale * g
     history = np.empty(cfg.iterations)
 
     for k in range(cfg.iterations):
-        if "ww" in mask:
-            f = project_magnitude(f, m.i_ww, eps)
-        f = transform_photon(f, IDLER, TO_TIME)
-        if "wt" in mask:
-            f = project_magnitude(f, m.i_wt, eps)
-        f = transform_photon(f, SIGNAL, TO_TIME)
-        if "tt" in mask:
-            f = project_magnitude(f, m.i_tt, eps)
-        f = transform_photon(f, IDLER, TO_FREQUENCY)
-        if "tw" in mask:
-            f = project_magnitude(f, m.i_tw, eps)
-        f = transform_photon(f, SIGNAL, TO_FREQUENCY)
-        if not np.all(np.isfinite(f.values)):
+        for plane, dft, axis, factor in cycle:
+            if plane in amp:
+                _project(g, amp[plane], eps / scale, work)
+                scale = 1.0
+            dft(g, axis=axis, out=g)
+            scale *= factor
+        if not np.all(np.isfinite(g)):
             raise RetrievalError(f"non-finite state after iteration {k + 1}")
-        history[k] = frog_error(m.i_ww, np.abs(f.values) ** 2)
+        history[k] = frog_error(measured["ww"], _intensity(g, work))
 
-    f_tt = transform_photon(transform_photon(f, IDLER, TO_TIME), SIGNAL, TO_TIME)
-    err_tt = frog_error(m.i_tt, np.abs(f_tt.values) ** 2)
+    g_tt = np.fft.fft(np.fft.fft(g, axis=1), axis=0)
+    err_tt = frog_error(measured["tt"], _intensity(g_tt, work))
     return RetrievalResult(
-        jsa=f,
+        jsa=ComplexGrid2D(f.axis_s, f.axis_i, np.fft.fftshift(scale * g)),
         error_history_ww=history,
         error_final_tt=err_tt,
         seed=cfg.seed,

@@ -51,6 +51,12 @@ def test_sigma_mask_validation(gaussian_intensity):
         sigma_mask(gaussian_intensity, 0.0)
 
 
+def test_sigma_mask_rejects_empty_grid(gaussian_intensity):
+    empty = gaussian_intensity.with_values(np.zeros_like(gaussian_intensity.values))
+    with pytest.raises(ValueError, match="positive total intensity"):
+        sigma_mask(empty, 2.0)
+
+
 def test_unwrap_recovers_smooth_phase():
     x = np.linspace(-3, 3, 64)
     phase = 2.5 * x[:, None] ** 2 + 1.5 * x[None, :] ** 2

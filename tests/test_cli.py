@@ -111,6 +111,34 @@ def test_retrieve_bad_mask(runner, tmp_path):
     assert res.exit_code == EXIT_BAD_CONFIG
 
 
+@pytest.mark.parametrize("mask", ["wwwtt", "wwww", "wwttww"])
+def test_retrieve_mask_rejects_odd_length_and_repeats(runner, tmp_path, mask):
+    manifest = _write_manifest(tmp_path)
+    sim = tmp_path / "sim"
+    runner.invoke(main, ["simulate", "--manifest", manifest, "--out", str(sim)])
+    res = runner.invoke(main, [
+        "retrieve", "--measurements", str(sim / "measurements.json"),
+        "--mask", mask, "--out", str(tmp_path / "r.json"),
+    ])
+    assert res.exit_code == EXIT_BAD_CONFIG
+
+
+def test_retrieve_default_mask_is_all_four_planes(runner, tmp_path):
+    manifest = _write_manifest(tmp_path)
+    sim = tmp_path / "sim"
+    runner.invoke(main, ["simulate", "--manifest", manifest, "--out", str(sim)])
+    docs = {}
+    for name, extra in (("default", []), ("all", ["--mask", "wwwttwtt"])):
+        path = tmp_path / f"{name}.json"
+        res = runner.invoke(main, [
+            "retrieve", "--measurements", str(sim / "measurements.json"),
+            "--iterations", "20", "--out", str(path), *extra,
+        ])
+        assert res.exit_code == 0, res.output
+        docs[name] = path.read_bytes()
+    assert docs["default"] == docs["all"]
+
+
 def test_measurements_manifest_missing_plane(runner, tmp_path):
     manifest = _write_manifest(tmp_path)
     sim = tmp_path / "sim"

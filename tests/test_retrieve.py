@@ -1,15 +1,29 @@
 """Alternating-projection retrieval: projections, error metric, loop behavior."""
 
+from dataclasses import replace
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biphoton.gating import GatingModel, simulate_measurements
-from biphoton.grids import ComplexGrid2D, IntensityGrid2D
+from biphoton.grids import (
+    IDLER,
+    SIGNAL,
+    TO_FREQUENCY,
+    TO_TIME,
+    ComplexGrid2D,
+    IntensityGrid2D,
+    transform_photon,
+)
 from biphoton.retrieve import (
+    PLANES,
     MeasurementSet,
     RetrievalConfig,
+    RetrievalError,
+    _initial_state,
     frog_error,
     gauge_fix,
     project_magnitude,
@@ -157,3 +171,107 @@ def test_projection_preserves_measured_intensity_property(seed):
     )
     out = project_magnitude(guess, m.i_ww)
     assert np.allclose(np.abs(out.values) ** 2, m.i_ww.values, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The array-level loop against the object-level one it replaced
+
+
+def _oracle_project(f, i, eps):
+    mag = np.abs(f.values)
+    phase = np.where(mag < eps, 1.0 + 0.0j, f.values / np.where(mag < eps, 1.0, mag))
+    return f.with_values(phase * np.sqrt(i.values))
+
+
+def _oracle_retrieval(m, cfg):
+    """The loop on typed grids: every step a unitary centered transform_photon
+    and every projection a new grid; returns (jsa values, ww history, tt error)."""
+    eps, mask = cfg.zero_magnitude_epsilon, cfg.constraint_mask
+    f = _initial_state(m, cfg)
+    history = np.empty(cfg.iterations)
+    for k in range(cfg.iterations):
+        if "ww" in mask:
+            f = _oracle_project(f, m.i_ww, eps)
+        f = transform_photon(f, IDLER, TO_TIME)
+        if "wt" in mask:
+            f = _oracle_project(f, m.i_wt, eps)
+        f = transform_photon(f, SIGNAL, TO_TIME)
+        if "tt" in mask:
+            f = _oracle_project(f, m.i_tt, eps)
+        f = transform_photon(f, IDLER, TO_FREQUENCY)
+        if "tw" in mask:
+            f = _oracle_project(f, m.i_tw, eps)
+        f = transform_photon(f, SIGNAL, TO_FREQUENCY)
+        history[k] = frog_error(m.i_ww, np.abs(f.values) ** 2)
+    f_tt = transform_photon(transform_photon(f, IDLER, TO_TIME), SIGNAL, TO_TIME)
+    return f.values, history, frog_error(m.i_tt, np.abs(f_tt.values) ** 2)
+
+
+def _assert_matches_oracle(m, cfg):
+    want_jsa, want_hist, want_tt = _oracle_retrieval(m, cfg)
+    r = run_retrieval(m, cfg)
+    assert np.max(np.abs(r.jsa.values - want_jsa)) <= 1e-12 * np.max(np.abs(want_jsa))
+    assert np.max(np.abs(r.error_history_ww - want_hist)) <= 1e-12
+    assert abs(r.error_final_tt - want_tt) <= 1e-12
+
+
+def _chirped_measurements(n):
+    p = GaussianStateParams(rho=-0.8, chirp_s=-8000.0, chirp_i=-9000.0)
+    state = synthesize_state(p, n=n, span_sigmas=8)
+    return simulate_measurements(state, GatingModel(gate=None)), state
+
+
+MASKS = [frozenset(c) for r in range(1, 5) for c in combinations(PLANES, r)]
+
+
+@pytest.fixture(scope="module")
+def chirped_n32():
+    return _chirped_measurements(32)
+
+
+@pytest.mark.parametrize("mask", MASKS, ids=lambda s: "+".join(sorted(s)))
+def test_array_core_matches_object_loop_every_mask(chirped_n32, mask):
+    m, _ = chirped_n32
+    _assert_matches_oracle(m, RetrievalConfig(iterations=20, seed=3, constraint_mask=mask))
+
+
+def test_array_core_matches_object_loop_odd_n():
+    # odd and unequal counts (33 x 31): fftshift and ifftshift differ, and a
+    # swapped axis would not broadcast
+    _, state = _chirped_measurements(64)
+    axis_s = replace(state.axis_s, count=33)
+    axis_i = replace(state.axis_i, count=31)
+    odd = ComplexGrid2D(axis_s, axis_i, state.values[16:49, 17:48])
+    m = simulate_measurements(odd, GatingModel(gate=None))
+    _assert_matches_oracle(m, RetrievalConfig(iterations=20, seed=4))
+
+
+def test_array_core_matches_object_loop_zero_regions(chirped_n32):
+    # a guess that vanishes exactly where the measurements do not, and
+    # measurements that vanish exactly on whole rows: both take the
+    # zero-magnitude branch of the projection
+    m, state = chirped_n32
+    hole = state.values.copy()
+    hole[12:20, 10:22] = 0.0
+    _assert_matches_oracle(
+        m, RetrievalConfig(iterations=20, init="supplied", initial_guess=state.with_values(hole))
+    )
+    banded = state.values.copy()
+    banded[:8] = 0.0
+    m_banded = simulate_measurements(state.with_values(banded), GatingModel(gate=None))
+    assert np.any(m_banded.i_ww.values == 0) and np.any(m_banded.i_wt.values == 0)
+    _assert_matches_oracle(m_banded, RetrievalConfig(iterations=20, seed=5))
+    # a coarse epsilon puts nonzero-amplitude pixels in every plane below it;
+    # it must act on the field at its unitary scale, not on the raw FFT output
+    _assert_matches_oracle(m, RetrievalConfig(iterations=20, seed=6, zero_magnitude_epsilon=1e-3))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_non_finite_state_raises_retrieval_error(chirped_n32):
+    m, state = chirped_n32
+    huge = state.with_values(np.full(state.values.shape, 1e308 + 0j))
+    cfg = RetrievalConfig(
+        iterations=3, init="supplied", initial_guess=huge, constraint_mask=frozenset({"tt"})
+    )
+    with pytest.raises(RetrievalError, match="iteration 1"):
+        run_retrieval(m, cfg)
