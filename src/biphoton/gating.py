@@ -4,9 +4,11 @@ Frequency axes get an ideal spectrometer blur; time axes are measured by
 sum-frequency optical gating with a Gaussian gate pulse and a finite
 phase-matching bandwidth (sinc of the wavevector mismatch over the crystal
 length).  The delay dependence enters the gate only as a linear spectral
-phase, so scanning a full delay grid reduces to Fourier transforms: the
-upconversion kernel is applied once per side (via its SVD for the
-double-gated plane) and the delay axis comes out of a centered FFT.
+phase, so scanning a full delay grid reduces to Fourier transforms.  The
+upconversion kernel of each side is applied through its SVD modes: all three
+gated planes (tw, wt and tt) are sums of squared centered FFTs of the state
+weighted by one mode per gated side, so no upconverted-frequency stack is
+ever built.
 """
 
 import json
@@ -193,13 +195,6 @@ class MeasurementAxes:
         )
 
 
-def _centered_fft(values, axis):
-    """Centered DFT with the exp(-i*omega*t) envelope kernel along one axis."""
-    v = np.fft.ifftshift(values, axes=axis)
-    v = np.fft.fft(v, axis=axis)
-    return np.fft.fftshift(v, axes=axis)
-
-
 def _gate_kernel(axis: Axis, gm: GatingModel):
     """Upconversion kernel K[u, j] = G(w_u - w_j) * Phi_SFG on an auto-fitted
     absolute w_u grid; returns (K, w_u step)."""
@@ -232,32 +227,34 @@ def _svd_modes(K, tol=1e-6):
     return s[keep], vh[keep]
 
 
-def _gated_one_side(F, K, du, side_axis):
-    """Delay-resolved gated intensity with the other axis left spectral.
+def _gated_planes(F, K_s, du_s, K_i, du_i):
+    """Delay-resolved gated intensities (tw, wt, tt) in grid layout.
 
-    side_axis 0 gates the signal photon (rows), 1 the idler (columns).
-    Returns an array indexed by (tau, other-omega) in grid layout.
+    With K = U diag(s) Vh and orthonormal U, sum_u |FFT_j(K[u, j] F)|^2 =
+    sum_a s_a^2 |FFT_j(Vh[a, j] F)|^2, so each gated side costs one n x n FFT
+    per kept mode.  The signal-side transforms Y_a feed both tw and tt.  The
+    arrays are ifftshifted once on the way in and fftshifted once on the way
+    out; on an untransformed axis the pair is the identity, for odd n too.
     """
-    if side_axis == 0:
-        stack = K[:, :, None] * F[None, :, :]
-    else:
-        stack = K[:, None, :] * F[None, :, :]
-    B = _centered_fft(stack, axis=side_axis + 1)
-    out = np.sum(np.abs(B) ** 2, axis=0) * du
-    return out
-
-
-def _gated_both_sides(F, K_s, du_s, K_i, du_i):
-    """Double-gated delay-delay intensity via per-side SVD modes."""
     s_s, vh_s = _svd_modes(K_s)
     s_i, vh_i = _svd_modes(K_i)
-    H = np.zeros(F.shape)
-    for a in range(len(s_s)):
-        # stack over idler modes, 2D FFT over both photon axes
-        X = vh_s[a][None, :, None] * vh_i[:, None, :] * F[None, :, :]
-        X = _centered_fft(_centered_fft(X, axis=1), axis=2)
-        H += s_s[a] ** 2 * np.tensordot(s_i**2, np.abs(X) ** 2, axes=(0, 0))
-    return H * du_s * du_i
+    # fold s_a * sqrt(du) into the modes so every term is a plain |.|^2
+    modes_s = np.fft.ifftshift(vh_s * (s_s * np.sqrt(du_s))[:, None], axes=1)
+    modes_i = np.fft.ifftshift(vh_i * (s_i * np.sqrt(du_i))[:, None], axes=1)
+    F0 = np.fft.ifftshift(F)
+    tw, wt, tt = np.zeros(F.shape), np.zeros(F.shape), np.zeros(F.shape)
+    Y = np.empty(F.shape, complex)
+    Z = np.empty(F.shape, complex)
+    for v in modes_i:
+        np.fft.fft(np.multiply(F0, v, out=Z), axis=1, out=Z)
+        wt += Z.real**2 + Z.imag**2
+    for u in modes_s:
+        np.fft.fft(np.multiply(F0, u[:, None], out=Y), axis=0, out=Y)
+        tw += Y.real**2 + Y.imag**2
+        for v in modes_i:
+            np.fft.fft(np.multiply(Y, v, out=Z), axis=1, out=Z)
+            tt += Z.real**2 + Z.imag**2
+    return tuple(np.fft.fftshift(plane) for plane in (tw, wt, tt))
 
 
 def _blur_axis(values, sigma, step, axis):
@@ -305,9 +302,7 @@ def simulate_measurements(state: ComplexGrid2D, gm: GatingModel, axes: Measureme
     else:
         K_s, du_s = _gate_kernel(state.axis_s, gm)
         K_i, du_i = _gate_kernel(state.axis_i, gm)
-        i_tw = _gated_one_side(F, K_s, du_s, 0)
-        i_wt = _gated_one_side(F, K_i, du_i, 1)
-        i_tt = _gated_both_sides(F, K_s, du_s, K_i, du_i)
+        i_tw, i_wt, i_tt = _gated_planes(F, K_s, du_s, K_i, du_i)
     i_wt = _blur_axis(i_wt, sig, step_s, 0)
     i_tw = _blur_axis(i_tw, sig, step_i, 1)
 

@@ -89,10 +89,13 @@ class PipelineConfig:
         if "constraint_mask" in retr:
             retr["constraint_mask"] = frozenset(retr["constraint_mask"])
         noise = manifest.get("noise", {})
+        state = StateConfig.from_dict(manifest.get("state", {}))
+        prep = dict(manifest.get("preprocess", {}))
+        prep.setdefault("grid_n", state.n)
         return cls(
-            state=StateConfig.from_dict(manifest.get("state", {})),
+            state=state,
             gating=GatingConfig.from_dict(manifest.get("gating", {})),
-            preprocess=PreprocessConfig(**manifest.get("preprocess", {})),
+            preprocess=PreprocessConfig(**prep),
             retrieval=RetrievalConfig(**retr),
             analysis=AnalysisConfig.from_dict(manifest.get("analysis", {})),
             preprocess_enabled=bool(manifest.get("preprocess_enabled", True)),
@@ -183,6 +186,12 @@ class PipelineOutput:
 
 
 def run_pipeline(cfg: PipelineConfig) -> PipelineOutput:
+    if cfg.preprocess_enabled and cfg.preprocess.grid_n != cfg.state.n:
+        # regridding rescales each plane on its own, so the delay axes stop
+        # being conjugate to the frequency axes and retrieval cannot start
+        raise ValueError(
+            f"preprocess.grid_n ({cfg.preprocess.grid_n}) must equal state.n ({cfg.state.n})"
+        )
     timings = {}
     t0 = time.perf_counter()
     raw, truth = simulate(cfg)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from biphoton import pipeline as pl
 from biphoton.cli import EXIT_BAD_CONFIG, EXIT_RETRIEVAL_NAN, main
 from biphoton.units import FS2_PER_PS2
 
@@ -205,6 +206,24 @@ def test_pipeline_end_to_end(runner, tmp_path):
     assert (out / "result.json").exists()
     assert (out / "constraint_tt.csv").exists()
     assert (out / "reconstructed_ww_intensity.csv").exists()
+
+
+def test_pipeline_grid_n_defaults_to_state_n(runner, tmp_path):
+    # no preprocess section: the regrid size follows state.n (here 32, not 64)
+    manifest = _write_manifest(tmp_path, {"state": {"n": 32}, "retrieval": {"iterations": 50}})
+    res = runner.invoke(main, ["pipeline", "--manifest", manifest, "--out", str(tmp_path / "run")])
+    assert res.exit_code == 0, res.output
+
+
+def test_pipeline_grid_n_mismatch_fails_before_simulating(runner, tmp_path, monkeypatch):
+    def no_simulation(cfg):
+        raise AssertionError("simulated a configuration that cannot run")
+
+    monkeypatch.setattr(pl, "simulate", no_simulation)
+    manifest = _write_manifest(tmp_path, dict(MANIFEST, preprocess={"grid_n": 64}))
+    res = runner.invoke(main, ["pipeline", "--manifest", manifest, "--out", str(tmp_path / "run")])
+    assert res.exit_code == EXIT_BAD_CONFIG, res.output
+    assert "grid_n" in res.output and "state.n" in res.output
 
 
 def test_pipeline_seed_override_changes_output(runner, tmp_path):

@@ -1,5 +1,7 @@
 """Optical-gating forward model: gate pulse, phase matching, gated planes."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.ndimage import gaussian_filter1d
@@ -15,24 +17,24 @@ from biphoton.gating import (
     poissonize,
     simulate_measurements,
 )
-from biphoton.gating import _gate_kernel, _gated_one_side
-from biphoton.grids import IDLER, SIGNAL, TO_TIME, transform_photon
+from biphoton.gating import _gate_kernel, _gated_planes, _svd_modes
+from biphoton.grids import IDLER, SIGNAL, TO_TIME, ComplexGrid2D, transform_photon
 from biphoton.synth import GaussianStateParams, synthesize_state
 from biphoton.units import wavelength_to_omega
 
 GATE_CENTER = wavelength_to_omega(775.0)
+CHIRPED = GaussianStateParams(
+    rho=-0.8,
+    chirp_s=3000.0,
+    chirp_i=-5000.0,
+    center_s=wavelength_to_omega(823.0),
+    center_i=wavelength_to_omega(732.0),
+)
 
 
 @pytest.fixture(scope="module")
 def chirped_state():
-    p = GaussianStateParams(
-        rho=-0.8,
-        chirp_s=3000.0,
-        chirp_i=-5000.0,
-        center_s=wavelength_to_omega(823.0),
-        center_i=wavelength_to_omega(732.0),
-    )
-    return synthesize_state(p, n=64, span_sigmas=8)
+    return synthesize_state(CHIRPED, n=64, span_sigmas=8)
 
 
 def test_gate_spectrum_unit_norm():
@@ -96,7 +98,8 @@ def test_gated_one_side_direct_oracle(chirped_state):
     gate = GatePulse(center=GATE_CENTER, sigma=1.0 / (2 * 130.0))
     gm = GatingModel(gate=gate, crystal_length=0.0, upconverted_grid_count=128)
     K_s, du_s = _gate_kernel(chirped_state.axis_s, gm)
-    fast = _gated_one_side(chirped_state.values, K_s, du_s, 0)
+    K_i, du_i = _gate_kernel(chirped_state.axis_i, gm)
+    fast = _gated_planes(chirped_state.values, K_s, du_s, K_i, du_i)[0]
     dws = chirped_state.axis_s.offsets()
     taus = np.arange(64) - 32
     taus = taus * 2 * np.pi / (64 * chirped_state.axis_s.step)
@@ -105,6 +108,65 @@ def test_gated_one_side_direct_oracle(chirped_state):
         A = K_s @ (chirped_state.values * np.exp(-1j * dws * tau)[:, None])
         direct[mdx] = np.sum(np.abs(A) ** 2, axis=0) * du_s
     assert np.max(np.abs(direct - fast)) < 1e-10 * fast.max()
+
+
+def _centered_fft(values, axis):
+    v = np.fft.ifftshift(values, axes=axis)
+    v = np.fft.fft(v, axis=axis)
+    return np.fft.fftshift(v, axes=axis)
+
+
+def _full_stack_one_side(F, K, du, side_axis):
+    """Reference: the (u, n_s, n_i) upconverted-frequency stack, transformed
+    along the gated axis and summed over u."""
+    if side_axis == 0:
+        stack = K[:, :, None] * F[None, :, :]
+    else:
+        stack = K[:, None, :] * F[None, :, :]
+    B = _centered_fft(stack, axis=side_axis + 1)
+    return np.sum(np.abs(B) ** 2, axis=0) * du
+
+
+def _full_stack_both_sides(F, K_s, du_s, K_i, du_i):
+    """Reference: double-gated plane, one signal mode at a time over a stack
+    of all idler modes, each shifted and transformed on its own."""
+    s_s, vh_s = _svd_modes(K_s)
+    s_i, vh_i = _svd_modes(K_i)
+    H = np.zeros(F.shape)
+    for a in range(len(s_s)):
+        X = vh_s[a][None, :, None] * vh_i[:, None, :] * F[None, :, :]
+        X = _centered_fft(_centered_fft(X, axis=1), axis=2)
+        H += s_s[a] ** 2 * np.tensordot(s_i**2, np.abs(X) ** 2, axes=(0, 0))
+    return H * du_s * du_i
+
+
+def _odd_state(state):
+    # odd and unequal counts: fftshift and ifftshift differ on both axes
+    axis_s = replace(state.axis_s, count=33)
+    axis_i = replace(state.axis_i, count=31)
+    return ComplexGrid2D(axis_s, axis_i, state.values[16:49, 17:48])
+
+
+@pytest.mark.parametrize("length", [0.0, 1000.0])
+@pytest.mark.parametrize("shape", ["n32", "odd33x31"])
+def test_mode_contraction_matches_full_stacks(chirped_state, shape, length):
+    state = synthesize_state(CHIRPED, n=32, span_sigmas=8) if shape == "n32" else _odd_state(chirped_state)
+    gate = GatePulse(center=GATE_CENTER, sigma=1.0 / (2 * 130.0))
+    rm = RefractiveModel.default().tuned_for(state.axis_s.center, GATE_CENTER) if length else None
+    gm = GatingModel(gate=gate, crystal_length=length, refractive=rm)
+    m = simulate_measurements(state, gm)
+    K_s, du_s = _gate_kernel(state.axis_s, gm)
+    K_i, du_i = _gate_kernel(state.axis_i, gm)
+    F = state.values
+    want = {
+        "tw": _full_stack_one_side(F, K_s, du_s, 0),
+        "wt": _full_stack_one_side(F, K_i, du_i, 1),
+        "tt": _full_stack_both_sides(F, K_s, du_s, K_i, du_i),
+    }
+    got = m.grids()
+    for plane, ref in want.items():
+        assert got[plane].values.shape == F.shape
+        assert np.max(np.abs(got[plane].values - ref / ref.max())) <= 1e-10, plane
 
 
 def test_spectrometer_blur_widens_marginal(chirped_state):

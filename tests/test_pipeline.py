@@ -10,6 +10,7 @@ from biphoton.pipeline import (
     build_gating_model,
     build_state,
     grid_to_csv,
+    run_pipeline,
     simulate,
 )
 from biphoton.synth import GaussianStateParams
@@ -20,6 +21,24 @@ def test_from_manifest_defaults():
     assert cfg.state.n == 64
     assert cfg.retrieval.iterations == 1000
     assert cfg.preprocess_enabled
+
+
+def test_from_manifest_grid_n_follows_state_n():
+    assert PipelineConfig.from_manifest({"state": {"n": 128}}).preprocess.grid_n == 128
+    explicit = PipelineConfig.from_manifest({"state": {"n": 128}, "preprocess": {"grid_n": 64}})
+    assert explicit.preprocess.grid_n == 64
+
+
+def test_run_pipeline_ignores_grid_n_without_preprocessing():
+    manifest = {
+        "state": {"rho": -0.8, "chirp_s": -8000.0, "chirp_i": -9000.0, "n": 32},
+        "gating": {"ideal": True},
+        "preprocess": {"grid_n": 64},
+        "preprocess_enabled": False,
+        "retrieval": {"iterations": 50},
+    }
+    out = run_pipeline(PipelineConfig.from_manifest(manifest))
+    assert out.result.jsa.values.shape == (32, 32)
 
 
 def test_from_manifest_seed_propagates_to_retrieval():
