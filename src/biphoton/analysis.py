@@ -3,14 +3,19 @@ witness, sigma-contour masking, quality-guided 2D phase unwrapping, weighted
 polynomial phase fitting, and Monte Carlo uncertainty propagation."""
 
 import heapq
+import logging
+import os
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .grids import ComplexGrid2D, IntensityGrid2D
 
 TWO_PI = 2.0 * np.pi
+
+logger = logging.getLogger(__name__)
 
 
 class FitError(RuntimeError):
@@ -205,6 +210,22 @@ def fit_retrieved_phase(jsa: ComplexGrid2D, mask_sigma: float = 2.0) -> PhaseFit
     return fit_phase_poly(unwrapped, intensity, mask)
 
 
+def _mc_trial(raw, pipeline_cfg, peak_counts: float, seeds) -> tuple | str:
+    """One Monte Carlo trial: poissonize with the first seed, preprocess,
+    retrieve with the second seed and fit.  Returns (chirp_s, chirp_i), or the
+    repr of the exception the trial raised."""
+    from .gating import poissonize_set
+    from .pipeline import preprocess_set, retrieve_and_fit
+
+    noise_seed, retr_seed = seeds
+    try:
+        clean = preprocess_set(poissonize_set(raw, peak_counts, noise_seed), pipeline_cfg)
+        fit = retrieve_and_fit(clean, pipeline_cfg, seed=retr_seed)
+    except Exception as exc:  # noqa: BLE001 - failed trials are counted and logged
+        return repr(exc)
+    return fit.chirp_s, fit.chirp_i
+
+
 def monte_carlo_uncertainty(
     raw, pipeline_cfg, trials: int, peak_counts: float, seed: int
 ):
@@ -212,25 +233,44 @@ def monte_carlo_uncertainty(
     noise: poissonize the raw measurement set per trial, run the
     preprocess -> retrieve -> fit pipeline, and collect the coefficients.
 
+    The trials run in forked worker processes, one per CPU in the affinity
+    mask (at most one per trial), or in this process when there is one
+    worker or no fork.  Results are collected in trial order, so they do not
+    depend on the worker count.  Each failed trial is logged at WARNING.
+
     Returns (stddevs, trial_values) as dicts keyed by 'chirp_s' / 'chirp_i'.
     """
-    from .gating import poissonize_set
-    from .pipeline import preprocess_set, retrieve_and_fit
+    # imported here so that importing biphoton loads no process-pool machinery
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
     if trials < 2:
         raise ValueError("need at least 2 trials")
     trial_seeds = np.random.SeedSequence(seed).generate_state(2 * trials).reshape(trials, 2)
+    trial = partial(_mc_trial, raw, pipeline_cfg, peak_counts)
+    seeds = [(int(a), int(b)) for a, b in trial_seeds]
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    workers = min(cpus, trials)
+    # fork, not spawn: a spawned worker imports numpy, scipy and biphoton again,
+    # which made 16 trials at n = 64 on 2 CPUs slower than running them here
+    # (1.7-2.1 s against 1.45 s; fork 0.7 s), and it needs a __main__ guard
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            outcomes = list(pool.map(trial, seeds))
+    else:
+        outcomes = list(map(trial, seeds))
     values = {"chirp_s": [], "chirp_i": []}
     failures = []
-    for t in range(trials):
-        noise_seed, retr_seed = int(trial_seeds[t, 0]), int(trial_seeds[t, 1])
-        try:
-            clean = preprocess_set(poissonize_set(raw, peak_counts, noise_seed), pipeline_cfg)
-            fit = retrieve_and_fit(clean, pipeline_cfg, seed=retr_seed)
-            values["chirp_s"].append(fit.chirp_s)
-            values["chirp_i"].append(fit.chirp_i)
-        except Exception as exc:  # noqa: BLE001 - failed trials are recorded
-            failures.append((t, repr(exc)))
+    for t, outcome in enumerate(outcomes):
+        if isinstance(outcome, str):
+            logger.warning("Monte Carlo trial %d failed: %s", t, outcome)
+            failures.append((t, outcome))
+            continue
+        values["chirp_s"].append(outcome[0])
+        values["chirp_i"].append(outcome[1])
     if len(failures) > 0.2 * trials:
         raise RuntimeError(f"{len(failures)}/{trials} Monte Carlo trials failed: {failures[:3]}")
     stddevs = {k: float(np.std(v, ddof=1)) for k, v in values.items()}

@@ -152,11 +152,21 @@ def _plane_response_sigmas(grid: IntensityGrid2D, cfg: PipelineConfig):
     return out
 
 
+def _check_grid_n(cfg: PipelineConfig):
+    if cfg.preprocess_enabled and cfg.preprocess.grid_n != cfg.state.n:
+        # regridding rescales each plane on its own, so the delay axes stop
+        # being conjugate to the frequency axes and retrieval cannot start
+        raise ValueError(
+            f"preprocess.grid_n ({cfg.preprocess.grid_n}) must equal state.n ({cfg.state.n})"
+        )
+
+
 def preprocess_set(m: MeasurementSet, cfg: PipelineConfig) -> MeasurementSet:
     """Deconvolve all four planes with the per-axis instrument responses
     implied by the gating configuration."""
     if not cfg.preprocess_enabled:
         return m
+    _check_grid_n(cfg)
     cleaned = {}
     for key, grid in m.grids().items():
         ss, si = _plane_response_sigmas(grid, cfg)
@@ -186,12 +196,7 @@ class PipelineOutput:
 
 
 def run_pipeline(cfg: PipelineConfig) -> PipelineOutput:
-    if cfg.preprocess_enabled and cfg.preprocess.grid_n != cfg.state.n:
-        # regridding rescales each plane on its own, so the delay axes stop
-        # being conjugate to the frequency axes and retrieval cannot start
-        raise ValueError(
-            f"preprocess.grid_n ({cfg.preprocess.grid_n}) must equal state.n ({cfg.state.n})"
-        )
+    _check_grid_n(cfg)
     timings = {}
     t0 = time.perf_counter()
     raw, truth = simulate(cfg)

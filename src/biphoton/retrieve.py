@@ -98,13 +98,14 @@ class RetrievalResult:
     iterations_run: int
 
 
-def _project(g: np.ndarray, amp: np.ndarray, eps: float, work: np.ndarray) -> np.ndarray:
+def _project(g: np.ndarray, amp: np.ndarray, eps: float, mag: np.ndarray) -> np.ndarray:
     """In place: replace |g| with amp, keeping the phase.  Where |g| < eps the
-    phase factor is taken as 1.  ``work`` is real scratch of g's shape."""
-    mag = np.abs(g, out=work)
-    small = mag < eps
-    np.copyto(g, 1.0, where=small)
-    np.copyto(mag, 1.0, where=small)
+    phase factor is taken as 1.  ``mag`` holds |g| on entry and is used as
+    real scratch."""
+    if not mag.min() >= eps:  # a NaN minimum takes this path too
+        small = mag < eps
+        np.copyto(g, 1.0, where=small)
+        np.copyto(mag, 1.0, where=small)
     g *= np.divide(amp, mag, out=mag)
     return g
 
@@ -115,7 +116,29 @@ def project_magnitude(f: ComplexGrid2D, i: IntensityGrid2D, eps: float = 1e-12) 
     if not (f.axis_s.compatible_with(i.axis_s) and f.axis_i.compatible_with(i.axis_i)):
         raise ValueError("projection axes do not match")
     values = np.array(f.values)
-    return f.with_values(_project(values, np.sqrt(i.values), eps, np.empty(values.shape)))
+    return f.with_values(_project(values, np.sqrt(i.values), eps, np.abs(values)))
+
+
+def _unit_peak(m: np.ndarray) -> np.ndarray:
+    peak = m.max()
+    if peak <= 0:
+        raise ValueError("measured grid is identically zero")
+    return m / peak
+
+
+def _frog_error(m_hat: np.ndarray, r: np.ndarray, resid: np.ndarray) -> float:
+    """FROG error of the intensity r against the unit-peak m_hat, written
+    through the buffer ``resid`` (which may be r itself).  The error does not
+    depend on the scale of r, so r is scaled only through the dot products:
+    mu = <m_hat, r> / <r, r>.  A non-finite value in r gives a non-finite
+    error, because every pixel of r enters the residual."""
+    # einsum, not vdot: BLAS dot products start their threads above ~1e4
+    # pixels, and those threads spin beside the FFTs and the Monte Carlo workers
+    rr = np.einsum("ij,ij->", r, r)
+    mu = np.einsum("ij,ij->", m_hat, r) / rr if rr > 0 else 0.0
+    np.multiply(r, -mu, out=resid)
+    resid += m_hat
+    return float(np.sqrt(np.einsum("ij,ij->", resid, resid) / resid.size))
 
 
 def frog_error(i_meas: IntensityGrid2D, i_rec) -> float:
@@ -125,16 +148,7 @@ def frog_error(i_meas: IntensityGrid2D, i_rec) -> float:
     r = np.asarray(i_rec.values if isinstance(i_rec, IntensityGrid2D) else i_rec, dtype=float)
     if m.shape != r.shape:
         raise ValueError("grid shapes do not match")
-    peak = m.max()
-    if peak <= 0:
-        raise ValueError("measured grid is identically zero")
-    m = m / peak
-    rpeak = r.max()
-    if rpeak > 0:
-        r = r / rpeak
-    denom = np.sum(r * r)
-    mu = np.sum(m * r) / denom if denom > 0 else 0.0
-    return float(np.sqrt(np.mean((m - mu * r) ** 2)))
+    return _frog_error(_unit_peak(m), r, np.empty(r.shape))
 
 
 def _initial_state(m: MeasurementSet, cfg: RetrievalConfig) -> ComplexGrid2D:
@@ -167,10 +181,13 @@ def run_retrieval(m: MeasurementSet, cfg: RetrievalConfig) -> RetrievalResult:
     The ww-plane error is evaluated on the estimate returned to the ww plane
     at the end of each cycle (before the next projection), which is the
     quantity the algorithm never increases when all four constraints are on.
+    A non-finite error, and so any non-finite pixel of the state, raises
+    :class:`RetrievalError`.
     """
     f = _initial_state(m, cfg)
     measured = {p: np.fft.ifftshift(grid.values) for p, grid in m.grids().items()}
     amp = {p: np.sqrt(measured[p]) for p in cfg.constraint_mask}
+    m_hat = _unit_peak(measured["ww"])
     # plane projected before the step, step transform, its axis, its unitary factor
     cycle = (
         ("ww", np.fft.fft, 1, dft_scale(f.axis_i, TO_TIME)),
@@ -180,6 +197,7 @@ def run_retrieval(m: MeasurementSet, cfg: RetrievalConfig) -> RetrievalResult:
     )
     eps = cfg.zero_magnitude_epsilon
     g = np.fft.ifftshift(f.values)
+    mag = np.abs(g)  # |g|; at the ww plane it is the one the last error left
     work = np.empty(g.shape)
     scale = 1.0  # physical field = scale * g
     history = np.empty(cfg.iterations)
@@ -187,13 +205,17 @@ def run_retrieval(m: MeasurementSet, cfg: RetrievalConfig) -> RetrievalResult:
     for k in range(cfg.iterations):
         for plane, dft, axis, factor in cycle:
             if plane in amp:
-                _project(g, amp[plane], eps / scale, work)
+                if plane != "ww":
+                    np.abs(g, out=mag)
+                _project(g, amp[plane], eps / scale, mag)
                 scale = 1.0
             dft(g, axis=axis, out=g)
             scale *= factor
-        if not np.all(np.isfinite(g)):
+        np.abs(g, out=mag)
+        err = _frog_error(m_hat, np.square(mag, out=work), work)
+        if not np.isfinite(err):
             raise RetrievalError(f"non-finite state after iteration {k + 1}")
-        history[k] = frog_error(measured["ww"], _intensity(g, work))
+        history[k] = err
 
     g_tt = np.fft.fft(np.fft.fft(g, axis=1), axis=0)
     err_tt = frog_error(measured["tt"], _intensity(g_tt, work))

@@ -1,10 +1,14 @@
 """Masking, unwrapping, phase fitting, witness, Monte Carlo propagation."""
 
+import logging
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biphoton import pipeline
 from biphoton.analysis import (
     FitError,
     fit_phase_poly,
@@ -169,3 +173,51 @@ def test_monte_carlo_uncertainty_smoke():
     assert sd["chirp_s"] >= 0
     with pytest.raises(ValueError):
         monte_carlo_uncertainty(raw, cfg, trials=1, peak_counts=1e4, seed=0)
+
+
+@pytest.fixture(scope="module")
+def mc_inputs():
+    p = GaussianStateParams(rho=-0.8, chirp_s=-8000.0, chirp_i=-9000.0)
+    cfg = PipelineConfig(
+        state=StateConfig(params=p, n=32),
+        gating=GatingConfig(ideal=True),
+        retrieval=RetrievalConfig(iterations=40),
+        preprocess_enabled=False,
+    )
+    return simulate_measurements(synthesize_state(p, n=32), GatingModel(gate=None)), cfg
+
+
+def test_monte_carlo_results_do_not_depend_on_workers(mc_inputs, monkeypatch):
+    raw, cfg = mc_inputs
+    results = {}
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        results[len(cpus)] = monte_carlo_uncertainty(raw, cfg, trials=5, peak_counts=1e5, seed=3)
+    # one worker runs the trials in order in this process
+    assert results[1] == results[2]
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one_worker", "two_workers"])
+def test_monte_carlo_failed_trial_is_counted_and_logged(mc_inputs, monkeypatch, caplog, cpus):
+    raw, cfg = mc_inputs
+    trials, seed, failing = 5, 3, 1
+    bad_seed = int(np.random.SeedSequence(seed).generate_state(2 * trials)[2 * failing + 1])
+    retrieve_and_fit = pipeline.retrieve_and_fit
+
+    def flaky(m, pipeline_cfg, seed=None):
+        if seed == bad_seed:
+            raise RuntimeError(f"forced failure in process {os.getpid()}")
+        return retrieve_and_fit(m, pipeline_cfg, seed=seed)
+
+    monkeypatch.setattr(pipeline, "retrieve_and_fit", flaky)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    with caplog.at_level(logging.WARNING, logger="biphoton.analysis"):
+        _, values = monte_carlo_uncertainty(raw, cfg, trials=trials, peak_counts=1e5, seed=seed)
+    assert len(values["chirp_s"]) == len(values["chirp_i"]) == trials - 1
+    (record,) = caplog.records
+    assert record.levelno == logging.WARNING
+    message = record.getMessage()
+    assert message.startswith(f"Monte Carlo trial {failing} failed: RuntimeError('forced failure")
+    # the trial ran in a worker process exactly when there were two CPUs
+    in_this_process = f"in process {os.getpid()}'" in message
+    assert in_this_process == (len(cpus) == 1)

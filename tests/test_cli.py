@@ -226,6 +226,24 @@ def test_pipeline_grid_n_mismatch_fails_before_simulating(runner, tmp_path, monk
     assert "grid_n" in res.output and "state.n" in res.output
 
 
+def test_preprocess_grid_n_mismatch_fails_before_regridding(runner, tmp_path, monkeypatch):
+    manifest = _write_manifest(tmp_path, dict(MANIFEST, preprocess={"grid_n": 64}))
+    sim = tmp_path / "sim"
+    res = runner.invoke(main, ["simulate", "--manifest", manifest, "--out", str(sim)])
+    assert res.exit_code == 0, res.output
+
+    def no_regrid(grid, cfg):
+        raise AssertionError("regridded a configuration that cannot run")
+
+    monkeypatch.setattr(pl, "preprocess_grid", no_regrid)
+    res = runner.invoke(main, [
+        "preprocess", "--manifest", manifest,
+        "--measurements", str(sim / "measurements.json"), "--out", str(tmp_path / "pre"),
+    ])
+    assert res.exit_code == EXIT_BAD_CONFIG, res.output
+    assert "grid_n" in res.output and "state.n" in res.output
+
+
 def test_pipeline_seed_override_changes_output(runner, tmp_path):
     manifest = _write_manifest(tmp_path)
     hist = {}

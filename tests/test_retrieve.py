@@ -23,7 +23,9 @@ from biphoton.retrieve import (
     MeasurementSet,
     RetrievalConfig,
     RetrievalError,
+    _frog_error,
     _initial_state,
+    _unit_peak,
     frog_error,
     gauge_fix,
     project_magnitude,
@@ -275,3 +277,43 @@ def test_non_finite_state_raises_retrieval_error(chirped_n32):
     )
     with pytest.raises(RetrievalError, match="iteration 1"):
         run_retrieval(m, cfg)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize("mask", [("wt",), ("tw",), ("wt", "tw", "tt")], ids="-".join)
+def test_non_finite_state_raises_without_ww_constraint(chirped_n32, mask):
+    # the finiteness check rides on the ww error, which is computed whether or
+    # not ww is projected
+    m, state = chirped_n32
+    huge = state.with_values(np.full(state.values.shape, 1e308 + 0j))
+    cfg = RetrievalConfig(
+        iterations=3, init="supplied", initial_guess=huge, constraint_mask=frozenset(mask)
+    )
+    with pytest.raises(RetrievalError, match="iteration 1"):
+        run_retrieval(m, cfg)
+
+
+def _frog_error_reference(m, r):
+    """The FROG error as first written: both intensities scaled to unit peak."""
+    m = m / m.max()
+    if r.max() > 0:
+        r = r / r.max()
+    denom = np.sum(r * r)
+    mu = np.sum(m * r) / denom if denom > 0 else 0.0
+    return float(np.sqrt(np.mean((m - mu * r) ** 2)))
+
+
+@pytest.mark.parametrize("shape", [(32, 32), (33, 31), (128, 128)])
+@pytest.mark.parametrize("r_scale", [1.0, 1e150, 0.0])
+def test_frog_helper_matches_reference(shape, r_scale):
+    rng = np.random.default_rng(shape[0])
+    m = rng.random(shape) ** 4
+    r = r_scale * rng.random(shape) ** 4
+    want = _frog_error_reference(m, r)
+    m_hat, r_before = _unit_peak(m), r.copy()
+    resid = np.empty(shape)
+    assert _frog_error(m_hat, r, resid) == pytest.approx(want, rel=1e-12, abs=0)
+    assert np.array_equal(r, r_before)
+    assert frog_error(m, r) == pytest.approx(want, rel=1e-12, abs=0)
+    # the retrieval loop writes the residual over the intensity buffer
+    assert _frog_error(m_hat, r, r) == pytest.approx(want, rel=1e-12, abs=0)
