@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import PhaseFit, fit_retrieved_phase, tbp_numeric
+from .analysis import PhaseFit, WitnessReport, fit_retrieved_phase, tbp_numeric
 from .gating import GatePulse, GatingModel, RefractiveModel, poissonize_set, simulate_measurements
 from .grids import FREQUENCY, ComplexGrid2D, IntensityGrid2D
 from .preprocess import PreprocessConfig, preprocess_grid
@@ -59,6 +59,14 @@ class AnalysisConfig:
     mask_sigma: float = 2.0
     monte_carlo_trials: int = 0
     monte_carlo_peak_counts: float = 1e4
+
+    def __post_init__(self):
+        if not self.mask_sigma > 0:
+            raise ValueError("analysis.mask_sigma must be positive")
+        if self.monte_carlo_trials != 0 and self.monte_carlo_trials < 2:
+            raise ValueError("analysis.monte_carlo.trials must be 0 (off) or at least 2")
+        if not self.monte_carlo_peak_counts > 0:
+            raise ValueError("analysis.monte_carlo.peak_counts must be positive")
 
     @classmethod
     def from_dict(cls, d):
@@ -191,7 +199,7 @@ class PipelineOutput:
     truth: ComplexGrid2D
     result: RetrievalResult
     fit: PhaseFit
-    witness: object
+    witness: WitnessReport
     timings: dict
 
 

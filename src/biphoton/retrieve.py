@@ -32,6 +32,7 @@ from .grids import (
 )
 
 PLANES = ("ww", "wt", "tw", "tt")
+INITS = ("random_phase", "flat_phase", "supplied")
 
 
 class RetrievalError(RuntimeError):
@@ -73,7 +74,7 @@ class MeasurementSet:
 class RetrievalConfig:
     iterations: int = 1000
     seed: int = 0
-    init: str = "random_phase"  # random_phase | flat_phase | supplied
+    init: str = "random_phase"  # one of INITS
     zero_magnitude_epsilon: float = 1e-12
     constraint_mask: frozenset = frozenset(PLANES)
     initial_guess: ComplexGrid2D | None = None
@@ -85,6 +86,8 @@ class RetrievalConfig:
         unknown = self.constraint_mask - set(PLANES)
         if unknown:
             raise ValueError(f"unknown constraint planes {sorted(unknown)}")
+        if self.init not in INITS:
+            raise ValueError(f"unknown init {self.init!r}; expected one of {INITS}")
         if self.init == "supplied" and self.initial_guess is None:
             raise ValueError("init='supplied' needs an initial_guess")
 
@@ -162,11 +165,9 @@ def _initial_state(m: MeasurementSet, cfg: RetrievalConfig) -> ComplexGrid2D:
     amp = np.sqrt(m.i_ww.values)
     if cfg.init == "flat_phase":
         values = amp.astype(complex)
-    elif cfg.init == "random_phase":
+    else:  # random_phase
         rng = np.random.default_rng(cfg.seed)
         values = amp * np.exp(2j * np.pi * rng.random(amp.shape))
-    else:
-        raise ValueError(f"unknown init {cfg.init!r}")
     return ComplexGrid2D(m.i_ww.axis_s, m.i_ww.axis_i, values)
 
 

@@ -124,6 +124,28 @@ def test_retrieve_mask_rejects_odd_length_and_repeats(runner, tmp_path, mask):
     assert res.exit_code == EXIT_BAD_CONFIG
 
 
+@pytest.mark.parametrize("command, option", [
+    ("retrieve", ["--init", "bogus"]),
+    ("analyze", ["--mask-sigma", "0"]),
+])
+def test_invalid_option_value_exit_code(runner, tmp_path, command, option):
+    manifest = _write_manifest(tmp_path)
+    sim = tmp_path / "sim"
+    runner.invoke(main, ["simulate", "--manifest", manifest, "--out", str(sim)])
+    measurements = str(sim / "measurements.json")
+    result_path = str(tmp_path / "result.json")
+    runner.invoke(main, [
+        "retrieve", "--measurements", measurements, "--iterations", "5", "--out", result_path,
+    ])
+    inputs = {"retrieve": [], "analyze": ["--result", result_path]}[command]
+    res = runner.invoke(main, [
+        command, *inputs, "--measurements", measurements, *option,
+        "--out", str(tmp_path / "out.json"),
+    ])
+    assert res.exit_code == EXIT_BAD_CONFIG, res.output
+    assert res.output.startswith("error:")
+
+
 def test_retrieve_default_mask_is_all_four_planes(runner, tmp_path):
     manifest = _write_manifest(tmp_path)
     sim = tmp_path / "sim"
@@ -192,6 +214,29 @@ def test_analyze_bad_result_file(runner, tmp_path):
     assert res.exit_code == EXIT_BAD_CONFIG
 
 
+def test_staged_chain_matches_pipeline(runner, tmp_path):
+    # same manifest, seed and iteration count: the staged commands and
+    # `pipeline` write the same result and analysis documents
+    manifest = _write_manifest(tmp_path)
+    sim, pre, run = tmp_path / "sim", tmp_path / "pre", tmp_path / "run"
+    commands = [
+        ["simulate", "--manifest", manifest, "--out", str(sim)],
+        ["preprocess", "--manifest", manifest,
+         "--measurements", str(sim / "measurements.json"), "--out", str(pre)],
+        ["retrieve", "--measurements", str(pre / "constraints.json"),
+         "--iterations", str(MANIFEST["retrieval"]["iterations"]), "--seed", str(MANIFEST["seed"]),
+         "--out", str(tmp_path / "result.json")],
+        ["analyze", "--result", str(tmp_path / "result.json"),
+         "--measurements", str(pre / "constraints.json"), "--out", str(tmp_path / "analysis.json")],
+        ["pipeline", "--manifest", manifest, "--out", str(run)],
+    ]
+    for args in commands:
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0, res.output
+    for name in ("result.json", "analysis.json"):
+        assert (tmp_path / name).read_bytes() == (run / name).read_bytes(), name
+
+
 def test_pipeline_end_to_end(runner, tmp_path):
     manifest = _write_manifest(tmp_path)
     out = tmp_path / "run"
@@ -215,15 +260,31 @@ def test_pipeline_grid_n_defaults_to_state_n(runner, tmp_path):
     assert res.exit_code == 0, res.output
 
 
-def test_pipeline_grid_n_mismatch_fails_before_simulating(runner, tmp_path, monkeypatch):
-    def no_simulation(cfg):
-        raise AssertionError("simulated a configuration that cannot run")
+def _no_simulation(cfg):
+    raise AssertionError("simulated a configuration that cannot run")
 
-    monkeypatch.setattr(pl, "simulate", no_simulation)
+
+def test_pipeline_grid_n_mismatch_fails_before_simulating(runner, tmp_path, monkeypatch):
+    monkeypatch.setattr(pl, "simulate", _no_simulation)
     manifest = _write_manifest(tmp_path, dict(MANIFEST, preprocess={"grid_n": 64}))
     res = runner.invoke(main, ["pipeline", "--manifest", manifest, "--out", str(tmp_path / "run")])
     assert res.exit_code == EXIT_BAD_CONFIG, res.output
     assert "grid_n" in res.output and "state.n" in res.output
+
+
+@pytest.mark.parametrize("analysis, field", [
+    ({"mask_sigma": 0}, "analysis.mask_sigma"),
+    ({"monte_carlo": {"trials": 1}}, "analysis.monte_carlo.trials"),
+    ({"monte_carlo": {"trials": 3, "peak_counts": 0}}, "analysis.monte_carlo.peak_counts"),
+])
+def test_pipeline_bad_analysis_section_fails_before_simulating(
+    runner, tmp_path, monkeypatch, analysis, field
+):
+    monkeypatch.setattr(pl, "simulate", _no_simulation)
+    manifest = _write_manifest(tmp_path, dict(MANIFEST, analysis=analysis))
+    res = runner.invoke(main, ["pipeline", "--manifest", manifest, "--out", str(tmp_path / "run")])
+    assert res.exit_code == EXIT_BAD_CONFIG, res.output
+    assert field in res.output
 
 
 def test_preprocess_grid_n_mismatch_fails_before_regridding(runner, tmp_path, monkeypatch):

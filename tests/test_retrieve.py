@@ -109,6 +109,8 @@ def test_retrieval_config_validation():
         RetrievalConfig(constraint_mask=frozenset({"ww", "xy"}))
     with pytest.raises(ValueError):
         RetrievalConfig(init="supplied")
+    with pytest.raises(ValueError, match="fancy"):
+        RetrievalConfig(init="fancy")
 
 
 def test_unknown_init_rejected_at_run(ideal_measurements):
