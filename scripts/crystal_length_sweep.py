@@ -50,8 +50,7 @@ def main():
     cfg = PipelineConfig(
         state=StateConfig(params=p, n=args.n),
         gating=GatingConfig(gate_center=gate.center, gate_sigma=gate.sigma),
-        preprocess=PreprocessConfig(alpha=1e-6, rho_lp=1.0, grid_n=args.n,
-                                    allow_out_of_range=True),
+        preprocess=PreprocessConfig(alpha=1e-6, rho_lp=1.0, allow_out_of_range=True),
     )
 
     rows = []

@@ -19,7 +19,8 @@ logger = logging.getLogger(__name__)
 
 
 class FitError(RuntimeError):
-    """Phase fit could not be performed."""
+    """Phase fit could not be performed, or more than 20% of the Monte Carlo
+    trials failed to give one."""
 
 
 @dataclass(frozen=True)
@@ -236,7 +237,8 @@ def monte_carlo_uncertainty(
     The trials run in forked worker processes, one per CPU in the affinity
     mask (at most one per trial), or in this process when there is one
     worker or no fork.  Results are collected in trial order, so they do not
-    depend on the worker count.  Each failed trial is logged at WARNING.
+    depend on the worker count.  Each failed trial is logged at WARNING; more
+    than 20% failed trials raise ``FitError``.
 
     Returns (stddevs, trial_values) as dicts keyed by 'chirp_s' / 'chirp_i'.
     """
@@ -272,6 +274,6 @@ def monte_carlo_uncertainty(
         values["chirp_s"].append(outcome[0])
         values["chirp_i"].append(outcome[1])
     if len(failures) > 0.2 * trials:
-        raise RuntimeError(f"{len(failures)}/{trials} Monte Carlo trials failed: {failures[:3]}")
+        raise FitError(f"{len(failures)}/{trials} Monte Carlo trials failed: {failures[:3]}")
     stddevs = {k: float(np.std(v, ddof=1)) for k, v in values.items()}
     return stddevs, values

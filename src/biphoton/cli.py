@@ -3,7 +3,8 @@
 Subcommands: ``simulate``, ``preprocess``, ``retrieve``, ``analyze``,
 ``pipeline``.  All grid files use the Grid JSON format; manifests are JSON.
 Every command maps errors to the same exit codes: 2 invalid configuration or
-missing input, 3 retrieval produced non-finite values, 4 phase fit failed.
+missing input, 3 retrieval produced non-finite values, 4 phase fit failed
+(also when more than 20% of the Monte Carlo trials fail).
 """
 
 import dataclasses

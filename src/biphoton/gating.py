@@ -174,27 +174,6 @@ class GatingModel:
             raise ValueError("finite crystal length needs a gate and a refractive model")
 
 
-@dataclass(frozen=True)
-class MeasurementAxes:
-    """Frequency and delay axes for the four joint measurements.  Delay axes
-    are the conjugates of the frequency axes (same N), as the retrieval
-    planes require."""
-
-    freq_s: Axis
-    freq_i: Axis
-    time_s: Axis
-    time_i: Axis
-
-    @classmethod
-    def for_state(cls, state: ComplexGrid2D):
-        return cls(
-            freq_s=state.axis_s,
-            freq_i=state.axis_i,
-            time_s=conjugate_axis(state.axis_s),
-            time_i=conjugate_axis(state.axis_i),
-        )
-
-
 def _gate_kernel(axis: Axis, gm: GatingModel):
     """Upconversion kernel K[u, j] = G(w_u - w_j) * Phi_SFG on an auto-fitted
     absolute w_u grid; returns (K, w_u step)."""
@@ -268,7 +247,7 @@ def _unit_peak(values):
     return values / peak if peak > 0 else values
 
 
-def simulate_measurements(state: ComplexGrid2D, gm: GatingModel, axes: MeasurementAxes | None = None) -> MeasurementSet:
+def simulate_measurements(state: ComplexGrid2D, gm: GatingModel) -> MeasurementSet:
     """Simulate the four joint intensities of a state in the ww domain.
 
     Frequency axes: squared magnitude convolved with the spectrometer
@@ -280,10 +259,6 @@ def simulate_measurements(state: ComplexGrid2D, gm: GatingModel, axes: Measureme
     """
     if state.axis_s.domain != FREQUENCY or state.axis_i.domain != FREQUENCY:
         raise ValueError("state must be in the frequency-frequency domain")
-    if axes is None:
-        axes = MeasurementAxes.for_state(state)
-    if not (axes.freq_s.compatible_with(state.axis_s) and axes.freq_i.compatible_with(state.axis_i)):
-        raise ValueError("measurement frequency axes must match the state axes")
 
     F = state.values
     step_s, step_i = state.axis_s.step, state.axis_i.step
@@ -318,11 +293,15 @@ def simulate_measurements(state: ComplexGrid2D, gm: GatingModel, axes: Measureme
         i_tt[:, 0].max(), i_tt[:, -1].max(),
     )
 
+    # delay axes are the conjugates of the frequency axes (same N), as the
+    # retrieval planes require
+    freq_s, freq_i = state.axis_s, state.axis_i
+    time_s, time_i = conjugate_axis(freq_s), conjugate_axis(freq_i)
     return MeasurementSet(
-        i_ww=IntensityGrid2D(axes.freq_s, axes.freq_i, i_ww),
-        i_wt=IntensityGrid2D(axes.freq_s, axes.time_i, i_wt),
-        i_tw=IntensityGrid2D(axes.time_s, axes.freq_i, i_tw),
-        i_tt=IntensityGrid2D(axes.time_s, axes.time_i, i_tt),
+        i_ww=IntensityGrid2D(freq_s, freq_i, i_ww),
+        i_wt=IntensityGrid2D(freq_s, time_i, i_wt),
+        i_tw=IntensityGrid2D(time_s, freq_i, i_tw),
+        i_tt=IntensityGrid2D(time_s, time_i, i_tt),
         coverage_warning=bool(edge > 0.01),
     )
 

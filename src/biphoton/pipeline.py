@@ -97,11 +97,15 @@ class PipelineConfig:
         if "constraint_mask" in retr:
             retr["constraint_mask"] = frozenset(retr["constraint_mask"])
         noise = manifest.get("noise", {})
-        state = StateConfig.from_dict(manifest.get("state", {}))
-        prep = dict(manifest.get("preprocess", {}))
-        prep.setdefault("grid_n", state.n)
+        prep = manifest.get("preprocess", {})
+        for key in ("response_sigma_s", "response_sigma_i"):
+            if key in prep:
+                raise ValueError(
+                    f"preprocess.{key} cannot be set in a manifest: each plane's instrument "
+                    "response follows from gating.gate.sigma and gating.spectrometer_sigma"
+                )
         return cls(
-            state=state,
+            state=StateConfig.from_dict(manifest.get("state", {})),
             gating=GatingConfig.from_dict(manifest.get("gating", {})),
             preprocess=PreprocessConfig(**prep),
             retrieval=RetrievalConfig(**retr),
@@ -161,12 +165,11 @@ def _plane_response_sigmas(grid: IntensityGrid2D, cfg: PipelineConfig):
 
 
 def _check_grid_n(cfg: PipelineConfig):
-    if cfg.preprocess_enabled and cfg.preprocess.grid_n != cfg.state.n:
-        # regridding rescales each plane on its own, so the delay axes stop
-        # being conjugate to the frequency axes and retrieval cannot start
-        raise ValueError(
-            f"preprocess.grid_n ({cfg.preprocess.grid_n}) must equal state.n ({cfg.state.n})"
-        )
+    grid_n = cfg.preprocess.grid_n
+    if cfg.preprocess_enabled and grid_n not in (None, cfg.state.n):
+        # each plane is preprocessed on the grid it was measured on; another
+        # size would break the frequency/delay pairing the retrieval needs
+        raise ValueError(f"preprocess.grid_n ({grid_n}) must equal state.n ({cfg.state.n})")
 
 
 def preprocess_set(m: MeasurementSet, cfg: PipelineConfig) -> MeasurementSet:

@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from biphoton import pipeline as pl
-from biphoton.cli import EXIT_BAD_CONFIG, EXIT_RETRIEVAL_NAN, main
+from biphoton.cli import EXIT_BAD_CONFIG, EXIT_FIT_FAILED, EXIT_RETRIEVAL_NAN, main
 from biphoton.units import FS2_PER_PS2
 
 MANIFEST = {
@@ -254,7 +254,7 @@ def test_pipeline_end_to_end(runner, tmp_path):
 
 
 def test_pipeline_grid_n_defaults_to_state_n(runner, tmp_path):
-    # no preprocess section: the regrid size follows state.n (here 32, not 64)
+    # no preprocess section: grid_n is unset, and n = 32 runs with preprocessing on
     manifest = _write_manifest(tmp_path, {"state": {"n": 32}, "retrieval": {"iterations": 50}})
     res = runner.invoke(main, ["pipeline", "--manifest", manifest, "--out", str(tmp_path / "run")])
     assert res.exit_code == 0, res.output
@@ -287,16 +287,46 @@ def test_pipeline_bad_analysis_section_fails_before_simulating(
     assert field in res.output
 
 
-def test_preprocess_grid_n_mismatch_fails_before_regridding(runner, tmp_path, monkeypatch):
+@pytest.mark.parametrize("field, value", [
+    # set per plane from gating.gate.sigma and gating.spectrometer_sigma
+    ("response_sigma_s", 5.0),
+    ("response_sigma_i", 5.0),
+    # no longer fields of PreprocessConfig
+    ("corner_fraction", 0.1),
+    ("clamp", False),
+])
+def test_pipeline_rejects_preprocess_fields_without_effect(
+    runner, tmp_path, monkeypatch, field, value
+):
+    monkeypatch.setattr(pl, "simulate", _no_simulation)
+    manifest = _write_manifest(tmp_path, dict(MANIFEST, preprocess={field: value}))
+    res = runner.invoke(main, ["pipeline", "--manifest", manifest, "--out", str(tmp_path / "run")])
+    assert res.exit_code == EXIT_BAD_CONFIG, res.output
+    assert res.output.startswith("error:")
+    assert field in res.output
+
+
+def test_pipeline_monte_carlo_failures_exit_code(runner, tmp_path):
+    # 0.01 peak counts poissonize every plane to zero, so all 3 trials fail
+    manifest = _write_manifest(tmp_path, {
+        "state": {"n": 32}, "gating": {"ideal": True},
+        "analysis": {"monte_carlo": {"trials": 3, "peak_counts": 0.01}},
+    })
+    res = runner.invoke(main, ["pipeline", "--manifest", manifest, "--out", str(tmp_path / "run")])
+    assert res.exit_code == EXIT_FIT_FAILED, res.output
+    assert res.output.startswith("error: 3/3 Monte Carlo trials failed")
+
+
+def test_preprocess_grid_n_mismatch_fails_before_preprocessing(runner, tmp_path, monkeypatch):
     manifest = _write_manifest(tmp_path, dict(MANIFEST, preprocess={"grid_n": 64}))
     sim = tmp_path / "sim"
     res = runner.invoke(main, ["simulate", "--manifest", manifest, "--out", str(sim)])
     assert res.exit_code == 0, res.output
 
-    def no_regrid(grid, cfg):
-        raise AssertionError("regridded a configuration that cannot run")
+    def no_preprocessing(grid, cfg):
+        raise AssertionError("preprocessed a configuration that cannot run")
 
-    monkeypatch.setattr(pl, "preprocess_grid", no_regrid)
+    monkeypatch.setattr(pl, "preprocess_grid", no_preprocessing)
     res = runner.invoke(main, [
         "preprocess", "--manifest", manifest,
         "--measurements", str(sim / "measurements.json"), "--out", str(tmp_path / "pre"),

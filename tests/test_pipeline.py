@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from biphoton.pipeline import (
+    GatingConfig,
     PipelineConfig,
+    StateConfig,
     build_gating_model,
     build_state,
     grid_to_csv,
@@ -24,7 +26,7 @@ def test_from_manifest_defaults():
 
 
 def test_from_manifest_grid_n_follows_state_n():
-    assert PipelineConfig.from_manifest({"state": {"n": 128}}).preprocess.grid_n == 128
+    assert PipelineConfig.from_manifest({"state": {"n": 128}}).preprocess.grid_n is None
     explicit = PipelineConfig.from_manifest({"state": {"n": 128}, "preprocess": {"grid_n": 64}})
     assert explicit.preprocess.grid_n == 64
 
@@ -39,6 +41,15 @@ def test_run_pipeline_ignores_grid_n_without_preprocessing():
     }
     out = run_pipeline(PipelineConfig.from_manifest(manifest))
     assert out.result.jsa.values.shape == (32, 32)
+
+
+def test_run_pipeline_default_preprocess_config_at_any_n():
+    # the default PreprocessConfig sets no grid size, so n = 32 runs with
+    # preprocessing on
+    cfg = PipelineConfig(state=StateConfig(n=32), gating=GatingConfig(ideal=True))
+    assert cfg.preprocess_enabled
+    out = run_pipeline(cfg)
+    assert out.constraints.i_tt.values.shape == (32, 32)
 
 
 def test_from_manifest_seed_propagates_to_retrieval():

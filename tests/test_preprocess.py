@@ -1,4 +1,4 @@
-"""Regridding, background suppression, and Wiener deconvolution."""
+"""Background suppression and Wiener deconvolution."""
 
 import numpy as np
 import pytest
@@ -9,10 +9,9 @@ from scipy.ndimage import gaussian_filter
 from biphoton.grids import FREQUENCY, IDLER, SIGNAL, Axis, IntensityGrid2D
 from biphoton.preprocess import (
     PreprocessConfig,
+    _wiener_filter,
     corner_suppress,
-    interpolate_to_grid,
     preprocess_grid,
-    regrid,
     wiener_deconvolve,
 )
 
@@ -91,12 +90,10 @@ def test_wiener_linear_when_clamp_off(a, b, seed):
     rng = np.random.default_rng(seed)
     x = rng.random((32, 32))
     y = rng.random((32, 32))
-    cfg = PreprocessConfig(
-        alpha=0.1, response_sigma_s=1.0, response_sigma_i=1.5, clamp=False
-    )
+    cfg = PreprocessConfig(alpha=0.1, response_sigma_s=1.0, response_sigma_i=1.5)
 
     def W(v):
-        return wiener_deconvolve(IntensityGrid2D(ax_s, ax_i, v), cfg).values
+        return _wiener_filter(IntensityGrid2D(ax_s, ax_i, v), cfg)
 
     assert np.allclose(W(a * x + b * y), a * W(x) + b * W(y), atol=1e-9)
 
@@ -124,39 +121,10 @@ def test_corner_suppress_validation():
         corner_suppress(g, 0.0)
 
 
-def test_interpolate_decreasing_axes_flip():
-    xs = np.linspace(10, 1, 20)  # decreasing, e.g. wavelength-ordered
-    ys = np.linspace(1, 10, 20)
-    vals = np.outer(xs, ys)
-    ax_s, ax_i = _pixel_axes(20)
-    out = interpolate_to_grid(xs, ys, vals, ax_s, ax_i, 16)
-    gx = out.axis_s.values()
-    gy = out.axis_i.values()
-    assert gx[0] < gx[-1]
-    # bilinear interpolation reproduces the bilinear function exactly inside
-    want = np.outer(gx, gy)
-    assert np.allclose(out.values, want, rtol=1e-9)
-
-
-def test_interpolate_rejects_non_monotone():
-    ax_s, ax_i = _pixel_axes(20)
-    xs = np.ones(20)
-    with pytest.raises(ValueError):
-        interpolate_to_grid(xs, np.arange(20.0), np.zeros((20, 20)), ax_s, ax_i, 16)
-
-
-def test_regrid_same_count_is_identity():
-    ax_s, ax_i = _pixel_axes(32)
-    v = _gaussian_spot(32, 5.0)
-    g = IntensityGrid2D(ax_s, ax_i, v)
-    out = regrid(g, 32)
-    assert np.allclose(out.values, v, atol=1e-10)
-
-
-def test_preprocess_grid_skips_regrid_when_shape_matches():
+def test_preprocess_grid_keeps_input_axes():
     ax_s, ax_i = _pixel_axes(64)
     g = IntensityGrid2D(ax_s, ax_i, _gaussian_spot(64, 4.0))
-    cfg = PreprocessConfig(grid_n=64, alpha=0.1)
+    cfg = PreprocessConfig(alpha=0.1)
     out = preprocess_grid(g, cfg)
     assert out.values.shape == (64, 64)
     assert out.axis_s.compatible_with(ax_s)
