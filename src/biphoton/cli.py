@@ -19,7 +19,7 @@ from . import pipeline as pl
 from .analysis import FitError, fit_retrieved_phase, monte_carlo_uncertainty, tbp_numeric
 from .grids import grid_from_json, grid_to_json, load_grid
 from .retrieve import PLANES, MeasurementSet, RetrievalConfig, RetrievalError, run_retrieval
-from .units import FS2_PER_PS2
+from .units import FS_PER_PS
 
 EXIT_BAD_CONFIG = 2
 EXIT_RETRIEVAL_NAN = 3
@@ -90,8 +90,9 @@ def _load_measurement_set(index_path):
     return MeasurementSet(**grids)
 
 
-def _chirp_in_units(value_fs2, units):
-    return value_fs2 / FS2_PER_PS2 if units == "ps2" else value_fs2
+def _in_units(value, units, degree=2):
+    """A value in fs^degree, converted to ps^degree under ``--units ps2``."""
+    return value / FS_PER_PS**degree if units == "ps2" else value
 
 
 def _result_doc(result):
@@ -107,13 +108,15 @@ def _result_doc(result):
 def _analysis_doc(fit, witness, units):
     return {
         "phase_fit": {
-            "chirp_s": _chirp_in_units(fit.chirp_s, units),
-            "chirp_i": _chirp_in_units(fit.chirp_i, units),
-            "cross_term": fit.cross_term,
+            "chirp_s": _in_units(fit.chirp_s, units),
+            "chirp_i": _in_units(fit.chirp_i, units),
+            "cross_term": _in_units(fit.cross_term, units),
             "residual_rms": fit.residual_rms,
             "mask_pixel_count": fit.mask_pixel_count,
             "units": units,
-            "coefficients": {f"{a},{b}": c for (a, b), c in fit.coefficients.items()},
+            "coefficients": {
+                f"{a},{b}": _in_units(c, units, a + b) for (a, b), c in fit.coefficients.items()
+            },
         },
         "witness": dataclasses.asdict(witness),
     }
@@ -240,8 +243,8 @@ def pipeline(manifest_path, out_dir, seed, units, verbose):
             cfg.analysis.monte_carlo_peak_counts, cfg.seed,
         )
         analysis_doc["monte_carlo"] = {
-            "stddev": {k: _chirp_in_units(v, units) for k, v in sd.items()},
-            "trials": {k: [_chirp_in_units(v, units) for v in vs] for k, vs in trials.items()},
+            "stddev": {k: _in_units(v, units) for k, v in sd.items()},
+            "trials": {k: [_in_units(v, units) for v in vs] for k, vs in trials.items()},
         }
     _write_json(out / "analysis.json", analysis_doc, indent=2)
 
@@ -253,8 +256,8 @@ def pipeline(manifest_path, out_dir, seed, units, verbose):
     lines = [
         f"final error ww: {err_ww:.6%}",
         f"final error tt: {output.result.error_final_tt:.6%}",
-        f"fitted chirp_s: {_chirp_in_units(output.fit.chirp_s, units):.6g} {units}",
-        f"fitted chirp_i: {_chirp_in_units(output.fit.chirp_i, units):.6g} {units}",
+        f"fitted chirp_s: {_in_units(output.fit.chirp_s, units):.6g} {units}",
+        f"fitted chirp_i: {_in_units(output.fit.chirp_i, units):.6g} {units}",
         f"witness product: {output.witness.product:.6g} "
         f"(entangled: {output.witness.entangled})",
     ]

@@ -4,11 +4,17 @@ Frequency axes get an ideal spectrometer blur; time axes are measured by
 sum-frequency optical gating with a Gaussian gate pulse and a finite
 phase-matching bandwidth (sinc of the wavevector mismatch over the crystal
 length).  The delay dependence enters the gate only as a linear spectral
-phase, so scanning a full delay grid reduces to Fourier transforms.  The
-upconversion kernel of each side is applied through its SVD modes: all three
-gated planes (tw, wt and tt) are sums of squared centered FFTs of the state
-weighted by one mode per gated side, so no upconverted-frequency stack is
-ever built.
+phase, so scanning a full delay grid reduces to Fourier transforms.
+
+For a thin crystal (L = 0) the sum over upconverted frequencies has a closed
+form: each gated plane is the ideal plane blurred by the gate's temporal
+intensity, computed exactly as a lag-weighted autocorrelation from
+zero-padded FFTs.  For L > 0 the upconversion kernel of each side is applied
+through its SVD modes: all three gated planes (tw, wt and tt) are sums of
+squared centered FFTs of the state weighted by one mode per gated side, so no
+upconverted-frequency stack is ever built.  At n = 256 the closed form takes
+about 50 ms; the mode sum took 0.7 s (sigma_gate = 1/100 rad/fs) to 3 s
+(0.00385 rad/fs) for the same L = 0 planes (2-core Xeon, BLAS on one thread).
 """
 
 import json
@@ -16,8 +22,6 @@ from dataclasses import dataclass, replace
 from importlib import resources
 
 import numpy as np
-from scipy.ndimage import gaussian_filter1d
-from scipy.optimize import brentq
 
 from .grids import (
     FREQUENCY,
@@ -99,6 +103,7 @@ class RefractiveModel:
 
     def tuned_for(self, omega_in, omega_gate):
         """Copy with theta solved so delta_k(omega_in, omega_gate) = 0."""
+        from scipy.optimize import brentq  # here, not at import: it costs ~0.3 s
 
         def mismatch(theta):
             return delta_k(replace(self, theta=theta), omega_in, omega_gate, omega_in + omega_gate)
@@ -157,7 +162,7 @@ def phase_match(dk, L):
 class GatingModel:
     """Measurement model: gate pulse (None = ideal delta gate), crystal
     length (um), refractive model, spectrometer response s.d. (rad/fs),
-    and the upconverted-frequency quadrature size."""
+    and the upconverted-frequency quadrature size (used only when L > 0)."""
 
     gate: GatePulse | None = None
     crystal_length: float = 0.0
@@ -236,9 +241,42 @@ def _gated_planes(F, K_s, du_s, K_i, du_i):
     return tuple(np.fft.fftshift(plane) for plane in (tw, wt, tt))
 
 
+def _gated_planes_l0(F, step_s, step_i, sigma):
+    """Delay-resolved gated intensities (tw, wt, tt) at L = 0, in closed form.
+
+    With K[u, j] = G(u - w_j) and a Gaussian gate, sum_u K[u, j] K*[u, j'] du
+    = exp(-(d * step)^2 / (8 sigma^2)) with d = j - j', so each gated plane is
+    the DFT over the gated axis of the linear autocorrelation of F along that
+    axis, weighted per lag.  Zero-padding to 2n keeps the lags linear; the
+    n-point DFT is the even bins of the 2n-point one.  Only the gated axes are
+    fftshifted, and FFT round-off below zero is clipped.
+    """
+    ns, ni = F.shape
+
+    def lag_weight(n, step):
+        d = np.fft.fftfreq(2 * n, 1.0 / (2 * n))
+        return np.exp(-((d * step) ** 2) / (8 * sigma**2))
+
+    w_s, w_i = lag_weight(ns, step_s), lag_weight(ni, step_i)
+
+    def plane(X, axes, weight):
+        A = np.fft.ifftn(X.real**2 + X.imag**2, axes=axes) * weight
+        even = tuple(slice(None, None, 2) if a in axes else slice(None) for a in range(2))
+        P = np.fft.fftn(A, axes=axes)[even]
+        return np.clip(np.fft.fftshift(P.real, axes=axes), 0.0, None)
+
+    X_s = np.fft.fft(F, n=2 * ns, axis=0)
+    tw = plane(X_s, (0,), w_s[:, None])
+    wt = plane(np.fft.fft(F, n=2 * ni, axis=1), (1,), w_i[None, :])
+    tt = plane(np.fft.fft(X_s, n=2 * ni, axis=1), (0, 1), np.outer(w_s, w_i))
+    return tw, wt, tt
+
+
 def _blur_axis(values, sigma, step, axis):
     if sigma <= 0:
         return values
+    from scipy.ndimage import gaussian_filter1d  # here, not at import: it costs ~0.3 s
+
     return gaussian_filter1d(values, sigma=sigma / step, axis=axis, mode="constant")
 
 
@@ -251,8 +289,9 @@ def simulate_measurements(state: ComplexGrid2D, gm: GatingModel) -> MeasurementS
     """Simulate the four joint intensities of a state in the ww domain.
 
     Frequency axes: squared magnitude convolved with the spectrometer
-    Gaussian.  Time axes: optical gating through the upconversion kernel
-    (or the exact Fourier-domain intensity when the model has no gate).
+    Gaussian.  Time axes: optical gating, in closed form at L = 0 and
+    through the upconversion kernel's SVD modes at L > 0 (or the exact
+    Fourier-domain intensity when the model has no gate).
     All outputs are normalized to unit peak.  A coverage warning is raised
     on the result when the gated signal at the delay-axis edges exceeds 1%
     of peak.
@@ -274,6 +313,8 @@ def simulate_measurements(state: ComplexGrid2D, gm: GatingModel) -> MeasurementS
         i_wt = np.abs(f_wt.values) ** 2
         i_tw = np.abs(f_tw.values) ** 2
         i_tt = np.abs(f_tt.values) ** 2
+    elif gm.crystal_length == 0:
+        i_tw, i_wt, i_tt = _gated_planes_l0(F, step_s, step_i, gm.gate.sigma)
     else:
         K_s, du_s = _gate_kernel(state.axis_s, gm)
         K_i, du_i = _gate_kernel(state.axis_i, gm)

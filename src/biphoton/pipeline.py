@@ -16,6 +16,15 @@ from .retrieve import MeasurementSet, RetrievalConfig, RetrievalResult, run_retr
 from .synth import GaussianStateParams, synthesize_state
 
 
+def _reject_unknown_keys(section, known, prefix=""):
+    """A misspelt or misplaced manifest key would otherwise run silently with
+    the default value."""
+    unknown = sorted(set(section) - set(known))
+    if unknown:
+        names = ", ".join(prefix + key for key in unknown)
+        raise ValueError(f"unknown manifest key {names}; expected one of {', '.join(sorted(known))}")
+
+
 @dataclass(frozen=True)
 class StateConfig:
     params: GaussianStateParams = GaussianStateParams()
@@ -42,7 +51,12 @@ class GatingConfig:
 
     @classmethod
     def from_dict(cls, d):
+        _reject_unknown_keys(d, (
+            "gate", "crystal_length_um", "spectrometer_sigma", "refractive_table_path",
+            "upconverted_grid_count", "ideal",
+        ), "gating.")
         gate = d.get("gate", {})
+        _reject_unknown_keys(gate, ("center", "sigma"), "gating.gate.")
         return cls(
             gate_center=gate.get("center"),
             gate_sigma=float(gate.get("sigma", 1.0 / (2 * 130.0))),
@@ -70,7 +84,9 @@ class AnalysisConfig:
 
     @classmethod
     def from_dict(cls, d):
+        _reject_unknown_keys(d, ("mask_sigma", "monte_carlo"), "analysis.")
         mc = d.get("monte_carlo", {})
+        _reject_unknown_keys(mc, ("trials", "peak_counts"), "analysis.monte_carlo.")
         return cls(
             mask_sigma=float(d.get("mask_sigma", 2.0)),
             monte_carlo_trials=int(mc.get("trials", 0)),
@@ -91,12 +107,17 @@ class PipelineConfig:
 
     @classmethod
     def from_manifest(cls, manifest: dict):
+        _reject_unknown_keys(manifest, (
+            "seed", "state", "gating", "preprocess", "retrieval", "analysis",
+            "preprocess_enabled", "noise",
+        ))
         seed = int(manifest.get("seed", 0))
         retr = dict(manifest.get("retrieval", {}))
         retr.setdefault("seed", seed)
         if "constraint_mask" in retr:
             retr["constraint_mask"] = frozenset(retr["constraint_mask"])
         noise = manifest.get("noise", {})
+        _reject_unknown_keys(noise, ("poisson_peak_counts",), "noise.")
         prep = manifest.get("preprocess", {})
         for key in ("response_sigma_s", "response_sigma_i"):
             if key in prep:
@@ -156,6 +177,12 @@ def simulate(cfg: PipelineConfig):
 
 
 def _plane_response_sigmas(grid: IntensityGrid2D, cfg: PipelineConfig):
+    """Per-axis instrument response s.d. of one plane: the spectrometer on
+    frequency axes, the gate's temporal intensity (s.d. 1/(2 sigma_gate)) on
+    delay axes.  At L = 0 this is the simulated blur exactly: both apply the
+    lag weight exp(-(d * step)^2 / (8 sigma_gate^2)), the simulation on linear
+    lags and the Wiener filter on the plane's wrapped ones.  At L > 0 phase
+    matching also shapes the response, and this is an approximation."""
     g = cfg.gating
     temporal = 0.0 if g.ideal else 1.0 / (2.0 * g.gate_sigma)
     out = []

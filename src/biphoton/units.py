@@ -1,7 +1,8 @@
 """Unit conventions and conversions.
 
 Library-wide units: angular frequency in rad/fs, time in fs, chirp in fs^2,
-crystal length in um, wavelength in nm.  CLI output may convert chirp to ps^2.
+crystal length in um, wavelength in nm.  CLI output may convert chirp to ps^2
+(and each phase-fit coefficient of degree k from fs^k to ps^k).
 """
 
 import numpy as np
@@ -10,6 +11,7 @@ import numpy as np
 C_NM_FS = 299.792458  # nm / fs
 C_UM_FS = 0.299792458  # um / fs
 
+FS_PER_PS = 1.0e3
 FS2_PER_PS2 = 1.0e6
 
 

@@ -1,6 +1,8 @@
 """CLI contracts: the subcommand chain, exit codes, determinism."""
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -195,9 +197,16 @@ def test_analyze_units_conversion(runner, tmp_path):
         ])
         assert res.exit_code == 0, res.output
         outs[units] = json.loads(path.read_text())
-    assert outs["ps2"]["phase_fit"]["chirp_s"] == pytest.approx(
-        outs["fs2"]["phase_fit"]["chirp_s"] / FS2_PER_PS2
-    )
+    fs2, ps2 = outs["fs2"]["phase_fit"], outs["ps2"]["phase_fit"]
+    assert ps2["chirp_s"] == pytest.approx(fs2["chirp_s"] / FS2_PER_PS2)
+    # every phase_fit value follows the document's units: a coefficient of
+    # total degree k is in fs^k or ps^k
+    assert ps2["cross_term"] == pytest.approx(fs2["cross_term"] / FS2_PER_PS2)
+    for key, value in fs2["coefficients"].items():
+        degree = sum(map(int, key.split(",")))
+        assert ps2["coefficients"][key] == pytest.approx(value / 1e3**degree), key
+    for fit in (fs2, ps2):
+        assert fit["coefficients"]["1,1"] == fit["cross_term"]
 
 
 def test_analyze_bad_result_file(runner, tmp_path):
@@ -304,6 +313,22 @@ def test_pipeline_rejects_preprocess_fields_without_effect(
     assert res.exit_code == EXIT_BAD_CONFIG, res.output
     assert res.output.startswith("error:")
     assert field in res.output
+
+
+def test_pipeline_unknown_manifest_key_exit_code(runner, tmp_path, monkeypatch):
+    monkeypatch.setattr(pl, "simulate", _no_simulation)
+    manifest = _write_manifest(tmp_path, dict(MANIFEST, gating={"gate_sigma": 0.01}))
+    res = runner.invoke(main, ["pipeline", "--manifest", manifest, "--out", str(tmp_path / "run")])
+    assert res.exit_code == EXIT_BAD_CONFIG, res.output
+    assert res.output.startswith("error:")
+    assert "gating.gate_sigma" in res.output
+
+
+def test_import_loads_no_scipy_submodules():
+    # scipy.ndimage and scipy.optimize are imported only where they are used
+    code = "import sys, biphoton.cli; print(sorted(m for m in ('scipy.ndimage', 'scipy.optimize') if m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_pipeline_monte_carlo_failures_exit_code(runner, tmp_path):

@@ -98,8 +98,7 @@ def test_gated_one_side_direct_oracle(chirped_state):
     gate = GatePulse(center=GATE_CENTER, sigma=1.0 / (2 * 130.0))
     gm = GatingModel(gate=gate, crystal_length=0.0, upconverted_grid_count=128)
     K_s, du_s = _gate_kernel(chirped_state.axis_s, gm)
-    K_i, du_i = _gate_kernel(chirped_state.axis_i, gm)
-    fast = _gated_planes(chirped_state.values, K_s, du_s, K_i, du_i)[0]
+    fast = simulate_measurements(chirped_state, gm).i_tw.values
     dws = chirped_state.axis_s.offsets()
     taus = np.arange(64) - 32
     taus = taus * 2 * np.pi / (64 * chirped_state.axis_s.step)
@@ -107,6 +106,7 @@ def test_gated_one_side_direct_oracle(chirped_state):
     for mdx, tau in enumerate(taus):
         A = K_s @ (chirped_state.values * np.exp(-1j * dws * tau)[:, None])
         direct[mdx] = np.sum(np.abs(A) ** 2, axis=0) * du_s
+    direct /= direct.max()
     assert np.max(np.abs(direct - fast)) < 1e-10 * fast.max()
 
 
@@ -166,6 +166,24 @@ def test_mode_contraction_matches_full_stacks(chirped_state, shape, length):
     got = m.grids()
     for plane, ref in want.items():
         assert got[plane].values.shape == F.shape
+        assert np.max(np.abs(got[plane].values - ref / ref.max())) <= 1e-10, plane
+
+
+@pytest.mark.parametrize("shape", ["n64", "odd33x31"])
+def test_closed_form_l0_matches_mode_path(shape):
+    # README state; its chirps make the delay planes wide enough that lag
+    # wrapping (no zero padding) would show at this gate width
+    p = GaussianStateParams(rho=-0.9, chirp_s=-36000.0, chirp_i=-43000.0)
+    state = synthesize_state(p, n=64, span_sigmas=8)
+    if shape == "odd33x31":
+        state = _odd_state(state)
+    gm = GatingModel(gate=GatePulse(center=2.432, sigma=0.01), crystal_length=0.0)
+    got = simulate_measurements(state, gm).grids()
+    K_s, du_s = _gate_kernel(state.axis_s, gm)
+    K_i, du_i = _gate_kernel(state.axis_i, gm)
+    modes = _gated_planes(state.values, K_s, du_s, K_i, du_i)
+    for plane, ref in zip(("tw", "wt", "tt"), modes):
+        assert got[plane].values.min() >= 0, plane
         assert np.max(np.abs(got[plane].values - ref / ref.max())) <= 1e-10, plane
 
 

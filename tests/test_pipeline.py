@@ -52,6 +52,19 @@ def test_run_pipeline_default_preprocess_config_at_any_n():
     assert out.constraints.i_tt.values.shape == (32, 32)
 
 
+@pytest.mark.parametrize("manifest, key", [
+    ({"gating": {"gate_sigma": 0.01}}, "gating.gate_sigma"),
+    ({"gating": {"gate": {"sigma": 0.01, "centre": 2.4}}}, "gating.gate.centre"),
+    ({"analysis": {"montecarlo": {"trials": 5}}}, "analysis.montecarlo"),
+    ({"analysis": {"monte_carlo": {"trials": 5, "peak": 1e3}}}, "analysis.monte_carlo.peak"),
+    ({"noise": {"peak_counts": 1e4}}, "noise.peak_counts"),
+    ({"retreival": {"iterations": 10}}, "retreival"),
+])
+def test_from_manifest_rejects_unknown_keys(manifest, key):
+    with pytest.raises(ValueError, match=rf"unknown manifest key {key}\b"):
+        PipelineConfig.from_manifest(manifest)
+
+
 def test_from_manifest_seed_propagates_to_retrieval():
     cfg = PipelineConfig.from_manifest({"seed": 9})
     assert cfg.seed == 9
