@@ -54,8 +54,9 @@ def _load_json(path):
 
 
 def _write_json(path, doc, indent=None):
+    # json.dumps, unlike json.dump, encodes with the C encoder when indent is None
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=indent)
+        fh.write(json.dumps(doc, indent=indent))
 
 
 def _write_grid(path, grid, manifest_echo=None):
@@ -232,11 +233,8 @@ def pipeline(manifest_path, out_dir, seed, units, verbose):
         manifest["seed"] = seed
     cfg = pl.PipelineConfig.from_manifest(manifest)
     output = pl.run_pipeline(cfg)
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "result.json", _result_doc(output.result))
     analysis_doc = _analysis_doc(output.fit, output.witness, units)
+    # Monte Carlo first, so a run whose trials fail writes no file
     if cfg.analysis.monte_carlo_trials:
         sd, trials = monte_carlo_uncertainty(
             output.raw, cfg, cfg.analysis.monte_carlo_trials,
@@ -246,6 +244,10 @@ def pipeline(manifest_path, out_dir, seed, units, verbose):
             "stddev": {k: _in_units(v, units) for k, v in sd.items()},
             "trials": {k: [_in_units(v, units) for v in vs] for k, vs in trials.items()},
         }
+
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    _write_json(out / "result.json", _result_doc(output.result))
     _write_json(out / "analysis.json", analysis_doc, indent=2)
 
     for key, grid in output.constraints.grids().items():

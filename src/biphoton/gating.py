@@ -9,7 +9,8 @@ phase, so scanning a full delay grid reduces to Fourier transforms.
 For a thin crystal (L = 0) the sum over upconverted frequencies has a closed
 form: each gated plane is the ideal plane blurred by the gate's temporal
 intensity, computed exactly as a lag-weighted autocorrelation from
-zero-padded FFTs.  For L > 0 the upconversion kernel of each side is applied
+zero-padded FFTs.  For L > 0 each side's upconversion kernel is built once,
+on the band where the gate's amplitude exceeds 1e-6 of peak, and applied
 through its SVD modes: all three gated planes (tw, wt and tt) are sums of
 squared centered FFTs of the state weighted by one mode per gated side, so no
 upconverted-frequency stack is ever built.  At n = 256 the closed form takes
@@ -180,29 +181,20 @@ class GatingModel:
 
 
 def _gate_kernel(axis: Axis, gm: GatingModel):
-    """Upconversion kernel K[u, j] = G(w_u - w_j) * Phi_SFG on an auto-fitted
-    absolute w_u grid; returns (K, w_u step)."""
+    """Upconversion kernel K[u, j] = G(w_u - w_j) * Phi_SFG; returns (K, w_u
+    step).  |Phi_SFG| <= 1, so the w_u grid spans the axis shifted by the gate
+    center and widened to where the gate's amplitude falls to 1e-6 of peak."""
     gate = gm.gate
     omega = axis.values()
-    # trial support scan: the Gaussian gate bounds the integrand envelope
-    lo = omega.min() + gate.center - 12 * gate.sigma
-    hi = omega.max() + gate.center + 12 * gate.sigma
-    trial = np.linspace(lo, hi, 1024)
-    K_trial = _kernel_on(trial, omega, gm)
-    prof = np.max(np.abs(K_trial), axis=1)
-    keep = prof > 1e-6 * prof.max()
-    lo, hi = trial[keep].min(), trial[keep].max()
+    half = 2 * gate.sigma * np.sqrt(np.log(1e6))
+    lo, hi = omega.min() + gate.center - half, omega.max() + gate.center + half
     omega_u = np.linspace(lo, hi, gm.upconverted_grid_count)
-    return _kernel_on(omega_u, omega, gm), omega_u[1] - omega_u[0]
-
-
-def _kernel_on(omega_u, omega, gm: GatingModel):
     wg = omega_u[:, None] - omega[None, :]
-    K = gate_spectrum(gm.gate, wg, 0.0)
+    K = gate_spectrum(gate, wg, 0.0)
     if gm.crystal_length > 0:
         dk = delta_k(gm.refractive, omega[None, :], wg, omega_u[:, None])
         K = K * phase_match(dk, gm.crystal_length)
-    return K
+    return K, omega_u[1] - omega_u[0]
 
 
 def _svd_modes(K, tol=1e-6):

@@ -2,9 +2,8 @@
 measurements, deconvolve them, run phase retrieval, and fit the spectral
 phase.  The same configuration objects back the CLI subcommands."""
 
-import csv
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -25,6 +24,10 @@ def _reject_unknown_keys(section, known, prefix=""):
         raise ValueError(f"unknown manifest key {names}; expected one of {', '.join(sorted(known))}")
 
 
+def _field_names(config_class):
+    return {f.name for f in fields(config_class)}
+
+
 @dataclass(frozen=True)
 class StateConfig:
     params: GaussianStateParams = GaussianStateParams()
@@ -33,6 +36,7 @@ class StateConfig:
 
     @classmethod
     def from_dict(cls, d):
+        _reject_unknown_keys(d, _field_names(GaussianStateParams) | {"n", "span_sigmas"}, "state.")
         d = dict(d)
         n = int(d.pop("n", 64))
         span = float(d.pop("span_sigmas", 8.0))
@@ -119,12 +123,8 @@ class PipelineConfig:
         noise = manifest.get("noise", {})
         _reject_unknown_keys(noise, ("poisson_peak_counts",), "noise.")
         prep = manifest.get("preprocess", {})
-        for key in ("response_sigma_s", "response_sigma_i"):
-            if key in prep:
-                raise ValueError(
-                    f"preprocess.{key} cannot be set in a manifest: each plane's instrument "
-                    "response follows from gating.gate.sigma and gating.spectrometer_sigma"
-                )
+        _reject_unknown_keys(prep, _field_names(PreprocessConfig), "preprocess.")
+        _reject_unknown_keys(retr, _field_names(RetrievalConfig) - {"initial_guess"}, "retrieval.")
         return cls(
             state=StateConfig.from_dict(manifest.get("state", {})),
             gating=GatingConfig.from_dict(manifest.get("gating", {})),
@@ -207,9 +207,7 @@ def preprocess_set(m: MeasurementSet, cfg: PipelineConfig) -> MeasurementSet:
     _check_grid_n(cfg)
     cleaned = {}
     for key, grid in m.grids().items():
-        ss, si = _plane_response_sigmas(grid, cfg)
-        plane_cfg = replace(cfg.preprocess, response_sigma_s=ss, response_sigma_i=si)
-        cleaned[key] = preprocess_grid(grid, plane_cfg)
+        cleaned[key] = preprocess_grid(grid, cfg.preprocess, _plane_response_sigmas(grid, cfg))
     return MeasurementSet(
         i_ww=cleaned["ww"], i_wt=cleaned["wt"], i_tw=cleaned["tw"], i_tt=cleaned["tt"],
         coverage_warning=m.coverage_warning,
@@ -256,18 +254,18 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineOutput:
 
 
 def grid_to_csv(grid, path):
-    """Data-only plot export: one row per pixel with both axis coordinates."""
+    """Data-only plot export: one row per pixel with both axis coordinates.
+    The format is csv's default (excel) dialect: comma-separated, CRLF line
+    ends, no quoting, since no field holds a comma or a quote."""
     xs = grid.axis_s.values()
     ys = grid.axis_i.values()
+    v = grid.values.ravel()
     is_complex = isinstance(grid, ComplexGrid2D)
+    header = [f"{grid.axis_s.photon}_{grid.axis_s.domain}", f"{grid.axis_i.photon}_{grid.axis_i.domain}"]
+    header += ["re", "im"] if is_complex else ["value"]
+    # row-major pixel order, built one column at a time
+    columns = [np.repeat(xs, len(ys)), np.tile(ys, len(xs))]
+    columns += [v.real, v.imag] if is_complex else [v]
+    rows = zip(*(map(repr, c.tolist()) for c in columns))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = [f"{grid.axis_s.photon}_{grid.axis_s.domain}", f"{grid.axis_i.photon}_{grid.axis_i.domain}"]
-        header += ["re", "im"] if is_complex else ["value"]
-        writer.writerow(header)
-        for j, x in enumerate(xs):
-            for k, y in enumerate(ys):
-                v = grid.values[j, k]
-                row = [repr(float(x)), repr(float(y))]
-                row += [repr(float(v.real)), repr(float(v.imag))] if is_complex else [repr(float(v))]
-                writer.writerow(row)
+        fh.write("\r\n".join([",".join(header), *map(",".join, rows)]) + "\r\n")

@@ -12,18 +12,16 @@ from .grids import IntensityGrid2D
 
 @dataclass(frozen=True)
 class PreprocessConfig:
-    """Deconvolution knobs.  ``alpha`` is the Wiener noise constant,
-    ``rho_lp`` the top-hat radius as a fraction of the Nyquist radius,
-    and the response sigmas are the per-axis instrument response s.d. in
-    the units of the corresponding axis."""
+    """Deconvolution knobs.  ``alpha`` is the Wiener noise constant and
+    ``rho_lp`` the top-hat radius as a fraction of the Nyquist radius.  The
+    instrument response is not a knob: it depends on the plane, and callers
+    pass it to ``wiener_deconvolve``."""
 
     # selects no code; kept because perfbench/workloads.py and the acceptance
     # tests pass grid_n=n.  The pipeline rejects a value other than state.n.
     grid_n: int | None = None
     alpha: float = 0.1
     rho_lp: float = 0.9
-    response_sigma_s: float = 0.0
-    response_sigma_i: float = 0.0
     allow_out_of_range: bool = False
 
     def __post_init__(self):
@@ -32,8 +30,6 @@ class PreprocessConfig:
                 raise ValueError("alpha outside [0.05, 0.2]; set allow_out_of_range to override")
             if not 0.8 <= self.rho_lp <= 1.0:
                 raise ValueError("rho_lp outside [0.8, 1.0]; set allow_out_of_range to override")
-        if self.response_sigma_s < 0 or self.response_sigma_i < 0:
-            raise ValueError("response sigmas must be >= 0")
 
 
 def corner_suppress(h: IntensityGrid2D, corner_fraction: float = 0.0625) -> IntensityGrid2D:
@@ -55,13 +51,16 @@ def _response_transfer(n, step, sigma):
     return np.exp(-(k**2) * sigma**2 / 2.0)
 
 
-def _wiener_filter(h: IntensityGrid2D, cfg: PreprocessConfig) -> np.ndarray:
+def _wiener_filter(h: IntensityGrid2D, cfg: PreprocessConfig, response=(0.0, 0.0)) -> np.ndarray:
     """The linear part of ``wiener_deconvolve``, before clamping and
     normalizing."""
+    sigma_s, sigma_i = response
+    if sigma_s < 0 or sigma_i < 0:
+        raise ValueError("response sigmas must be >= 0")
     ns, ni = h.values.shape
     G = np.outer(
-        _response_transfer(ns, h.axis_s.step, cfg.response_sigma_s),
-        _response_transfer(ni, h.axis_i.step, cfg.response_sigma_i),
+        _response_transfer(ns, h.axis_s.step, sigma_s),
+        _response_transfer(ni, h.axis_i.step, sigma_i),
     )
     W = G / (G**2 + cfg.alpha)
     ps = np.fft.fftfreq(ns) * ns
@@ -71,17 +70,20 @@ def _wiener_filter(h: IntensityGrid2D, cfg: PreprocessConfig) -> np.ndarray:
     return np.fft.ifft2(np.fft.fft2(h.values) * W * T).real
 
 
-def wiener_deconvolve(h: IntensityGrid2D, cfg: PreprocessConfig) -> IntensityGrid2D:
+def wiener_deconvolve(h: IntensityGrid2D, cfg: PreprocessConfig, response=(0.0, 0.0)) -> IntensityGrid2D:
     """Wiener-filtered deconvolution of the per-axis Gaussian instrument
     response, low-passed by a centered top-hat of radius rho_lp * N / 2
-    pixels.  Output is clamped nonnegative and unit-peak normalized."""
-    out = np.clip(_wiener_filter(h, cfg), 0.0, None)
+    pixels.  ``response`` = (sigma_s, sigma_i) is the response s.d. per axis,
+    in that axis's units.  Output is clamped nonnegative and unit-peak
+    normalized."""
+    out = np.clip(_wiener_filter(h, cfg, response), 0.0, None)
     peak = out.max()
     if peak > 0:
         out = out / peak
     return h.with_values(out)
 
 
-def preprocess_grid(h: IntensityGrid2D, cfg: PreprocessConfig) -> IntensityGrid2D:
-    """Full chain for one histogram on its own grid: corner-suppress, deconvolve."""
-    return wiener_deconvolve(corner_suppress(h), cfg)
+def preprocess_grid(h: IntensityGrid2D, cfg: PreprocessConfig, response=(0.0, 0.0)) -> IntensityGrid2D:
+    """Full chain for one histogram on its own grid: corner-suppress, then
+    deconvolve the per-axis ``response`` (see ``wiener_deconvolve``)."""
+    return wiener_deconvolve(corner_suppress(h), cfg, response)

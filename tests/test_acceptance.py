@@ -110,8 +110,7 @@ def test_acceptance_4_deconvolution_round_trip():
     true = np.exp(-(x[:, None] ** 2 + x[None, :] ** 2) / (2 * 4.0**2))
     blurred = IntensityGrid2D(ax_s, ax_i, gaussian_filter(true, 2.0, mode="constant"))
     noisy = poissonize(blurred, 1e4, seed=1)
-    cfg = PreprocessConfig(alpha=0.1, response_sigma_s=2.0, response_sigma_i=2.0)
-    rec = wiener_deconvolve(noisy, cfg)
+    rec = wiener_deconvolve(noisy, PreprocessConfig(alpha=0.1), response=(2.0, 2.0))
     v = rec.values / rec.values.sum()
     sds = []
     for axis in (0, 1):

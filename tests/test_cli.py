@@ -297,10 +297,10 @@ def test_pipeline_bad_analysis_section_fails_before_simulating(
 
 
 @pytest.mark.parametrize("field, value", [
-    # set per plane from gating.gate.sigma and gating.spectrometer_sigma
+    # no longer fields of PreprocessConfig; each plane's response sigmas follow
+    # from gating.gate.sigma and gating.spectrometer_sigma
     ("response_sigma_s", 5.0),
     ("response_sigma_i", 5.0),
-    # no longer fields of PreprocessConfig
     ("corner_fraction", 0.1),
     ("clamp", False),
 ])
@@ -312,7 +312,7 @@ def test_pipeline_rejects_preprocess_fields_without_effect(
     res = runner.invoke(main, ["pipeline", "--manifest", manifest, "--out", str(tmp_path / "run")])
     assert res.exit_code == EXIT_BAD_CONFIG, res.output
     assert res.output.startswith("error:")
-    assert field in res.output
+    assert f"preprocess.{field}" in res.output
 
 
 def test_pipeline_unknown_manifest_key_exit_code(runner, tmp_path, monkeypatch):
@@ -340,6 +340,8 @@ def test_pipeline_monte_carlo_failures_exit_code(runner, tmp_path):
     res = runner.invoke(main, ["pipeline", "--manifest", manifest, "--out", str(tmp_path / "run")])
     assert res.exit_code == EXIT_FIT_FAILED, res.output
     assert res.output.startswith("error: 3/3 Monte Carlo trials failed")
+    # Monte Carlo runs before any output is written
+    assert not (tmp_path / "run" / "result.json").exists()
 
 
 def test_preprocess_grid_n_mismatch_fails_before_preprocessing(runner, tmp_path, monkeypatch):
@@ -348,7 +350,7 @@ def test_preprocess_grid_n_mismatch_fails_before_preprocessing(runner, tmp_path,
     res = runner.invoke(main, ["simulate", "--manifest", manifest, "--out", str(sim)])
     assert res.exit_code == 0, res.output
 
-    def no_preprocessing(grid, cfg):
+    def no_preprocessing(grid, cfg, response):
         raise AssertionError("preprocessed a configuration that cannot run")
 
     monkeypatch.setattr(pl, "preprocess_grid", no_preprocessing)

@@ -169,6 +169,42 @@ def test_mode_contraction_matches_full_stacks(chirped_state, shape, length):
         assert np.max(np.abs(got[plane].values - ref / ref.max())) <= 1e-10, plane
 
 
+def _scan_kernel(axis, gm):
+    """Reference: the kernel on a support found numerically, by scanning |K|
+    on 1024 trial frequencies for where it exceeds 1e-6 of its peak."""
+    omega = axis.values()
+
+    def kernel_on(omega_u):
+        wg = omega_u[:, None] - omega[None, :]
+        K = gate_spectrum(gm.gate, wg, 0.0)
+        if gm.crystal_length > 0:
+            dk = delta_k(gm.refractive, omega[None, :], wg, omega_u[:, None])
+            K = K * phase_match(dk, gm.crystal_length)
+        return K
+
+    lo = omega.min() + gm.gate.center - 12 * gm.gate.sigma
+    hi = omega.max() + gm.gate.center + 12 * gm.gate.sigma
+    trial = np.linspace(lo, hi, 1024)
+    prof = np.max(np.abs(kernel_on(trial)), axis=1)
+    support = trial[prof > 1e-6 * prof.max()]
+    omega_u = np.linspace(support.min(), support.max(), gm.upconverted_grid_count)
+    return kernel_on(omega_u), omega_u[1] - omega_u[0]
+
+
+@pytest.mark.parametrize("shape", ["n32", "odd33x31"])
+def test_analytic_support_matches_scan_kernel(chirped_state, shape):
+    # the gate fixes the kernel's support in closed form; a numerical scan of
+    # the full kernel (phase matching included) finds the same planes
+    state = synthesize_state(CHIRPED, n=32, span_sigmas=8) if shape == "n32" else _odd_state(chirped_state)
+    gate = GatePulse(center=GATE_CENTER, sigma=1.0 / (2 * 130.0))
+    rm = RefractiveModel.default().tuned_for(state.axis_s.center, GATE_CENTER)
+    gm = GatingModel(gate=gate, crystal_length=1000.0, refractive=rm)
+    got = simulate_measurements(state, gm).grids()
+    ref = _gated_planes(state.values, *_scan_kernel(state.axis_s, gm), *_scan_kernel(state.axis_i, gm))
+    for plane, want in zip(("tw", "wt", "tt"), ref):
+        assert np.max(np.abs(got[plane].values - want / want.max())) <= 1e-10, plane
+
+
 @pytest.mark.parametrize("shape", ["n64", "odd33x31"])
 def test_closed_form_l0_matches_mode_path(shape):
     # README state; its chirps make the delay planes wide enough that lag

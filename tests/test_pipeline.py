@@ -1,6 +1,8 @@
 """Manifest parsing and pipeline glue."""
 
 import csv
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,10 +61,25 @@ def test_run_pipeline_default_preprocess_config_at_any_n():
     ({"analysis": {"monte_carlo": {"trials": 5, "peak": 1e3}}}, "analysis.monte_carlo.peak"),
     ({"noise": {"peak_counts": 1e4}}, "noise.peak_counts"),
     ({"retreival": {"iterations": 10}}, "retreival"),
+    ({"state": {"foo": 1}}, "state.foo"),
+    ({"preprocess": {"foo": 1}}, "preprocess.foo"),
+    ({"retrieval": {"foo": 1}}, "retrieval.foo"),
+    # a grid object, not manifest data: it would pass every check and fail later
+    ({"retrieval": {"initial_guess": [[1.0]]}}, "retrieval.initial_guess"),
 ])
 def test_from_manifest_rejects_unknown_keys(manifest, key):
     with pytest.raises(ValueError, match=rf"unknown manifest key {key}\b"):
         PipelineConfig.from_manifest(manifest)
+
+
+def test_readme_example_manifest_parses():
+    # the README's example must keep to the manifest's strict key rules
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("Example manifest:", 1)[1]
+    text = block.split("```json", 1)[1].split("```", 1)[0]
+    cfg = PipelineConfig.from_manifest(json.loads(text))
+    assert cfg.state.n == 128
+    assert cfg.gating.gate_sigma == 0.00385
 
 
 def test_from_manifest_seed_propagates_to_retrieval():

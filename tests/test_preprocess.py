@@ -41,8 +41,6 @@ def test_config_validation():
         PreprocessConfig(alpha=0.5)
     with pytest.raises(ValueError):
         PreprocessConfig(rho_lp=0.5)
-    with pytest.raises(ValueError):
-        PreprocessConfig(response_sigma_s=-1.0)
     # escape hatch
     PreprocessConfig(alpha=1e-6, rho_lp=1.0, allow_out_of_range=True)
 
@@ -52,11 +50,8 @@ def test_wiener_round_trip_noiseless():
     true = _gaussian_spot(64, 4.0)
     blurred = gaussian_filter(true, 2.0, mode="constant")
     g = IntensityGrid2D(ax_s, ax_i, blurred)
-    cfg = PreprocessConfig(
-        alpha=1e-6, rho_lp=1.0, response_sigma_s=2.0, response_sigma_i=2.0,
-        allow_out_of_range=True,
-    )
-    rec = wiener_deconvolve(g, cfg)
+    cfg = PreprocessConfig(alpha=1e-6, rho_lp=1.0, allow_out_of_range=True)
+    rec = wiener_deconvolve(g, cfg, response=(2.0, 2.0))
     assert _radial_sd(rec.values) == pytest.approx(4.0, rel=0.01)
 
 
@@ -67,8 +62,7 @@ def test_wiener_attenuates_when_alpha_large():
     true = _gaussian_spot(64, 4.0)
     blurred = gaussian_filter(true, 2.0, mode="constant")
     g = IntensityGrid2D(ax_s, ax_i, blurred)
-    cfg = PreprocessConfig(alpha=0.1, response_sigma_s=2.0, response_sigma_i=2.0)
-    rec = wiener_deconvolve(g, cfg)
+    rec = wiener_deconvolve(g, PreprocessConfig(alpha=0.1), response=(2.0, 2.0))
     sd = _radial_sd(rec.values)
     assert 4.0 < sd < _radial_sd(blurred)
 
@@ -90,12 +84,20 @@ def test_wiener_linear_when_clamp_off(a, b, seed):
     rng = np.random.default_rng(seed)
     x = rng.random((32, 32))
     y = rng.random((32, 32))
-    cfg = PreprocessConfig(alpha=0.1, response_sigma_s=1.0, response_sigma_i=1.5)
+    cfg = PreprocessConfig(alpha=0.1)
 
     def W(v):
-        return _wiener_filter(IntensityGrid2D(ax_s, ax_i, v), cfg)
+        return _wiener_filter(IntensityGrid2D(ax_s, ax_i, v), cfg, response=(1.0, 1.5))
 
     assert np.allclose(W(a * x + b * y), a * W(x) + b * W(y), atol=1e-9)
+
+
+def test_wiener_rejects_negative_response():
+    ax_s, ax_i = _pixel_axes(32)
+    g = IntensityGrid2D(ax_s, ax_i, _gaussian_spot(32, 3.0))
+    for response in ((-1.0, 0.0), (0.0, -1.0)):
+        with pytest.raises(ValueError):
+            wiener_deconvolve(g, PreprocessConfig(), response=response)
 
 
 def test_corner_suppress_removes_uniform_background():
