@@ -256,7 +256,7 @@ def monte_carlo_uncertainty(
     except AttributeError:  # no affinity mask on this platform
         cpus = os.cpu_count() or 1
     workers = min(cpus, trials)
-    # fork, not spawn: a spawned worker imports numpy, scipy and biphoton again,
+    # fork, not spawn: a spawned worker imports numpy and biphoton again,
     # which made 16 trials at n = 64 on 2 CPUs slower than running them here
     # (1.7-2.1 s against 1.45 s; fork 0.7 s), and it needs a __main__ guard
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():

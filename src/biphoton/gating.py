@@ -103,8 +103,8 @@ class RefractiveModel:
         return 1.0 / np.sqrt(np.cos(self.theta) ** 2 / no**2 + np.sin(self.theta) ** 2 / ne**2)
 
     def tuned_for(self, omega_in, omega_gate):
-        """Copy with theta solved so delta_k(omega_in, omega_gate) = 0."""
-        from scipy.optimize import brentq  # here, not at import: it costs ~0.3 s
+        """Copy with theta solved so delta_k(omega_in, omega_gate) = 0, by
+        bisection: 60 halvings of the bracket reach machine precision."""
 
         def mismatch(theta):
             return delta_k(replace(self, theta=theta), omega_in, omega_gate, omega_in + omega_gate)
@@ -113,7 +113,14 @@ class RefractiveModel:
         f_lo, f_hi = mismatch(lo), mismatch(hi)
         if f_lo * f_hi > 0:
             raise ValueError("no phase-matching angle exists for these frequencies")
-        return replace(self, theta=brentq(mismatch, lo, hi, xtol=1e-12))
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            f_mid = mismatch(mid)
+            if f_mid * f_lo > 0:
+                lo, f_lo = mid, f_mid
+            else:
+                hi = mid
+        return replace(self, theta=0.5 * (lo + hi))
 
     @classmethod
     def from_entries(cls, entries, theta=np.pi / 2):
@@ -265,11 +272,19 @@ def _gated_planes_l0(F, step_s, step_i, sigma):
 
 
 def _blur_axis(values, sigma, step, axis):
+    """Gaussian blur (s.d. sigma) along one axis by one n x n matrix product,
+    as gaussian_filter1d with mode="constant": the kernel spans offsets
+    |d| <= int(4 sigma / step + 0.5), sums to 1, and sees zero off the grid."""
     if sigma <= 0:
         return values
-    from scipy.ndimage import gaussian_filter1d  # here, not at import: it costs ~0.3 s
-
-    return gaussian_filter1d(values, sigma=sigma / step, axis=axis, mode="constant")
+    s = sigma / step
+    radius = int(4 * s + 0.5)
+    d = np.arange(-radius, radius + 1)
+    norm = np.exp(-0.5 / s**2 * d**2).sum()
+    idx = np.arange(values.shape[axis])
+    d = np.subtract.outer(idx, idx)
+    B = np.where(np.abs(d) <= radius, np.exp(-0.5 / s**2 * d**2) / norm, 0.0)
+    return B @ values if axis == 0 else values @ B
 
 
 def _unit_peak(values):

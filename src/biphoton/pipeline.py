@@ -101,7 +101,7 @@ class AnalysisConfig:
 @dataclass(frozen=True)
 class PipelineConfig:
     state: StateConfig = StateConfig()
-    gating: GatingConfig = GatingConfig(ideal=True)
+    gating: GatingConfig = GatingConfig()
     preprocess: PreprocessConfig = PreprocessConfig()
     retrieval: RetrievalConfig = RetrievalConfig()
     analysis: AnalysisConfig = AnalysisConfig()
@@ -118,8 +118,6 @@ class PipelineConfig:
         seed = int(manifest.get("seed", 0))
         retr = dict(manifest.get("retrieval", {}))
         retr.setdefault("seed", seed)
-        if "constraint_mask" in retr:
-            retr["constraint_mask"] = frozenset(retr["constraint_mask"])
         noise = manifest.get("noise", {})
         _reject_unknown_keys(noise, ("poisson_peak_counts",), "noise.")
         prep = manifest.get("preprocess", {})

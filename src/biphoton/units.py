@@ -12,7 +12,6 @@ C_NM_FS = 299.792458  # nm / fs
 C_UM_FS = 0.299792458  # um / fs
 
 FS_PER_PS = 1.0e3
-FS2_PER_PS2 = 1.0e6
 
 
 def wavelength_to_omega(lambda_nm):
@@ -23,8 +22,3 @@ def wavelength_to_omega(lambda_nm):
 def omega_to_wavelength(omega):
     """Angular frequency (rad/fs) to vacuum wavelength (nm)."""
     return 2.0 * np.pi * C_NM_FS / omega
-
-
-def wavelength_sigma_to_omega_sigma(dlambda_nm, lambda_nm):
-    """Convert a small wavelength width (nm) at a center wavelength to rad/fs."""
-    return 2.0 * np.pi * C_NM_FS * dlambda_nm / lambda_nm**2

@@ -10,7 +10,7 @@ from click.testing import CliRunner
 
 from biphoton import pipeline as pl
 from biphoton.cli import EXIT_BAD_CONFIG, EXIT_FIT_FAILED, EXIT_RETRIEVAL_NAN, main
-from biphoton.units import FS2_PER_PS2
+from biphoton.units import FS_PER_PS
 
 MANIFEST = {
     "seed": 1,
@@ -198,10 +198,10 @@ def test_analyze_units_conversion(runner, tmp_path):
         assert res.exit_code == 0, res.output
         outs[units] = json.loads(path.read_text())
     fs2, ps2 = outs["fs2"]["phase_fit"], outs["ps2"]["phase_fit"]
-    assert ps2["chirp_s"] == pytest.approx(fs2["chirp_s"] / FS2_PER_PS2)
+    assert ps2["chirp_s"] == pytest.approx(fs2["chirp_s"] / FS_PER_PS**2)
     # every phase_fit value follows the document's units: a coefficient of
     # total degree k is in fs^k or ps^k
-    assert ps2["cross_term"] == pytest.approx(fs2["cross_term"] / FS2_PER_PS2)
+    assert ps2["cross_term"] == pytest.approx(fs2["cross_term"] / FS_PER_PS**2)
     for key, value in fs2["coefficients"].items():
         degree = sum(map(int, key.split(",")))
         assert ps2["coefficients"][key] == pytest.approx(value / 1e3**degree), key
@@ -325,8 +325,18 @@ def test_pipeline_unknown_manifest_key_exit_code(runner, tmp_path, monkeypatch):
 
 
 def test_import_loads_no_scipy_submodules():
-    # scipy.ndimage and scipy.optimize are imported only where they are used
-    code = "import sys, biphoton.cli; print(sorted(m for m in ('scipy.ndimage', 'scipy.optimize') if m in sys.modules))"
+    # biphoton runs on numpy alone: neither the import nor a gated L > 0
+    # simulation with a spectrometer blur (angle tuning, SVD modes, blur)
+    # loads any scipy module
+    code = (
+        "import sys, biphoton.cli\n"
+        "from biphoton import pipeline as pl\n"
+        "cfg = pl.PipelineConfig.from_manifest({'state': {'n': 16}, 'gating': "
+        "{'crystal_length_um': 1000, 'spectrometer_sigma': 0.002, 'upconverted_grid_count': 64}})\n"
+        "assert pl.build_gating_model(cfg).crystal_length > 0\n"
+        "pl.simulate(cfg)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.ndimage import gaussian_filter1d
+from scipy.optimize import brentq
 
 from biphoton.gating import (
     GatePulse,
@@ -17,7 +18,7 @@ from biphoton.gating import (
     poissonize,
     simulate_measurements,
 )
-from biphoton.gating import _gate_kernel, _gated_planes, _svd_modes
+from biphoton.gating import _blur_axis, _gate_kernel, _gated_planes, _svd_modes
 from biphoton.grids import IDLER, SIGNAL, TO_TIME, ComplexGrid2D, transform_photon
 from biphoton.synth import GaussianStateParams, synthesize_state
 from biphoton.units import wavelength_to_omega
@@ -240,6 +241,22 @@ def test_spectrometer_blur_widens_marginal(chirped_state):
     assert sd1 == pytest.approx(np.sqrt(sd0**2 + sig**2), rel=1e-3)
 
 
+@pytest.mark.parametrize("shape, sigma_px", [((33, 31), 1.7), ((64, 64), 4.0), ((16, 16), 20.0)])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_blur_axis_matches_gaussian_filter1d(shape, sigma_px, axis):
+    # (16, 16) at 20 px: the truncated kernel is wider than the axis
+    values = np.random.default_rng(3).random(shape)
+    step = 0.0005
+    got = _blur_axis(values, sigma_px * step, step, axis)
+    want = gaussian_filter1d(values, sigma_px, axis=axis, mode="constant")
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_blur_axis_zero_sigma_is_identity():
+    values = np.random.default_rng(4).random((8, 9))
+    assert _blur_axis(values, 0.0, 0.1, 0) is values
+
+
 def test_matched_model_has_zero_mismatch():
     rm = RefractiveModel.matched(n=1.8)
     w_in = wavelength_to_omega(823.0)
@@ -253,6 +270,28 @@ def test_tuned_angle_zeroes_mismatch():
     tuned = rm.tuned_for(w_in, GATE_CENTER)
     assert 0 < tuned.theta < np.pi / 2
     assert abs(delta_k(tuned, w_in, GATE_CENTER, w_in + GATE_CENTER)) < 1e-9
+
+
+@pytest.mark.parametrize("lambda_in, lambda_gate", [(823.0, 775.0), (732.0, 800.0)])
+def test_tuned_angle_matches_brentq(lambda_in, lambda_gate):
+    rm = RefractiveModel.default()
+    w_in, w_g = wavelength_to_omega(lambda_in), wavelength_to_omega(lambda_gate)
+
+    def mismatch(theta):
+        return delta_k(replace(rm, theta=theta), w_in, w_g, w_in + w_g)
+
+    want = brentq(mismatch, 1e-6, np.pi / 2 - 1e-6, xtol=1e-12)
+    assert abs(rm.tuned_for(w_in, w_g).theta - want) <= 1e-12
+
+
+def test_tuned_angle_without_root_raises():
+    # anomalous ordinary dispersion and n_e > n_o: the mismatch is negative
+    # at every angle
+    rm = RefractiveModel(
+        ordinary=(3.24, 0.0, 0.0, -0.01), extraordinary=(4.0, 0.0, 0.0, 0.0), valid_nm=(100.0, 10000.0)
+    )
+    with pytest.raises(ValueError, match="no phase-matching angle"):
+        rm.tuned_for(wavelength_to_omega(823.0), GATE_CENTER)
 
 
 def test_phase_match_limits():

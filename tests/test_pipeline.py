@@ -27,6 +27,11 @@ def test_from_manifest_defaults():
     assert cfg.preprocess_enabled
 
 
+def test_default_config_equals_empty_manifest():
+    # one default: a gated, thin-crystal measurement either way
+    assert PipelineConfig() == PipelineConfig.from_manifest({})
+
+
 def test_from_manifest_grid_n_follows_state_n():
     assert PipelineConfig.from_manifest({"state": {"n": 128}}).preprocess.grid_n is None
     explicit = PipelineConfig.from_manifest({"state": {"n": 128}, "preprocess": {"grid_n": 64}})
