@@ -177,10 +177,10 @@ def _parse_mask(mask):
 
 @main.command()
 @click.option("--measurements", "measurements_path", required=True, type=click.Path(exists=True))
-@click.option("--iterations", type=int, default=1000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--mask", default="wwwttwtt", show_default=True, help="active planes, e.g. wwtt")
-@click.option("--init", default="random_phase", show_default=True)
+@click.option("--iterations", type=int, default=RetrievalConfig.iterations, show_default=True)
+@click.option("--seed", type=int, default=RetrievalConfig.seed, show_default=True)
+@click.option("--mask", default="".join(PLANES), show_default=True, help="active planes, e.g. wwtt")
+@click.option("--init", default=RetrievalConfig.init, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
 @_exit_codes()
 def retrieve(measurements_path, iterations, seed, mask, init, out_path):
@@ -199,7 +199,7 @@ def retrieve(measurements_path, iterations, seed, mask, init, out_path):
 @main.command()
 @click.option("--result", "result_path", required=True, type=click.Path(exists=True))
 @click.option("--measurements", "measurements_path", required=True, type=click.Path(exists=True))
-@click.option("--mask-sigma", type=float, default=2.0, show_default=True)
+@click.option("--mask-sigma", type=float, default=pl.AnalysisConfig.mask_sigma, show_default=True)
 @click.option("--units", type=click.Choice(["fs2", "ps2"]), default="fs2", show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
 @_exit_codes()

@@ -183,6 +183,8 @@ class GatingModel:
             raise ValueError("crystal_length must be >= 0")
         if self.spectrometer_sigma < 0:
             raise ValueError("spectrometer_sigma must be >= 0")
+        if self.upconverted_grid_count < 2:
+            raise ValueError("upconverted_grid_count must be >= 2")
         if self.crystal_length > 0 and (self.gate is None or self.refractive is None):
             raise ValueError("finite crystal length needs a gate and a refractive model")
 

@@ -2,8 +2,10 @@
 measurements, deconvolve them, run phase retrieval, and fit the spectral
 phase.  The same configuration objects back the CLI subcommands."""
 
+import json
 import time
 from dataclasses import dataclass, fields, replace
+from typing import get_args
 
 import numpy as np
 
@@ -13,19 +15,7 @@ from .grids import FREQUENCY, ComplexGrid2D, IntensityGrid2D
 from .preprocess import PreprocessConfig, preprocess_grid
 from .retrieve import MeasurementSet, RetrievalConfig, RetrievalResult, run_retrieval
 from .synth import GaussianStateParams, synthesize_state
-
-
-def _reject_unknown_keys(section, known, prefix=""):
-    """A misspelt or misplaced manifest key would otherwise run silently with
-    the default value."""
-    unknown = sorted(set(section) - set(known))
-    if unknown:
-        names = ", ".join(prefix + key for key in unknown)
-        raise ValueError(f"unknown manifest key {names}; expected one of {', '.join(sorted(known))}")
-
-
-def _field_names(config_class):
-    return {f.name for f in fields(config_class)}
+from .units import wavelength_to_omega
 
 
 @dataclass(frozen=True)
@@ -34,42 +24,17 @@ class StateConfig:
     n: int = 64
     span_sigmas: float = 8.0
 
-    @classmethod
-    def from_dict(cls, d):
-        _reject_unknown_keys(d, _field_names(GaussianStateParams) | {"n", "span_sigmas"}, "state.")
-        d = dict(d)
-        n = int(d.pop("n", 64))
-        span = float(d.pop("span_sigmas", 8.0))
-        return cls(params=GaussianStateParams(**d), n=n, span_sigmas=span)
-
 
 @dataclass(frozen=True)
 class GatingConfig:
-    gate_center: float | None = None
+    # 775 nm: a NIR gate matching a Ti:sapphire-like source
+    gate_center: float = wavelength_to_omega(775.0)
     gate_sigma: float = 1.0 / (2 * 130.0)
     crystal_length_um: float = 0.0
     spectrometer_sigma: float = 0.0
     refractive_table_path: str | None = None
-    upconverted_grid_count: int = 256
+    upconverted_grid_count: int = GatingModel.upconverted_grid_count
     ideal: bool = False  # delta gate, exact temporal intensities
-
-    @classmethod
-    def from_dict(cls, d):
-        _reject_unknown_keys(d, (
-            "gate", "crystal_length_um", "spectrometer_sigma", "refractive_table_path",
-            "upconverted_grid_count", "ideal",
-        ), "gating.")
-        gate = d.get("gate", {})
-        _reject_unknown_keys(gate, ("center", "sigma"), "gating.gate.")
-        return cls(
-            gate_center=gate.get("center"),
-            gate_sigma=float(gate.get("sigma", 1.0 / (2 * 130.0))),
-            crystal_length_um=float(d.get("crystal_length_um", 0.0)),
-            spectrometer_sigma=float(d.get("spectrometer_sigma", 0.0)),
-            refractive_table_path=d.get("refractive_table_path"),
-            upconverted_grid_count=int(d.get("upconverted_grid_count", 256)),
-            ideal=bool(d.get("ideal", False)),
-        )
 
 
 @dataclass(frozen=True)
@@ -86,17 +51,6 @@ class AnalysisConfig:
         if not self.monte_carlo_peak_counts > 0:
             raise ValueError("analysis.monte_carlo.peak_counts must be positive")
 
-    @classmethod
-    def from_dict(cls, d):
-        _reject_unknown_keys(d, ("mask_sigma", "monte_carlo"), "analysis.")
-        mc = d.get("monte_carlo", {})
-        _reject_unknown_keys(mc, ("trials", "peak_counts"), "analysis.monte_carlo.")
-        return cls(
-            mask_sigma=float(d.get("mask_sigma", 2.0)),
-            monte_carlo_trials=int(mc.get("trials", 0)),
-            monte_carlo_peak_counts=float(mc.get("peak_counts", 1e4)),
-        )
-
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -109,30 +63,81 @@ class PipelineConfig:
     poisson_peak_counts: float | None = None
     seed: int = 0
 
+    def __post_init__(self):
+        if self.poisson_peak_counts is not None and not self.poisson_peak_counts > 0:
+            raise ValueError("noise.poisson_peak_counts must be positive")
+
     @classmethod
-    def from_manifest(cls, manifest: dict):
-        _reject_unknown_keys(manifest, (
-            "seed", "state", "gating", "preprocess", "retrieval", "analysis",
-            "preprocess_enabled", "noise",
-        ))
-        seed = int(manifest.get("seed", 0))
-        retr = dict(manifest.get("retrieval", {}))
-        retr.setdefault("seed", seed)
-        noise = manifest.get("noise", {})
-        _reject_unknown_keys(noise, ("poisson_peak_counts",), "noise.")
-        prep = manifest.get("preprocess", {})
-        _reject_unknown_keys(prep, _field_names(PreprocessConfig), "preprocess.")
-        _reject_unknown_keys(retr, _field_names(RetrievalConfig) - {"initial_guess"}, "retrieval.")
+    def from_manifest(cls, manifest):
+        """Parse a JSON manifest: each key names a config field (``_MANIFEST_KEYS``)
+        and each value has that field's JSON type; absent keys take the field default."""
+        kw = {owner: {} for owner in _SECTIONS}
+        for key, value in _manifest_items(manifest):
+            owner, field = _MANIFEST_KEYS[key]
+            kw[owner][field.name] = _checked(key, field.type, value)
         return cls(
-            state=StateConfig.from_dict(manifest.get("state", {})),
-            gating=GatingConfig.from_dict(manifest.get("gating", {})),
-            preprocess=PreprocessConfig(**prep),
-            retrieval=RetrievalConfig(**retr),
-            analysis=AnalysisConfig.from_dict(manifest.get("analysis", {})),
-            preprocess_enabled=bool(manifest.get("preprocess_enabled", True)),
-            poisson_peak_counts=noise.get("poisson_peak_counts"),
-            seed=seed,
+            state=StateConfig(params=GaussianStateParams(**kw[GaussianStateParams]), **kw[StateConfig]),
+            gating=GatingConfig(**kw[GatingConfig]),
+            preprocess=PreprocessConfig(**kw[PreprocessConfig]),
+            # the retrieval seed defaults to the manifest's seed
+            retrieval=RetrievalConfig(**{"seed": kw[cls].get("seed", cls.seed), **kw[RetrievalConfig]}),
+            analysis=AnalysisConfig(**kw[AnalysisConfig]),
+            **kw[cls],
         )
+
+
+# the manifest section of each config class ("" is the top level)
+_SECTIONS = {
+    GaussianStateParams: "state.", StateConfig: "state.", GatingConfig: "gating.",
+    PreprocessConfig: "preprocess.", RetrievalConfig: "retrieval.",
+    AnalysisConfig: "analysis.", PipelineConfig: "",
+}
+# fields whose key within their section is not the field name
+_RENAMED = {
+    "gate_center": "gate.center", "gate_sigma": "gate.sigma",
+    "monte_carlo_trials": "monte_carlo.trials", "monte_carlo_peak_counts": "monte_carlo.peak_counts",
+    "poisson_peak_counts": "noise.poisson_peak_counts",
+}
+# field type -> (Python types of the JSON values it takes, their JSON name)
+_JSON_TYPES = {
+    float: ((int, float), "a number"), int: ((int,), "an integer"), bool: ((bool,), "true or false"),
+    str: ((str,), "a string"), frozenset: ((list,), "a list"),
+}
+# dotted manifest key -> (config class, field), for every field of a JSON type
+_MANIFEST_KEYS = {
+    prefix + _RENAMED.get(f.name, f.name): (owner, f)
+    for owner, prefix in _SECTIONS.items()
+    for f in fields(owner)
+    if (get_args(f.type) or (f.type,))[0] in _JSON_TYPES
+}
+
+
+def _manifest_items(section, prefix=""):
+    """The (dotted key, value) leaves of a manifest section.  An unknown key is
+    refused: misspelt or misplaced, it would otherwise run with the default."""
+    if not isinstance(section, dict):
+        where = f"manifest key {prefix[:-1]}" if prefix else "manifest"
+        raise ValueError(f"{where} must be a JSON object, not {json.dumps(section)}")
+    known = {key[len(prefix):].split(".")[0] for key in _MANIFEST_KEYS if key.startswith(prefix)}
+    unknown = sorted(set(section) - known)
+    if unknown:
+        names = ", ".join(prefix + key for key in unknown)
+        raise ValueError(f"unknown manifest key {names}; expected one of {', '.join(sorted(known))}")
+    for key, value in section.items():
+        if prefix + key in _MANIFEST_KEYS:
+            yield prefix + key, value
+        else:
+            yield from _manifest_items(value, prefix + key + ".")
+
+
+def _checked(key, annotation, value):
+    """``value`` if its JSON type fits the annotation, null only for ``X | None``
+    (``type``, not isinstance: true is no number); float fields store floats."""
+    base, *nullable = get_args(annotation) or (annotation,)
+    accepted, name = _JSON_TYPES[base]
+    if type(value) not in (*accepted, *nullable):
+        raise ValueError(f"manifest key {key} must be {name}, not {json.dumps(value)}")
+    return float(value) if base is float and value is not None else value
 
 
 def build_state(cfg: PipelineConfig) -> ComplexGrid2D:
@@ -143,21 +148,13 @@ def build_gating_model(cfg: PipelineConfig) -> GatingModel:
     g = cfg.gating
     if g.ideal:
         return GatingModel(gate=None, spectrometer_sigma=g.spectrometer_sigma)
-    center = g.gate_center
-    if center is None:
-        # default NIR gate center matching a Ti:sapphire-like source
-        center = 2 * np.pi * 299.792458 / 775.0
-    gate = GatePulse(center=center, sigma=g.gate_sigma)
     refractive = None
     if g.crystal_length_um > 0:
-        refractive = (
-            RefractiveModel.from_json(g.refractive_table_path)
-            if g.refractive_table_path
-            else RefractiveModel.default()
-        )
-        refractive = refractive.tuned_for(cfg.state.params.center_s, center)
+        path = g.refractive_table_path
+        table = RefractiveModel.from_json(path) if path else RefractiveModel.default()
+        refractive = table.tuned_for(cfg.state.params.center_s, g.gate_center)
     return GatingModel(
-        gate=gate,
+        gate=GatePulse(center=g.gate_center, sigma=g.gate_sigma),
         crystal_length=g.crystal_length_um,
         refractive=refractive,
         spectrometer_sigma=g.spectrometer_sigma,
@@ -169,7 +166,7 @@ def simulate(cfg: PipelineConfig):
     """Forward model: returns (raw MeasurementSet, ground-truth state)."""
     truth = build_state(cfg)
     raw = simulate_measurements(truth, build_gating_model(cfg))
-    if cfg.poisson_peak_counts:
+    if cfg.poisson_peak_counts is not None:
         raw = poissonize_set(raw, cfg.poisson_peak_counts, cfg.seed)
     return raw, truth
 

@@ -324,6 +324,42 @@ def test_pipeline_unknown_manifest_key_exit_code(runner, tmp_path, monkeypatch):
     assert "gating.gate_sigma" in res.output
 
 
+@pytest.mark.parametrize("manifest, key", [
+    ([], "manifest must be a JSON object"),
+    ({"gating": []}, "gating"),
+    ({"gating": {"ideal": "false"}}, "gating.ideal"),
+    ({"preprocess_enabled": "no"}, "preprocess_enabled"),
+    ({"state": {"chirp_s": "1"}}, "state.chirp_s"),
+    ({"noise": {"poisson_peak_counts": 0}}, "noise.poisson_peak_counts"),
+    ({"noise": {"poisson_peak_counts": -5}}, "noise.poisson_peak_counts"),
+])
+def test_pipeline_malformed_manifest_exit_code(runner, tmp_path, monkeypatch, manifest, key):
+    monkeypatch.setattr(pl, "simulate", _no_simulation)
+    res = runner.invoke(main, [
+        "pipeline", "--manifest", _write_manifest(tmp_path, manifest), "--out", str(tmp_path / "run"),
+    ])
+    assert res.exit_code == EXIT_BAD_CONFIG, res.output
+    assert res.output.startswith("error:")
+    assert key in res.output
+
+
+@pytest.mark.parametrize("gating, message", [
+    ({"crystal_length_um": 100, "upconverted_grid_count": 1}, "upconverted_grid_count"),
+    ({"crystal_length_um": 100, "upconverted_grid_count": 0}, "upconverted_grid_count"),
+    ({"crystal_length_um": 100, "refractive_table_path": "no_such_table.json"}, "no_such_table.json"),
+])
+def test_pipeline_bad_gating_model_exit_code(runner, tmp_path, monkeypatch, gating, message):
+    def no_gated_simulation(state, gm):
+        raise AssertionError("simulated a gating model that cannot run")
+
+    monkeypatch.setattr(pl, "simulate_measurements", no_gated_simulation)
+    manifest = _write_manifest(tmp_path, dict(MANIFEST, gating=gating))
+    res = runner.invoke(main, ["pipeline", "--manifest", manifest, "--out", str(tmp_path / "run")])
+    assert res.exit_code == EXIT_BAD_CONFIG, res.output
+    assert res.output.startswith("error:")
+    assert message in res.output
+
+
 def test_import_loads_no_scipy_submodules():
     # biphoton runs on numpy alone: neither the import nor a gated L > 0
     # simulation with a spectrometer blur (angle tuning, SVD modes, blur)

@@ -332,6 +332,13 @@ def test_gating_model_validation():
         GatingModel(crystal_length=-1.0)
 
 
+@pytest.mark.parametrize("count", [0, 1])
+def test_gating_model_rejects_upconverted_grid_below_two(count):
+    # the kernel's w_u step needs two points
+    with pytest.raises(ValueError, match="upconverted_grid_count"):
+        GatingModel(gate=GatePulse(center=GATE_CENTER, sigma=0.01), upconverted_grid_count=count)
+
+
 def test_poissonize_deterministic_and_unbiased(chirped_state):
     m = simulate_measurements(chirped_state, GatingModel(gate=None))
     a = poissonize(m.i_ww, 1e4, seed=11)

@@ -2,12 +2,14 @@
 
 import csv
 import json
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from biphoton.pipeline import (
+    AnalysisConfig,
     GatingConfig,
     PipelineConfig,
     StateConfig,
@@ -17,6 +19,8 @@ from biphoton.pipeline import (
     run_pipeline,
     simulate,
 )
+from biphoton.preprocess import PreprocessConfig
+from biphoton.retrieve import RetrievalConfig
 from biphoton.synth import GaussianStateParams
 
 
@@ -75,6 +79,107 @@ def test_run_pipeline_default_preprocess_config_at_any_n():
 def test_from_manifest_rejects_unknown_keys(manifest, key):
     with pytest.raises(ValueError, match=rf"unknown manifest key {key}\b"):
         PipelineConfig.from_manifest(manifest)
+
+
+# JSON ints in float fields, and every key a manifest can set
+EVERY_KEY = {
+    "seed": 3,
+    "state": {"sigma_s": 0.02, "sigma_i": 0.03, "rho": -0.5, "center_s": 2, "center_i": 3,
+              "chirp_s": -100, "chirp_i": 200, "n": 32, "span_sigmas": 7},
+    "gating": {"gate": {"center": 2, "sigma": 0.004}, "crystal_length_um": 500,
+               "spectrometer_sigma": 0, "refractive_table_path": "table.json",
+               "upconverted_grid_count": 64, "ideal": False},
+    "preprocess": {"grid_n": 32, "alpha": 1, "rho_lp": 1, "allow_out_of_range": True},
+    "retrieval": {"iterations": 20, "seed": 4, "init": "flat_phase",
+                  "zero_magnitude_epsilon": 0, "constraint_mask": ["ww", "tt"]},
+    "analysis": {"mask_sigma": 3, "monte_carlo": {"trials": 2, "peak_counts": 100}},
+    "preprocess_enabled": False,
+    "noise": {"poisson_peak_counts": 1000},
+}
+
+
+def test_from_manifest_every_key():
+    expected = PipelineConfig(
+        state=StateConfig(
+            params=GaussianStateParams(
+                sigma_s=0.02, sigma_i=0.03, rho=-0.5, center_s=2.0, center_i=3.0,
+                chirp_s=-100.0, chirp_i=200.0,
+            ),
+            n=32, span_sigmas=7.0,
+        ),
+        gating=GatingConfig(
+            gate_center=2.0, gate_sigma=0.004, crystal_length_um=500.0, spectrometer_sigma=0.0,
+            refractive_table_path="table.json", upconverted_grid_count=64, ideal=False,
+        ),
+        preprocess=PreprocessConfig(grid_n=32, alpha=1.0, rho_lp=1.0, allow_out_of_range=True),
+        retrieval=RetrievalConfig(
+            iterations=20, seed=4, init="flat_phase", zero_magnitude_epsilon=0.0,
+            constraint_mask=frozenset({"ww", "tt"}),
+        ),
+        analysis=AnalysisConfig(mask_sigma=3.0, monte_carlo_trials=2, monte_carlo_peak_counts=100.0),
+        preprocess_enabled=False,
+        poisson_peak_counts=1000.0,
+        seed=3,
+    )
+    cfg = PipelineConfig.from_manifest(EVERY_KEY)
+    assert cfg == expected
+    # float fields hold floats, as the configs built in Python do
+    assert type(cfg.state.params.chirp_s) is float
+    assert type(cfg.gating.gate_center) is float
+    assert type(cfg.poisson_peak_counts) is float
+
+
+@pytest.mark.parametrize("manifest, key", [
+    ({"gating": []}, "gating"),
+    ({"gating": {"ideal": "false"}}, "gating.ideal"),
+    ({"gating": {"ideal": 0}}, "gating.ideal"),
+    ({"preprocess_enabled": "no"}, "preprocess_enabled"),
+    ({"analysis": {"monte_carlo": {"trials": 2.9}}}, "analysis.monte_carlo.trials"),
+    ({"analysis": {"monte_carlo": []}}, "analysis.monte_carlo"),
+    ({"state": {"n": 64.7}}, "state.n"),
+    ({"state": {"n": 64.0}}, "state.n"),
+    ({"state": {"chirp_s": "1"}}, "state.chirp_s"),
+    ({"state": {"rho": True}}, "state.rho"),
+    ({"seed": None}, "seed"),
+    ({"gating": {"gate": None}}, "gating.gate"),
+    ({"gating": {"gate": {"center": None}}}, "gating.gate.center"),
+    ({"gating": {"refractive_table_path": 1}}, "gating.refractive_table_path"),
+    ({"retrieval": {"constraint_mask": "wwtt"}}, "retrieval.constraint_mask"),
+])
+def test_from_manifest_rejects_wrong_types(manifest, key):
+    with pytest.raises(ValueError, match=rf"manifest key {key} must be\b"):
+        PipelineConfig.from_manifest(manifest)
+
+
+def test_from_manifest_accepts_null_where_optional():
+    cfg = PipelineConfig.from_manifest({
+        "noise": {"poisson_peak_counts": None},
+        "preprocess": {"grid_n": None},
+        "gating": {"refractive_table_path": None},
+    })
+    assert cfg == PipelineConfig()
+
+
+@pytest.mark.parametrize("counts", [0, 0.0, -5])
+def test_poisson_peak_counts_must_be_positive(counts):
+    with pytest.raises(ValueError, match=r"noise\.poisson_peak_counts must be positive"):
+        PipelineConfig.from_manifest({"noise": {"poisson_peak_counts": counts}})
+    with pytest.raises(ValueError, match="poisson_peak_counts"):
+        PipelineConfig(poisson_peak_counts=counts)
+
+
+def test_refractive_table_path(tmp_path):
+    # the shipped table, read from a path, gives the default table's planes
+    table = tmp_path / "table.json"
+    table.write_text(resources.files("biphoton.data").joinpath("bibo_sellmeier.json").read_text())
+    gating = {"crystal_length_um": 1000, "upconverted_grid_count": 64}
+    manifest = {"state": {"n": 16}, "gating": gating}
+    default, _ = simulate(PipelineConfig.from_manifest(manifest))
+    from_path, _ = simulate(PipelineConfig.from_manifest(
+        dict(manifest, gating=dict(gating, refractive_table_path=str(table)))
+    ))
+    for key, grid in default.grids().items():
+        assert np.array_equal(from_path.grids()[key].values, grid.values), key
 
 
 def test_readme_example_manifest_parses():
