@@ -4,13 +4,13 @@ polynomial phase fitting, and Monte Carlo uncertainty propagation."""
 
 import heapq
 import logging
-import os
 import warnings
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
+from .gating import _cpu_count, poissonize_set
 from .grids import ComplexGrid2D, IntensityGrid2D
 
 TWO_PI = 2.0 * np.pi
@@ -215,7 +215,6 @@ def _mc_trial(raw, pipeline_cfg, peak_counts: float, seeds) -> tuple | str:
     """One Monte Carlo trial: poissonize with the first seed, preprocess,
     retrieve with the second seed and fit.  Returns (chirp_s, chirp_i), or the
     repr of the exception the trial raised."""
-    from .gating import poissonize_set
     from .pipeline import preprocess_set, retrieve_and_fit
 
     noise_seed, retr_seed = seeds
@@ -251,11 +250,7 @@ def monte_carlo_uncertainty(
     trial_seeds = np.random.SeedSequence(seed).generate_state(2 * trials).reshape(trials, 2)
     trial = partial(_mc_trial, raw, pipeline_cfg, peak_counts)
     seeds = [(int(a), int(b)) for a, b in trial_seeds]
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        cpus = os.cpu_count() or 1
-    workers = min(cpus, trials)
+    workers = min(_cpu_count(), trials)
     # fork, not spawn: a spawned worker imports numpy and biphoton again,
     # which made 16 trials at n = 64 on 2 CPUs slower than running them here
     # (1.7-2.1 s against 1.45 s; fork 0.7 s), and it needs a __main__ guard

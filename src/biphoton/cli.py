@@ -53,6 +53,18 @@ def _load_json(path):
         raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
+def _load_manifest(path, seed=None):
+    """The manifest and its parsed config.  ``--seed`` replaces the manifest's
+    seed only once the manifest has parsed, so a malformed one fails with the
+    loader's message."""
+    manifest = _load_json(path)
+    cfg = pl.PipelineConfig.from_manifest(manifest)
+    if seed is not None:
+        manifest["seed"] = seed
+        cfg = pl.PipelineConfig.from_manifest(manifest)
+    return manifest, cfg
+
+
 def _write_json(path, doc, indent=None):
     # json.dumps, unlike json.dump, encodes with the C encoder when indent is None
     with open(path, "w") as fh:
@@ -137,10 +149,8 @@ def main():
 @_exit_codes()
 def simulate(manifest_path, out_dir, seed, verbose):
     """Write the four raw measurement grids and the ground-truth state."""
-    manifest = _load_json(manifest_path)
-    if seed is not None:
-        manifest["seed"] = seed
-    raw, truth = pl.simulate(pl.PipelineConfig.from_manifest(manifest))
+    manifest, cfg = _load_manifest(manifest_path, seed)
+    raw, truth = pl.simulate(cfg)
     out = _write_planes(out_dir, raw, "measurements.json", manifest_echo=manifest)
     _write_grid(out / "truth.json", truth, manifest_echo=manifest)
     if raw.coverage_warning:
@@ -228,10 +238,7 @@ def analyze(result_path, measurements_path, mask_sigma, units, out_path):
 @_exit_codes()
 def pipeline(manifest_path, out_dir, seed, units, verbose):
     """Run simulate -> preprocess -> retrieve -> analyze end to end."""
-    manifest = _load_json(manifest_path)
-    if seed is not None:
-        manifest["seed"] = seed
-    cfg = pl.PipelineConfig.from_manifest(manifest)
+    _, cfg = _load_manifest(manifest_path, seed)
     output = pl.run_pipeline(cfg)
     analysis_doc = _analysis_doc(output.fit, output.witness, units)
     # Monte Carlo first, so a run whose trials fail writes no file

@@ -227,12 +227,3 @@ def run_retrieval(m: MeasurementSet, cfg: RetrievalConfig) -> RetrievalResult:
         seed=cfg.seed,
         iterations_run=cfg.iterations,
     )
-
-
-def gauge_fix(g: ComplexGrid2D) -> ComplexGrid2D:
-    """Rotate the global phase so the peak-intensity pixel is real positive."""
-    idx = np.unravel_index(np.argmax(np.abs(g.values)), g.values.shape)
-    ref = g.values[idx]
-    if ref == 0:
-        return g
-    return g.with_values(g.values * np.exp(-1j * np.angle(ref)))

@@ -343,6 +343,18 @@ def test_pipeline_malformed_manifest_exit_code(runner, tmp_path, monkeypatch, ma
     assert key in res.output
 
 
+@pytest.mark.parametrize("command", ["simulate", "pipeline"])
+def test_seed_override_keeps_manifest_error(runner, tmp_path, monkeypatch, command):
+    # --seed is applied after the manifest has parsed, so the loader names
+    # what is wrong with it
+    monkeypatch.setattr(pl, "simulate", _no_simulation)
+    res = runner.invoke(main, [
+        command, "--manifest", _write_manifest(tmp_path, []), "--out", str(tmp_path / "run"), "--seed", "3",
+    ])
+    assert res.exit_code == EXIT_BAD_CONFIG, res.output
+    assert res.output.startswith("error: manifest must be a JSON object")
+
+
 @pytest.mark.parametrize("gating, message", [
     ({"crystal_length_um": 100, "upconverted_grid_count": 1}, "upconverted_grid_count"),
     ({"crystal_length_um": 100, "upconverted_grid_count": 0}, "upconverted_grid_count"),

@@ -1,5 +1,6 @@
 """Optical-gating forward model: gate pulse, phase matching, gated planes."""
 
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +19,7 @@ from biphoton.gating import (
     poissonize,
     simulate_measurements,
 )
-from biphoton.gating import _blur_axis, _gate_kernel, _gated_planes, _svd_modes
+from biphoton.gating import _blur_axis, _cpu_count, _gate_kernel, _gated_planes, _svd_modes
 from biphoton.grids import IDLER, SIGNAL, TO_TIME, ComplexGrid2D, transform_photon
 from biphoton.synth import GaussianStateParams, synthesize_state
 from biphoton.units import wavelength_to_omega
@@ -131,14 +132,14 @@ def _full_stack_one_side(F, K, du, side_axis):
 def _full_stack_both_sides(F, K_s, du_s, K_i, du_i):
     """Reference: double-gated plane, one signal mode at a time over a stack
     of all idler modes, each shifted and transformed on its own."""
-    s_s, vh_s = _svd_modes(K_s)
-    s_i, vh_i = _svd_modes(K_i)
+    w_s, vh_s = _svd_modes(K_s, du_s)
+    w_i, vh_i = _svd_modes(K_i, du_i)
     H = np.zeros(F.shape)
-    for a in range(len(s_s)):
+    for a in range(len(w_s)):
         X = vh_s[a][None, :, None] * vh_i[:, None, :] * F[None, :, :]
         X = _centered_fft(_centered_fft(X, axis=1), axis=2)
-        H += s_s[a] ** 2 * np.tensordot(s_i**2, np.abs(X) ** 2, axes=(0, 0))
-    return H * du_s * du_i
+        H += w_s[a] ** 2 * np.tensordot(w_i**2, np.abs(X) ** 2, axes=(0, 0))
+    return H
 
 
 def _odd_state(state):
@@ -201,9 +202,82 @@ def test_analytic_support_matches_scan_kernel(chirped_state, shape):
     rm = RefractiveModel.default().tuned_for(state.axis_s.center, GATE_CENTER)
     gm = GatingModel(gate=gate, crystal_length=1000.0, refractive=rm)
     got = simulate_measurements(state, gm).grids()
-    ref = _gated_planes(state.values, *_scan_kernel(state.axis_s, gm), *_scan_kernel(state.axis_i, gm))
+    ref = _gated_planes(
+        state.values, _svd_modes(*_scan_kernel(state.axis_s, gm)), _svd_modes(*_scan_kernel(state.axis_i, gm))
+    )
     for plane, want in zip(("tw", "wt", "tt"), ref):
         assert np.max(np.abs(got[plane].values - want / want.max())) <= 1e-10, plane
+
+
+def _all_pairs_planes(F, modes_s, modes_i):
+    """Reference: the mode sum over every (signal, idler) pair, on one thread."""
+    (w_s, vh_s), (w_i, vh_i) = modes_s, modes_i
+    us = np.fft.ifftshift(vh_s * w_s[:, None], axes=1)
+    vs = np.fft.ifftshift(vh_i * w_i[:, None], axes=1)
+    F0 = np.fft.ifftshift(F)
+    tw, wt, tt = np.zeros(F.shape), np.zeros(F.shape), np.zeros(F.shape)
+    for v in vs:
+        Z = np.fft.fft(F0 * v, axis=1)
+        wt += Z.real**2 + Z.imag**2
+    for u in us:
+        Y = np.fft.fft(F0 * u[:, None], axis=0)
+        tw += Y.real**2 + Y.imag**2
+        for v in vs:
+            Z = np.fft.fft(Y * v, axis=1)
+            tt += Z.real**2 + Z.imag**2
+    return tuple(np.fft.fftshift(plane) for plane in (tw, wt, tt))
+
+
+def _finite_crystal_modes(state, sigma=0.01):
+    gate = GatePulse(center=GATE_CENTER, sigma=sigma)
+    rm = RefractiveModel.default().tuned_for(state.axis_s.center, GATE_CENTER)
+    gm = GatingModel(gate=gate, crystal_length=1000.0, refractive=rm)
+    return _svd_modes(*_gate_kernel(state.axis_s, gm)), _svd_modes(*_gate_kernel(state.axis_i, gm))
+
+
+@pytest.mark.parametrize("shape", ["n32", "odd33x31"])
+def test_pruned_pairs_match_all_pairs(chirped_state, shape):
+    # skipping the pairs with w_a w_b <= 1e-6 w_0 w_0' moves no plane by more
+    # than 1e-12 of its peak
+    state = synthesize_state(CHIRPED, n=32, span_sigmas=8) if shape == "n32" else _odd_state(chirped_state)
+    modes_s, modes_i = _finite_crystal_modes(state)
+    (w_s, _), (w_i, _) = modes_s, modes_i
+    kept = sum(np.count_nonzero(w * w_i > 1e-6 * w_s[0] * w_i[0]) for w in w_s)
+    assert kept < w_s.size * w_i.size  # the case does skip pairs
+    got = _gated_planes(state.values, modes_s, modes_i)
+    want = _all_pairs_planes(state.values, modes_s, modes_i)
+    for plane, g, ref in zip(("tw", "wt", "tt"), got, want):
+        assert np.max(np.abs(g - ref)) <= 1e-12 * ref.max(), plane
+
+
+def test_gated_planes_do_not_depend_on_cpu_count(chirped_state):
+    # one CPU sums both halves on this thread, two sum one on a worker thread;
+    # the modes are precomputed, so the SVD's BLAS threads cannot differ
+    try:
+        mask = os.sched_getaffinity(0)
+    except AttributeError:
+        pytest.skip("no affinity mask on this platform")
+    if len(mask) < 2:
+        pytest.skip("needs two CPUs")
+    modes_s, modes_i = _finite_crystal_modes(chirped_state)
+    first_two = sorted(mask)[:2]
+    planes = {}
+    try:
+        for cpus in ({first_two[0]}, set(first_two)):
+            try:
+                os.sched_setaffinity(0, cpus)
+            except OSError:
+                pytest.skip("cannot set the affinity mask")
+            planes[len(cpus)] = _gated_planes(chirped_state.values, modes_s, modes_i)
+    finally:
+        os.sched_setaffinity(0, mask)
+    for plane, one, two in zip(("tw", "wt", "tt"), planes[1], planes[2]):
+        assert np.array_equal(one, two), plane
+
+
+def test_cpu_count_without_affinity_mask(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert _cpu_count() == (os.cpu_count() or 1)
 
 
 @pytest.mark.parametrize("shape", ["n64", "odd33x31"])
@@ -218,7 +292,7 @@ def test_closed_form_l0_matches_mode_path(shape):
     got = simulate_measurements(state, gm).grids()
     K_s, du_s = _gate_kernel(state.axis_s, gm)
     K_i, du_i = _gate_kernel(state.axis_i, gm)
-    modes = _gated_planes(state.values, K_s, du_s, K_i, du_i)
+    modes = _gated_planes(state.values, _svd_modes(K_s, du_s), _svd_modes(K_i, du_i))
     for plane, ref in zip(("tw", "wt", "tt"), modes):
         assert got[plane].values.min() >= 0, plane
         assert np.max(np.abs(got[plane].values - ref / ref.max())) <= 1e-10, plane
@@ -258,7 +332,9 @@ def test_blur_axis_zero_sigma_is_identity():
 
 
 def test_matched_model_has_zero_mismatch():
-    rm = RefractiveModel.matched(n=1.8)
+    # dispersionless, equal indices: perfect phase matching
+    index = (1.8**2, 0.0, 0.0, 0.0)
+    rm = RefractiveModel(ordinary=index, extraordinary=index, valid_nm=(100.0, 10000.0))
     w_in = wavelength_to_omega(823.0)
     w_g = GATE_CENTER
     assert delta_k(rm, w_in, w_g, w_in + w_g) == pytest.approx(0.0, abs=1e-12)
