@@ -2,7 +2,8 @@
 
 Synthesize a chirped correlated-Gaussian state, measure it ideally (no gate,
 no blur), run the four-plane retrieval from several random starts, and compare
-the fitted chirps to the applied ones.
+the fitted chirps to the applied ones.  Each start is one manifest run by
+``run_pipeline``.
 
 Usage:
     python3 scripts/closed_loop_demo.py --rho -0.9 --chirp-s -36000 --chirp-i -43000
@@ -11,13 +12,7 @@ Usage:
 import argparse
 import time
 
-import numpy as np
-
-from biphoton.analysis import fit_retrieved_phase
-from biphoton.gating import GatingModel, simulate_measurements
-from biphoton.pipeline import grid_to_csv
-from biphoton.retrieve import RetrievalConfig, run_retrieval
-from biphoton.synth import GaussianStateParams, synthesize_state
+from biphoton.pipeline import PipelineConfig, grid_to_csv, run_pipeline
 
 
 def main():
@@ -32,30 +27,31 @@ def main():
     ap.add_argument("--save-jsa", metavar="CSV", help="write the best reconstruction")
     args = ap.parse_args()
 
-    p = GaussianStateParams(
-        sigma_s=args.sigma, sigma_i=args.sigma, rho=args.rho,
-        chirp_s=args.chirp_s, chirp_i=args.chirp_i,
-    )
-    state = synthesize_state(p, n=args.n, span_sigmas=8)
-    m = simulate_measurements(state, GatingModel(gate=None))
+    manifest = {
+        "state": {"sigma_s": args.sigma, "sigma_i": args.sigma, "rho": args.rho,
+                  "chirp_s": args.chirp_s, "chirp_i": args.chirp_i, "n": args.n},
+        "gating": {"ideal": True},
+        "preprocess_enabled": False,
+        "retrieval": {"iterations": args.iterations},
+    }
 
-    print(f"applied chirps: A_s = {p.chirp_s:.0f} fs^2, A_i = {p.chirp_i:.0f} fs^2")
+    print(f"applied chirps: A_s = {args.chirp_s:.0f} fs^2, A_i = {args.chirp_i:.0f} fs^2")
     print(f"{'seed':>4} {'err_ww':>10} {'A_s fit':>10} {'A_i fit':>10} {'dA_s':>8} {'dA_i':>8}")
     best = None
     for seed in range(args.seeds):
+        manifest["retrieval"]["seed"] = seed
         t0 = time.perf_counter()
-        r = run_retrieval(m, RetrievalConfig(iterations=args.iterations, seed=seed))
-        fit = fit_retrieved_phase(r.jsa)
+        out = run_pipeline(PipelineConfig.from_manifest(manifest))
         dt = time.perf_counter() - t0
-        err = r.error_history_ww[-1]
-        rel_s = (fit.chirp_s - p.chirp_s) / abs(p.chirp_s)
-        rel_i = (fit.chirp_i - p.chirp_i) / abs(p.chirp_i)
+        err, fit = out.result.error_history_ww[-1], out.fit
+        rel_s = (fit.chirp_s - args.chirp_s) / abs(args.chirp_s)
+        rel_i = (fit.chirp_i - args.chirp_i) / abs(args.chirp_i)
         print(
             f"{seed:>4} {err:>10.3e} {fit.chirp_s:>10.0f} {fit.chirp_i:>10.0f} "
             f"{rel_s:>7.2%} {rel_i:>7.2%}   ({dt:.2f} s)"
         )
         if best is None or err < best[0]:
-            best = (err, r.jsa)
+            best = (err, out.result.jsa)
 
     if args.save_jsa:
         grid_to_csv(best[1], args.save_jsa)

@@ -176,13 +176,10 @@ def preprocess(manifest_path, measurements_path, out_dir, verbose):
 
 
 def _parse_mask(mask):
-    """'wwtt' -> {'ww', 'tt'}; plane names are two letters, each given once."""
+    """'wwtt' -> ['ww', 'tt']; ``RetrievalConfig`` checks the plane names."""
     if len(mask) % 2:
         raise ValueError(f"mask {mask!r} has odd length; planes are two letters each")
-    planes = [mask[i : i + 2] for i in range(0, len(mask), 2)]
-    if len(set(planes)) != len(planes):
-        raise ValueError(f"mask {mask!r} names a plane more than once")
-    return frozenset(planes)
+    return [mask[i : i + 2] for i in range(0, len(mask), 2)]
 
 
 @main.command()

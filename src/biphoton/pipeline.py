@@ -3,6 +3,7 @@ measurements, deconvolve them, run phase retrieval, and fit the spectral
 phase.  The same configuration objects back the CLI subcommands."""
 
 import json
+import math
 import time
 from dataclasses import dataclass, fields, replace
 from typing import get_args
@@ -36,6 +37,18 @@ class GatingConfig:
     upconverted_grid_count: int = GatingModel.upconverted_grid_count
     ideal: bool = False  # delta gate, exact temporal intensities
 
+    def __post_init__(self):
+        # checked at parse, so the staged preprocess, which builds no
+        # GatingModel, refuses them too; GatingModel names library fields
+        if not self.gate_sigma > 0:
+            raise ValueError("gating.gate.sigma must be positive")
+        if not self.crystal_length_um >= 0:
+            raise ValueError("gating.crystal_length_um must be >= 0")
+        if not self.spectrometer_sigma >= 0:
+            raise ValueError("gating.spectrometer_sigma must be >= 0")
+        if self.upconverted_grid_count < 2:
+            raise ValueError("gating.upconverted_grid_count must be >= 2")
+
 
 @dataclass(frozen=True)
 class AnalysisConfig:
@@ -66,6 +79,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.poisson_peak_counts is not None and not self.poisson_peak_counts > 0:
             raise ValueError("noise.poisson_peak_counts must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     @classmethod
     def from_manifest(cls, manifest):
@@ -75,14 +90,15 @@ class PipelineConfig:
         for key, value in _manifest_items(manifest):
             owner, field = _MANIFEST_KEYS[key]
             kw[owner][field.name] = _checked(key, field.type, value)
-        return cls(
+        # the top-level keys are checked first: the retrieval seed defaults to seed
+        top = cls(**kw[cls])
+        return replace(
+            top,
             state=StateConfig(params=GaussianStateParams(**kw[GaussianStateParams]), **kw[StateConfig]),
             gating=GatingConfig(**kw[GatingConfig]),
             preprocess=PreprocessConfig(**kw[PreprocessConfig]),
-            # the retrieval seed defaults to the manifest's seed
-            retrieval=RetrievalConfig(**{"seed": kw[cls].get("seed", cls.seed), **kw[RetrievalConfig]}),
+            retrieval=RetrievalConfig(**{"seed": top.seed, **kw[RetrievalConfig]}),
             analysis=AnalysisConfig(**kw[AnalysisConfig]),
-            **kw[cls],
         )
 
 
@@ -132,12 +148,21 @@ def _manifest_items(section, prefix=""):
 
 def _checked(key, annotation, value):
     """``value`` if its JSON type fits the annotation, null only for ``X | None``
-    (``type``, not isinstance: true is no number); float fields store floats."""
+    (``type``, not isinstance: true is no number); float fields store finite
+    floats (json reads NaN and Infinity)."""
     base, *nullable = get_args(annotation) or (annotation,)
     accepted, name = _JSON_TYPES[base]
     if type(value) not in (*accepted, *nullable):
         raise ValueError(f"manifest key {key} must be {name}, not {json.dumps(value)}")
-    return float(value) if base is float and value is not None else value
+    if base is not float or value is None:
+        return value
+    try:
+        number = float(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"manifest key {key} must be a finite number, not {json.dumps(value)}")
+    return number
 
 
 def build_state(cfg: PipelineConfig) -> ComplexGrid2D:
@@ -151,7 +176,7 @@ def build_gating_model(cfg: PipelineConfig) -> GatingModel:
     refractive = None
     if g.crystal_length_um > 0:
         path = g.refractive_table_path
-        table = RefractiveModel.from_json(path) if path else RefractiveModel.default()
+        table = _refractive_table(path) if path else RefractiveModel.default()
         refractive = table.tuned_for(cfg.state.params.center_s, g.gate_center)
     return GatingModel(
         gate=GatePulse(center=g.gate_center, sigma=g.gate_sigma),
@@ -162,10 +187,20 @@ def build_gating_model(cfg: PipelineConfig) -> GatingModel:
     )
 
 
+def _refractive_table(path):
+    # read when the gating model is built, not when the manifest is parsed
+    try:
+        return RefractiveModel.from_json(path)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"cannot read gating.refractive_table_path {path}: {exc}") from exc
+
+
 def simulate(cfg: PipelineConfig):
-    """Forward model: returns (raw MeasurementSet, ground-truth state)."""
+    """Forward model: returns (raw MeasurementSet, ground-truth state).  The
+    gating model is built first, so a bad one fails before any work."""
+    gm = build_gating_model(cfg)
     truth = build_state(cfg)
-    raw = simulate_measurements(truth, build_gating_model(cfg))
+    raw = simulate_measurements(truth, gm)
     if cfg.poisson_peak_counts is not None:
         raw = poissonize_set(raw, cfg.poisson_peak_counts, cfg.seed)
     return raw, truth

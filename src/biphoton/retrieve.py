@@ -80,12 +80,24 @@ class RetrievalConfig:
     initial_guess: ComplexGrid2D | None = None
 
     def __post_init__(self):
+        # messages name the manifest keys
         if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        object.__setattr__(self, "constraint_mask", frozenset(self.constraint_mask))
+            raise ValueError("retrieval.iterations must be >= 1")
+        if self.seed < 0:
+            raise ValueError("retrieval.seed must be >= 0")
+        if not self.zero_magnitude_epsilon >= 0:
+            raise ValueError("retrieval.zero_magnitude_epsilon must be >= 0")
+        planes = list(self.constraint_mask)
+        if not planes:
+            # with no plane projected the ww error would read 0
+            raise ValueError("retrieval.constraint_mask must name at least one plane")
+        repeated = sorted({p for p in planes if planes.count(p) > 1})
+        if repeated:
+            raise ValueError(f"retrieval.constraint_mask names {', '.join(repeated)} more than once")
+        object.__setattr__(self, "constraint_mask", frozenset(planes))
         unknown = self.constraint_mask - set(PLANES)
         if unknown:
-            raise ValueError(f"unknown constraint planes {sorted(unknown)}")
+            raise ValueError(f"retrieval.constraint_mask has unknown planes {sorted(unknown)}")
         if self.init not in INITS:
             raise ValueError(f"unknown init {self.init!r}; expected one of {INITS}")
         if self.init == "supplied" and self.initial_guess is None:

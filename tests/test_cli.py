@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from biphoton import cli
 from biphoton import pipeline as pl
 from biphoton.cli import EXIT_BAD_CONFIG, EXIT_FIT_FAILED, EXIT_RETRIEVAL_NAN, main
 from biphoton.units import FS_PER_PS
@@ -332,6 +333,10 @@ def test_pipeline_unknown_manifest_key_exit_code(runner, tmp_path, monkeypatch):
     ({"state": {"chirp_s": "1"}}, "state.chirp_s"),
     ({"noise": {"poisson_peak_counts": 0}}, "noise.poisson_peak_counts"),
     ({"noise": {"poisson_peak_counts": -5}}, "noise.poisson_peak_counts"),
+    ({"gating": {"crystal_length_um": float("nan")}}, "gating.crystal_length_um"),
+    ({"retrieval": {"zero_magnitude_epsilon": -1}}, "retrieval.zero_magnitude_epsilon"),
+    ({"retrieval": {"constraint_mask": []}}, "retrieval.constraint_mask"),
+    ({"retrieval": {"seed": -1}}, "retrieval.seed"),
 ])
 def test_pipeline_malformed_manifest_exit_code(runner, tmp_path, monkeypatch, manifest, key):
     monkeypatch.setattr(pl, "simulate", _no_simulation)
@@ -359,17 +364,75 @@ def test_seed_override_keeps_manifest_error(runner, tmp_path, monkeypatch, comma
     ({"crystal_length_um": 100, "upconverted_grid_count": 1}, "upconverted_grid_count"),
     ({"crystal_length_um": 100, "upconverted_grid_count": 0}, "upconverted_grid_count"),
     ({"crystal_length_um": 100, "refractive_table_path": "no_such_table.json"}, "no_such_table.json"),
+    ({"crystal_length_um": 100, "refractive_table_path": "no_such_table.json"},
+     "gating.refractive_table_path"),
+    ({"crystal_length_um": -1}, "gating.crystal_length_um"),
+    ({"spectrometer_sigma": -0.001}, "gating.spectrometer_sigma"),
+    ({"gate": {"sigma": 0}}, "gating.gate.sigma"),
 ])
 def test_pipeline_bad_gating_model_exit_code(runner, tmp_path, monkeypatch, gating, message):
     def no_gated_simulation(state, gm):
         raise AssertionError("simulated a gating model that cannot run")
 
+    def no_state(*args):
+        raise AssertionError("synthesized a state for a gating model that cannot run")
+
     monkeypatch.setattr(pl, "simulate_measurements", no_gated_simulation)
+    monkeypatch.setattr(pl, "synthesize_state", no_state)
     manifest = _write_manifest(tmp_path, dict(MANIFEST, gating=gating))
     res = runner.invoke(main, ["pipeline", "--manifest", manifest, "--out", str(tmp_path / "run")])
     assert res.exit_code == EXIT_BAD_CONFIG, res.output
     assert res.output.startswith("error:")
     assert message in res.output
+
+
+def test_staged_preprocess_bad_gate_sigma_exit_code(runner, tmp_path, monkeypatch):
+    sim = tmp_path / "sim"
+    res = runner.invoke(main, ["simulate", "--manifest", _write_manifest(tmp_path), "--out", str(sim)])
+    assert res.exit_code == 0, res.output
+
+    def no_preprocessing(grid, cfg, response):
+        raise AssertionError("preprocessed a configuration that cannot run")
+
+    monkeypatch.setattr(pl, "preprocess_grid", no_preprocessing)
+    manifest = _write_manifest(tmp_path, dict(MANIFEST, gating={"gate": {"sigma": 0}}), "bad.json")
+    res = runner.invoke(main, [
+        "preprocess", "--manifest", manifest,
+        "--measurements", str(sim / "measurements.json"), "--out", str(tmp_path / "pre"),
+    ])
+    assert res.exit_code == EXIT_BAD_CONFIG, res.output
+    assert res.output.startswith("error: gating.gate.sigma must be positive")
+
+
+@pytest.mark.parametrize("options, message", [
+    # with no plane projected the run would report a ww error of 0
+    (["--mask", ""], "retrieval.constraint_mask must name at least one plane"),
+    (["--mask", "wwtwww"], "retrieval.constraint_mask names ww more than once"),
+    (["--seed", "-1"], "retrieval.seed must be >= 0"),
+], ids=["empty_mask", "repeated_plane", "negative_seed"])
+def test_retrieve_refuses_settings_before_retrieving(runner, tmp_path, monkeypatch, options, message):
+    sim = tmp_path / "sim"
+    runner.invoke(main, ["simulate", "--manifest", _write_manifest(tmp_path), "--out", str(sim)])
+
+    def no_retrieval(m, cfg):
+        raise AssertionError("retrieved with settings that cannot run")
+
+    monkeypatch.setattr(cli, "run_retrieval", no_retrieval)
+    res = runner.invoke(main, [
+        "retrieve", "--measurements", str(sim / "measurements.json"), *options, "--out", str(tmp_path / "r.json"),
+    ])
+    assert res.exit_code == EXIT_BAD_CONFIG, res.output
+    assert res.output.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("command", ["simulate", "pipeline"])
+def test_negative_seed_override_fails_before_simulating(runner, tmp_path, monkeypatch, command):
+    monkeypatch.setattr(pl, "simulate", _no_simulation)
+    res = runner.invoke(main, [
+        command, "--manifest", _write_manifest(tmp_path), "--out", str(tmp_path / "run"), "--seed", "-1",
+    ])
+    assert res.exit_code == EXIT_BAD_CONFIG, res.output
+    assert res.output.startswith("error: seed must be >= 0")
 
 
 def test_import_loads_no_scipy_submodules():

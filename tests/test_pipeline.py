@@ -145,10 +145,49 @@ def test_from_manifest_every_key():
     ({"gating": {"gate": {"center": None}}}, "gating.gate.center"),
     ({"gating": {"refractive_table_path": 1}}, "gating.refractive_table_path"),
     ({"retrieval": {"constraint_mask": "wwtt"}}, "retrieval.constraint_mask"),
+    # json reads NaN and Infinity; no number field takes them
+    ({"gating": {"crystal_length_um": float("nan")}}, "gating.crystal_length_um"),
+    ({"gating": {"spectrometer_sigma": float("nan")}}, "gating.spectrometer_sigma"),
+    ({"state": {"chirp_s": float("inf")}}, "state.chirp_s"),
+    ({"preprocess": {"alpha": float("nan")}}, "preprocess.alpha"),
+    ({"retrieval": {"zero_magnitude_epsilon": float("nan")}}, "retrieval.zero_magnitude_epsilon"),
+    ({"gating": {"gate": {"center": -float("inf")}}}, "gating.gate.center"),
+    ({"state": {"chirp_i": 10**400}}, "state.chirp_i"),
 ])
 def test_from_manifest_rejects_wrong_types(manifest, key):
     with pytest.raises(ValueError, match=rf"manifest key {key} must be\b"):
         PipelineConfig.from_manifest(manifest)
+
+
+@pytest.mark.parametrize("manifest, message", [
+    # no plane projected: the run would report a ww error of 0
+    ({"retrieval": {"constraint_mask": []}}, "retrieval.constraint_mask must name at least one plane"),
+    ({"retrieval": {"constraint_mask": ["ww", "ww"]}}, "retrieval.constraint_mask names ww more than once"),
+    ({"retrieval": {"constraint_mask": ["tt", "ww", "tt"]}}, "retrieval.constraint_mask names tt more than once"),
+    ({"retrieval": {"zero_magnitude_epsilon": -1}}, "retrieval.zero_magnitude_epsilon must be >= 0"),
+    ({"retrieval": {"seed": -1}}, "retrieval.seed must be >= 0"),
+    ({"seed": -1}, "seed must be >= 0"),
+    ({"seed": -1, "retrieval": {"seed": 2}}, "seed must be >= 0"),
+], ids=["empty_mask", "repeated_ww", "repeated_tt", "negative_epsilon", "negative_retrieval_seed",
+        "negative_seed", "negative_seed_with_retrieval_seed"])
+def test_from_manifest_rejects_bad_retrieval_settings(manifest, message):
+    with pytest.raises(ValueError) as exc:
+        PipelineConfig.from_manifest(manifest)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("gating, message", [
+    ({"gate": {"sigma": 0}}, "gating.gate.sigma must be positive"),
+    ({"gate": {"sigma": -0.01}}, "gating.gate.sigma must be positive"),
+    ({"crystal_length_um": -1}, "gating.crystal_length_um must be >= 0"),
+    ({"spectrometer_sigma": -0.001}, "gating.spectrometer_sigma must be >= 0"),
+    ({"upconverted_grid_count": 1}, "gating.upconverted_grid_count must be >= 2"),
+], ids=["zero_gate_sigma", "negative_gate_sigma", "negative_length", "negative_spectrometer_sigma",
+        "one_upconverted_point"])
+def test_from_manifest_rejects_bad_gating(gating, message):
+    with pytest.raises(ValueError) as exc:
+        PipelineConfig.from_manifest({"gating": gating})
+    assert str(exc.value) == message
 
 
 def test_from_manifest_accepts_null_where_optional():
@@ -180,6 +219,15 @@ def test_refractive_table_path(tmp_path):
     ))
     for key, grid in default.grids().items():
         assert np.array_equal(from_path.grids()[key].values, grid.values), key
+
+
+@pytest.mark.parametrize("text", ["not json", "{}", '[{"polarization": "ordinary"}]'])
+def test_unreadable_refractive_table_names_its_key(tmp_path, text):
+    table = tmp_path / "table.json"
+    table.write_text(text)
+    cfg = PipelineConfig.from_manifest({"gating": {"crystal_length_um": 100, "refractive_table_path": str(table)}})
+    with pytest.raises(ValueError, match=r"gating\.refractive_table_path"):
+        build_gating_model(cfg)
 
 
 def test_readme_example_manifest_parses():

@@ -110,6 +110,13 @@ def test_retrieval_config_validation():
         RetrievalConfig(init="supplied")
     with pytest.raises(ValueError, match="fancy"):
         RetrievalConfig(init="fancy")
+    # an empty mask projects no plane, so the ww error would read 0
+    for bad in ({"constraint_mask": ()}, {"constraint_mask": ("wt", "wt")},
+                {"zero_magnitude_epsilon": -1e-12}, {"zero_magnitude_epsilon": float("nan")},
+                {"seed": -3}):
+        with pytest.raises(ValueError, match=r"^retrieval\."):
+            RetrievalConfig(**bad)
+    assert RetrievalConfig(zero_magnitude_epsilon=0.0).zero_magnitude_epsilon == 0.0
 
 
 def test_unknown_init_rejected_at_run(ideal_measurements):
