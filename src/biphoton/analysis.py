@@ -1,19 +1,21 @@
 """Physics extraction: intensity moments and the time-bandwidth entanglement
 witness, sigma-contour masking, quality-guided 2D phase unwrapping, weighted
-polynomial phase fitting, and Monte Carlo uncertainty propagation."""
+polynomial phase fitting, and the Monte Carlo spread of fitted chirps over
+the trials a caller hands in (``pipeline`` defines the trial it runs)."""
 
 import heapq
 import logging
 import warnings
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .gating import _cpu_count, poissonize_set
+from .gating import _cpu_count
 from .grids import ComplexGrid2D, IntensityGrid2D
 
 TWO_PI = 2.0 * np.pi
+# the witness product must undercut 1 by this much, so rounding flags no separable state
+ENTANGLED_TOLERANCE = 1e-9
 
 logger = logging.getLogger(__name__)
 
@@ -58,10 +60,10 @@ def _weighted_stats(values, weights):
     return mean, var
 
 
-def tbp_numeric(i_ww: IntensityGrid2D, i_tt: IntensityGrid2D, tolerance: float = 1e-9) -> WitnessReport:
+def tbp_numeric(i_ww: IntensityGrid2D, i_tt: IntensityGrid2D) -> WitnessReport:
     """Intensity-weighted s.d. of (w_s + w_i) and (t_s - t_i) and their
     product.  The entangled flag requires the product to undercut 1 by more
-    than ``tolerance`` so a separable state is not flagged by rounding."""
+    than ``ENTANGLED_TOLERANCE``."""
     for g in (i_ww, i_tt):
         if not g.values.sum() > 0:
             raise ValueError("witness needs a grid with positive total intensity")
@@ -72,7 +74,7 @@ def tbp_numeric(i_ww: IntensityGrid2D, i_tt: IntensityGrid2D, tolerance: float =
     s_sum = float(np.sqrt(var_sum))
     s_diff = float(np.sqrt(var_diff))
     product = s_sum * s_diff
-    return WitnessReport(s_sum, s_diff, product, bool(product < 1.0 - tolerance))
+    return WitnessReport(s_sum, s_diff, product, bool(product < 1.0 - ENTANGLED_TOLERANCE))
 
 
 def sigma_mask(i: IntensityGrid2D, n_sigma: float) -> np.ndarray:
@@ -152,22 +154,16 @@ def unwrap_phase_2d(phase: np.ndarray, mask: np.ndarray, quality: np.ndarray | N
 _MONOMIALS = [(a, b) for total in range(4) for a in range(total + 1) for b in [total - a]]
 
 
-def fit_phase_poly(
-    phase_unwrapped: np.ndarray,
-    weights: IntensityGrid2D,
-    mask: np.ndarray,
-    centers: tuple | None = None,
-) -> PhaseFit:
+def fit_phase_poly(phase_unwrapped: np.ndarray, weights: IntensityGrid2D, mask: np.ndarray) -> PhaseFit:
     """Intensity-weighted least-squares fit of the masked unwrapped phase to
-    all 2D monomials of total degree <= 3 in (w_s - w_s0, w_i - w_i0)."""
+    all 2D monomials of total degree <= 3 in (w_s - w_s0, w_i - w_i0), about
+    the axis centres of ``weights``."""
     mask = np.asarray(mask, dtype=bool)
     npix = int(mask.sum())
     if npix < 10:
         raise FitError(f"only {npix} masked pixels; need at least 10")
-    if centers is None:
-        centers = (weights.axis_s.center, weights.axis_i.center)
-    ds = (weights.axis_s.values() - centers[0])[:, None] * np.ones_like(phase_unwrapped)
-    di = (weights.axis_i.values() - centers[1])[None, :] * np.ones_like(phase_unwrapped)
+    ds = (weights.axis_s.values() - weights.axis_s.center)[:, None] * np.ones_like(phase_unwrapped)
+    di = (weights.axis_i.values() - weights.axis_i.center)[None, :] * np.ones_like(phase_unwrapped)
     x = ds[mask]
     y = di[mask]
     z = np.asarray(phase_unwrapped, dtype=float)[mask]
@@ -211,27 +207,12 @@ def fit_retrieved_phase(jsa: ComplexGrid2D, mask_sigma: float = 2.0) -> PhaseFit
     return fit_phase_poly(unwrapped, intensity, mask)
 
 
-def _mc_trial(raw, pipeline_cfg, peak_counts: float, seeds) -> tuple | str:
-    """One Monte Carlo trial: poissonize with the first seed, preprocess,
-    retrieve with the second seed and fit.  Returns (chirp_s, chirp_i), or the
-    repr of the exception the trial raised."""
-    from .pipeline import preprocess_set, retrieve_and_fit
-
-    noise_seed, retr_seed = seeds
-    try:
-        clean = preprocess_set(poissonize_set(raw, peak_counts, noise_seed), pipeline_cfg)
-        fit = retrieve_and_fit(clean, pipeline_cfg, seed=retr_seed)
-    except Exception as exc:  # noqa: BLE001 - failed trials are counted and logged
-        return repr(exc)
-    return fit.chirp_s, fit.chirp_i
-
-
-def monte_carlo_uncertainty(
-    raw, pipeline_cfg, trials: int, peak_counts: float, seed: int
-):
-    """Per-coefficient spread of the fitted chirps under Poissonian counting
-    noise: poissonize the raw measurement set per trial, run the
-    preprocess -> retrieve -> fit pipeline, and collect the coefficients.
+def monte_carlo_uncertainty(trial, trials: int, seed: int):
+    """Per-coefficient spread of the fitted chirps over ``trials`` calls of
+    ``trial((noise_seed, retrieval_seed))``.  ``trial`` is a module-level
+    function, or a partial of one, so that it pickles; it returns
+    (chirp_s, chirp_i), or a string naming the exception a failed trial
+    raised.  The seed pairs come from one ``SeedSequence`` of ``seed``.
 
     The trials run in forked worker processes, one per CPU in the affinity
     mask (at most one per trial), or in this process when there is one
@@ -248,7 +229,6 @@ def monte_carlo_uncertainty(
     if trials < 2:
         raise ValueError("need at least 2 trials")
     trial_seeds = np.random.SeedSequence(seed).generate_state(2 * trials).reshape(trials, 2)
-    trial = partial(_mc_trial, raw, pipeline_cfg, peak_counts)
     seeds = [(int(a), int(b)) for a, b in trial_seeds]
     workers = min(_cpu_count(), trials)
     # fork, not spawn: a spawned worker imports numpy and biphoton again,

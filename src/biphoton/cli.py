@@ -16,7 +16,7 @@ from pathlib import Path
 import click
 
 from . import pipeline as pl
-from .analysis import FitError, fit_retrieved_phase, monte_carlo_uncertainty, tbp_numeric
+from .analysis import FitError, fit_retrieved_phase, tbp_numeric
 from .grids import grid_from_json, grid_to_json, load_grid
 from .retrieve import PLANES, MeasurementSet, RetrievalConfig, RetrievalError, run_retrieval
 from .units import FS_PER_PS
@@ -238,12 +238,8 @@ def pipeline(manifest_path, out_dir, seed, units, verbose):
     _, cfg = _load_manifest(manifest_path, seed)
     output = pl.run_pipeline(cfg)
     analysis_doc = _analysis_doc(output.fit, output.witness, units)
-    # Monte Carlo first, so a run whose trials fail writes no file
-    if cfg.analysis.monte_carlo_trials:
-        sd, trials = monte_carlo_uncertainty(
-            output.raw, cfg, cfg.analysis.monte_carlo_trials,
-            cfg.analysis.monte_carlo_peak_counts, cfg.seed,
-        )
+    if output.monte_carlo is not None:
+        sd, trials = output.monte_carlo
         analysis_doc["monte_carlo"] = {
             "stddev": {k: _in_units(v, units) for k, v in sd.items()},
             "trials": {k: [_in_units(v, units) for v in vs] for k, vs in trials.items()},

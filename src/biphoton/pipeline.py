@@ -1,16 +1,18 @@
 """Manifest-driven pipeline: synthesize a state, simulate the four joint
-measurements, deconvolve them, run phase retrieval, and fit the spectral
-phase.  The same configuration objects back the CLI subcommands."""
+measurements, deconvolve them, run phase retrieval, fit the spectral phase,
+and repeat the chain under Poisson noise for the Monte Carlo spread.  The same
+configuration objects back the CLI subcommands."""
 
 import json
 import math
 import time
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from typing import get_args
 
 import numpy as np
 
-from .analysis import PhaseFit, WitnessReport, fit_retrieved_phase, tbp_numeric
+from .analysis import PhaseFit, WitnessReport, fit_retrieved_phase, monte_carlo_uncertainty, tbp_numeric
 from .gating import GatePulse, GatingModel, RefractiveModel, poissonize_set, simulate_measurements
 from .grids import FREQUENCY, ComplexGrid2D, IntensityGrid2D
 from .preprocess import PreprocessConfig, preprocess_grid
@@ -23,7 +25,6 @@ from .units import wavelength_to_omega
 class StateConfig:
     params: GaussianStateParams = GaussianStateParams()
     n: int = 64
-    span_sigmas: float = 8.0
 
 
 @dataclass(frozen=True)
@@ -166,7 +167,7 @@ def _checked(key, annotation, value):
 
 
 def build_state(cfg: PipelineConfig) -> ComplexGrid2D:
-    return synthesize_state(cfg.state.params, cfg.state.n, cfg.state.span_sigmas)
+    return synthesize_state(cfg.state.params, cfg.state.n)
 
 
 def build_gating_model(cfg: PipelineConfig) -> GatingModel:
@@ -244,10 +245,19 @@ def preprocess_set(m: MeasurementSet, cfg: PipelineConfig) -> MeasurementSet:
     )
 
 
-def retrieve_and_fit(m: MeasurementSet, cfg: PipelineConfig, seed: int | None = None) -> PhaseFit:
-    retr = cfg.retrieval if seed is None else replace(cfg.retrieval, seed=seed)
-    result = run_retrieval(m, retr)
-    return fit_retrieved_phase(result.jsa, cfg.analysis.mask_sigma)
+def _mc_trial(raw: MeasurementSet, cfg: PipelineConfig, seeds) -> tuple | str:
+    """One Monte Carlo trial: poissonize ``raw`` at
+    ``analysis.monte_carlo.peak_counts`` with the first seed, preprocess,
+    retrieve with the second seed and fit.  Returns (chirp_s, chirp_i), or the
+    repr of the exception the trial raised."""
+    noise_seed, retrieval_seed = seeds
+    try:
+        noisy = poissonize_set(raw, cfg.analysis.monte_carlo_peak_counts, noise_seed)
+        result = run_retrieval(preprocess_set(noisy, cfg), replace(cfg.retrieval, seed=retrieval_seed))
+        fit = fit_retrieved_phase(result.jsa, cfg.analysis.mask_sigma)
+    except Exception as exc:  # noqa: BLE001 - failed trials are counted and logged
+        return repr(exc)
+    return fit.chirp_s, fit.chirp_i
 
 
 @dataclass(frozen=True)
@@ -259,6 +269,8 @@ class PipelineOutput:
     fit: PhaseFit
     witness: WitnessReport
     timings: dict
+    # (stddevs, trial values) of ``monte_carlo_uncertainty``, or None without trials
+    monte_carlo: tuple | None
 
 
 def run_pipeline(cfg: PipelineConfig) -> PipelineOutput:
@@ -280,7 +292,14 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineOutput:
     fit = fit_retrieved_phase(result.jsa, cfg.analysis.mask_sigma)
     witness = tbp_numeric(constraints.i_ww, constraints.i_tt)
     timings["analyze"] = time.perf_counter() - t0
-    return PipelineOutput(raw, constraints, truth, result, fit, witness, timings)
+
+    monte_carlo = None
+    if cfg.analysis.monte_carlo_trials:
+        t0 = time.perf_counter()
+        trials = cfg.analysis.monte_carlo_trials
+        monte_carlo = monte_carlo_uncertainty(partial(_mc_trial, raw, cfg), trials, cfg.seed)
+        timings["monte_carlo"] = time.perf_counter() - t0
+    return PipelineOutput(raw, constraints, truth, result, fit, witness, timings, monte_carlo)
 
 
 def grid_to_csv(grid, path):

@@ -32,13 +32,15 @@ class PreprocessConfig:
                 raise ValueError("rho_lp outside [0.8, 1.0]; set allow_out_of_range to override")
 
 
-def corner_suppress(h: IntensityGrid2D, corner_fraction: float = 0.0625) -> IntensityGrid2D:
+# side of each corner patch as a fraction of the grid side
+CORNER_FRACTION = 0.0625
+
+
+def corner_suppress(h: IntensityGrid2D) -> IntensityGrid2D:
     """Subtract the mean over the four corner patches, clamping negatives."""
-    if not 0 < corner_fraction <= 0.25:
-        raise ValueError("corner_fraction must be in (0, 0.25]")
     v = h.values
-    ms = max(1, int(round(corner_fraction * v.shape[0])))
-    mi = max(1, int(round(corner_fraction * v.shape[1])))
+    ms = max(1, int(round(CORNER_FRACTION * v.shape[0])))
+    mi = max(1, int(round(CORNER_FRACTION * v.shape[1])))
     corners = np.concatenate([
         v[:ms, :mi].ravel(), v[:ms, -mi:].ravel(),
         v[-ms:, :mi].ravel(), v[-ms:, -mi:].ravel(),

@@ -2,6 +2,7 @@
 
 import logging
 import os
+from functools import partial
 
 import numpy as np
 import pytest
@@ -162,57 +163,58 @@ def test_monte_carlo_uncertainty_smoke():
         state=StateConfig(params=p, n=32),
         gating=GatingConfig(ideal=True),
         retrieval=RetrievalConfig(iterations=80),
-        analysis=AnalysisConfig(),
+        analysis=AnalysisConfig(monte_carlo_peak_counts=1e5),
         preprocess_enabled=False,
     )
     state = synthesize_state(p, n=32)
     raw = simulate_measurements(state, GatingModel(gate=None))
-    sd, values = monte_carlo_uncertainty(raw, cfg, trials=4, peak_counts=1e5, seed=3)
+    trial = partial(pipeline._mc_trial, raw, cfg)
+    sd, values = monte_carlo_uncertainty(trial, trials=4, seed=3)
     assert set(sd) == {"chirp_s", "chirp_i"}
     assert len(values["chirp_s"]) == 4
     assert sd["chirp_s"] >= 0
     with pytest.raises(ValueError):
-        monte_carlo_uncertainty(raw, cfg, trials=1, peak_counts=1e4, seed=0)
+        monte_carlo_uncertainty(trial, trials=1, seed=0)
 
 
 @pytest.fixture(scope="module")
-def mc_inputs():
+def mc_trial():
     p = GaussianStateParams(rho=-0.8, chirp_s=-8000.0, chirp_i=-9000.0)
     cfg = PipelineConfig(
         state=StateConfig(params=p, n=32),
         gating=GatingConfig(ideal=True),
         retrieval=RetrievalConfig(iterations=40),
+        analysis=AnalysisConfig(monte_carlo_peak_counts=1e5),
         preprocess_enabled=False,
     )
-    return simulate_measurements(synthesize_state(p, n=32), GatingModel(gate=None)), cfg
+    raw = simulate_measurements(synthesize_state(p, n=32), GatingModel(gate=None))
+    return partial(pipeline._mc_trial, raw, cfg)
 
 
-def test_monte_carlo_results_do_not_depend_on_workers(mc_inputs, monkeypatch):
-    raw, cfg = mc_inputs
+def test_monte_carlo_results_do_not_depend_on_workers(mc_trial, monkeypatch):
     results = {}
     for cpus in ({0}, {0, 1}):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
-        results[len(cpus)] = monte_carlo_uncertainty(raw, cfg, trials=5, peak_counts=1e5, seed=3)
+        results[len(cpus)] = monte_carlo_uncertainty(mc_trial, trials=5, seed=3)
     # one worker runs the trials in order in this process
     assert results[1] == results[2]
 
 
 @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one_worker", "two_workers"])
-def test_monte_carlo_failed_trial_is_counted_and_logged(mc_inputs, monkeypatch, caplog, cpus):
-    raw, cfg = mc_inputs
+def test_monte_carlo_failed_trial_is_counted_and_logged(mc_trial, monkeypatch, caplog, cpus):
     trials, seed, failing = 5, 3, 1
     bad_seed = int(np.random.SeedSequence(seed).generate_state(2 * trials)[2 * failing + 1])
-    retrieve_and_fit = pipeline.retrieve_and_fit
+    run_retrieval = pipeline.run_retrieval
 
-    def flaky(m, pipeline_cfg, seed=None):
-        if seed == bad_seed:
+    def flaky(m, cfg):
+        if cfg.seed == bad_seed:
             raise RuntimeError(f"forced failure in process {os.getpid()}")
-        return retrieve_and_fit(m, pipeline_cfg, seed=seed)
+        return run_retrieval(m, cfg)
 
-    monkeypatch.setattr(pipeline, "retrieve_and_fit", flaky)
+    monkeypatch.setattr(pipeline, "run_retrieval", flaky)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
     with caplog.at_level(logging.WARNING, logger="biphoton.analysis"):
-        _, values = monte_carlo_uncertainty(raw, cfg, trials=trials, peak_counts=1e5, seed=seed)
+        _, values = monte_carlo_uncertainty(mc_trial, trials=trials, seed=seed)
     assert len(values["chirp_s"]) == len(values["chirp_i"]) == trials - 1
     (record,) = caplog.records
     assert record.levelno == logging.WARNING

@@ -337,6 +337,8 @@ def test_pipeline_unknown_manifest_key_exit_code(runner, tmp_path, monkeypatch):
     ({"retrieval": {"zero_magnitude_epsilon": -1}}, "retrieval.zero_magnitude_epsilon"),
     ({"retrieval": {"constraint_mask": []}}, "retrieval.constraint_mask"),
     ({"retrieval": {"seed": -1}}, "retrieval.seed"),
+    # no longer a field: the grid spans synthesize_state's default 8 sigma
+    ({"state": {"n": 32, "span_sigmas": 1e6}, "gating": {"ideal": True}}, "state.span_sigmas"),
 ])
 def test_pipeline_malformed_manifest_exit_code(runner, tmp_path, monkeypatch, manifest, key):
     monkeypatch.setattr(pl, "simulate", _no_simulation)

@@ -63,6 +63,27 @@ def test_run_pipeline_default_preprocess_config_at_any_n():
     assert out.constraints.i_tt.values.shape == (32, 32)
 
 
+@pytest.mark.parametrize("trials", [0, 3])
+def test_run_pipeline_runs_monte_carlo_trials(trials):
+    # a library caller gets the trials the manifest asks for, timed apart
+    cfg = PipelineConfig.from_manifest({
+        "state": {"rho": -0.8, "chirp_s": -8000.0, "chirp_i": -9000.0, "n": 32},
+        "gating": {"ideal": True},
+        "preprocess_enabled": False,
+        "retrieval": {"iterations": 40},
+        "analysis": {"monte_carlo": {"trials": trials, "peak_counts": 1e5}},
+    })
+    out = run_pipeline(cfg)
+    stages = ["simulate", "preprocess", "retrieve", "analyze"]
+    if trials:
+        _, values = out.monte_carlo
+        assert {k: len(v) for k, v in values.items()} == {"chirp_s": trials, "chirp_i": trials}
+        assert list(out.timings) == [*stages, "monte_carlo"]
+    else:
+        assert out.monte_carlo is None
+        assert list(out.timings) == stages
+
+
 @pytest.mark.parametrize("manifest, key", [
     ({"gating": {"gate_sigma": 0.01}}, "gating.gate_sigma"),
     ({"gating": {"gate": {"sigma": 0.01, "centre": 2.4}}}, "gating.gate.centre"),
@@ -85,7 +106,7 @@ def test_from_manifest_rejects_unknown_keys(manifest, key):
 EVERY_KEY = {
     "seed": 3,
     "state": {"sigma_s": 0.02, "sigma_i": 0.03, "rho": -0.5, "center_s": 2, "center_i": 3,
-              "chirp_s": -100, "chirp_i": 200, "n": 32, "span_sigmas": 7},
+              "chirp_s": -100, "chirp_i": 200, "n": 32},
     "gating": {"gate": {"center": 2, "sigma": 0.004}, "crystal_length_um": 500,
                "spectrometer_sigma": 0, "refractive_table_path": "table.json",
                "upconverted_grid_count": 64, "ideal": False},
@@ -105,7 +126,7 @@ def test_from_manifest_every_key():
                 sigma_s=0.02, sigma_i=0.03, rho=-0.5, center_s=2.0, center_i=3.0,
                 chirp_s=-100.0, chirp_i=200.0,
             ),
-            n=32, span_sigmas=7.0,
+            n=32,
         ),
         gating=GatingConfig(
             gate_center=2.0, gate_sigma=0.004, crystal_length_um=500.0, spectrometer_sigma=0.0,

@@ -104,7 +104,7 @@ def test_corner_suppress_removes_uniform_background():
     ax_s, ax_i = _pixel_axes(64)
     spot = _gaussian_spot(64, 3.0)
     g = IntensityGrid2D(ax_s, ax_i, spot + 0.25)
-    out = corner_suppress(g, 0.0625)
+    out = corner_suppress(g)
     assert np.allclose(out.values, spot, atol=1e-6)
 
 
@@ -115,12 +115,6 @@ def test_corner_suppress_idempotent_on_clean_data():
     twice = corner_suppress(once)
     assert np.max(np.abs(twice.values - once.values)) < 1e-12
 
-
-def test_corner_suppress_validation():
-    ax_s, ax_i = _pixel_axes(32)
-    g = IntensityGrid2D(ax_s, ax_i, np.ones((32, 32)))
-    with pytest.raises(ValueError):
-        corner_suppress(g, 0.0)
 
 
 def test_preprocess_grid_keeps_input_axes():
