@@ -185,10 +185,8 @@ def fit_phase_poly(phase_unwrapped: np.ndarray, weights: IntensityGrid2D, mask: 
         (a, b): float(c / (sx**a * sy**b)) for (a, b), c in zip(_MONOMIALS, coeff)
     }
     resid = design @ coeff - z
-    wsum = np.sum(w**2)
-    residual_rms = float(np.sqrt(np.sum((w * resid) ** 2) / wsum)) if wsum > 0 else float(
-        np.sqrt(np.mean(resid**2))
-    )
+    # full rank needs at least 10 weighted pixels, so the weights sum above 0
+    residual_rms = float(np.sqrt(np.sum((w * resid) ** 2) / np.sum(w**2)))
     return PhaseFit(
         coefficients=coeffs,
         chirp_s=coeffs[(2, 0)],

@@ -54,15 +54,13 @@ def _load_json(path):
 
 
 def _load_manifest(path, seed=None):
-    """The manifest and its parsed config.  ``--seed`` replaces the manifest's
-    seed only once the manifest has parsed, so a malformed one fails with the
+    """The manifest and its parsed config.  ``--seed`` replaces the seed of an
+    object manifest before it is parsed; any other manifest fails with the
     loader's message."""
     manifest = _load_json(path)
-    cfg = pl.PipelineConfig.from_manifest(manifest)
-    if seed is not None:
+    if seed is not None and isinstance(manifest, dict):
         manifest["seed"] = seed
-        cfg = pl.PipelineConfig.from_manifest(manifest)
-    return manifest, cfg
+    return manifest, pl.PipelineConfig.from_manifest(manifest)
 
 
 def _write_json(path, doc, indent=None):
@@ -153,8 +151,6 @@ def simulate(manifest_path, out_dir, seed, verbose):
     raw, truth = pl.simulate(cfg)
     out = _write_planes(out_dir, raw, "measurements.json", manifest_echo=manifest)
     _write_grid(out / "truth.json", truth, manifest_echo=manifest)
-    if raw.coverage_warning:
-        click.echo("warning: gated signal is not negligible at the delay-axis edge", err=True)
     if verbose:
         click.echo(f"wrote 6 files to {out}")
 
@@ -167,9 +163,8 @@ def simulate(manifest_path, out_dir, seed, verbose):
 @_exit_codes()
 def preprocess(manifest_path, measurements_path, out_dir, verbose):
     """Deconvolve raw measurement grids into retrieval constraints."""
-    manifest = _load_json(manifest_path)
-    m = _load_measurement_set(measurements_path)
-    clean = pl.preprocess_set(m, pl.PipelineConfig.from_manifest(manifest))
+    _, cfg = _load_manifest(manifest_path)
+    clean = pl.preprocess_set(_load_measurement_set(measurements_path), cfg)
     out = _write_planes(out_dir, clean, "constraints.json", suffix="_deconvolved")
     if verbose:
         click.echo(f"wrote constraints to {out}")
@@ -192,11 +187,10 @@ def _parse_mask(mask):
 @_exit_codes()
 def retrieve(measurements_path, iterations, seed, mask, init, out_path):
     """Run the alternating-projection phase retrieval."""
-    m = _load_measurement_set(measurements_path)
     cfg = RetrievalConfig(
         iterations=iterations, seed=seed, init=init, constraint_mask=_parse_mask(mask)
     )
-    result = run_retrieval(m, cfg)
+    result = run_retrieval(_load_measurement_set(measurements_path), cfg)
     _write_json(out_path, _result_doc(result))
     click.echo(
         f"final errors: ww {result.error_history_ww[-1]:.4%}, tt {result.error_final_tt:.4%}"
@@ -212,12 +206,13 @@ def retrieve(measurements_path, iterations, seed, mask, init, out_path):
 @_exit_codes()
 def analyze(result_path, measurements_path, mask_sigma, units, out_path):
     """Fit the retrieved phase and evaluate the entanglement witness."""
+    cfg = pl.AnalysisConfig(mask_sigma=mask_sigma)
     try:
         jsa = grid_from_json(_load_json(result_path)["jsa"])
     except KeyError as exc:
         raise ValueError(f"bad result file: missing {exc}") from exc
     m = _load_measurement_set(measurements_path)
-    doc = _analysis_doc(fit_retrieved_phase(jsa, mask_sigma), tbp_numeric(m.i_ww, m.i_tt), units)
+    doc = _analysis_doc(fit_retrieved_phase(jsa, cfg.mask_sigma), tbp_numeric(m.i_ww, m.i_tt), units)
     _write_json(out_path, doc, indent=2)
     click.echo(
         f"chirp_s {doc['phase_fit']['chirp_s']:.4g} {units}, "

@@ -26,6 +26,11 @@ class StateConfig:
     params: GaussianStateParams = GaussianStateParams()
     n: int = 64
 
+    def __post_init__(self):
+        # gaussian_jsa checks this too, for library callers
+        if self.n < 16 or self.n & (self.n - 1):
+            raise ValueError("state.n must be a power of two >= 16")
+
 
 @dataclass(frozen=True)
 class GatingConfig:
@@ -82,6 +87,11 @@ class PipelineConfig:
             raise ValueError("noise.poisson_peak_counts must be positive")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        grid_n = self.preprocess.grid_n
+        if self.preprocess_enabled and grid_n not in (None, self.state.n):
+            # each plane is preprocessed on the grid it was measured on; another
+            # size would break the frequency/delay pairing the retrieval needs
+            raise ValueError(f"preprocess.grid_n ({grid_n}) must equal state.n ({self.state.n})")
 
     @classmethod
     def from_manifest(cls, manifest):
@@ -222,20 +232,11 @@ def _plane_response_sigmas(grid: IntensityGrid2D, cfg: PipelineConfig):
     return out
 
 
-def _check_grid_n(cfg: PipelineConfig):
-    grid_n = cfg.preprocess.grid_n
-    if cfg.preprocess_enabled and grid_n not in (None, cfg.state.n):
-        # each plane is preprocessed on the grid it was measured on; another
-        # size would break the frequency/delay pairing the retrieval needs
-        raise ValueError(f"preprocess.grid_n ({grid_n}) must equal state.n ({cfg.state.n})")
-
-
 def preprocess_set(m: MeasurementSet, cfg: PipelineConfig) -> MeasurementSet:
     """Deconvolve all four planes with the per-axis instrument responses
     implied by the gating configuration."""
     if not cfg.preprocess_enabled:
         return m
-    _check_grid_n(cfg)
     cleaned = {}
     for key, grid in m.grids().items():
         cleaned[key] = preprocess_grid(grid, cfg.preprocess, _plane_response_sigmas(grid, cfg))
@@ -274,7 +275,6 @@ class PipelineOutput:
 
 
 def run_pipeline(cfg: PipelineConfig) -> PipelineOutput:
-    _check_grid_n(cfg)
     timings = {}
     t0 = time.perf_counter()
     raw, truth = simulate(cfg)

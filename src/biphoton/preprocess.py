@@ -18,7 +18,7 @@ class PreprocessConfig:
     pass it to ``wiener_deconvolve``."""
 
     # selects no code; kept because perfbench/workloads.py and the acceptance
-    # tests pass grid_n=n.  The pipeline rejects a value other than state.n.
+    # tests pass grid_n=n.  PipelineConfig refuses a value other than state.n.
     grid_n: int | None = None
     alpha: float = 0.1
     rho_lp: float = 0.9
@@ -27,9 +27,9 @@ class PreprocessConfig:
     def __post_init__(self):
         if not self.allow_out_of_range:
             if not 0.05 <= self.alpha <= 0.2:
-                raise ValueError("alpha outside [0.05, 0.2]; set allow_out_of_range to override")
+                raise ValueError("preprocess.alpha outside [0.05, 0.2]; set allow_out_of_range to override")
             if not 0.8 <= self.rho_lp <= 1.0:
-                raise ValueError("rho_lp outside [0.8, 1.0]; set allow_out_of_range to override")
+                raise ValueError("preprocess.rho_lp outside [0.8, 1.0]; set allow_out_of_range to override")
 
 
 # side of each corner patch as a fraction of the grid side

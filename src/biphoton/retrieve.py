@@ -99,9 +99,9 @@ class RetrievalConfig:
         if unknown:
             raise ValueError(f"retrieval.constraint_mask has unknown planes {sorted(unknown)}")
         if self.init not in INITS:
-            raise ValueError(f"unknown init {self.init!r}; expected one of {INITS}")
+            raise ValueError(f"unknown retrieval.init {self.init!r}; expected one of {INITS}")
         if self.init == "supplied" and self.initial_guess is None:
-            raise ValueError("init='supplied' needs an initial_guess")
+            raise ValueError("retrieval.init 'supplied' needs an initial_guess")
 
 
 @dataclass(frozen=True)

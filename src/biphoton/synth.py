@@ -28,9 +28,9 @@ class GaussianStateParams:
 
     def __post_init__(self):
         if not (self.sigma_s > 0 and self.sigma_i > 0):
-            raise ParameterError("sigma_s and sigma_i must be positive")
+            raise ParameterError("state.sigma_s and state.sigma_i must be positive")
         if not abs(self.rho) < 1:
-            raise ParameterError("|rho| must be < 1")
+            raise ParameterError("|state.rho| must be < 1")
 
 
 def gaussian_jsa(p: GaussianStateParams, n: int = 64, span_sigmas: float = 8.0) -> ComplexGrid2D:

@@ -124,6 +124,17 @@ def test_fit_phase_poly_too_few_pixels(gaussian_intensity):
         fit_phase_poly(np.zeros_like(gaussian_intensity.values), gaussian_intensity, mask)
 
 
+@pytest.mark.parametrize("block", [slice(0, 0), slice(60, 63)], ids=["no_weight", "nine_weighted"])
+def test_fit_phase_poly_needs_ten_weighted_pixels(gaussian_intensity, block):
+    # a full mask, but only the weighted pixels enter the fit: fewer than 10
+    # cannot fix the 10 monomials, so the weights never sum to 0 past the rank check
+    values = np.zeros_like(gaussian_intensity.values)
+    values[block, block] = 1.0
+    mask = np.ones_like(values, dtype=bool)
+    with pytest.raises(FitError, match="rank-deficient"):
+        fit_phase_poly(np.zeros_like(values), gaussian_intensity.with_values(values), mask)
+
+
 def test_fit_retrieved_phase_on_synthesized_state():
     p = GaussianStateParams(rho=-0.85, chirp_s=-20000.0, chirp_i=15000.0)
     state = synthesize_state(p, n=128)

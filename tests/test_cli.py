@@ -1,6 +1,7 @@
 """CLI contracts: the subcommand chain, exit codes, determinism."""
 
 import json
+import logging
 import subprocess
 import sys
 
@@ -339,6 +340,10 @@ def test_pipeline_unknown_manifest_key_exit_code(runner, tmp_path, monkeypatch):
     ({"retrieval": {"seed": -1}}, "retrieval.seed"),
     # no longer a field: the grid spans synthesize_state's default 8 sigma
     ({"state": {"n": 32, "span_sigmas": 1e6}, "gating": {"ideal": True}}, "state.span_sigmas"),
+    ({"state": {"n": 48}}, "state.n"),
+    ({"state": {"rho": 1.5}}, "state.rho"),
+    ({"preprocess": {"alpha": 0.5}}, "preprocess.alpha"),
+    ({"retrieval": {"init": "zero"}}, "retrieval.init"),
 ])
 def test_pipeline_malformed_manifest_exit_code(runner, tmp_path, monkeypatch, manifest, key):
     monkeypatch.setattr(pl, "simulate", _no_simulation)
@@ -468,10 +473,11 @@ def test_pipeline_monte_carlo_failures_exit_code(runner, tmp_path):
 
 
 def test_preprocess_grid_n_mismatch_fails_before_preprocessing(runner, tmp_path, monkeypatch):
-    manifest = _write_manifest(tmp_path, dict(MANIFEST, preprocess={"grid_n": 64}))
+    # simulate refuses the mismatched manifest too, so measure with the matching one
     sim = tmp_path / "sim"
-    res = runner.invoke(main, ["simulate", "--manifest", manifest, "--out", str(sim)])
+    res = runner.invoke(main, ["simulate", "--manifest", _write_manifest(tmp_path), "--out", str(sim)])
     assert res.exit_code == 0, res.output
+    manifest = _write_manifest(tmp_path, dict(MANIFEST, preprocess={"grid_n": 64}), "mismatch.json")
 
     def no_preprocessing(grid, cfg, response):
         raise AssertionError("preprocessed a configuration that cannot run")
@@ -496,3 +502,60 @@ def test_pipeline_seed_override_changes_output(runner, tmp_path):
         assert res.exit_code == 0, res.output
         hist[seed] = json.loads((out / "result.json").read_text())["error_history"]
     assert hist[3] != hist[4]
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("started work on settings that cannot run")
+
+
+@pytest.mark.parametrize("command", ["simulate", "preprocess", "pipeline"])
+@pytest.mark.parametrize("manifest, message", [
+    (dict(MANIFEST, preprocess={"grid_n": 64}), "preprocess.grid_n (64) must equal state.n (32)"),
+    ({"state": {"n": 48}, "gating": {"crystal_length_um": 1000}}, "state.n must be a power of two >= 16"),
+], ids=["grid_n_mismatch", "gated_n48"])
+def test_bad_manifest_fails_before_any_work(runner, tmp_path, monkeypatch, command, manifest, message):
+    # no gating model, simulation or measurement grid before the manifest parses
+    for module, name in ((pl, "build_gating_model"), (pl, "simulate_measurements"), (cli, "load_grid")):
+        monkeypatch.setattr(module, name, _no_work)
+    index = tmp_path / "measurements.json"
+    index.write_text(json.dumps({f"i_{plane}": f"i_{plane}.json" for plane in ("ww", "wt", "tw", "tt")}))
+    measurements = ["--measurements", str(index)] if command == "preprocess" else []
+    res = runner.invoke(main, [
+        command, "--manifest", _write_manifest(tmp_path, manifest), *measurements, "--out", str(tmp_path / "out"),
+    ])
+    assert res.exit_code == EXIT_BAD_CONFIG, res.output
+    assert res.output == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["analyze", "--mask-sigma", "0"], "analysis.mask_sigma must be positive"),
+    (["retrieve", "--mask", "wwxy"], "retrieval.constraint_mask has unknown planes ['xy']"),
+    (["retrieve", "--init", "zero"], "unknown retrieval.init 'zero'"),
+], ids=["analyze_mask_sigma", "retrieve_mask", "retrieve_init"])
+def test_staged_options_fail_before_reading_files(runner, tmp_path, monkeypatch, args, message):
+    monkeypatch.setattr(cli, "_load_json", _no_work)
+    monkeypatch.setattr(cli, "load_grid", _no_work)
+    existing = _write_manifest(tmp_path)  # click checks that the paths exist
+    inputs = ["--result", existing] if args[0] == "analyze" else []
+    res = runner.invoke(main, [*args, *inputs, "--measurements", existing, "--out", str(tmp_path / "out.json")])
+    assert res.exit_code == EXIT_BAD_CONFIG, res.output
+    assert res.output.startswith(f"error: {message}")
+
+
+# a gated state whose delay planes reach the grid edge at n = 32
+COVERAGE_MANIFEST = {
+    "seed": 1, "state": {"rho": -0.9, "chirp_s": -36000, "chirp_i": -43000, "n": 32},
+    "gating": {"crystal_length_um": 0}, "retrieval": {"iterations": 20},
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "pipeline"])
+def test_coverage_warning_is_logged(runner, tmp_path, caplog, command):
+    manifest = _write_manifest(tmp_path, COVERAGE_MANIFEST)
+    with caplog.at_level(logging.WARNING):
+        res = runner.invoke(main, [command, "--manifest", manifest, "--out", str(tmp_path / "out"), "--verbose"])
+    assert res.exit_code == 0, res.output
+    (record,) = caplog.records
+    assert (record.name, record.levelno) == ("biphoton.gating", logging.WARNING)
+    assert "delay-axis edge" in record.getMessage()

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import logging
 from importlib import resources
 from pathlib import Path
 
@@ -38,8 +39,13 @@ def test_default_config_equals_empty_manifest():
 
 def test_from_manifest_grid_n_follows_state_n():
     assert PipelineConfig.from_manifest({"state": {"n": 128}}).preprocess.grid_n is None
-    explicit = PipelineConfig.from_manifest({"state": {"n": 128}, "preprocess": {"grid_n": 64}})
-    assert explicit.preprocess.grid_n == 64
+    # with preprocessing on, a grid_n other than state.n is refused at parse
+    mismatch = {"state": {"n": 128}, "preprocess": {"grid_n": 64}}
+    with pytest.raises(ValueError) as exc:
+        PipelineConfig.from_manifest(mismatch)
+    assert str(exc.value) == "preprocess.grid_n (64) must equal state.n (128)"
+    off = PipelineConfig.from_manifest(dict(mismatch, preprocess_enabled=False))
+    assert off.preprocess.grid_n == 64
 
 
 def test_run_pipeline_ignores_grid_n_without_preprocessing():
@@ -52,6 +58,22 @@ def test_run_pipeline_ignores_grid_n_without_preprocessing():
     }
     out = run_pipeline(PipelineConfig.from_manifest(manifest))
     assert out.result.jsa.values.shape == (32, 32)
+
+
+# a gated state whose delay planes reach the grid edge at n = 32
+COVERAGE_MANIFEST = {
+    "seed": 1, "state": {"rho": -0.9, "chirp_s": -36000, "chirp_i": -43000, "n": 32},
+    "gating": {"crystal_length_um": 0}, "retrieval": {"iterations": 20},
+}
+
+
+def test_run_pipeline_logs_coverage_warning(caplog):
+    with caplog.at_level(logging.WARNING):
+        out = run_pipeline(PipelineConfig.from_manifest(COVERAGE_MANIFEST))
+    assert out.raw.coverage_warning
+    (record,) = caplog.records
+    assert (record.name, record.levelno) == ("biphoton.gating", logging.WARNING)
+    assert "delay-axis edge" in record.getMessage()
 
 
 def test_run_pipeline_default_preprocess_config_at_any_n():
@@ -192,6 +214,23 @@ def test_from_manifest_rejects_wrong_types(manifest, key):
 ], ids=["empty_mask", "repeated_ww", "repeated_tt", "negative_epsilon", "negative_retrieval_seed",
         "negative_seed", "negative_seed_with_retrieval_seed"])
 def test_from_manifest_rejects_bad_retrieval_settings(manifest, message):
+    with pytest.raises(ValueError) as exc:
+        PipelineConfig.from_manifest(manifest)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("manifest, message", [
+    ({"state": {"n": 48}}, "state.n must be a power of two >= 16"),
+    ({"state": {"n": 8}}, "state.n must be a power of two >= 16"),
+    ({"state": {"rho": 1.5}}, "|state.rho| must be < 1"),
+    ({"state": {"sigma_i": 0}}, "state.sigma_s and state.sigma_i must be positive"),
+    ({"preprocess": {"alpha": 0.5}}, "preprocess.alpha outside [0.05, 0.2]; set allow_out_of_range to override"),
+    ({"preprocess": {"rho_lp": 0.5}}, "preprocess.rho_lp outside [0.8, 1.0]; set allow_out_of_range to override"),
+    ({"retrieval": {"init": "zero"}},
+     "unknown retrieval.init 'zero'; expected one of ('random_phase', 'flat_phase', 'supplied')"),
+    ({"retrieval": {"init": "supplied"}}, "retrieval.init 'supplied' needs an initial_guess"),
+])
+def test_from_manifest_messages_name_their_key(manifest, message):
     with pytest.raises(ValueError) as exc:
         PipelineConfig.from_manifest(manifest)
     assert str(exc.value) == message
