@@ -199,11 +199,11 @@ def _gate_kernel(axis: Axis, gm: GatingModel):
     lo, hi = omega.min() + gate.center - half, omega.max() + gate.center + half
     omega_u = np.linspace(lo, hi, gm.upconverted_grid_count)
     wg = omega_u[:, None] - omega[None, :]
-    K = gate_spectrum(gate, wg, 0.0)
-    if gm.crystal_length > 0:
-        dk = delta_k(gm.refractive, omega[None, :], wg, omega_u[:, None])
-        K = K * phase_match(dk, gm.crystal_length)
-    return K, omega_u[1] - omega_u[0]
+    if gm.crystal_length == 0:
+        return gate_spectrum(gate, wg, 0.0), omega_u[1] - omega_u[0]
+    # Phi_SFG first, so that its temporaries and those of G never coexist
+    phi = phase_match(delta_k(gm.refractive, omega[None, :], wg, omega_u[:, None]), gm.crystal_length)
+    return np.multiply(gate_spectrum(gate, wg, 0.0), phi, out=phi), omega_u[1] - omega_u[0]
 
 
 # relative cut on singular values, and on products of them for mode pairs
@@ -226,12 +226,11 @@ def _cpu_count():
         return os.cpu_count() or 1
 
 
-def _add_abs2(acc, X, R):
-    """acc += |X|^2 through the real scratch R, allocating nothing."""
-    np.multiply(X.real, X.real, out=R)
-    acc += R
-    np.multiply(X.imag, X.imag, out=R)
-    acc += R
+def _add_abs2(acc, X):
+    """acc += |X|^2, the squared real part first; squares the contiguous X in place."""
+    np.square(X.view(float), out=X.view(float))
+    acc += X.real
+    acc += X.imag
 
 
 def _gated_planes(F, modes_s, modes_i):
@@ -249,39 +248,43 @@ def _gated_planes(F, modes_s, modes_i):
     The halves and their sum are the same either way, so the result does not
     depend on the CPU count.  The arrays are ifftshifted once on the way in
     and fftshifted once on the way out; on an untransformed axis the pair is
-    the identity, for odd n too.
+    the identity, for odd n too.  Buffer budget, in n x n complex units: 7.5
+    and the idler modes during the sum, 3 at the end.
     """
     (w_s, vh_s), (w_i, vh_i) = modes_s, modes_i
-    # fold the weights into the modes so every term is a plain |.|^2
-    us = np.fft.ifftshift(vh_s * w_s[:, None], axes=1)
+    # fold the weights into the modes so every term is a plain |.|^2; each
+    # signal mode is weighted on its turn, the idler modes once
     vs = np.fft.ifftshift(vh_i * w_i[:, None], axes=1)
     # w_i is sorted, so the idler partners of signal mode a are a prefix
     partners = [np.count_nonzero(w * w_i > _MODE_CUT * w_s[0] * w_i[0]) for w in w_s]
     F0 = np.fft.ifftshift(F)
-    # every buffer is allocated here: a worker thread's allocations would come
-    # from its own malloc arena and raise the peak RSS
+    # every n x n buffer is allocated here, as a worker thread's would come
+    # from its own malloc arena and raise the peak RSS.  In n x n complex
+    # units: F0 1; per half 3, the scratch Y and Z (|.|^2 squares them in
+    # place) and the partial tw and tt; wt 0.5
     shape = F.shape
     halves = [
-        (np.empty(shape, complex), np.empty(shape, complex), np.empty(shape), np.zeros(shape), np.zeros(shape))
+        (np.empty(shape, complex), np.empty(shape, complex), np.zeros(shape), np.zeros(shape))
         for _ in range(2)
     ]
     wt = np.zeros(shape)
 
     def signal_half(h):
-        Y, Z, R, tw, tt = halves[h]
-        for u, k in zip(us[h::2], partners[h::2]):
+        Y, Z, tw, tt = halves[h]
+        for w, vh, k in zip(w_s[h::2], vh_s[h::2], partners[h::2]):
+            u = np.fft.ifftshift(vh * w)
             np.fft.fft(np.multiply(F0, u[:, None], out=Y), axis=0, out=Y)
-            _add_abs2(tw, Y, R)
             for v in vs[:k]:
                 np.fft.fft(np.multiply(Y, v, out=Z), axis=1, out=Z)
-                _add_abs2(tt, Z, R)
+                _add_abs2(tt, Z)
+            _add_abs2(tw, Y)  # after its last read: this squares Y in place
 
     def odd_half_and_wt():
         signal_half(1)
-        _, Z, R, _, _ = halves[1]
+        Z = halves[1][1]
         for v in vs:
             np.fft.fft(np.multiply(F0, v, out=Z), axis=1, out=Z)
-            _add_abs2(wt, Z, R)
+            _add_abs2(wt, Z)
 
     if _cpu_count() > 1:
         # imported here so that importing biphoton starts no thread machinery;
@@ -295,9 +298,10 @@ def _gated_planes(F, modes_s, modes_i):
     else:
         signal_half(0)
         odd_half_and_wt()
-    (_, _, _, tw, tt), (_, _, _, tw_odd, tt_odd) = halves
+    (_, _, tw, tt), (_, _, tw_odd, tt_odd) = halves
     tw += tw_odd
     tt += tt_odd
+    del halves, tw_odd, tt_odd, F0  # before the shifted copies (1.5)
     return tuple(np.fft.fftshift(plane) for plane in (tw, wt, tt))
 
 
@@ -309,7 +313,10 @@ def _gated_planes_l0(F, step_s, step_i, sigma):
     the DFT over the gated axis of the linear autocorrelation of F along that
     axis, weighted per lag.  Zero-padding to 2n keeps the lags linear; the
     n-point DFT is the even bins of the 2n-point one.  Only the gated axes are
-    fftshifted, and FFT round-off below zero is clipped.
+    fftshifted, and FFT round-off below zero is clipped.  Each padded
+    spectrum is squared, transformed, weighted and transformed back in place;
+    the budget peaks at 7 n x n complex units, the 2n x 2n spectrum and tt's
+    weight with the planes.
     """
     ns, ni = F.shape
 
@@ -320,15 +327,23 @@ def _gated_planes_l0(F, step_s, step_i, sigma):
     w_s, w_i = lag_weight(ns, step_s), lag_weight(ni, step_i)
 
     def plane(X, axes, weight):
-        A = np.fft.ifftn(X.real**2 + X.imag**2, axes=axes) * weight
+        np.square(X.view(float), out=X.view(float))
+        X.real += X.imag
+        X.imag = 0.0
+        np.fft.ifftn(X, axes=axes, out=X)
+        X *= weight
+        np.fft.fftn(X, axes=axes, out=X)
         even = tuple(slice(None, None, 2) if a in axes else slice(None) for a in range(2))
-        P = np.fft.fftn(A, axes=axes)[even]
-        return np.clip(np.fft.fftshift(P.real, axes=axes), 0.0, None)
+        P = np.fft.fftshift(X[even].real, axes=axes)
+        return np.clip(P, 0.0, None, out=P)
 
     X_s = np.fft.fft(F, n=2 * ns, axis=0)
+    X_ss = np.fft.fft(X_s, n=2 * ni, axis=1)
     tw = plane(X_s, (0,), w_s[:, None])
+    del X_s
+    tt = plane(X_ss, (0, 1), np.outer(w_s, w_i))
+    del X_ss
     wt = plane(np.fft.fft(F, n=2 * ni, axis=1), (1,), w_i[None, :])
-    tt = plane(np.fft.fft(X_s, n=2 * ni, axis=1), (0, 1), np.outer(w_s, w_i))
     return tw, wt, tt
 
 
@@ -360,9 +375,9 @@ def simulate_measurements(state: ComplexGrid2D, gm: GatingModel) -> MeasurementS
     Gaussian.  Time axes: optical gating, in closed form at L = 0 and
     through the upconversion kernel's SVD modes at L > 0 (or the exact
     Fourier-domain intensity when the model has no gate).
-    All outputs are normalized to unit peak.  When the gated signal at the
-    delay-axis edges exceeds 1% of peak, the result's ``coverage_warning``
-    is set and a WARNING is logged.
+    All outputs are normalized to unit peak.  When a delay plane (tw, wt or
+    tt, gated or not) exceeds 1% of peak at a delay-axis edge, the result's
+    ``coverage_warning`` is set and a WARNING is logged.
     """
     if state.axis_s.domain != FREQUENCY or state.axis_i.domain != FREQUENCY:
         raise ValueError("state must be in the frequency-frequency domain")
@@ -371,16 +386,10 @@ def simulate_measurements(state: ComplexGrid2D, gm: GatingModel) -> MeasurementS
     step_s, step_i = state.axis_s.step, state.axis_i.step
     sig = gm.spectrometer_sigma
 
-    i_ww = np.abs(F) ** 2
-    i_ww = _blur_axis(_blur_axis(i_ww, sig, step_s, 0), sig, step_i, 1)
-
     if gm.gate is None:
         f_wt = transform_photon(state, IDLER, TO_TIME)
-        f_tw = transform_photon(state, SIGNAL, TO_TIME)
-        f_tt = transform_photon(f_wt, SIGNAL, TO_TIME)
-        i_wt = np.abs(f_wt.values) ** 2
-        i_tw = np.abs(f_tw.values) ** 2
-        i_tt = np.abs(f_tt.values) ** 2
+        f_tw, f_tt = transform_photon(state, SIGNAL, TO_TIME), transform_photon(f_wt, SIGNAL, TO_TIME)
+        i_tw, i_wt, i_tt = (np.abs(f.values) ** 2 for f in (f_tw, f_wt, f_tt))
     elif gm.crystal_length == 0:
         i_tw, i_wt, i_tt = _gated_planes_l0(F, step_s, step_i, gm.gate.sigma)
     else:
@@ -388,23 +397,17 @@ def simulate_measurements(state: ComplexGrid2D, gm: GatingModel) -> MeasurementS
         modes_s = _svd_modes(*_gate_kernel(state.axis_s, gm))
         modes_i = _svd_modes(*_gate_kernel(state.axis_i, gm))
         i_tw, i_wt, i_tt = _gated_planes(F, modes_s, modes_i)
+    i_ww = _blur_axis(_blur_axis(np.abs(F) ** 2, sig, step_s, 0), sig, step_i, 1)
     i_wt = _blur_axis(i_wt, sig, step_s, 0)
     i_tw = _blur_axis(i_tw, sig, step_i, 1)
 
-    i_wt = _unit_peak(i_wt)
-    i_tw = _unit_peak(i_tw)
-    i_tt = _unit_peak(i_tt)
-    i_ww = _unit_peak(i_ww)
+    i_ww, i_wt, i_tw, i_tt = map(_unit_peak, (i_ww, i_wt, i_tw, i_tt))
 
-    edge = max(
-        i_tw[0, :].max(), i_tw[-1, :].max(),
-        i_wt[:, 0].max(), i_wt[:, -1].max(),
-        i_tt[0, :].max(), i_tt[-1, :].max(),
-        i_tt[:, 0].max(), i_tt[:, -1].max(),
-    )
+    # first and last delay of tw's signal axis, wt's idler axis and both of tt's
+    edge = max(max(p[0].max(), p[-1].max()) for p in (i_tw, i_wt.T, i_tt, i_tt.T))
     coverage_warning = bool(edge > 0.01)
     if coverage_warning:
-        logger.warning("gated signal is not negligible at the delay-axis edge (%.3g of peak)", edge)
+        logger.warning("tw, wt or tt is not negligible at the delay-axis edge (%.3g of peak)", edge)
 
     # delay axes are the conjugates of the frequency axes (same N), as the
     # retrieval planes require

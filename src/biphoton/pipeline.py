@@ -92,6 +92,9 @@ class PipelineConfig:
             # each plane is preprocessed on the grid it was measured on; another
             # size would break the frequency/delay pairing the retrieval needs
             raise ValueError(f"preprocess.grid_n ({grid_n}) must equal state.n ({self.state.n})")
+        g = self.gating
+        if g.crystal_length_um > 0 and not g.ideal and g.refractive_table_path is None:
+            _refractive_table(self)  # a table at a path is read when the gating model is built
 
     @classmethod
     def from_manifest(cls, manifest):
@@ -186,9 +189,7 @@ def build_gating_model(cfg: PipelineConfig) -> GatingModel:
         return GatingModel(gate=None, spectrometer_sigma=g.spectrometer_sigma)
     refractive = None
     if g.crystal_length_um > 0:
-        path = g.refractive_table_path
-        table = _refractive_table(path) if path else RefractiveModel.default()
-        refractive = table.tuned_for(cfg.state.params.center_s, g.gate_center)
+        refractive = _refractive_table(cfg).tuned_for(cfg.state.params.center_s, g.gate_center)
     return GatingModel(
         gate=GatePulse(center=g.gate_center, sigma=g.gate_sigma),
         crystal_length=g.crystal_length_um,
@@ -198,12 +199,24 @@ def build_gating_model(cfg: PipelineConfig) -> GatingModel:
     )
 
 
-def _refractive_table(path):
-    # read when the gating model is built, not when the manifest is parsed
+def _refractive_table(cfg):
+    """The table at ``gating.refractive_table_path``, else the shipped one.  An
+    L > 0 model looks it up at the gate, both photons and their upconverted
+    sums, so each must lie in its range; the message names the keys."""
+    path = cfg.gating.refractive_table_path
     try:
-        return RefractiveModel.from_json(path)
+        table = RefractiveModel.from_json(path) if path else RefractiveModel.default()
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"cannot read gating.refractive_table_path {path}: {exc}") from exc
+    (lo_nm, hi_nm), c, p = table.valid_nm, cfg.gating.gate_center, cfg.state.params
+    lo, hi = wavelength_to_omega(hi_nm), wavelength_to_omega(lo_nm)
+    gate, s, i = "gating.gate.center", "state.center_s", "state.center_i"
+    for key, omega in ((gate, c), (s, p.center_s), (i, p.center_i),
+                       (f"{gate} + {s}", c + p.center_s), (f"{gate} + {i}", c + p.center_i)):
+        if not lo <= omega <= hi:
+            raise ValueError(f"{key} ({omega:.4g} rad/fs) is outside the refractive table's range "
+                             f"[{lo_nm:g}, {hi_nm:g}] nm ({lo:.4g} to {hi:.4g} rad/fs)")
+    return table
 
 
 def simulate(cfg: PipelineConfig):
@@ -226,10 +239,7 @@ def _plane_response_sigmas(grid: IntensityGrid2D, cfg: PipelineConfig):
     matching also shapes the response, and this is an approximation."""
     g = cfg.gating
     temporal = 0.0 if g.ideal else 1.0 / (2.0 * g.gate_sigma)
-    out = []
-    for axis in (grid.axis_s, grid.axis_i):
-        out.append(g.spectrometer_sigma if axis.domain == FREQUENCY else temporal)
-    return out
+    return [g.spectrometer_sigma if a.domain == FREQUENCY else temporal for a in (grid.axis_s, grid.axis_i)]
 
 
 def preprocess_set(m: MeasurementSet, cfg: PipelineConfig) -> MeasurementSet:

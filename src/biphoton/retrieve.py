@@ -183,11 +183,6 @@ def _initial_state(m: MeasurementSet, cfg: RetrievalConfig) -> ComplexGrid2D:
     return ComplexGrid2D(m.i_ww.axis_s, m.i_ww.axis_i, values)
 
 
-def _intensity(g: np.ndarray, work: np.ndarray) -> np.ndarray:
-    np.abs(g, out=work)
-    return np.square(work, out=work)
-
-
 def run_retrieval(m: MeasurementSet, cfg: RetrievalConfig) -> RetrievalResult:
     """Run the alternating-projection loop for cfg.iterations iterations.
 
@@ -195,21 +190,25 @@ def run_retrieval(m: MeasurementSet, cfg: RetrievalConfig) -> RetrievalResult:
     at the end of each cycle (before the next projection), which is the
     quantity the algorithm never increases when all four constraints are on.
     A non-finite error, and so any non-finite pixel of the state, raises
-    :class:`RetrievalError`.
+    :class:`RetrievalError`.  Buffer budget, in n x n complex units: 5 in
+    the loop (the state, two real planes, the active planes' amplitudes and
+    the unit-peak ww and tt planes), and the returned JSA; the state itself
+    is taken to the tt plane for the final tt error.
     """
     f = _initial_state(m, cfg)
-    measured = {p: np.fft.ifftshift(grid.values) for p, grid in m.grids().items()}
-    amp = {p: np.sqrt(measured[p]) for p in cfg.constraint_mask}
-    m_hat = _unit_peak(measured["ww"])
+    axis_s, axis_i, g = f.axis_s, f.axis_i, np.fft.ifftshift(f.values)
+    del f
+    grids = m.grids()
+    amp = {p: np.sqrt(np.fft.ifftshift(grids[p].values)) for p in cfg.constraint_mask}
+    m_hat, tt_hat = (_unit_peak(np.fft.ifftshift(grids[p].values)) for p in ("ww", "tt"))
     # plane projected before the step, step transform, its axis, its unitary factor
     cycle = (
-        ("ww", np.fft.fft, 1, dft_scale(f.axis_i, TO_TIME)),
-        ("wt", np.fft.fft, 0, dft_scale(f.axis_s, TO_TIME)),
-        ("tt", np.fft.ifft, 1, dft_scale(conjugate_axis(f.axis_i), TO_FREQUENCY)),
-        ("tw", np.fft.ifft, 0, dft_scale(conjugate_axis(f.axis_s), TO_FREQUENCY)),
+        ("ww", np.fft.fft, 1, dft_scale(axis_i, TO_TIME)),
+        ("wt", np.fft.fft, 0, dft_scale(axis_s, TO_TIME)),
+        ("tt", np.fft.ifft, 1, dft_scale(conjugate_axis(axis_i), TO_FREQUENCY)),
+        ("tw", np.fft.ifft, 0, dft_scale(conjugate_axis(axis_s), TO_FREQUENCY)),
     )
     eps = cfg.zero_magnitude_epsilon
-    g = np.fft.ifftshift(f.values)
     mag = np.abs(g)  # |g|; at the ww plane it is the one the last error left
     work = np.empty(g.shape)
     scale = 1.0  # physical field = scale * g
@@ -230,10 +229,13 @@ def run_retrieval(m: MeasurementSet, cfg: RetrievalConfig) -> RetrievalResult:
             raise RetrievalError(f"non-finite state after iteration {k + 1}")
         history[k] = err
 
-    g_tt = np.fft.fft(np.fft.fft(g, axis=1), axis=0)
-    err_tt = frog_error(measured["tt"], _intensity(g_tt, work))
+    jsa = np.fft.fftshift(g)
+    jsa *= scale
+    np.fft.fft(np.fft.fft(g, axis=1, out=g), axis=0, out=g)
+    np.abs(g, out=mag)
+    err_tt = _frog_error(tt_hat, np.square(mag, out=mag), mag)
     return RetrievalResult(
-        jsa=ComplexGrid2D(f.axis_s, f.axis_i, np.fft.fftshift(scale * g)),
+        jsa=ComplexGrid2D(axis_s, axis_i, jsa),
         error_history_ww=history,
         error_final_tt=err_tt,
         seed=cfg.seed,

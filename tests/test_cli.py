@@ -512,7 +512,9 @@ def _no_work(*args, **kwargs):
 @pytest.mark.parametrize("manifest, message", [
     (dict(MANIFEST, preprocess={"grid_n": 64}), "preprocess.grid_n (64) must equal state.n (32)"),
     ({"state": {"n": 48}, "gating": {"crystal_length_um": 1000}}, "state.n must be a power of two >= 16"),
-], ids=["grid_n_mismatch", "gated_n48"])
+    ({"state": {"n": 32}, "gating": {"crystal_length_um": 1000, "gate": {"center": 10.0}}},
+     "gating.gate.center (10 rad/fs) is outside the refractive table's range [290, 2500] nm (0.7535 to 6.495 rad/fs)"),
+], ids=["grid_n_mismatch", "gated_n48", "gate_center_out_of_range"])
 def test_bad_manifest_fails_before_any_work(runner, tmp_path, monkeypatch, command, manifest, message):
     # no gating model, simulation or measurement grid before the manifest parses
     for module, name in ((pl, "build_gating_model"), (pl, "simulate_measurements"), (cli, "load_grid")):

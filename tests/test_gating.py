@@ -1,5 +1,6 @@
 """Optical-gating forward model: gate pulse, phase matching, gated planes."""
 
+import logging
 import os
 from dataclasses import replace
 
@@ -19,7 +20,7 @@ from biphoton.gating import (
     poissonize,
     simulate_measurements,
 )
-from biphoton.gating import _blur_axis, _cpu_count, _gate_kernel, _gated_planes, _svd_modes
+from biphoton.gating import _blur_axis, _cpu_count, _gate_kernel, _gated_planes, _gated_planes_l0, _svd_modes
 from biphoton.grids import IDLER, SIGNAL, TO_TIME, ComplexGrid2D, transform_photon
 from biphoton.synth import GaussianStateParams, synthesize_state
 from biphoton.units import wavelength_to_omega
@@ -296,6 +297,123 @@ def test_closed_form_l0_matches_mode_path(shape):
     for plane, ref in zip(("tw", "wt", "tt"), modes):
         assert got[plane].values.min() >= 0, plane
         assert np.max(np.abs(got[plane].values - ref / ref.max())) <= 1e-10, plane
+
+
+# The references below are the out-of-place formulas the in-place code
+# replaced; every operation and summation order is the same, so the planes
+# must agree bit for bit, not just to round-off.
+
+
+def _l0_planes_reference(F, step_s, step_i, sigma):
+    """Reference: the L = 0 closed form with a new array for |X|^2, for each
+    transform and for the weighted lags."""
+    ns, ni = F.shape
+
+    def lag_weight(n, step):
+        d = np.fft.fftfreq(2 * n, 1.0 / (2 * n))
+        return np.exp(-((d * step) ** 2) / (8 * sigma**2))
+
+    w_s, w_i = lag_weight(ns, step_s), lag_weight(ni, step_i)
+
+    def plane(X, axes, weight):
+        A = np.fft.ifftn(X.real**2 + X.imag**2, axes=axes) * weight
+        even = tuple(slice(None, None, 2) if a in axes else slice(None) for a in range(2))
+        P = np.fft.fftn(A, axes=axes)[even]
+        return np.clip(np.fft.fftshift(P.real, axes=axes), 0.0, None)
+
+    X_s = np.fft.fft(F, n=2 * ns, axis=0)
+    tw = plane(X_s, (0,), w_s[:, None])
+    wt = plane(np.fft.fft(F, n=2 * ni, axis=1), (1,), w_i[None, :])
+    tt = plane(np.fft.fft(X_s, n=2 * ni, axis=1), (0, 1), np.outer(w_s, w_i))
+    return tw, wt, tt
+
+
+def _kernel_reference(axis, gm):
+    """Reference: the L > 0 kernel as G * Phi_SFG, G built first."""
+    omega = axis.values()
+    half = 2 * gm.gate.sigma * np.sqrt(np.log(1e6))
+    omega_u = np.linspace(omega.min() + gm.gate.center - half, omega.max() + gm.gate.center + half,
+                          gm.upconverted_grid_count)
+    wg = omega_u[:, None] - omega[None, :]
+    K = gate_spectrum(gm.gate, wg, 0.0)
+    return K * phase_match(delta_k(gm.refractive, omega[None, :], wg, omega_u[:, None]), gm.crystal_length)
+
+
+def _halves_reference(F, modes_s, modes_i):
+    """Reference: the pruned mode sum on one thread, each term a new array:
+    the even and odd signal modes sum their own tw and tt (tw before the
+    pair loop, the squared real part before the imaginary one), then add."""
+    (w_s, vh_s), (w_i, vh_i) = modes_s, modes_i
+    us = np.fft.ifftshift(vh_s * w_s[:, None], axes=1)
+    vs = np.fft.ifftshift(vh_i * w_i[:, None], axes=1)
+    partners = [np.count_nonzero(w * w_i > 1e-6 * w_s[0] * w_i[0]) for w in w_s]
+    F0 = np.fft.ifftshift(F)
+    halves = []
+    for h in (0, 1):
+        tw, tt = np.zeros(F.shape), np.zeros(F.shape)
+        for u, k in zip(us[h::2], partners[h::2]):
+            Y = np.fft.fft(F0 * u[:, None], axis=0)
+            tw += Y.real**2
+            tw += Y.imag**2
+            for v in vs[:k]:
+                Z = np.fft.fft(Y * v, axis=1)
+                tt += Z.real**2
+                tt += Z.imag**2
+        halves.append((tw, tt))
+    wt = np.zeros(F.shape)
+    for v in vs:
+        Z = np.fft.fft(F0 * v, axis=1)
+        wt += Z.real**2
+        wt += Z.imag**2
+    (tw, tt), (tw_odd, tt_odd) = halves
+    return tuple(np.fft.fftshift(plane) for plane in (tw + tw_odd, wt, tt + tt_odd))
+
+
+def _identity_state(shape, chirped_state):
+    if shape == "odd33x31":
+        return _odd_state(chirped_state)
+    return synthesize_state(CHIRPED, n=int(shape[1:]), span_sigmas=8)
+
+
+GATE_SIGMAS = pytest.mark.parametrize("sigma", [0.01, 1.0 / 260], ids=["sigma_0.01", "sigma_1/260"])
+IDENTITY_SHAPES = pytest.mark.parametrize("shape", ["n32", "n64", "odd33x31"])
+
+
+@GATE_SIGMAS
+@IDENTITY_SHAPES
+def test_closed_form_l0_is_byte_identical_to_reference(chirped_state, shape, sigma):
+    state = _identity_state(shape, chirped_state)
+    args = (state.values, state.axis_s.step, state.axis_i.step, sigma)
+    for plane, got, want in zip(("tw", "wt", "tt"), _gated_planes_l0(*args), _l0_planes_reference(*args)):
+        assert np.array_equal(got, want), plane
+
+
+@GATE_SIGMAS
+@IDENTITY_SHAPES
+def test_mode_sum_is_byte_identical_to_reference(chirped_state, shape, sigma):
+    state = _identity_state(shape, chirped_state)
+    rm = RefractiveModel.default().tuned_for(state.axis_s.center, GATE_CENTER)
+    gm = GatingModel(gate=GatePulse(center=GATE_CENTER, sigma=sigma), crystal_length=1000.0, refractive=rm)
+    modes = []
+    for axis in (state.axis_s, state.axis_i):
+        K, du = _gate_kernel(axis, gm)
+        assert np.array_equal(K, _kernel_reference(axis, gm)), axis.photon
+        modes.append(_svd_modes(K, du))
+    got = _gated_planes(state.values, *modes)
+    for plane, g, want in zip(("tw", "wt", "tt"), got, _halves_reference(state.values, *modes)):
+        assert np.array_equal(g, want), plane
+
+
+def test_coverage_warning_names_the_delay_planes(caplog):
+    # an ideal gate: the delay planes of this n = 32 state reach the grid edge,
+    # and the message must not speak of a gate
+    state = synthesize_state(GaussianStateParams(rho=-0.9, chirp_s=-36000.0, chirp_i=-43000.0), n=32)
+    with caplog.at_level(logging.WARNING):
+        m = simulate_measurements(state, GatingModel(gate=None))
+    assert m.coverage_warning
+    (record,) = caplog.records
+    assert "delay-axis edge" in record.getMessage()
+    assert "gated" not in record.getMessage()
 
 
 def test_spectrometer_blur_widens_marginal(chirped_state):

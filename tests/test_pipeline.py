@@ -290,6 +290,41 @@ def test_unreadable_refractive_table_names_its_key(tmp_path, text):
         build_gating_model(cfg)
 
 
+# the range of the shipped table, as the messages give it
+TABLE_RANGE = "[290, 2500] nm (0.7535 to 6.495 rad/fs)"
+
+
+@pytest.mark.parametrize("manifest, message", [
+    ({"state": {"n": 32}, "gating": {"crystal_length_um": 1000, "gate": {"center": 10.0}}},
+     f"gating.gate.center (10 rad/fs) is outside the refractive table's range {TABLE_RANGE}"),
+    ({"state": {"center_s": 0.5}, "gating": {"crystal_length_um": 1000}},
+     f"state.center_s (0.5 rad/fs) is outside the refractive table's range {TABLE_RANGE}"),
+    ({"state": {"center_i": 7}, "gating": {"crystal_length_um": 1000}},
+     f"state.center_i (7 rad/fs) is outside the refractive table's range {TABLE_RANGE}"),
+    # 2.289 + 4 is inside; the idler's 2.574 + 4 upconverts below 290 nm
+    ({"gating": {"crystal_length_um": 1000, "gate": {"center": 4}}},
+     f"gating.gate.center + state.center_i (6.574 rad/fs) is outside the refractive table's range {TABLE_RANGE}"),
+], ids=["gate_center", "center_s", "center_i", "idler_upconverted"])
+def test_from_manifest_refuses_frequencies_outside_the_table(manifest, message):
+    with pytest.raises(ValueError) as exc:
+        PipelineConfig.from_manifest(manifest)
+    assert str(exc.value) == message
+    # the table is looked up only at L > 0 with a gate
+    for gating in ({"crystal_length_um": 0}, {"crystal_length_um": 1000, "ideal": True}):
+        PipelineConfig.from_manifest(dict(manifest, gating=dict(manifest["gating"], **gating)))
+
+
+def test_table_at_a_path_is_range_checked_when_the_model_is_built(tmp_path):
+    # a table at a path is read when the gating model is built, not at parse
+    table = tmp_path / "table.json"
+    table.write_text(resources.files("biphoton.data").joinpath("bibo_sellmeier.json").read_text())
+    cfg = PipelineConfig.from_manifest({"gating": {
+        "crystal_length_um": 1000, "gate": {"center": 10.0}, "refractive_table_path": str(table),
+    }})
+    with pytest.raises(ValueError, match=r"^gating\.gate\.center \(10 rad/fs\) is outside"):
+        build_gating_model(cfg)
+
+
 def test_readme_example_manifest_parses():
     # the README's example must keep to the manifest's strict key rules
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

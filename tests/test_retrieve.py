@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biphoton.gating import GatingModel, simulate_measurements
+from biphoton.gating import GatePulse, GatingModel, poissonize_set, simulate_measurements
 from biphoton.grids import (
     IDLER,
     SIGNAL,
@@ -16,6 +16,8 @@ from biphoton.grids import (
     TO_TIME,
     ComplexGrid2D,
     IntensityGrid2D,
+    conjugate_axis,
+    dft_scale,
     transform_photon,
 )
 from biphoton.retrieve import (
@@ -25,6 +27,7 @@ from biphoton.retrieve import (
     RetrievalError,
     _frog_error,
     _initial_state,
+    _project,
     _unit_peak,
     frog_error,
     project_magnitude,
@@ -276,6 +279,72 @@ def test_array_core_matches_object_loop_zero_regions(chirped_n32):
     # a coarse epsilon puts nonzero-amplitude pixels in every plane below it;
     # it must act on the field at its unitary scale, not on the raw FFT output
     _assert_matches_oracle(m, RetrievalConfig(iterations=20, seed=6, zero_magnitude_epsilon=1e-3))
+
+
+def _reference_retrieval(m, cfg):
+    """Reference: the array loop as first written, holding every shifted
+    measured plane and the initial state to the end, then taking a new array
+    to the tt plane; returns (jsa values, ww history, tt error)."""
+    f = _initial_state(m, cfg)
+    measured = {p: np.fft.ifftshift(grid.values) for p, grid in m.grids().items()}
+    amp = {p: np.sqrt(measured[p]) for p in cfg.constraint_mask}
+    m_hat = _unit_peak(measured["ww"])
+    cycle = (
+        ("ww", np.fft.fft, 1, dft_scale(f.axis_i, TO_TIME)),
+        ("wt", np.fft.fft, 0, dft_scale(f.axis_s, TO_TIME)),
+        ("tt", np.fft.ifft, 1, dft_scale(conjugate_axis(f.axis_i), TO_FREQUENCY)),
+        ("tw", np.fft.ifft, 0, dft_scale(conjugate_axis(f.axis_s), TO_FREQUENCY)),
+    )
+    g = np.fft.ifftshift(f.values)
+    mag, work = np.abs(g), np.empty(g.shape)
+    scale = 1.0
+    history = np.empty(cfg.iterations)
+    for k in range(cfg.iterations):
+        for plane, dft, axis, factor in cycle:
+            if plane in amp:
+                if plane != "ww":
+                    np.abs(g, out=mag)
+                _project(g, amp[plane], cfg.zero_magnitude_epsilon / scale, mag)
+                scale = 1.0
+            dft(g, axis=axis, out=g)
+            scale *= factor
+        np.abs(g, out=mag)
+        history[k] = _frog_error(m_hat, np.square(mag, out=work), work)
+    g_tt = np.fft.fft(np.fft.fft(g, axis=1), axis=0)
+    return np.fft.fftshift(scale * g), history, frog_error(measured["tt"], np.abs(g_tt) ** 2)
+
+
+@pytest.fixture(
+    scope="module",
+    params=[(n, sigma, noisy) for n in (32, 64) for sigma in (0.01, 1.0 / 260) for noisy in (False, True)],
+    ids=lambda k: f"n{k[0]}-sigma{k[1]:.4f}{'-noisy' * k[2]}",
+)
+def identity_set(request):
+    n, sigma, noisy = request.param
+    p = GaussianStateParams(rho=-0.8, chirp_s=-8000.0, chirp_i=-9000.0)
+    m = simulate_measurements(synthesize_state(p, n=n, span_sigmas=8), GatingModel(gate=GatePulse(2.432, sigma)))
+    # counts of zero put exact zeros in every amplitude
+    return poissonize_set(m, 300.0, seed=n) if noisy else m
+
+
+def _assert_matches_reference(m, cfg):
+    jsa, history, err_tt = _reference_retrieval(m, cfg)
+    r = run_retrieval(m, cfg)
+    assert np.array_equal(r.jsa.values, jsa)
+    assert np.array_equal(r.error_history_ww, history)
+    assert r.error_final_tt == err_tt
+
+
+@pytest.mark.parametrize("mask", MASKS, ids=lambda s: "+".join(sorted(s)))
+def test_run_retrieval_is_byte_identical_to_reference(identity_set, mask):
+    _assert_matches_reference(identity_set, RetrievalConfig(iterations=12, seed=3, constraint_mask=mask))
+
+
+@pytest.mark.parametrize("init", ["flat_phase", "supplied"])
+def test_run_retrieval_is_byte_identical_to_reference_for_each_init(chirped_n32, init):
+    m, state = chirped_n32
+    guess = state if init == "supplied" else None
+    _assert_matches_reference(m, RetrievalConfig(iterations=12, init=init, initial_guess=guess))
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
