@@ -5,12 +5,12 @@ the trials a caller hands in (``pipeline`` defines the trial it runs)."""
 
 import heapq
 import logging
+import os
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gating import _cpu_count
 from .grids import ComplexGrid2D, IntensityGrid2D
 
 TWO_PI = 2.0 * np.pi
@@ -203,6 +203,14 @@ def fit_retrieved_phase(jsa: ComplexGrid2D, mask_sigma: float = 2.0) -> PhaseFit
     mask = sigma_mask(intensity, mask_sigma)
     unwrapped = unwrap_phase_2d(np.angle(jsa.values), mask, quality=intensity.values)
     return fit_phase_poly(unwrapped, intensity, mask)
+
+
+def _cpu_count():
+    """CPUs this process may run on: its affinity mask, else os.cpu_count()."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
 
 
 def monte_carlo_uncertainty(trial, trials: int, seed: int):

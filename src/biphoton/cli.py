@@ -182,14 +182,11 @@ def _parse_mask(mask):
 @click.option("--iterations", type=int, default=RetrievalConfig.iterations, show_default=True)
 @click.option("--seed", type=int, default=RetrievalConfig.seed, show_default=True)
 @click.option("--mask", default="".join(PLANES), show_default=True, help="active planes, e.g. wwtt")
-@click.option("--init", default=RetrievalConfig.init, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
 @_exit_codes()
-def retrieve(measurements_path, iterations, seed, mask, init, out_path):
-    """Run the alternating-projection phase retrieval."""
-    cfg = RetrievalConfig(
-        iterations=iterations, seed=seed, init=init, constraint_mask=_parse_mask(mask)
-    )
+def retrieve(measurements_path, iterations, seed, mask, out_path):
+    """Run the alternating-projection phase retrieval from a random phase."""
+    cfg = RetrievalConfig(iterations=iterations, seed=seed, constraint_mask=_parse_mask(mask))
     result = run_retrieval(_load_measurement_set(measurements_path), cfg)
     _write_json(out_path, _result_doc(result))
     click.echo(

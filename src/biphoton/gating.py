@@ -15,13 +15,11 @@ through its SVD modes: all three gated planes (tw, wt and tt) are sums of
 squared centered FFTs of the state weighted by one mode per gated side, so no
 upconverted-frequency stack is ever built.  tt skips the mode pairs whose
 weight product is below the SVD's own relative cut, and the signal modes are
-summed in two fixed halves, on two threads when the process may use more than
-one CPU.
+summed in two fixed halves on two threads.
 """
 
 import json
 import logging
-import os
 from dataclasses import dataclass, replace
 from importlib import resources
 
@@ -91,10 +89,12 @@ class RefractiveModel:
 
     def _check_range(self, lambda_nm):
         lo, hi = self.valid_nm
-        if np.any(lambda_nm < lo) or np.any(lambda_nm > hi):
-            raise ModelRangeError(
-                f"wavelength {lambda_nm} nm outside model range [{lo}, {hi}] nm"
-            )
+        lam = np.asarray(lambda_nm)
+        outside = (lam < lo) | (lam > hi)
+        if outside.any():
+            bad = lam[outside]
+            span = f"{bad.min():.6g}" if bad.size == 1 else f"{bad.min():.6g} to {bad.max():.6g}"
+            raise ModelRangeError(f"wavelength {span} nm outside the model range [{lo:g}, {hi:g}] nm")
 
     def n_ordinary(self, lambda_nm):
         self._check_range(lambda_nm)
@@ -218,14 +218,6 @@ def _svd_modes(K, du):
     return s[keep] * np.sqrt(du), vh[keep]
 
 
-def _cpu_count():
-    """CPUs this process may run on: its affinity mask, else os.cpu_count()."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        return os.cpu_count() or 1
-
-
 def _add_abs2(acc, X):
     """acc += |X|^2, the squared real part first; squares the contiguous X in place."""
     np.square(X.view(float), out=X.view(float))
@@ -243,13 +235,13 @@ def _gated_planes(F, modes_s, modes_i):
     skips each pair with w_a w_b <= _MODE_CUT w_0 w_0', whose term carries at
     most 1e-12 of the largest pair's weight, as the per-side cut does for a
     single mode.  The signal modes are split into two fixed halves (even and
-    odd index), each summing its own partial tw and tt; with more than one CPU
-    the even half runs on a thread while this one runs the odd half and wt.
-    The halves and their sum are the same either way, so the result does not
-    depend on the CPU count.  The arrays are ifftshifted once on the way in
-    and fftshifted once on the way out; on an untransformed axis the pair is
-    the identity, for odd n too.  Buffer budget, in n x n complex units: 7.5
-    and the idler modes during the sum, 3 at the end.
+    odd index), each summing its own partial tw and tt; the even half runs on
+    a worker thread while this one runs the odd half and wt.  The halves and
+    their sum do not depend on how the threads are scheduled, so neither does
+    the result.  The arrays are ifftshifted once on the way in and fftshifted
+    once on the way out; on an untransformed axis the pair is the identity,
+    for odd n too.  Buffer budget, in n x n complex units: 7.5 and the idler
+    modes during the sum, 3 at the end.
     """
     (w_s, vh_s), (w_i, vh_i) = modes_s, modes_i
     # fold the weights into the modes so every term is a plain |.|^2; each
@@ -286,18 +278,14 @@ def _gated_planes(F, modes_s, modes_i):
             np.fft.fft(np.multiply(F0, v, out=Z), axis=1, out=Z)
             _add_abs2(wt, Z)
 
-    if _cpu_count() > 1:
-        # imported here so that importing biphoton starts no thread machinery;
-        # leaving the block joins the thread, so no caller forks beside it
-        from concurrent.futures import ThreadPoolExecutor
+    # imported here so that importing biphoton starts no thread machinery;
+    # leaving the block joins the thread, so no caller forks beside it
+    from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(1) as pool:
-            even = pool.submit(signal_half, 0)
-            odd_half_and_wt()
-            even.result()
-    else:
-        signal_half(0)
+    with ThreadPoolExecutor(1) as pool:
+        even = pool.submit(signal_half, 0)
         odd_half_and_wt()
+        even.result()
     (_, _, tw, tt), (_, _, tw_odd, tt_odd) = halves
     tw += tw_odd
     tt += tt_odd

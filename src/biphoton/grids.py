@@ -261,4 +261,8 @@ def save_grid(path, g):
 
 def load_grid(path):
     with open(path) as fh:
-        return grid_from_json(json.load(fh))
+        doc = json.load(fh)
+    try:
+        return grid_from_json(doc)
+    except KeyError as exc:
+        raise ValueError(f"grid file {path} has no key {exc}") from exc

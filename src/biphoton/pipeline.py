@@ -247,13 +247,9 @@ def preprocess_set(m: MeasurementSet, cfg: PipelineConfig) -> MeasurementSet:
     implied by the gating configuration."""
     if not cfg.preprocess_enabled:
         return m
-    cleaned = {}
-    for key, grid in m.grids().items():
-        cleaned[key] = preprocess_grid(grid, cfg.preprocess, _plane_response_sigmas(grid, cfg))
-    return MeasurementSet(
-        i_ww=cleaned["ww"], i_wt=cleaned["wt"], i_tw=cleaned["tw"], i_tt=cleaned["tt"],
-        coverage_warning=m.coverage_warning,
-    )
+    cleaned = {f"i_{p}": preprocess_grid(g, cfg.preprocess, _plane_response_sigmas(g, cfg))
+               for p, g in m.grids().items()}
+    return replace(m, **cleaned)
 
 
 def _mc_trial(raw: MeasurementSet, cfg: PipelineConfig, seeds) -> tuple | str:

@@ -32,7 +32,6 @@ from .grids import (
 )
 
 PLANES = ("ww", "wt", "tw", "tt")
-INITS = ("random_phase", "flat_phase", "supplied")
 
 
 class RetrievalError(RuntimeError):
@@ -74,10 +73,8 @@ class MeasurementSet:
 class RetrievalConfig:
     iterations: int = 1000
     seed: int = 0
-    init: str = "random_phase"  # one of INITS
     zero_magnitude_epsilon: float = 1e-12
     constraint_mask: frozenset = frozenset(PLANES)
-    initial_guess: ComplexGrid2D | None = None
 
     def __post_init__(self):
         # messages name the manifest keys
@@ -98,10 +95,6 @@ class RetrievalConfig:
         unknown = self.constraint_mask - set(PLANES)
         if unknown:
             raise ValueError(f"retrieval.constraint_mask has unknown planes {sorted(unknown)}")
-        if self.init not in INITS:
-            raise ValueError(f"unknown retrieval.init {self.init!r}; expected one of {INITS}")
-        if self.init == "supplied" and self.initial_guess is None:
-            raise ValueError("retrieval.init 'supplied' needs an initial_guess")
 
 
 @dataclass(frozen=True)
@@ -166,25 +159,12 @@ def frog_error(i_meas: IntensityGrid2D, i_rec) -> float:
     return _frog_error(_unit_peak(m), r, np.empty(r.shape))
 
 
-def _initial_state(m: MeasurementSet, cfg: RetrievalConfig) -> ComplexGrid2D:
-    if cfg.init == "supplied":
-        g = cfg.initial_guess
-        if not (
-            g.axis_s.compatible_with(m.i_ww.axis_s) and g.axis_i.compatible_with(m.i_ww.axis_i)
-        ):
-            raise ValueError("supplied initial guess axes do not match the measurements")
-        return g
-    amp = np.sqrt(m.i_ww.values)
-    if cfg.init == "flat_phase":
-        values = amp.astype(complex)
-    else:  # random_phase
-        rng = np.random.default_rng(cfg.seed)
-        values = amp * np.exp(2j * np.pi * rng.random(amp.shape))
-    return ComplexGrid2D(m.i_ww.axis_s, m.i_ww.axis_i, values)
-
-
-def run_retrieval(m: MeasurementSet, cfg: RetrievalConfig) -> RetrievalResult:
-    """Run the alternating-projection loop for cfg.iterations iterations.
+def run_retrieval(
+    m: MeasurementSet, cfg: RetrievalConfig, start: ComplexGrid2D | None = None
+) -> RetrievalResult:
+    """Run the alternating-projection loop for cfg.iterations iterations,
+    from ``start``, a state on the ww axes, or else from sqrt(ww) with a
+    uniformly random phase drawn from ``cfg.seed``.
 
     The ww-plane error is evaluated on the estimate returned to the ww plane
     at the end of each cycle (before the next projection), which is the
@@ -195,9 +175,14 @@ def run_retrieval(m: MeasurementSet, cfg: RetrievalConfig) -> RetrievalResult:
     the unit-peak ww and tt planes), and the returned JSA; the state itself
     is taken to the tt plane for the final tt error.
     """
-    f = _initial_state(m, cfg)
-    axis_s, axis_i, g = f.axis_s, f.axis_i, np.fft.ifftshift(f.values)
-    del f
+    axis_s, axis_i = m.i_ww.axis_s, m.i_ww.axis_i
+    if start is None:
+        rng = np.random.default_rng(cfg.seed)
+        g = np.fft.ifftshift(np.sqrt(m.i_ww.values) * np.exp(2j * np.pi * rng.random(m.i_ww.values.shape)))
+    elif start.axis_s.compatible_with(axis_s) and start.axis_i.compatible_with(axis_i):
+        g = np.fft.ifftshift(start.values)
+    else:
+        raise ValueError("start axes do not match the measurements' ww axes")
     grids = m.grids()
     amp = {p: np.sqrt(np.fft.ifftshift(grids[p].values)) for p in cfg.constraint_mask}
     m_hat, tt_hat = (_unit_peak(np.fft.ifftshift(grids[p].values)) for p in ("ww", "tt"))

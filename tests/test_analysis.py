@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from biphoton import pipeline
 from biphoton.analysis import (
     FitError,
+    _cpu_count,
     fit_phase_poly,
     fit_retrieved_phase,
     monte_carlo_uncertainty,
@@ -200,6 +201,11 @@ def mc_trial():
     )
     raw = simulate_measurements(synthesize_state(p, n=32), GatingModel(gate=None))
     return partial(pipeline._mc_trial, raw, cfg)
+
+
+def test_cpu_count_without_affinity_mask(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert _cpu_count() == (os.cpu_count() or 1)
 
 
 def test_monte_carlo_results_do_not_depend_on_workers(mc_trial, monkeypatch):

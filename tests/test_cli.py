@@ -2,6 +2,7 @@
 
 import json
 import logging
+import re
 import subprocess
 import sys
 
@@ -129,7 +130,7 @@ def test_retrieve_mask_rejects_odd_length_and_repeats(runner, tmp_path, mask):
 
 
 @pytest.mark.parametrize("command, option", [
-    ("retrieve", ["--init", "bogus"]),
+    ("retrieve", ["--iterations", "0"]),
     ("analyze", ["--mask-sigma", "0"]),
 ])
 def test_invalid_option_value_exit_code(runner, tmp_path, command, option):
@@ -178,6 +179,24 @@ def test_measurements_manifest_missing_plane(runner, tmp_path):
         "retrieve", "--measurements", str(broken), "--out", str(tmp_path / "r.json"),
     ])
     assert res.exit_code == EXIT_BAD_CONFIG
+
+
+@pytest.mark.parametrize("command", ["preprocess", "retrieve", "analyze"])
+def test_malformed_grid_file_exit_code(runner, tmp_path, command):
+    manifest = _write_manifest(tmp_path)
+    sim = tmp_path / "sim"
+    runner.invoke(main, ["simulate", "--manifest", manifest, "--out", str(sim)])
+    result_path = str(tmp_path / "result.json")
+    runner.invoke(main, [
+        "retrieve", "--measurements", str(sim / "measurements.json"), "--iterations", "5", "--out", result_path,
+    ])
+    (sim / "i_tt.json").write_text("{}")
+    inputs = {"preprocess": ["--manifest", manifest], "analyze": ["--result", result_path]}.get(command, [])
+    res = runner.invoke(main, [
+        command, *inputs, "--measurements", str(sim / "measurements.json"), "--out", str(tmp_path / "out"),
+    ])
+    assert res.exit_code == EXIT_BAD_CONFIG, res.output
+    assert res.output == f"error: grid file {sim / 'i_tt.json'} has no key 'axis_s'\n"
 
 
 def test_analyze_units_conversion(runner, tmp_path):
@@ -343,7 +362,8 @@ def test_pipeline_unknown_manifest_key_exit_code(runner, tmp_path, monkeypatch):
     ({"state": {"n": 48}}, "state.n"),
     ({"state": {"rho": 1.5}}, "state.rho"),
     ({"preprocess": {"alpha": 0.5}}, "preprocess.alpha"),
-    ({"retrieval": {"init": "zero"}}, "retrieval.init"),
+    # no longer a field: the retrieval starts from a random phase
+    ({"retrieval": {"init": "flat_phase"}}, "retrieval.init"),
 ])
 def test_pipeline_malformed_manifest_exit_code(runner, tmp_path, monkeypatch, manifest, key):
     monkeypatch.setattr(pl, "simulate", _no_simulation)
@@ -504,6 +524,18 @@ def test_pipeline_seed_override_changes_output(runner, tmp_path):
     assert hist[3] != hist[4]
 
 
+def test_refractive_range_error_is_one_line(runner, tmp_path):
+    # the centers pass the table check at parse; the grid's red edge does not
+    manifest = {"state": {"n": 32, "center_s": 0.7635}, "gating": {"crystal_length_um": 1000}}
+    res = runner.invoke(main, [
+        "pipeline", "--manifest", _write_manifest(tmp_path, manifest), "--out", str(tmp_path / "run"),
+    ])
+    assert res.exit_code == EXIT_BAD_CONFIG, res.output
+    assert re.fullmatch(
+        r"error: wavelength \d+(\.\d+)? to \d+(\.\d+)? nm outside the model range \[290, 2500\] nm\n", res.output
+    ), res.output
+
+
 def _no_work(*args, **kwargs):
     raise AssertionError("started work on settings that cannot run")
 
@@ -533,8 +565,7 @@ def test_bad_manifest_fails_before_any_work(runner, tmp_path, monkeypatch, comma
 @pytest.mark.parametrize("args, message", [
     (["analyze", "--mask-sigma", "0"], "analysis.mask_sigma must be positive"),
     (["retrieve", "--mask", "wwxy"], "retrieval.constraint_mask has unknown planes ['xy']"),
-    (["retrieve", "--init", "zero"], "unknown retrieval.init 'zero'"),
-], ids=["analyze_mask_sigma", "retrieve_mask", "retrieve_init"])
+], ids=["analyze_mask_sigma", "retrieve_mask"])
 def test_staged_options_fail_before_reading_files(runner, tmp_path, monkeypatch, args, message):
     monkeypatch.setattr(cli, "_load_json", _no_work)
     monkeypatch.setattr(cli, "load_grid", _no_work)
@@ -550,6 +581,17 @@ COVERAGE_MANIFEST = {
     "seed": 1, "state": {"rho": -0.9, "chirp_s": -36000, "chirp_i": -43000, "n": 32},
     "gating": {"crystal_length_um": 0}, "retrieval": {"iterations": 20},
 }
+
+
+def test_retrieve_has_no_init_option(runner, tmp_path, monkeypatch):
+    # a flat or supplied start is a library call: run_retrieval(m, cfg, start)
+    monkeypatch.setattr(cli, "load_grid", _no_work)
+    existing = _write_manifest(tmp_path)
+    res = runner.invoke(main, [
+        "retrieve", "--measurements", existing, "--init", "flat_phase", "--out", str(tmp_path / "r.json"),
+    ])
+    assert res.exit_code == EXIT_BAD_CONFIG, res.output
+    assert "No such option" in res.output and "--init" in res.output
 
 
 @pytest.mark.parametrize("command", ["simulate", "pipeline"])

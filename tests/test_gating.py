@@ -20,7 +20,7 @@ from biphoton.gating import (
     poissonize,
     simulate_measurements,
 )
-from biphoton.gating import _blur_axis, _cpu_count, _gate_kernel, _gated_planes, _gated_planes_l0, _svd_modes
+from biphoton.gating import _blur_axis, _gate_kernel, _gated_planes, _gated_planes_l0, _svd_modes
 from biphoton.grids import IDLER, SIGNAL, TO_TIME, ComplexGrid2D, transform_photon
 from biphoton.synth import GaussianStateParams, synthesize_state
 from biphoton.units import wavelength_to_omega
@@ -252,8 +252,9 @@ def test_pruned_pairs_match_all_pairs(chirped_state, shape):
 
 
 def test_gated_planes_do_not_depend_on_cpu_count(chirped_state):
-    # one CPU sums both halves on this thread, two sum one on a worker thread;
-    # the modes are precomputed, so the SVD's BLAS threads cannot differ
+    # one CPU interleaves the worker thread's half with this thread's, two run
+    # them side by side; the modes are precomputed, so the SVD's BLAS threads
+    # cannot differ
     try:
         mask = os.sched_getaffinity(0)
     except AttributeError:
@@ -274,11 +275,6 @@ def test_gated_planes_do_not_depend_on_cpu_count(chirped_state):
         os.sched_setaffinity(0, mask)
     for plane, one, two in zip(("tw", "wt", "tt"), planes[1], planes[2]):
         assert np.array_equal(one, two), plane
-
-
-def test_cpu_count_without_affinity_mask(monkeypatch):
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    assert _cpu_count() == (os.cpu_count() or 1)
 
 
 @pytest.mark.parametrize("shape", ["n64", "odd33x31"])
@@ -497,8 +493,13 @@ def test_phase_match_limits():
 
 def test_model_range_error():
     rm = RefractiveModel.default()
-    with pytest.raises(ModelRangeError):
+    with pytest.raises(ModelRangeError, match=r"^wavelength 100 nm outside the model range \[290, 2500\] nm$"):
         rm.n_ordinary(100.0)
+    # an array is reported by its lowest and highest offending wavelengths
+    lam = np.array([[3000.0, 800.0], [280.5, 2600.0]])
+    with pytest.raises(ModelRangeError, match=r"^wavelength 280\.5 to 3000 nm outside the model range"):
+        rm.n_extraordinary_effective(lam)
+    rm.n_ordinary(np.array([290.0, 2500.0]))  # the range is closed
 
 
 def test_finite_crystal_suppresses_tails(chirped_state):

@@ -116,8 +116,9 @@ def test_run_pipeline_runs_monte_carlo_trials(trials):
     ({"state": {"foo": 1}}, "state.foo"),
     ({"preprocess": {"foo": 1}}, "preprocess.foo"),
     ({"retrieval": {"foo": 1}}, "retrieval.foo"),
-    # a grid object, not manifest data: it would pass every check and fail later
+    # a start is a run_retrieval argument, not a setting
     ({"retrieval": {"initial_guess": [[1.0]]}}, "retrieval.initial_guess"),
+    ({"retrieval": {"init": "flat_phase"}}, "retrieval.init"),
 ])
 def test_from_manifest_rejects_unknown_keys(manifest, key):
     with pytest.raises(ValueError, match=rf"unknown manifest key {key}\b"):
@@ -133,8 +134,7 @@ EVERY_KEY = {
                "spectrometer_sigma": 0, "refractive_table_path": "table.json",
                "upconverted_grid_count": 64, "ideal": False},
     "preprocess": {"grid_n": 32, "alpha": 1, "rho_lp": 1, "allow_out_of_range": True},
-    "retrieval": {"iterations": 20, "seed": 4, "init": "flat_phase",
-                  "zero_magnitude_epsilon": 0, "constraint_mask": ["ww", "tt"]},
+    "retrieval": {"iterations": 20, "seed": 4, "zero_magnitude_epsilon": 0, "constraint_mask": ["ww", "tt"]},
     "analysis": {"mask_sigma": 3, "monte_carlo": {"trials": 2, "peak_counts": 100}},
     "preprocess_enabled": False,
     "noise": {"poisson_peak_counts": 1000},
@@ -156,8 +156,7 @@ def test_from_manifest_every_key():
         ),
         preprocess=PreprocessConfig(grid_n=32, alpha=1.0, rho_lp=1.0, allow_out_of_range=True),
         retrieval=RetrievalConfig(
-            iterations=20, seed=4, init="flat_phase", zero_magnitude_epsilon=0.0,
-            constraint_mask=frozenset({"ww", "tt"}),
+            iterations=20, seed=4, zero_magnitude_epsilon=0.0, constraint_mask=frozenset({"ww", "tt"}),
         ),
         analysis=AnalysisConfig(mask_sigma=3.0, monte_carlo_trials=2, monte_carlo_peak_counts=100.0),
         preprocess_enabled=False,
@@ -226,9 +225,6 @@ def test_from_manifest_rejects_bad_retrieval_settings(manifest, message):
     ({"state": {"sigma_i": 0}}, "state.sigma_s and state.sigma_i must be positive"),
     ({"preprocess": {"alpha": 0.5}}, "preprocess.alpha outside [0.05, 0.2]; set allow_out_of_range to override"),
     ({"preprocess": {"rho_lp": 0.5}}, "preprocess.rho_lp outside [0.8, 1.0]; set allow_out_of_range to override"),
-    ({"retrieval": {"init": "zero"}},
-     "unknown retrieval.init 'zero'; expected one of ('random_phase', 'flat_phase', 'supplied')"),
-    ({"retrieval": {"init": "supplied"}}, "retrieval.init 'supplied' needs an initial_guess"),
 ])
 def test_from_manifest_messages_name_their_key(manifest, message):
     with pytest.raises(ValueError) as exc:

@@ -26,7 +26,6 @@ from biphoton.retrieve import (
     RetrievalConfig,
     RetrievalError,
     _frog_error,
-    _initial_state,
     _project,
     _unit_peak,
     frog_error,
@@ -109,10 +108,6 @@ def test_retrieval_config_validation():
         RetrievalConfig(iterations=0)
     with pytest.raises(ValueError):
         RetrievalConfig(constraint_mask=frozenset({"ww", "xy"}))
-    with pytest.raises(ValueError):
-        RetrievalConfig(init="supplied")
-    with pytest.raises(ValueError, match="fancy"):
-        RetrievalConfig(init="fancy")
     # an empty mask projects no plane, so the ww error would read 0
     for bad in ({"constraint_mask": ()}, {"constraint_mask": ("wt", "wt")},
                 {"zero_magnitude_epsilon": -1e-12}, {"zero_magnitude_epsilon": float("nan")},
@@ -122,10 +117,13 @@ def test_retrieval_config_validation():
     assert RetrievalConfig(zero_magnitude_epsilon=0.0).zero_magnitude_epsilon == 0.0
 
 
-def test_unknown_init_rejected_at_run(ideal_measurements):
-    m, _ = ideal_measurements
-    with pytest.raises(ValueError):
-        run_retrieval(m, RetrievalConfig(iterations=1, init="fancy"))
+def test_start_on_other_axes_rejected_at_run(ideal_measurements):
+    m, state = ideal_measurements
+    delay = ComplexGrid2D(m.i_tt.axis_s, m.i_tt.axis_i, state.values)
+    wider = ComplexGrid2D(replace(state.axis_s, step=2 * state.axis_s.step), state.axis_i, state.values)
+    for start in (delay, wider):
+        with pytest.raises(ValueError, match="start axes do not match"):
+            run_retrieval(m, RetrievalConfig(iterations=1), start=start)
 
 
 def test_run_retrieval_deterministic_per_seed(ideal_measurements):
@@ -142,15 +140,14 @@ def test_flat_phase_init_solves_chirpless_state():
     p = GaussianStateParams(rho=-0.8)
     state = synthesize_state(p, n=64)
     m = simulate_measurements(state, GatingModel(gate=None))
-    r = run_retrieval(m, RetrievalConfig(iterations=3, init="flat_phase"))
+    r = run_retrieval(m, RetrievalConfig(iterations=3), start=_flat_start(m))
     assert r.error_history_ww[0] < 1e-8
     assert r.error_final_tt < 1e-8
 
 
 def test_supplied_init_with_truth_stays_converged(ideal_measurements):
     m, state = ideal_measurements
-    cfg = RetrievalConfig(iterations=5, init="supplied", initial_guess=state)
-    r = run_retrieval(m, cfg)
+    r = run_retrieval(m, RetrievalConfig(iterations=5), start=state)
     assert r.error_history_ww[-1] < 1e-8
 
 
@@ -198,11 +195,27 @@ def _oracle_project(f, i, eps):
     return f.with_values(phase * np.sqrt(i.values))
 
 
-def _oracle_retrieval(m, cfg):
+def _reference_start(m, cfg, init="random_phase"):
+    """The generated starts as first written: sqrt(ww) with zero phase
+    ("flat_phase") or with a uniformly random phase drawn from cfg.seed."""
+    amp = np.sqrt(m.i_ww.values)
+    if init == "flat_phase":
+        values = amp.astype(complex)
+    else:
+        rng = np.random.default_rng(cfg.seed)
+        values = amp * np.exp(2j * np.pi * rng.random(amp.shape))
+    return ComplexGrid2D(m.i_ww.axis_s, m.i_ww.axis_i, values)
+
+
+def _flat_start(m):
+    return ComplexGrid2D(m.i_ww.axis_s, m.i_ww.axis_i, np.sqrt(m.i_ww.values))
+
+
+def _oracle_retrieval(m, cfg, start=None):
     """The loop on typed grids: every step a unitary centered transform_photon
     and every projection a new grid; returns (jsa values, ww history, tt error)."""
     eps, mask = cfg.zero_magnitude_epsilon, cfg.constraint_mask
-    f = _initial_state(m, cfg)
+    f = _reference_start(m, cfg) if start is None else start
     history = np.empty(cfg.iterations)
     for k in range(cfg.iterations):
         if "ww" in mask:
@@ -222,9 +235,9 @@ def _oracle_retrieval(m, cfg):
     return f.values, history, frog_error(m.i_tt, np.abs(f_tt.values) ** 2)
 
 
-def _assert_matches_oracle(m, cfg):
-    want_jsa, want_hist, want_tt = _oracle_retrieval(m, cfg)
-    r = run_retrieval(m, cfg)
+def _assert_matches_oracle(m, cfg, start=None):
+    want_jsa, want_hist, want_tt = _oracle_retrieval(m, cfg, start)
+    r = run_retrieval(m, cfg, start)
     assert np.max(np.abs(r.jsa.values - want_jsa)) <= 1e-12 * np.max(np.abs(want_jsa))
     assert np.max(np.abs(r.error_history_ww - want_hist)) <= 1e-12
     assert abs(r.error_final_tt - want_tt) <= 1e-12
@@ -268,9 +281,7 @@ def test_array_core_matches_object_loop_zero_regions(chirped_n32):
     m, state = chirped_n32
     hole = state.values.copy()
     hole[12:20, 10:22] = 0.0
-    _assert_matches_oracle(
-        m, RetrievalConfig(iterations=20, init="supplied", initial_guess=state.with_values(hole))
-    )
+    _assert_matches_oracle(m, RetrievalConfig(iterations=20), state.with_values(hole))
     banded = state.values.copy()
     banded[:8] = 0.0
     m_banded = simulate_measurements(state.with_values(banded), GatingModel(gate=None))
@@ -281,11 +292,11 @@ def test_array_core_matches_object_loop_zero_regions(chirped_n32):
     _assert_matches_oracle(m, RetrievalConfig(iterations=20, seed=6, zero_magnitude_epsilon=1e-3))
 
 
-def _reference_retrieval(m, cfg):
+def _reference_retrieval(m, cfg, start=None):
     """Reference: the array loop as first written, holding every shifted
     measured plane and the initial state to the end, then taking a new array
     to the tt plane; returns (jsa values, ww history, tt error)."""
-    f = _initial_state(m, cfg)
+    f = _reference_start(m, cfg) if start is None else start
     measured = {p: np.fft.ifftshift(grid.values) for p, grid in m.grids().items()}
     amp = {p: np.sqrt(measured[p]) for p in cfg.constraint_mask}
     m_hat = _unit_peak(measured["ww"])
@@ -327,9 +338,9 @@ def identity_set(request):
     return poissonize_set(m, 300.0, seed=n) if noisy else m
 
 
-def _assert_matches_reference(m, cfg):
-    jsa, history, err_tt = _reference_retrieval(m, cfg)
-    r = run_retrieval(m, cfg)
+def _assert_matches_reference(m, cfg, start=None, reference_start=None):
+    jsa, history, err_tt = _reference_retrieval(m, cfg, reference_start)
+    r = run_retrieval(m, cfg, start)
     assert np.array_equal(r.jsa.values, jsa)
     assert np.array_equal(r.error_history_ww, history)
     assert r.error_final_tt == err_tt
@@ -341,21 +352,22 @@ def test_run_retrieval_is_byte_identical_to_reference(identity_set, mask):
 
 
 @pytest.mark.parametrize("init", ["flat_phase", "supplied"])
-def test_run_retrieval_is_byte_identical_to_reference_for_each_init(chirped_n32, init):
-    m, state = chirped_n32
-    guess = state if init == "supplied" else None
-    _assert_matches_reference(m, RetrievalConfig(iterations=12, init=init, initial_guess=guess))
+def test_run_retrieval_is_byte_identical_to_reference_for_each_init(init):
+    cfg = RetrievalConfig(iterations=12)
+    for n in (32, 64):
+        m, state = _chirped_measurements(n)
+        if init == "supplied":
+            _assert_matches_reference(m, cfg, state, state)
+        else:
+            _assert_matches_reference(m, cfg, _flat_start(m), _reference_start(m, cfg, "flat_phase"))
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 def test_non_finite_state_raises_retrieval_error(chirped_n32):
     m, state = chirped_n32
     huge = state.with_values(np.full(state.values.shape, 1e308 + 0j))
-    cfg = RetrievalConfig(
-        iterations=3, init="supplied", initial_guess=huge, constraint_mask=frozenset({"tt"})
-    )
     with pytest.raises(RetrievalError, match="iteration 1"):
-        run_retrieval(m, cfg)
+        run_retrieval(m, RetrievalConfig(iterations=3, constraint_mask=frozenset({"tt"})), start=huge)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
@@ -365,11 +377,8 @@ def test_non_finite_state_raises_without_ww_constraint(chirped_n32, mask):
     # not ww is projected
     m, state = chirped_n32
     huge = state.with_values(np.full(state.values.shape, 1e308 + 0j))
-    cfg = RetrievalConfig(
-        iterations=3, init="supplied", initial_guess=huge, constraint_mask=frozenset(mask)
-    )
     with pytest.raises(RetrievalError, match="iteration 1"):
-        run_retrieval(m, cfg)
+        run_retrieval(m, RetrievalConfig(iterations=3, constraint_mask=frozenset(mask)), start=huge)
 
 
 def _frog_error_reference(m, r):
