@@ -6,7 +6,6 @@ the trials a caller hands in (``pipeline`` defines the trial it runs)."""
 import heapq
 import logging
 import os
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,32 +77,26 @@ def tbp_numeric(i_ww: IntensityGrid2D, i_tt: IntensityGrid2D) -> WitnessReport:
 
 
 def sigma_mask(i: IntensityGrid2D, n_sigma: float) -> np.ndarray:
-    """Boolean mask of pixels within n_sigma Mahalanobis distance of the
-    intensity centroid (2x2 intensity covariance)."""
+    """Boolean mask of pixels within n_sigma Mahalanobis distance of the intensity
+    centroid.  A degenerate 2x2 intensity covariance (the intensity on one line,
+    where no degree-3 fit exists) raises ``FitError``."""
     if not n_sigma > 0:
         raise ValueError("n_sigma must be positive")
     total = i.values.sum()
     if not total > 0:
         raise ValueError("sigma mask needs a grid with positive total intensity")
     w = i.values / total
-    xs = i.axis_s.values()[:, None] * np.ones_like(w)
-    ys = i.axis_i.values()[None, :] * np.ones_like(w)
-    mx = np.sum(w * xs)
-    my = np.sum(w * ys)
-    dx, dy = xs - mx, ys - my
+    xs, ys = i.axis_s.values()[:, None], i.axis_i.values()[None, :]
+    dx, dy = xs - np.sum(w * xs), ys - np.sum(w * ys)  # broadcast against w
     cov = np.array([
         [np.sum(w * dx * dx), np.sum(w * dx * dy)],
         [np.sum(w * dx * dy), np.sum(w * dy * dy)],
     ])
     det = np.linalg.det(cov)
     if det <= 0 or not np.isfinite(det):
-        warnings.warn("degenerate intensity covariance; using per-axis sigma ellipse")
-        sx = max(np.sqrt(cov[0, 0]), 1e-300)
-        sy = max(np.sqrt(cov[1, 1]), 1e-300)
-        d2 = (dx / sx) ** 2 + (dy / sy) ** 2
-    else:
-        inv = np.linalg.inv(cov)
-        d2 = inv[0, 0] * dx**2 + 2 * inv[0, 1] * dx * dy + inv[1, 1] * dy**2
+        raise FitError(f"degenerate intensity covariance (determinant {det:.3g}): intensity on a line")
+    inv = np.linalg.inv(cov)
+    d2 = inv[0, 0] * dx**2 + 2 * inv[0, 1] * dx * dy + inv[1, 1] * dy**2
     return d2 <= n_sigma**2
 
 

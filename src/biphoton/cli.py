@@ -17,7 +17,7 @@ import click
 
 from . import pipeline as pl
 from .analysis import FitError, fit_retrieved_phase, tbp_numeric
-from .grids import grid_from_json, grid_to_json, load_grid
+from .grids import grid_from_json, grid_to_json, load_grid, naming_file
 from .retrieve import PLANES, MeasurementSet, RetrievalConfig, RetrievalError, run_retrieval
 from .units import FS_PER_PS
 
@@ -93,12 +93,9 @@ def _load_measurement_set(index_path):
     """Load the four planes named by an index file; relative names are taken
     from the index file's directory."""
     index = _load_json(index_path)
-    grids = {}
-    for key in (f"i_{plane}" for plane in PLANES):
-        if key not in index:
-            raise ValueError(f"measurements manifest is missing {key!r}")
-        grids[key] = load_grid(Path(index_path).parent / index[key])
-    return MeasurementSet(**grids)
+    with naming_file(index_path, "measurements file"):
+        paths = {key: Path(index_path).parent / index[key] for key in (f"i_{plane}" for plane in PLANES)}
+    return MeasurementSet(**{key: load_grid(path) for key, path in paths.items()})
 
 
 def _in_units(value, units, degree=2):
@@ -204,10 +201,9 @@ def retrieve(measurements_path, iterations, seed, mask, out_path):
 def analyze(result_path, measurements_path, mask_sigma, units, out_path):
     """Fit the retrieved phase and evaluate the entanglement witness."""
     cfg = pl.AnalysisConfig(mask_sigma=mask_sigma)
-    try:
-        jsa = grid_from_json(_load_json(result_path)["jsa"])
-    except KeyError as exc:
-        raise ValueError(f"bad result file: missing {exc}") from exc
+    result_doc = _load_json(result_path)
+    with naming_file(result_path, "result file"):
+        jsa = grid_from_json(result_doc["jsa"])
     m = _load_measurement_set(measurements_path)
     doc = _analysis_doc(fit_retrieved_phase(jsa, cfg.mask_sigma), tbp_numeric(m.i_ww, m.i_tt), units)
     _write_json(out_path, doc, indent=2)

@@ -41,6 +41,9 @@ from .units import C_UM_FS, omega_to_wavelength
 
 logger = logging.getLogger(__name__)
 
+# the largest mean numpy's Generator.poisson takes
+MAX_PEAK_COUNTS = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)
+
 
 class ModelRangeError(ValueError):
     """A frequency fell outside the refractive model's validity range."""
@@ -128,7 +131,7 @@ class RefractiveModel:
         return replace(self, theta=0.5 * (lo + hi))
 
     @classmethod
-    def from_entries(cls, entries, theta=np.pi / 2):
+    def from_entries(cls, entries):
         by_pol = {e["polarization"]: e for e in entries}
         lo = max(e["valid_nm"][0] for e in entries)
         hi = min(e["valid_nm"][1] for e in entries)
@@ -136,7 +139,6 @@ class RefractiveModel:
             ordinary=tuple(by_pol["ordinary"]["sellmeier_coefficients"]),
             extraordinary=tuple(by_pol["extraordinary"]["sellmeier_coefficients"]),
             valid_nm=(lo, hi),
-            theta=theta,
         )
 
     @classmethod
@@ -410,15 +412,21 @@ def simulate_measurements(state: ComplexGrid2D, gm: GatingModel) -> MeasurementS
     )
 
 
+def check_peak_counts(key, counts):
+    """Refuse peak counts poissonize cannot draw (the peak bin's mean is peak_counts)."""
+    if not 0 < counts <= MAX_PEAK_COUNTS:
+        raise ValueError(f"{key} must be positive and at most {MAX_PEAK_COUNTS:.11g}, numpy's Poisson limit")
+
+
 def poissonize(h: IntensityGrid2D, peak_counts: float, seed: int) -> IntensityGrid2D:
     """Scale to the given peak and replace every bin by a Poisson draw.
     Deterministic per seed; output holds the raw counts."""
-    if not peak_counts > 0:
-        raise ValueError("peak_counts must be positive")
+    check_peak_counts("peak_counts", peak_counts)
     peak = h.values.max()
     if peak <= 0:
         raise ValueError("cannot poissonize an all-zero grid")
-    mean = np.clip(h.values, 0.0, None) * (peak_counts / peak)
+    # the peak bin's mean can round one ulp above peak_counts
+    mean = np.clip(h.values * (peak_counts / peak), 0.0, MAX_PEAK_COUNTS)
     rng = np.random.default_rng(seed)
     return h.with_values(rng.poisson(mean).astype(float))
 

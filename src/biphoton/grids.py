@@ -10,6 +10,7 @@ normalization, so total power is preserved.
 """
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,13 +68,13 @@ class Axis:
         """Envelope coordinates (k - count//2) * step."""
         return (np.arange(self.count) - self.count // 2) * self.step
 
-    def compatible_with(self, other, rtol=1e-9):
+    def compatible_with(self, other):
         return (
             self.domain == other.domain
             and self.photon == other.photon
             and self.count == other.count
-            and np.isclose(self.center, other.center, rtol=rtol, atol=1e-12)
-            and np.isclose(self.step, other.step, rtol=rtol)
+            and np.isclose(self.center, other.center, rtol=1e-9, atol=1e-12)
+            and np.isclose(self.step, other.step, rtol=1e-9)
         )
 
 
@@ -259,10 +260,17 @@ def save_grid(path, g):
         json.dump(grid_to_json(g), fh)
 
 
-def load_grid(path):
-    with open(path) as fh:
-        doc = json.load(fh)
+@contextmanager
+def naming_file(path, what="grid file"):
+    """Re-raise a malformed document's KeyError, TypeError or ValueError naming the file."""
     try:
-        return grid_from_json(doc)
+        yield
     except KeyError as exc:
-        raise ValueError(f"grid file {path} has no key {exc}") from exc
+        raise ValueError(f"{what} {path} has no key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{what} {path}: {exc}") from exc
+
+
+def load_grid(path):
+    with open(path) as fh, naming_file(path):
+        return grid_from_json(json.load(fh))

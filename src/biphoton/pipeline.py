@@ -13,7 +13,8 @@ from typing import get_args
 import numpy as np
 
 from .analysis import PhaseFit, WitnessReport, fit_retrieved_phase, monte_carlo_uncertainty, tbp_numeric
-from .gating import GatePulse, GatingModel, RefractiveModel, poissonize_set, simulate_measurements
+from .gating import GatePulse, GatingModel, RefractiveModel, check_peak_counts
+from .gating import poissonize_set, simulate_measurements
 from .grids import FREQUENCY, ComplexGrid2D, IntensityGrid2D
 from .preprocess import PreprocessConfig, preprocess_grid
 from .retrieve import MeasurementSet, RetrievalConfig, RetrievalResult, run_retrieval
@@ -40,7 +41,6 @@ class GatingConfig:
     crystal_length_um: float = 0.0
     spectrometer_sigma: float = 0.0
     refractive_table_path: str | None = None
-    upconverted_grid_count: int = GatingModel.upconverted_grid_count
     ideal: bool = False  # delta gate, exact temporal intensities
 
     def __post_init__(self):
@@ -52,8 +52,6 @@ class GatingConfig:
             raise ValueError("gating.crystal_length_um must be >= 0")
         if not self.spectrometer_sigma >= 0:
             raise ValueError("gating.spectrometer_sigma must be >= 0")
-        if self.upconverted_grid_count < 2:
-            raise ValueError("gating.upconverted_grid_count must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -67,8 +65,7 @@ class AnalysisConfig:
             raise ValueError("analysis.mask_sigma must be positive")
         if self.monte_carlo_trials != 0 and self.monte_carlo_trials < 2:
             raise ValueError("analysis.monte_carlo.trials must be 0 (off) or at least 2")
-        if not self.monte_carlo_peak_counts > 0:
-            raise ValueError("analysis.monte_carlo.peak_counts must be positive")
+        check_peak_counts("analysis.monte_carlo.peak_counts", self.monte_carlo_peak_counts)
 
 
 @dataclass(frozen=True)
@@ -83,8 +80,8 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.poisson_peak_counts is not None and not self.poisson_peak_counts > 0:
-            raise ValueError("noise.poisson_peak_counts must be positive")
+        if self.poisson_peak_counts is not None:
+            check_peak_counts("noise.poisson_peak_counts", self.poisson_peak_counts)
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         grid_n = self.preprocess.grid_n
@@ -179,10 +176,6 @@ def _checked(key, annotation, value):
     return number
 
 
-def build_state(cfg: PipelineConfig) -> ComplexGrid2D:
-    return synthesize_state(cfg.state.params, cfg.state.n)
-
-
 def build_gating_model(cfg: PipelineConfig) -> GatingModel:
     g = cfg.gating
     if g.ideal:
@@ -195,7 +188,6 @@ def build_gating_model(cfg: PipelineConfig) -> GatingModel:
         crystal_length=g.crystal_length_um,
         refractive=refractive,
         spectrometer_sigma=g.spectrometer_sigma,
-        upconverted_grid_count=g.upconverted_grid_count,
     )
 
 
@@ -223,7 +215,7 @@ def simulate(cfg: PipelineConfig):
     """Forward model: returns (raw MeasurementSet, ground-truth state).  The
     gating model is built first, so a bad one fails before any work."""
     gm = build_gating_model(cfg)
-    truth = build_state(cfg)
+    truth = synthesize_state(cfg.state.params, cfg.state.n)
     raw = simulate_measurements(truth, gm)
     if cfg.poisson_peak_counts is not None:
         raw = poissonize_set(raw, cfg.poisson_peak_counts, cfg.seed)

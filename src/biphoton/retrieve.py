@@ -14,7 +14,7 @@ at exit the state is ``fftshift``-ed back into a single
 projection resets the magnitude, so they are carried as one running scalar
 ``scale`` with ``physical field = scale * array``.  The zero-magnitude
 epsilon is applied to the physical field: a pixel whose ``|scale * array|``
-is below ``zero_magnitude_epsilon`` takes phase 1.
+is below ``ZERO_MAGNITUDE_EPSILON`` takes phase 1.
 """
 
 from dataclasses import dataclass
@@ -32,6 +32,7 @@ from .grids import (
 )
 
 PLANES = ("ww", "wt", "tw", "tt")
+ZERO_MAGNITUDE_EPSILON = 1e-12
 
 
 class RetrievalError(RuntimeError):
@@ -73,7 +74,6 @@ class MeasurementSet:
 class RetrievalConfig:
     iterations: int = 1000
     seed: int = 0
-    zero_magnitude_epsilon: float = 1e-12
     constraint_mask: frozenset = frozenset(PLANES)
 
     def __post_init__(self):
@@ -82,8 +82,6 @@ class RetrievalConfig:
             raise ValueError("retrieval.iterations must be >= 1")
         if self.seed < 0:
             raise ValueError("retrieval.seed must be >= 0")
-        if not self.zero_magnitude_epsilon >= 0:
-            raise ValueError("retrieval.zero_magnitude_epsilon must be >= 0")
         planes = list(self.constraint_mask)
         if not planes:
             # with no plane projected the ww error would read 0
@@ -102,7 +100,7 @@ class RetrievalResult:
     jsa: ComplexGrid2D
     error_history_ww: np.ndarray
     error_final_tt: float
-    seed: int
+    seed: int | None  # None when the run was given its start
     iterations_run: int
 
 
@@ -118,13 +116,13 @@ def _project(g: np.ndarray, amp: np.ndarray, eps: float, mag: np.ndarray) -> np.
     return g
 
 
-def project_magnitude(f: ComplexGrid2D, i: IntensityGrid2D, eps: float = 1e-12) -> ComplexGrid2D:
-    """Replace |f| with sqrt(i), keeping the phase.  Where |f| < eps the
-    phase factor is taken as 1 so the output is real sqrt(i)."""
+def project_magnitude(f: ComplexGrid2D, i: IntensityGrid2D) -> ComplexGrid2D:
+    """Replace |f| with sqrt(i), keeping the phase.  Where |f| is below
+    ZERO_MAGNITUDE_EPSILON the phase factor is 1, so the output is real sqrt(i)."""
     if not (f.axis_s.compatible_with(i.axis_s) and f.axis_i.compatible_with(i.axis_i)):
         raise ValueError("projection axes do not match")
     values = np.array(f.values)
-    return f.with_values(_project(values, np.sqrt(i.values), eps, np.abs(values)))
+    return f.with_values(_project(values, np.sqrt(i.values), ZERO_MAGNITUDE_EPSILON, np.abs(values)))
 
 
 def _unit_peak(m: np.ndarray) -> np.ndarray:
@@ -163,8 +161,8 @@ def run_retrieval(
     m: MeasurementSet, cfg: RetrievalConfig, start: ComplexGrid2D | None = None
 ) -> RetrievalResult:
     """Run the alternating-projection loop for cfg.iterations iterations,
-    from ``start``, a state on the ww axes, or else from sqrt(ww) with a
-    uniformly random phase drawn from ``cfg.seed``.
+    from ``start``, a state on the ww axes (the result's seed is then None),
+    or else from sqrt(ww) with a uniformly random phase drawn from ``cfg.seed``.
 
     The ww-plane error is evaluated on the estimate returned to the ww plane
     at the end of each cycle (before the next projection), which is the
@@ -193,7 +191,6 @@ def run_retrieval(
         ("tt", np.fft.ifft, 1, dft_scale(conjugate_axis(axis_i), TO_FREQUENCY)),
         ("tw", np.fft.ifft, 0, dft_scale(conjugate_axis(axis_s), TO_FREQUENCY)),
     )
-    eps = cfg.zero_magnitude_epsilon
     mag = np.abs(g)  # |g|; at the ww plane it is the one the last error left
     work = np.empty(g.shape)
     scale = 1.0  # physical field = scale * g
@@ -204,7 +201,7 @@ def run_retrieval(
             if plane in amp:
                 if plane != "ww":
                     np.abs(g, out=mag)
-                _project(g, amp[plane], eps / scale, mag)
+                _project(g, amp[plane], ZERO_MAGNITUDE_EPSILON / scale, mag)
                 scale = 1.0
             dft(g, axis=axis, out=g)
             scale *= factor
@@ -223,6 +220,6 @@ def run_retrieval(
         jsa=ComplexGrid2D(axis_s, axis_i, jsa),
         error_history_ww=history,
         error_final_tt=err_tt,
-        seed=cfg.seed,
+        seed=cfg.seed if start is None else None,
         iterations_run=cfg.iterations,
     )

@@ -63,6 +63,32 @@ def test_sigma_mask_rejects_empty_grid(gaussian_intensity):
         sigma_mask(empty, 2.0)
 
 
+def _line_jsa(line):
+    """A JSA supported on one line of a 64 x 64 grid, with a cubic phase."""
+    k = np.arange(64)
+    rows, cols = {
+        "row": (np.full(64, 32), k), "column": (k, np.full(64, 32)),
+        "diagonal": (k, k), "anti_diagonal": (k, 63 - k),
+    }[line]
+    values = np.zeros((64, 64), complex)
+    values[rows, cols] = np.exp(-(((k - 32) / 5.0) ** 2) + 1e-3j * (k - 32) ** 3)
+    return synthesize_state(GaussianStateParams(), n=64).with_values(values)
+
+
+@pytest.mark.parametrize("line", ["row", "column", "diagonal", "anti_diagonal"])
+def test_line_supported_jsa_fit_error(line):
+    # a support on a line leaves at most 4 independent monomials of degree
+    # <= 3, so no fit exists; any warning (an overflow) fails the test too
+    with pytest.raises(FitError):
+        fit_retrieved_phase(_line_jsa(line))
+
+
+def test_sigma_mask_degenerate_covariance_fit_error():
+    # the column's covariance has determinant exactly 0
+    with pytest.raises(FitError, match="degenerate intensity covariance"):
+        sigma_mask(_line_jsa("column").intensity(), 2.0)
+
+
 def test_unwrap_recovers_smooth_phase():
     x = np.linspace(-3, 3, 64)
     phase = 2.5 * x[:, None] ** 2 + 1.5 * x[None, :] ** 2

@@ -179,6 +179,14 @@ def test_measurements_manifest_missing_plane(runner, tmp_path):
         "retrieve", "--measurements", str(broken), "--out", str(tmp_path / "r.json"),
     ])
     assert res.exit_code == EXIT_BAD_CONFIG
+    assert res.output == f"error: measurements file {broken} has no key 'i_tt'\n"
+    for text in ("[]", json.dumps(dict(doc, i_tt=5))):
+        broken.write_text(text)
+        res = runner.invoke(main, [
+            "retrieve", "--measurements", str(broken), "--out", str(tmp_path / "r.json"),
+        ])
+        assert res.exit_code == EXIT_BAD_CONFIG, res.output
+        assert res.output.startswith(f"error: measurements file {broken}: ")
 
 
 @pytest.mark.parametrize("command", ["preprocess", "retrieve", "analyze"])
@@ -190,13 +198,39 @@ def test_malformed_grid_file_exit_code(runner, tmp_path, command):
     runner.invoke(main, [
         "retrieve", "--measurements", str(sim / "measurements.json"), "--iterations", "5", "--out", result_path,
     ])
-    (sim / "i_tt.json").write_text("{}")
+    grid = json.loads((sim / "i_tt.json").read_text())
+    documents = {
+        "{}": " has no key 'axis_s'",
+        "[]": ": list indices must be integers or slices, not str",
+        json.dumps(dict(grid, values_re=[0.0] * 5)): ": cannot reshape array of size 5 into shape (32,32)",
+        json.dumps(dict(grid, kind="weird")): ": unknown grid kind 'weird'",
+    }
     inputs = {"preprocess": ["--manifest", manifest], "analyze": ["--result", result_path]}.get(command, [])
+    for text, message in documents.items():
+        (sim / "i_tt.json").write_text(text)
+        res = runner.invoke(main, [
+            command, *inputs, "--measurements", str(sim / "measurements.json"), "--out", str(tmp_path / "out"),
+        ])
+        assert res.exit_code == EXIT_BAD_CONFIG, res.output
+        assert res.output == f"error: grid file {sim / 'i_tt.json'}{message}\n"
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({}, " has no key 'jsa'"),
+    ({"jsa": []}, ": list indices must be integers or slices, not str"),
+    ({"jsa": {"kind": "weird"}}, " has no key 'axis_s'"),
+], ids=["no_jsa", "jsa_list", "jsa_no_axes"])
+def test_malformed_result_file_exit_code(runner, tmp_path, doc, message):
+    sim = tmp_path / "sim"
+    runner.invoke(main, ["simulate", "--manifest", _write_manifest(tmp_path), "--out", str(sim)])
+    result = tmp_path / "result.json"
+    result.write_text(json.dumps(doc))
     res = runner.invoke(main, [
-        command, *inputs, "--measurements", str(sim / "measurements.json"), "--out", str(tmp_path / "out"),
+        "analyze", "--result", str(result), "--measurements", str(sim / "measurements.json"),
+        "--out", str(tmp_path / "out"),
     ])
     assert res.exit_code == EXIT_BAD_CONFIG, res.output
-    assert res.output == f"error: grid file {sim / 'i_tt.json'} has no key 'axis_s'\n"
+    assert res.output == f"error: result file {result}{message}\n"
 
 
 def test_analyze_units_conversion(runner, tmp_path):
@@ -354,6 +388,7 @@ def test_pipeline_unknown_manifest_key_exit_code(runner, tmp_path, monkeypatch):
     ({"noise": {"poisson_peak_counts": 0}}, "noise.poisson_peak_counts"),
     ({"noise": {"poisson_peak_counts": -5}}, "noise.poisson_peak_counts"),
     ({"gating": {"crystal_length_um": float("nan")}}, "gating.crystal_length_um"),
+    # no longer a field: the epsilon is a constant of the retrieval
     ({"retrieval": {"zero_magnitude_epsilon": -1}}, "retrieval.zero_magnitude_epsilon"),
     ({"retrieval": {"constraint_mask": []}}, "retrieval.constraint_mask"),
     ({"retrieval": {"seed": -1}}, "retrieval.seed"),
@@ -364,6 +399,9 @@ def test_pipeline_unknown_manifest_key_exit_code(runner, tmp_path, monkeypatch):
     ({"preprocess": {"alpha": 0.5}}, "preprocess.alpha"),
     # no longer a field: the retrieval starts from a random phase
     ({"retrieval": {"init": "flat_phase"}}, "retrieval.init"),
+    # above numpy's Poisson limit: refused at parse, not after the work
+    ({"noise": {"poisson_peak_counts": 1e19}}, "noise.poisson_peak_counts"),
+    ({"analysis": {"monte_carlo": {"trials": 3, "peak_counts": 1e19}}}, "analysis.monte_carlo.peak_counts"),
 ])
 def test_pipeline_malformed_manifest_exit_code(runner, tmp_path, monkeypatch, manifest, key):
     monkeypatch.setattr(pl, "simulate", _no_simulation)
@@ -373,6 +411,15 @@ def test_pipeline_malformed_manifest_exit_code(runner, tmp_path, monkeypatch, ma
     assert res.exit_code == EXIT_BAD_CONFIG, res.output
     assert res.output.startswith("error:")
     assert key in res.output
+
+
+def test_peak_counts_of_1e18_run(runner, tmp_path):
+    manifest = dict(MANIFEST, retrieval={"iterations": 50}, noise={"poisson_peak_counts": 1e18},
+                    analysis={"monte_carlo": {"trials": 2, "peak_counts": 1e18}})
+    out = tmp_path / "run"
+    res = runner.invoke(main, ["pipeline", "--manifest", _write_manifest(tmp_path, manifest), "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert len(json.loads((out / "analysis.json").read_text())["monte_carlo"]["trials"]["chirp_s"]) == 2
 
 
 @pytest.mark.parametrize("command", ["simulate", "pipeline"])
@@ -388,6 +435,7 @@ def test_seed_override_keeps_manifest_error(runner, tmp_path, monkeypatch, comma
 
 
 @pytest.mark.parametrize("gating, message", [
+    # no longer a field: refused as an unknown key, before any work
     ({"crystal_length_um": 100, "upconverted_grid_count": 1}, "upconverted_grid_count"),
     ({"crystal_length_um": 100, "upconverted_grid_count": 0}, "upconverted_grid_count"),
     ({"crystal_length_um": 100, "refractive_table_path": "no_such_table.json"}, "no_such_table.json"),
@@ -470,7 +518,7 @@ def test_import_loads_no_scipy_submodules():
         "import sys, biphoton.cli\n"
         "from biphoton import pipeline as pl\n"
         "cfg = pl.PipelineConfig.from_manifest({'state': {'n': 16}, 'gating': "
-        "{'crystal_length_um': 1000, 'spectrometer_sigma': 0.002, 'upconverted_grid_count': 64}})\n"
+        "{'crystal_length_um': 1000, 'spectrometer_sigma': 0.002}})\n"
         "assert pl.build_gating_model(cfg).crystal_length > 0\n"
         "pl.simulate(cfg)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"

@@ -10,6 +10,7 @@ from scipy.ndimage import gaussian_filter1d
 from scipy.optimize import brentq
 
 from biphoton.gating import (
+    MAX_PEAK_COUNTS,
     GatePulse,
     GatingModel,
     ModelRangeError,
@@ -545,3 +546,20 @@ def test_poissonize_deterministic_and_unbiased(chirped_state):
     # relative error of the total should follow counting statistics
     total_mean = m.i_ww.values.sum() / m.i_ww.values.max() * 1e4
     assert a.values.sum() == pytest.approx(total_mean, rel=5 / np.sqrt(total_mean))
+
+
+def test_poissonize_refuses_peak_counts_above_numpy_limit(chirped_state):
+    # the limit is numpy's own: Generator.poisson takes it and refuses the next float
+    above = np.nextafter(MAX_PEAK_COUNTS, np.inf)
+    np.random.default_rng(0).poisson(MAX_PEAK_COUNTS)
+    with pytest.raises(ValueError):
+        np.random.default_rng(0).poisson(above)
+    m = simulate_measurements(chirped_state, GatingModel(gate=None))
+    assert poissonize(m.i_ww, 1e18, seed=1).values.max() == pytest.approx(1e18, rel=1e-6)
+    for counts in (above, 1e19):
+        with pytest.raises(ValueError, match=r"^peak_counts must be positive and at most 9\.2233720065e\+18"):
+            poissonize(m.i_ww, counts, seed=1)
+    # at the limit itself, a peak of 0.03 scales to one ulp above it
+    peaked = m.i_ww.with_values(m.i_ww.values / m.i_ww.values.max() * 0.03)
+    assert 0.03 * (MAX_PEAK_COUNTS / 0.03) > MAX_PEAK_COUNTS
+    assert poissonize(peaked, MAX_PEAK_COUNTS, seed=1).values.max() > 0

@@ -15,14 +15,13 @@ from biphoton.pipeline import (
     PipelineConfig,
     StateConfig,
     build_gating_model,
-    build_state,
     grid_to_csv,
     run_pipeline,
     simulate,
 )
 from biphoton.preprocess import PreprocessConfig
 from biphoton.retrieve import RetrievalConfig
-from biphoton.synth import GaussianStateParams
+from biphoton.synth import GaussianStateParams, synthesize_state
 
 
 def test_from_manifest_defaults():
@@ -119,6 +118,10 @@ def test_run_pipeline_runs_monte_carlo_trials(trials):
     # a start is a run_retrieval argument, not a setting
     ({"retrieval": {"initial_guess": [[1.0]]}}, "retrieval.initial_guess"),
     ({"retrieval": {"init": "flat_phase"}}, "retrieval.init"),
+    # constants now: the epsilon is retrieve.ZERO_MAGNITUDE_EPSILON, and the
+    # upconverted grid is a GatingModel field only
+    ({"retrieval": {"zero_magnitude_epsilon": 1e-12}}, "retrieval.zero_magnitude_epsilon"),
+    ({"gating": {"upconverted_grid_count": 64}}, "gating.upconverted_grid_count"),
 ])
 def test_from_manifest_rejects_unknown_keys(manifest, key):
     with pytest.raises(ValueError, match=rf"unknown manifest key {key}\b"):
@@ -131,10 +134,9 @@ EVERY_KEY = {
     "state": {"sigma_s": 0.02, "sigma_i": 0.03, "rho": -0.5, "center_s": 2, "center_i": 3,
               "chirp_s": -100, "chirp_i": 200, "n": 32},
     "gating": {"gate": {"center": 2, "sigma": 0.004}, "crystal_length_um": 500,
-               "spectrometer_sigma": 0, "refractive_table_path": "table.json",
-               "upconverted_grid_count": 64, "ideal": False},
+               "spectrometer_sigma": 0, "refractive_table_path": "table.json", "ideal": False},
     "preprocess": {"grid_n": 32, "alpha": 1, "rho_lp": 1, "allow_out_of_range": True},
-    "retrieval": {"iterations": 20, "seed": 4, "zero_magnitude_epsilon": 0, "constraint_mask": ["ww", "tt"]},
+    "retrieval": {"iterations": 20, "seed": 4, "constraint_mask": ["ww", "tt"]},
     "analysis": {"mask_sigma": 3, "monte_carlo": {"trials": 2, "peak_counts": 100}},
     "preprocess_enabled": False,
     "noise": {"poisson_peak_counts": 1000},
@@ -152,12 +154,10 @@ def test_from_manifest_every_key():
         ),
         gating=GatingConfig(
             gate_center=2.0, gate_sigma=0.004, crystal_length_um=500.0, spectrometer_sigma=0.0,
-            refractive_table_path="table.json", upconverted_grid_count=64, ideal=False,
+            refractive_table_path="table.json", ideal=False,
         ),
         preprocess=PreprocessConfig(grid_n=32, alpha=1.0, rho_lp=1.0, allow_out_of_range=True),
-        retrieval=RetrievalConfig(
-            iterations=20, seed=4, zero_magnitude_epsilon=0.0, constraint_mask=frozenset({"ww", "tt"}),
-        ),
+        retrieval=RetrievalConfig(iterations=20, seed=4, constraint_mask=frozenset({"ww", "tt"})),
         analysis=AnalysisConfig(mask_sigma=3.0, monte_carlo_trials=2, monte_carlo_peak_counts=100.0),
         preprocess_enabled=False,
         poisson_peak_counts=1000.0,
@@ -192,7 +192,7 @@ def test_from_manifest_every_key():
     ({"gating": {"spectrometer_sigma": float("nan")}}, "gating.spectrometer_sigma"),
     ({"state": {"chirp_s": float("inf")}}, "state.chirp_s"),
     ({"preprocess": {"alpha": float("nan")}}, "preprocess.alpha"),
-    ({"retrieval": {"zero_magnitude_epsilon": float("nan")}}, "retrieval.zero_magnitude_epsilon"),
+    ({"analysis": {"mask_sigma": float("nan")}}, "analysis.mask_sigma"),
     ({"gating": {"gate": {"center": -float("inf")}}}, "gating.gate.center"),
     ({"state": {"chirp_i": 10**400}}, "state.chirp_i"),
 ])
@@ -206,11 +206,10 @@ def test_from_manifest_rejects_wrong_types(manifest, key):
     ({"retrieval": {"constraint_mask": []}}, "retrieval.constraint_mask must name at least one plane"),
     ({"retrieval": {"constraint_mask": ["ww", "ww"]}}, "retrieval.constraint_mask names ww more than once"),
     ({"retrieval": {"constraint_mask": ["tt", "ww", "tt"]}}, "retrieval.constraint_mask names tt more than once"),
-    ({"retrieval": {"zero_magnitude_epsilon": -1}}, "retrieval.zero_magnitude_epsilon must be >= 0"),
     ({"retrieval": {"seed": -1}}, "retrieval.seed must be >= 0"),
     ({"seed": -1}, "seed must be >= 0"),
     ({"seed": -1, "retrieval": {"seed": 2}}, "seed must be >= 0"),
-], ids=["empty_mask", "repeated_ww", "repeated_tt", "negative_epsilon", "negative_retrieval_seed",
+], ids=["empty_mask", "repeated_ww", "repeated_tt", "negative_retrieval_seed",
         "negative_seed", "negative_seed_with_retrieval_seed"])
 def test_from_manifest_rejects_bad_retrieval_settings(manifest, message):
     with pytest.raises(ValueError) as exc:
@@ -237,9 +236,7 @@ def test_from_manifest_messages_name_their_key(manifest, message):
     ({"gate": {"sigma": -0.01}}, "gating.gate.sigma must be positive"),
     ({"crystal_length_um": -1}, "gating.crystal_length_um must be >= 0"),
     ({"spectrometer_sigma": -0.001}, "gating.spectrometer_sigma must be >= 0"),
-    ({"upconverted_grid_count": 1}, "gating.upconverted_grid_count must be >= 2"),
-], ids=["zero_gate_sigma", "negative_gate_sigma", "negative_length", "negative_spectrometer_sigma",
-        "one_upconverted_point"])
+], ids=["zero_gate_sigma", "negative_gate_sigma", "negative_length", "negative_spectrometer_sigma"])
 def test_from_manifest_rejects_bad_gating(gating, message):
     with pytest.raises(ValueError) as exc:
         PipelineConfig.from_manifest({"gating": gating})
@@ -263,11 +260,23 @@ def test_poisson_peak_counts_must_be_positive(counts):
         PipelineConfig(poisson_peak_counts=counts)
 
 
+@pytest.mark.parametrize("key, manifest", [
+    ("noise.poisson_peak_counts", lambda c: {"noise": {"poisson_peak_counts": c}}),
+    ("analysis.monte_carlo.peak_counts", lambda c: {"analysis": {"monte_carlo": {"peak_counts": c}}}),
+], ids=["noise", "monte_carlo"])
+def test_peak_counts_above_poisson_limit_refused(key, manifest):
+    # numpy's Poisson sampler refuses a mean above MAX_PEAK_COUNTS, and
+    # poissonize scales the peak bin's mean to the peak counts
+    with pytest.raises(ValueError, match=rf"^{key} must be positive and at most 9\.2233720065e\+18"):
+        PipelineConfig.from_manifest(manifest(1e19))
+    assert PipelineConfig.from_manifest(manifest(1e18)) != PipelineConfig()
+
+
 def test_refractive_table_path(tmp_path):
     # the shipped table, read from a path, gives the default table's planes
     table = tmp_path / "table.json"
     table.write_text(resources.files("biphoton.data").joinpath("bibo_sellmeier.json").read_text())
-    gating = {"crystal_length_um": 1000, "upconverted_grid_count": 64}
+    gating = {"crystal_length_um": 1000}
     manifest = {"state": {"n": 16}, "gating": gating}
     default, _ = simulate(PipelineConfig.from_manifest(manifest))
     from_path, _ = simulate(PipelineConfig.from_manifest(
@@ -348,7 +357,7 @@ def test_from_manifest_constraint_mask():
 def test_build_state_uses_params():
     manifest = {"state": {"rho": -0.5, "n": 32, "chirp_s": 1000.0}}
     cfg = PipelineConfig.from_manifest(manifest)
-    state = build_state(cfg)
+    state = synthesize_state(cfg.state.params, cfg.state.n)
     assert state.values.shape == (32, 32)
     assert cfg.state.params == GaussianStateParams(rho=-0.5, chirp_s=1000.0)
 
@@ -381,7 +390,7 @@ def test_simulate_with_poisson_noise():
 
 def test_grid_to_csv(tmp_path):
     cfg = PipelineConfig.from_manifest({"state": {"n": 16}, "gating": {"ideal": True}})
-    state = build_state(cfg)
+    state = synthesize_state(cfg.state.params, cfg.state.n)
     path = tmp_path / "state.csv"
     grid_to_csv(state, path)
     with open(path) as fh:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biphoton import retrieve
 from biphoton.gating import GatePulse, GatingModel, poissonize_set, simulate_measurements
 from biphoton.grids import (
     IDLER,
@@ -110,11 +111,9 @@ def test_retrieval_config_validation():
         RetrievalConfig(constraint_mask=frozenset({"ww", "xy"}))
     # an empty mask projects no plane, so the ww error would read 0
     for bad in ({"constraint_mask": ()}, {"constraint_mask": ("wt", "wt")},
-                {"zero_magnitude_epsilon": -1e-12}, {"zero_magnitude_epsilon": float("nan")},
                 {"seed": -3}):
         with pytest.raises(ValueError, match=r"^retrieval\."):
             RetrievalConfig(**bad)
-    assert RetrievalConfig(zero_magnitude_epsilon=0.0).zero_magnitude_epsilon == 0.0
 
 
 def test_start_on_other_axes_rejected_at_run(ideal_measurements):
@@ -143,6 +142,14 @@ def test_flat_phase_init_solves_chirpless_state():
     r = run_retrieval(m, RetrievalConfig(iterations=3), start=_flat_start(m))
     assert r.error_history_ww[0] < 1e-8
     assert r.error_final_tt < 1e-8
+
+
+def test_given_start_records_no_seed(ideal_measurements):
+    # a given start draws nothing, so the seed plays no part in the result
+    m, _ = ideal_measurements
+    r5, r9 = (run_retrieval(m, RetrievalConfig(iterations=5, seed=s), start=_flat_start(m)) for s in (5, 9))
+    assert np.array_equal(r5.jsa.values, r9.jsa.values)
+    assert r5.seed is None and r9.seed is None
 
 
 def test_supplied_init_with_truth_stays_converged(ideal_measurements):
@@ -214,7 +221,7 @@ def _flat_start(m):
 def _oracle_retrieval(m, cfg, start=None):
     """The loop on typed grids: every step a unitary centered transform_photon
     and every projection a new grid; returns (jsa values, ww history, tt error)."""
-    eps, mask = cfg.zero_magnitude_epsilon, cfg.constraint_mask
+    eps, mask = retrieve.ZERO_MAGNITUDE_EPSILON, cfg.constraint_mask
     f = _reference_start(m, cfg) if start is None else start
     history = np.empty(cfg.iterations)
     for k in range(cfg.iterations):
@@ -274,7 +281,7 @@ def test_array_core_matches_object_loop_odd_n():
     _assert_matches_oracle(m, RetrievalConfig(iterations=20, seed=4))
 
 
-def test_array_core_matches_object_loop_zero_regions(chirped_n32):
+def test_array_core_matches_object_loop_zero_regions(chirped_n32, monkeypatch):
     # a guess that vanishes exactly where the measurements do not, and
     # measurements that vanish exactly on whole rows: both take the
     # zero-magnitude branch of the projection
@@ -289,7 +296,8 @@ def test_array_core_matches_object_loop_zero_regions(chirped_n32):
     _assert_matches_oracle(m_banded, RetrievalConfig(iterations=20, seed=5))
     # a coarse epsilon puts nonzero-amplitude pixels in every plane below it;
     # it must act on the field at its unitary scale, not on the raw FFT output
-    _assert_matches_oracle(m, RetrievalConfig(iterations=20, seed=6, zero_magnitude_epsilon=1e-3))
+    monkeypatch.setattr(retrieve, "ZERO_MAGNITUDE_EPSILON", 1e-3)
+    _assert_matches_oracle(m, RetrievalConfig(iterations=20, seed=6))
 
 
 def _reference_retrieval(m, cfg, start=None):
@@ -315,7 +323,7 @@ def _reference_retrieval(m, cfg, start=None):
             if plane in amp:
                 if plane != "ww":
                     np.abs(g, out=mag)
-                _project(g, amp[plane], cfg.zero_magnitude_epsilon / scale, mag)
+                _project(g, amp[plane], retrieve.ZERO_MAGNITUDE_EPSILON / scale, mag)
                 scale = 1.0
             dft(g, axis=axis, out=g)
             scale *= factor
