@@ -17,7 +17,7 @@ import click
 
 from . import pipeline as pl
 from .analysis import FitError, fit_retrieved_phase, tbp_numeric
-from .grids import grid_from_json, grid_to_json, load_grid, naming_file
+from .grids import ComplexGrid2D, IntensityGrid2D, grid_from_json, grid_to_json, load_grid, naming_file
 from .retrieve import PLANES, MeasurementSet, RetrievalConfig, RetrievalError, run_retrieval
 from .units import FS_PER_PS
 
@@ -90,12 +90,17 @@ def _write_planes(out_dir, m, index_name, suffix="", manifest_echo=None):
 
 
 def _load_measurement_set(index_path):
-    """Load the four planes named by an index file; relative names are taken
-    from the index file's directory."""
+    """Load the four intensity planes named by an index file; relative names
+    are taken from the index file's directory."""
     index = _load_json(index_path)
     with naming_file(index_path, "measurements file"):
         paths = {key: Path(index_path).parent / index[key] for key in (f"i_{plane}" for plane in PLANES)}
-    return MeasurementSet(**{key: load_grid(path) for key, path in paths.items()})
+    planes = {key: load_grid(path) for key, path in paths.items()}
+    for key, grid in planes.items():
+        with naming_file(paths[key]):
+            if not isinstance(grid, IntensityGrid2D):
+                raise TypeError(f"{key} must be an intensity grid, not complex")
+    return MeasurementSet(**planes)
 
 
 def _in_units(value, units, degree=2):
@@ -204,6 +209,8 @@ def analyze(result_path, measurements_path, mask_sigma, units, out_path):
     result_doc = _load_json(result_path)
     with naming_file(result_path, "result file"):
         jsa = grid_from_json(result_doc["jsa"])
+        if not isinstance(jsa, ComplexGrid2D):
+            raise TypeError("jsa must be a complex grid, not intensity")
     m = _load_measurement_set(measurements_path)
     doc = _analysis_doc(fit_retrieved_phase(jsa, cfg.mask_sigma), tbp_numeric(m.i_ww, m.i_tt), units)
     _write_json(out_path, doc, indent=2)

@@ -29,7 +29,6 @@ from .grids import (
     FREQUENCY,
     IDLER,
     SIGNAL,
-    TO_TIME,
     Axis,
     ComplexGrid2D,
     IntensityGrid2D,
@@ -377,8 +376,8 @@ def simulate_measurements(state: ComplexGrid2D, gm: GatingModel) -> MeasurementS
     sig = gm.spectrometer_sigma
 
     if gm.gate is None:
-        f_wt = transform_photon(state, IDLER, TO_TIME)
-        f_tw, f_tt = transform_photon(state, SIGNAL, TO_TIME), transform_photon(f_wt, SIGNAL, TO_TIME)
+        f_wt = transform_photon(state, IDLER)
+        f_tw, f_tt = transform_photon(state, SIGNAL), transform_photon(f_wt, SIGNAL)
         i_tw, i_wt, i_tt = (np.abs(f.values) ** 2 for f in (f_tw, f_wt, f_tt))
     elif gm.crystal_length == 0:
         i_tw, i_wt, i_tt = _gated_planes_l0(F, step_s, step_i, gm.gate.sigma)

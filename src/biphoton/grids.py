@@ -6,7 +6,9 @@ Transforms operate on envelope coordinates (offsets from the axis center), so
 the optical carrier never has to be resolved on the grid; absolute centers are
 kept in the :class:`Axis` metadata.  The frequency-to-time kernel is
 ``exp(-i*omega*t)`` and both directions carry the unitary ``1/sqrt(2*pi)``
-normalization, so total power is preserved.
+normalization, so total power is preserved.  A transform always goes to the
+conjugate domain of the axis it acts on: time from frequency, frequency from
+time.
 """
 
 import json
@@ -19,9 +21,6 @@ FREQUENCY = "frequency"
 TIME = "time"
 SIGNAL = "signal"
 IDLER = "idler"
-
-TO_TIME = "to_time"
-TO_FREQUENCY = "to_frequency"
 
 _UNITS = {FREQUENCY: "rad/fs", TIME: "fs"}
 
@@ -62,7 +61,7 @@ class Axis:
 
     def values(self):
         """Sample coordinates, center + (k - count//2) * step."""
-        return self.center + (np.arange(self.count) - self.count // 2) * self.step
+        return self.center + self.offsets()
 
     def offsets(self):
         """Envelope coordinates (k - count//2) * step."""
@@ -96,8 +95,8 @@ def conjugate_axis(a: Axis) -> Axis:
     )
 
 
-def _validated_values(values, axis_s, axis_i, complex_ok):
-    values = np.asarray(values, dtype=np.complex128 if complex_ok else np.float64)
+def _validated_values(values, axis_s, axis_i, dtype):
+    values = np.asarray(values, dtype=dtype)
     if values.shape != (axis_s.count, axis_i.count):
         raise ValueError(
             f"values shape {values.shape} does not match axes "
@@ -111,11 +110,10 @@ def _validated_values(values, axis_s, axis_i, complex_ok):
 
 
 @dataclass(frozen=True)
-class ComplexGrid2D:
-    """Complex-valued function of two photon coordinates on a regular grid.
-
-    Rows follow the signal axis, columns the idler axis.
-    """
+class _Grid2D:
+    """A function of two photon coordinates on a regular grid, stored as a
+    read-only array of the subclass's ``_dtype``.  Rows follow the signal
+    axis, columns the idler axis."""
 
     axis_s: Axis
     axis_i: Axis
@@ -125,73 +123,57 @@ class ComplexGrid2D:
         if self.axis_s.photon != SIGNAL or self.axis_i.photon != IDLER:
             raise ValueError("axis_s must be the signal axis, axis_i the idler axis")
         object.__setattr__(
-            self, "values", _validated_values(self.values, self.axis_s, self.axis_i, True)
+            self, "values", _validated_values(self.values, self.axis_s, self.axis_i, self._dtype)
         )
 
     def with_values(self, values):
-        return ComplexGrid2D(self.axis_s, self.axis_i, values)
+        return type(self)(self.axis_s, self.axis_i, values)
+
+
+@dataclass(frozen=True)
+class ComplexGrid2D(_Grid2D):
+    """Complex-valued grid, such as a joint spectral amplitude."""
+
+    _dtype = np.complex128
 
     def intensity(self):
         return IntensityGrid2D(self.axis_s, self.axis_i, np.abs(self.values) ** 2)
 
 
 @dataclass(frozen=True)
-class IntensityGrid2D:
+class IntensityGrid2D(_Grid2D):
     """Real-valued (raw data may be signed) grid with the same axis layout."""
 
-    axis_s: Axis
-    axis_i: Axis
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.axis_s.photon != SIGNAL or self.axis_i.photon != IDLER:
-            raise ValueError("axis_s must be the signal axis, axis_i the idler axis")
-        object.__setattr__(
-            self, "values", _validated_values(self.values, self.axis_s, self.axis_i, False)
-        )
-
-    def with_values(self, values):
-        return IntensityGrid2D(self.axis_s, self.axis_i, values)
+    _dtype = np.float64
 
 
-def dft_scale(axis: Axis, direction: str) -> float:
-    """Factor that makes ``np.fft.fft`` (``to_time``) or ``np.fft.ifft``
-    (``to_frequency``) along ``axis`` the unitary centered transform."""
-    if direction == TO_TIME:
+def dft_scale(axis: Axis) -> float:
+    """Factor that makes ``np.fft.fft`` from a frequency axis, or
+    ``np.fft.ifft`` from a time axis, the unitary centered transform."""
+    if axis.domain == FREQUENCY:
         return axis.step / np.sqrt(2.0 * np.pi)
     return axis.count * axis.step / np.sqrt(2.0 * np.pi)
 
 
-def transform_photon(g: ComplexGrid2D, photon: str, direction: str) -> ComplexGrid2D:
-    """Unitary centered DFT along one photon's axis.
+def transform_photon(g: ComplexGrid2D, photon: str) -> ComplexGrid2D:
+    """Unitary centered DFT along one photon's axis, to its conjugate domain.
 
-    ``to_time`` uses the exp(-i*omega*t) kernel on envelope coordinates;
-    ``to_frequency`` is its inverse.  The transformed axis is replaced by its
-    conjugate and total power is preserved.
+    From frequency it uses the exp(-i*omega*t) kernel on envelope
+    coordinates; from time, its inverse.  The transformed axis is replaced by
+    its conjugate and total power is preserved.
     """
-    if photon == SIGNAL:
-        ax_idx, axis = 0, g.axis_s
-    elif photon == IDLER:
-        ax_idx, axis = 1, g.axis_i
-    else:
+    if photon not in (SIGNAL, IDLER):
         raise ValueError(f"unknown photon {photon!r}")
-
-    source = FREQUENCY if direction == TO_TIME else TIME
-    if direction not in (TO_TIME, TO_FREQUENCY):
-        raise ValueError(f"unknown direction {direction!r}")
-    if axis.domain != source:
-        raise DomainMismatchError(
-            f"{photon} axis is in the {axis.domain} domain; {direction} needs {source}"
-        )
+    ax_idx = 0 if photon == SIGNAL else 1
+    axes = [g.axis_s, g.axis_i]
+    axis = axes[ax_idx]
 
     v = np.fft.ifftshift(g.values, axes=ax_idx)
-    v = (np.fft.fft if direction == TO_TIME else np.fft.ifft)(v, axis=ax_idx)
-    v = np.fft.fftshift(v, axes=ax_idx) * dft_scale(axis, direction)
+    v = (np.fft.fft if axis.domain == FREQUENCY else np.fft.ifft)(v, axis=ax_idx)
+    v = np.fft.fftshift(v, axes=ax_idx) * dft_scale(axis)
 
-    new_axis = conjugate_axis(axis)
-    if photon == SIGNAL:
-        return ComplexGrid2D(new_axis, g.axis_i, v)
-    return ComplexGrid2D(g.axis_s, new_axis, v)
+    axes[ax_idx] = conjugate_axis(axis)
+    return ComplexGrid2D(*axes, v)
 
 
 def total_power(g) -> float:

@@ -18,7 +18,7 @@ from .gating import poissonize_set, simulate_measurements
 from .grids import FREQUENCY, ComplexGrid2D, IntensityGrid2D
 from .preprocess import PreprocessConfig, preprocess_grid
 from .retrieve import MeasurementSet, RetrievalConfig, RetrievalResult, run_retrieval
-from .synth import GaussianStateParams, synthesize_state
+from .synth import SPAN_SIGMAS, GaussianStateParams, synthesize_state
 from .units import wavelength_to_omega
 
 
@@ -90,6 +90,13 @@ class PipelineConfig:
             # size would break the frequency/delay pairing the retrieval needs
             raise ValueError(f"preprocess.grid_n ({grid_n}) must equal state.n ({self.state.n})")
         g = self.gating
+        # the frequency grid spans 2 SPAN_SIGMAS sigma per axis; a narrower
+        # spectrometer keeps the blur kernel's radius at most 4 n pixels
+        p, span = self.state.params, 2 * SPAN_SIGMAS
+        for key, sigma in (("state.sigma_s", p.sigma_s), ("state.sigma_i", p.sigma_i)):
+            if not g.spectrometer_sigma < span * sigma:
+                raise ValueError(f"gating.spectrometer_sigma ({g.spectrometer_sigma:g} rad/fs) must be below the "
+                                 f"frequency grid's full width, {span:g} {key} ({span * sigma:g} rad/fs)")
         if g.crystal_length_um > 0 and not g.ideal and g.refractive_table_path is None:
             _refractive_table(self)  # a table at a path is read when the gating model is built
 

@@ -21,15 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import (
-    FREQUENCY,
-    TO_FREQUENCY,
-    TO_TIME,
-    ComplexGrid2D,
-    IntensityGrid2D,
-    conjugate_axis,
-    dft_scale,
-)
+from .grids import FREQUENCY, ComplexGrid2D, IntensityGrid2D, conjugate_axis, dft_scale
 
 PLANES = ("ww", "wt", "tw", "tt")
 ZERO_MAGNITUDE_EPSILON = 1e-12
@@ -50,6 +42,9 @@ class MeasurementSet:
     coverage_warning: bool = False
 
     def __post_init__(self):
+        for name, grid in self.grids().items():
+            if not isinstance(grid, IntensityGrid2D):
+                raise TypeError(f"i_{name} must be an IntensityGrid2D, not {type(grid).__name__}")
         fs, fi = self.i_ww.axis_s, self.i_ww.axis_i
         ts, ti = conjugate_axis(fs), conjugate_axis(fi)
         if fs.domain != FREQUENCY or fi.domain != FREQUENCY:
@@ -186,10 +181,10 @@ def run_retrieval(
     m_hat, tt_hat = (_unit_peak(np.fft.ifftshift(grids[p].values)) for p in ("ww", "tt"))
     # plane projected before the step, step transform, its axis, its unitary factor
     cycle = (
-        ("ww", np.fft.fft, 1, dft_scale(axis_i, TO_TIME)),
-        ("wt", np.fft.fft, 0, dft_scale(axis_s, TO_TIME)),
-        ("tt", np.fft.ifft, 1, dft_scale(conjugate_axis(axis_i), TO_FREQUENCY)),
-        ("tw", np.fft.ifft, 0, dft_scale(conjugate_axis(axis_s), TO_FREQUENCY)),
+        ("ww", np.fft.fft, 1, dft_scale(axis_i)),
+        ("wt", np.fft.fft, 0, dft_scale(axis_s)),
+        ("tt", np.fft.ifft, 1, dft_scale(conjugate_axis(axis_i))),
+        ("tw", np.fft.ifft, 0, dft_scale(conjugate_axis(axis_s))),
     )
     mag = np.abs(g)  # |g|; at the ww plane it is the one the last error left
     work = np.empty(g.shape)

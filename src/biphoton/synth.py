@@ -6,7 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import FREQUENCY, IDLER, SIGNAL, Axis, ComplexGrid2D
+from .grids import FREQUENCY, IDLER, SIGNAL, Axis, ComplexGrid2D, DomainMismatchError
+
+SPAN_SIGMAS = 8.0  # the default grid half-width, in marginal s.d.s per axis
 
 
 class ParameterError(ValueError):
@@ -33,7 +35,7 @@ class GaussianStateParams:
             raise ParameterError("|state.rho| must be < 1")
 
 
-def gaussian_jsa(p: GaussianStateParams, n: int = 64, span_sigmas: float = 8.0) -> ComplexGrid2D:
+def gaussian_jsa(p: GaussianStateParams, n: int = 64, span_sigmas: float = SPAN_SIGMAS) -> ComplexGrid2D:
     """Correlated Gaussian JSA on an n x n frequency grid.
 
     The grid spans +/- span_sigmas * sigma per axis around the centers.  The
@@ -58,8 +60,6 @@ def gaussian_jsa(p: GaussianStateParams, n: int = 64, span_sigmas: float = 8.0) 
 def apply_chirp(g: ComplexGrid2D, chirp_s: float, chirp_i: float) -> ComplexGrid2D:
     """Multiply by the quadratic spectral phase
     exp(i*A_s*(w_s - w_s0)^2 + i*A_i*(w_i - w_i0)^2).  Magnitude unchanged."""
-    from .grids import DomainMismatchError
-
     if g.axis_s.domain != FREQUENCY or g.axis_i.domain != FREQUENCY:
         raise DomainMismatchError("apply_chirp needs both axes in the frequency domain")
     phase = chirp_s * g.axis_s.offsets()[:, None] ** 2 + chirp_i * g.axis_i.offsets()[None, :] ** 2
@@ -81,6 +81,6 @@ def tbp_gaussian(rho: float) -> float:
     return float(np.sqrt((1.0 + rho) / (1.0 - rho)))
 
 
-def synthesize_state(p: GaussianStateParams, n: int = 64, span_sigmas: float = 8.0) -> ComplexGrid2D:
+def synthesize_state(p: GaussianStateParams, n: int = 64, span_sigmas: float = SPAN_SIGMAS) -> ComplexGrid2D:
     """Gaussian JSA with the params' chirps applied."""
     return apply_chirp(gaussian_jsa(p, n, span_sigmas), p.chirp_s, p.chirp_i)

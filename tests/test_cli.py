@@ -204,6 +204,7 @@ def test_malformed_grid_file_exit_code(runner, tmp_path, command):
         "[]": ": list indices must be integers or slices, not str",
         json.dumps(dict(grid, values_re=[0.0] * 5)): ": cannot reshape array of size 5 into shape (32,32)",
         json.dumps(dict(grid, kind="weird")): ": unknown grid kind 'weird'",
+        (sim / "truth.json").read_text(): ": i_tt must be an intensity grid, not complex",
     }
     inputs = {"preprocess": ["--manifest", manifest], "analyze": ["--result", result_path]}.get(command, [])
     for text, message in documents.items():
@@ -219,7 +220,11 @@ def test_malformed_grid_file_exit_code(runner, tmp_path, command):
     ({}, " has no key 'jsa'"),
     ({"jsa": []}, ": list indices must be integers or slices, not str"),
     ({"jsa": {"kind": "weird"}}, " has no key 'axis_s'"),
-], ids=["no_jsa", "jsa_list", "jsa_no_axes"])
+    ({"jsa": {"kind": "intensity", "values_re": [0.0] * 4,
+              "axis_s": {"domain": "frequency", "photon": "signal", "center": 2.0, "step": 0.01, "count": 2},
+              "axis_i": {"domain": "frequency", "photon": "idler", "center": 2.5, "step": 0.01, "count": 2}}},
+     ": jsa must be a complex grid, not intensity"),
+], ids=["no_jsa", "jsa_list", "jsa_no_axes", "jsa_intensity"])
 def test_malformed_result_file_exit_code(runner, tmp_path, doc, message):
     sim = tmp_path / "sim"
     runner.invoke(main, ["simulate", "--manifest", _write_manifest(tmp_path), "--out", str(sim)])
@@ -594,7 +599,10 @@ def _no_work(*args, **kwargs):
     ({"state": {"n": 48}, "gating": {"crystal_length_um": 1000}}, "state.n must be a power of two >= 16"),
     ({"state": {"n": 32}, "gating": {"crystal_length_um": 1000, "gate": {"center": 10.0}}},
      "gating.gate.center (10 rad/fs) is outside the refractive table's range [290, 2500] nm (0.7535 to 6.495 rad/fs)"),
-], ids=["grid_n_mismatch", "gated_n48", "gate_center_out_of_range"])
+    ({"state": {"n": 32}, "gating": {"spectrometer_sigma": 1e9}, "retrieval": {"iterations": 5}},
+     "gating.spectrometer_sigma (1e+09 rad/fs) must be below the frequency grid's full width, "
+     "16 state.sigma_s (0.16 rad/fs)"),
+], ids=["grid_n_mismatch", "gated_n48", "gate_center_out_of_range", "spectrometer_wider_than_grid"])
 def test_bad_manifest_fails_before_any_work(runner, tmp_path, monkeypatch, command, manifest, message):
     # no gating model, simulation or measurement grid before the manifest parses
     for module, name in ((pl, "build_gating_model"), (pl, "simulate_measurements"), (cli, "load_grid")):

@@ -22,7 +22,7 @@ from biphoton.gating import (
     simulate_measurements,
 )
 from biphoton.gating import _blur_axis, _gate_kernel, _gated_planes, _gated_planes_l0, _svd_modes
-from biphoton.grids import IDLER, SIGNAL, TO_TIME, ComplexGrid2D, transform_photon
+from biphoton.grids import IDLER, SIGNAL, ComplexGrid2D, transform_photon
 from biphoton.synth import GaussianStateParams, synthesize_state
 from biphoton.units import wavelength_to_omega
 
@@ -76,8 +76,8 @@ def test_gate_delay_is_linear_phase():
 
 def test_ideal_model_matches_transforms(chirped_state):
     m = simulate_measurements(chirped_state, GatingModel(gate=None))
-    f_wt = transform_photon(chirped_state, IDLER, TO_TIME)
-    f_tt = transform_photon(f_wt, SIGNAL, TO_TIME)
+    f_wt = transform_photon(chirped_state, IDLER)
+    f_tt = transform_photon(f_wt, SIGNAL)
     want = np.abs(f_tt.values) ** 2
     assert np.allclose(m.i_tt.values, want / want.max(), atol=1e-12)
 

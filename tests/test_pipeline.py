@@ -224,6 +224,16 @@ def test_from_manifest_rejects_bad_retrieval_settings(manifest, message):
     ({"state": {"sigma_i": 0}}, "state.sigma_s and state.sigma_i must be positive"),
     ({"preprocess": {"alpha": 0.5}}, "preprocess.alpha outside [0.05, 0.2]; set allow_out_of_range to override"),
     ({"preprocess": {"rho_lp": 0.5}}, "preprocess.rho_lp outside [0.8, 1.0]; set allow_out_of_range to override"),
+    # at or above the frequency grid's full width (16 sigma per axis)
+    ({"state": {"n": 32}, "gating": {"spectrometer_sigma": 1e9}},
+     "gating.spectrometer_sigma (1e+09 rad/fs) must be below the frequency grid's full width, "
+     "16 state.sigma_s (0.16 rad/fs)"),
+    ({"gating": {"spectrometer_sigma": 0.16}},
+     "gating.spectrometer_sigma (0.16 rad/fs) must be below the frequency grid's full width, "
+     "16 state.sigma_s (0.16 rad/fs)"),
+    ({"state": {"sigma_i": 0.005}, "gating": {"spectrometer_sigma": 0.08}},
+     "gating.spectrometer_sigma (0.08 rad/fs) must be below the frequency grid's full width, "
+     "16 state.sigma_i (0.08 rad/fs)"),
 ])
 def test_from_manifest_messages_name_their_key(manifest, message):
     with pytest.raises(ValueError) as exc:
@@ -338,6 +348,17 @@ def test_readme_example_manifest_parses():
     cfg = PipelineConfig.from_manifest(json.loads(text))
     assert cfg.state.n == 128
     assert cfg.gating.gate_sigma == 0.00385
+
+
+def test_readme_minimal_closed_loop_runs(capsys):
+    # the README's library example runs as printed and recovers its chirps
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = readme.split("```python")[1:]
+    assert len(blocks) == 1
+    namespace = {}
+    exec(blocks[0].split("```", 1)[0], namespace)
+    assert namespace["fit"].chirp_s == pytest.approx(-36000, rel=0.05)
+    assert namespace["fit"].chirp_i == pytest.approx(-43000, rel=0.05)
 
 
 def test_from_manifest_seed_propagates_to_retrieval():

@@ -13,8 +13,6 @@ from biphoton.gating import GatePulse, GatingModel, poissonize_set, simulate_mea
 from biphoton.grids import (
     IDLER,
     SIGNAL,
-    TO_FREQUENCY,
-    TO_TIME,
     ComplexGrid2D,
     IntensityGrid2D,
     conjugate_axis,
@@ -102,6 +100,10 @@ def test_measurement_set_validation(ideal_measurements):
             i_ww=m.i_ww.with_values(m.i_ww.values - 1.0),
             i_wt=m.i_wt, i_tw=m.i_tw, i_tt=m.i_tt,
         )
+    # a complex plane whose real parts are >= 0 would pass the sign check
+    complex_tt = ComplexGrid2D(m.i_tt.axis_s, m.i_tt.axis_i, m.i_tt.values + 1j)
+    with pytest.raises(TypeError, match="^i_tt must be an IntensityGrid2D, not ComplexGrid2D$"):
+        MeasurementSet(i_ww=m.i_ww, i_wt=m.i_wt, i_tw=m.i_tw, i_tt=complex_tt)
 
 
 def test_retrieval_config_validation():
@@ -227,18 +229,18 @@ def _oracle_retrieval(m, cfg, start=None):
     for k in range(cfg.iterations):
         if "ww" in mask:
             f = _oracle_project(f, m.i_ww, eps)
-        f = transform_photon(f, IDLER, TO_TIME)
+        f = transform_photon(f, IDLER)
         if "wt" in mask:
             f = _oracle_project(f, m.i_wt, eps)
-        f = transform_photon(f, SIGNAL, TO_TIME)
+        f = transform_photon(f, SIGNAL)
         if "tt" in mask:
             f = _oracle_project(f, m.i_tt, eps)
-        f = transform_photon(f, IDLER, TO_FREQUENCY)
+        f = transform_photon(f, IDLER)
         if "tw" in mask:
             f = _oracle_project(f, m.i_tw, eps)
-        f = transform_photon(f, SIGNAL, TO_FREQUENCY)
+        f = transform_photon(f, SIGNAL)
         history[k] = frog_error(m.i_ww, np.abs(f.values) ** 2)
-    f_tt = transform_photon(transform_photon(f, IDLER, TO_TIME), SIGNAL, TO_TIME)
+    f_tt = transform_photon(transform_photon(f, IDLER), SIGNAL)
     return f.values, history, frog_error(m.i_tt, np.abs(f_tt.values) ** 2)
 
 
@@ -309,10 +311,10 @@ def _reference_retrieval(m, cfg, start=None):
     amp = {p: np.sqrt(measured[p]) for p in cfg.constraint_mask}
     m_hat = _unit_peak(measured["ww"])
     cycle = (
-        ("ww", np.fft.fft, 1, dft_scale(f.axis_i, TO_TIME)),
-        ("wt", np.fft.fft, 0, dft_scale(f.axis_s, TO_TIME)),
-        ("tt", np.fft.ifft, 1, dft_scale(conjugate_axis(f.axis_i), TO_FREQUENCY)),
-        ("tw", np.fft.ifft, 0, dft_scale(conjugate_axis(f.axis_s), TO_FREQUENCY)),
+        ("ww", np.fft.fft, 1, dft_scale(f.axis_i)),
+        ("wt", np.fft.fft, 0, dft_scale(f.axis_s)),
+        ("tt", np.fft.ifft, 1, dft_scale(conjugate_axis(f.axis_i))),
+        ("tw", np.fft.ifft, 0, dft_scale(conjugate_axis(f.axis_s))),
     )
     g = np.fft.ifftshift(f.values)
     mag, work = np.abs(g), np.empty(g.shape)
