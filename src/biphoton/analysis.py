@@ -207,17 +207,22 @@ def _cpu_count():
 
 
 def monte_carlo_uncertainty(trial, trials: int, seed: int):
-    """Per-coefficient spread of the fitted chirps over ``trials`` calls of
-    ``trial((noise_seed, retrieval_seed))``.  ``trial`` is a module-level
-    function, or a partial of one, so that it pickles; it returns
-    (chirp_s, chirp_i), or a string naming the exception a failed trial
-    raised.  The seed pairs come from one ``SeedSequence`` of ``seed``.
+    """Per-coefficient spread of the fitted chirps over ``trials`` Monte
+    Carlo trials, each given a (noise_seed, retrieval_seed) pair.
+    ``trial(seed_pairs)`` runs the trials of a list of pairs and returns one
+    outcome per pair: (chirp_s, chirp_i), or a string naming the exception a
+    failed trial raised.  It is a module-level function, or a partial of
+    one, so that it pickles.  The seed pairs come from one ``SeedSequence``
+    of ``seed``.
 
-    The trials run in forked worker processes, one per CPU in the affinity
-    mask (at most one per trial), or in this process when there is one
-    worker or no fork.  Results are collected in trial order, so they do not
-    depend on the worker count.  Each failed trial is logged at WARNING; more
-    than 20% failed trials raise ``FitError``.
+    The pairs are split into one contiguous chunk per worker (chunk sizes
+    differ by at most one), and the chunks run in forked worker processes,
+    one per CPU in the affinity mask (at most one per trial), or as one
+    chunk in this process when there is one worker or no fork.  Results are
+    collected in trial order, so they do not depend on the worker count as
+    long as a trial's outcome does not depend on its chunk.  Each failed
+    trial is logged at WARNING; more than 20% failed trials raise
+    ``FitError``.
 
     Returns (stddevs, trial_values) as dicts keyed by 'chirp_s' / 'chirp_i'.
     """
@@ -234,10 +239,12 @@ def monte_carlo_uncertainty(trial, trials: int, seed: int):
     # which made 16 trials at n = 64 on 2 CPUs slower than running them here
     # (1.7-2.1 s against 1.45 s; fork 0.7 s), and it needs a __main__ guard
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        bounds = [trials * w // workers for w in range(workers + 1)]
+        chunks = [seeds[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            outcomes = list(pool.map(trial, seeds))
+            outcomes = [outcome for chunk in pool.map(trial, chunks) for outcome in chunk]
     else:
-        outcomes = list(map(trial, seeds))
+        outcomes = trial(seeds)
     values = {"chirp_s": [], "chirp_i": []}
     failures = []
     for t, outcome in enumerate(outcomes):

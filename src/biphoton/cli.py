@@ -17,7 +17,7 @@ import click
 
 from . import pipeline as pl
 from .analysis import FitError, fit_retrieved_phase, tbp_numeric
-from .grids import ComplexGrid2D, IntensityGrid2D, grid_from_json, grid_to_json, load_grid, naming_file
+from .grids import ComplexGrid2D, IntensityGrid2D, grid_from_json, grid_to_json, load_grid, naming_file, save_grid
 from .retrieve import PLANES, MeasurementSet, RetrievalConfig, RetrievalError, run_retrieval
 from .units import FS_PER_PS
 
@@ -70,10 +70,7 @@ def _write_json(path, doc, indent=None):
 
 
 def _write_grid(path, grid, manifest_echo=None):
-    doc = grid_to_json(grid)
-    if manifest_echo is not None:
-        doc["manifest"] = manifest_echo
-    _write_json(path, doc)
+    save_grid(path, grid, None if manifest_echo is None else {"manifest": manifest_echo})
 
 
 def _write_planes(out_dir, m, index_name, suffix="", manifest_echo=None):

@@ -129,6 +129,10 @@ class _Grid2D:
     def with_values(self, values):
         return type(self)(self.axis_s, self.axis_i, values)
 
+    def __reduce__(self):
+        # rebuilt through the constructor, so the unpickled values are read-only too
+        return type(self), (self.axis_s, self.axis_i, self.values)
+
 
 @dataclass(frozen=True)
 class ComplexGrid2D(_Grid2D):
@@ -237,9 +241,11 @@ def grid_from_json(doc):
     return IntensityGrid2D(axis_s, axis_i, re)
 
 
-def save_grid(path, g):
+def save_grid(path, g, extra=None):
+    """Write ``g`` as Grid JSON, with the keys of ``extra`` after the grid's."""
+    # json.dumps, unlike json.dump, encodes with the C encoder
     with open(path, "w") as fh:
-        json.dump(grid_to_json(g), fh)
+        fh.write(json.dumps({**grid_to_json(g), **(extra or {})}))
 
 
 @contextmanager

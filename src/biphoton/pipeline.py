@@ -17,7 +17,7 @@ from .gating import GatePulse, GatingModel, RefractiveModel, check_peak_counts
 from .gating import poissonize_set, simulate_measurements
 from .grids import FREQUENCY, ComplexGrid2D, IntensityGrid2D
 from .preprocess import PreprocessConfig, preprocess_grid
-from .retrieve import MeasurementSet, RetrievalConfig, RetrievalResult, run_retrieval
+from .retrieve import MeasurementSet, RetrievalConfig, RetrievalResult, run_retrieval, run_retrieval_stack
 from .synth import SPAN_SIGMAS, GaussianStateParams, synthesize_state
 from .units import wavelength_to_omega
 
@@ -251,19 +251,45 @@ def preprocess_set(m: MeasurementSet, cfg: PipelineConfig) -> MeasurementSet:
     return replace(m, **cleaned)
 
 
-def _mc_trial(raw: MeasurementSet, cfg: PipelineConfig, seeds) -> tuple | str:
-    """One Monte Carlo trial: poissonize ``raw`` at
-    ``analysis.monte_carlo.peak_counts`` with the first seed, preprocess,
-    retrieve with the second seed and fit.  Returns (chirp_s, chirp_i), or the
-    repr of the exception the trial raised."""
-    noise_seed, retrieval_seed = seeds
+# pixels in one stack of Monte Carlo retrievals: 8 sets at n = 64, 2 at n = 128, 1 from n = 256
+MC_STACK_PIXELS = 2**15
+
+
+def _fit_chirps(result: RetrievalResult | Exception, cfg: PipelineConfig) -> tuple | str:
+    if isinstance(result, Exception):
+        return repr(result)
     try:
-        noisy = poissonize_set(raw, cfg.analysis.monte_carlo_peak_counts, noise_seed)
-        result = run_retrieval(preprocess_set(noisy, cfg), replace(cfg.retrieval, seed=retrieval_seed))
         fit = fit_retrieved_phase(result.jsa, cfg.analysis.mask_sigma)
     except Exception as exc:  # noqa: BLE001 - failed trials are counted and logged
         return repr(exc)
     return fit.chirp_s, fit.chirp_i
+
+
+def _mc_trials(raw: MeasurementSet, cfg: PipelineConfig, seed_pairs) -> list:
+    """Monte Carlo trials, one per (noise_seed, retrieval_seed) pair:
+    poissonize ``raw`` at ``analysis.monte_carlo.peak_counts`` with the first
+    seed, preprocess, retrieve with the second seed and fit.  The retrievals
+    run in stacks of ``MC_STACK_PIXELS`` pixels per plane (at least one set),
+    and a trial's result does not depend on its stack.  Returns, per pair,
+    (chirp_s, chirp_i) or the repr of the exception that ended the trial."""
+    size = max(1, MC_STACK_PIXELS // raw.i_ww.values.size)
+    outcomes = []
+    for lo in range(0, len(seed_pairs), size):
+        pairs = seed_pairs[lo : lo + size]
+        stack = [None] * len(pairs)  # each pair's outcome
+        slots, sets = [], []  # the pairs whose noisy set is ready, and their sets
+        for j, (noise_seed, _) in enumerate(pairs):
+            try:
+                noisy = poissonize_set(raw, cfg.analysis.monte_carlo_peak_counts, noise_seed)
+                sets.append(preprocess_set(noisy, cfg))
+                slots.append(j)
+            except Exception as exc:  # noqa: BLE001 - failed trials are counted and logged
+                stack[j] = repr(exc)
+        results = run_retrieval_stack(sets, cfg.retrieval, [pairs[j][1] for j in slots])
+        for j, result in zip(slots, results):
+            stack[j] = _fit_chirps(result, cfg)
+        outcomes += stack
+    return outcomes
 
 
 @dataclass(frozen=True)
@@ -302,7 +328,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineOutput:
     if cfg.analysis.monte_carlo_trials:
         t0 = time.perf_counter()
         trials = cfg.analysis.monte_carlo_trials
-        monte_carlo = monte_carlo_uncertainty(partial(_mc_trial, raw, cfg), trials, cfg.seed)
+        monte_carlo = monte_carlo_uncertainty(partial(_mc_trials, raw, cfg), trials, cfg.seed)
         timings["monte_carlo"] = time.perf_counter() - t0
     return PipelineOutput(raw, constraints, truth, result, fit, witness, timings, monte_carlo)
 
@@ -310,16 +336,19 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineOutput:
 def grid_to_csv(grid, path):
     """Data-only plot export: one row per pixel with both axis coordinates.
     The format is csv's default (excel) dialect: comma-separated, CRLF line
-    ends, no quoting, since no field holds a comma or a quote."""
-    xs = grid.axis_s.values()
-    ys = grid.axis_i.values()
-    v = grid.values.ravel()
-    is_complex = isinstance(grid, ComplexGrid2D)
+    ends, no quoting, since no field holds a comma or a quote.  Every number
+    is its ``repr``; each axis coordinate is formatted once."""
     header = [f"{grid.axis_s.photon}_{grid.axis_s.domain}", f"{grid.axis_i.photon}_{grid.axis_i.domain}"]
-    header += ["re", "im"] if is_complex else ["value"]
-    # row-major pixel order, built one column at a time
-    columns = [np.repeat(xs, len(ys)), np.tile(ys, len(xs))]
-    columns += [v.real, v.imag] if is_complex else [v]
-    rows = zip(*(map(repr, c.tolist()) for c in columns))
+    v = grid.values.ravel()
+    if isinstance(grid, ComplexGrid2D):
+        header += ["re", "im"]
+        values = map(",".join, zip(map(repr, v.real.tolist()), map(repr, v.imag.tolist())))
+    else:
+        header += ["value"]
+        values = map(repr, v.tolist())
+    xs = [f"{x!r}," for x in grid.axis_s.values().tolist()]
+    ys = [f"{y!r}," for y in grid.axis_i.values().tolist()]
+    # row-major pixel order: the coordinates of pixel (i, j) are xs[i] + ys[j]
+    rows = map(str.__add__, [x + y for x in xs for y in ys], values)
     with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join([",".join(header), *map(",".join, rows)]) + "\r\n")
+        fh.write("\r\n".join([",".join(header), *rows]) + "\r\n")

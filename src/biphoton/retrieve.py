@@ -5,10 +5,12 @@ magnitude with the measured one at each active plane while keeping the phase,
 and moving between planes with the single-photon Fourier transforms.  The
 FROG-trace error against the ww constraint is recorded every iteration.
 
-The loop works on plain arrays.  At entry the initial state and the four
-measured intensities are ``ifftshift``-ed once on both axes, so each centered
-transform becomes one ``np.fft.fft``/``ifft`` along one axis, done in place;
-at exit the state is ``fftshift``-ed back into a single
+The loop works on plain arrays, and on a stack of measurement sets that
+share the ww axes at once (a lone run is a stack of one).  At entry each
+set's initial state and measured intensities are ``ifftshift``-ed once on
+both axes into its slice of the stack, so each centered transform becomes one
+``np.fft.fft``/``ifft`` along one axis of the whole stack, done in place; at
+exit each state is ``fftshift``-ed back into a single
 :class:`~biphoton.grids.ComplexGrid2D`.  The unitary factors of the transforms
 (:func:`~biphoton.grids.dft_scale`) are not applied inside the loop: every
 projection resets the magnitude, so they are carried as one running scalar
@@ -17,6 +19,7 @@ epsilon is applied to the physical field: a pixel whose ``|scale * array|``
 is below ``ZERO_MAGNITUDE_EPSILON`` takes phase 1.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,62 +162,127 @@ def run_retrieval(
     from ``start``, a state on the ww axes (the result's seed is then None),
     or else from sqrt(ww) with a uniformly random phase drawn from ``cfg.seed``.
 
+    This is :func:`run_retrieval_stack` on a stack of one, with its failure
+    raised: a non-finite state raises :class:`RetrievalError`, a start on
+    other axes or an identically zero ww or tt plane ``ValueError``.
+    """
+    (outcome,) = run_retrieval_stack([m], cfg, [cfg.seed if start is None else start])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _load(m: MeasurementSet, start, g, amp, m_hat, tt_hat):
+    """Fill one slice of the stack, all ifftshift-ed: the start state in g,
+    the active planes' amplitudes in amp and the unit-peak ww and tt planes."""
+    ww = m.i_ww.values
+    if isinstance(start, ComplexGrid2D):
+        if not (start.axis_s.compatible_with(m.i_ww.axis_s) and start.axis_i.compatible_with(m.i_ww.axis_i)):
+            raise ValueError("start axes do not match the measurements' ww axes")
+        g[...] = np.fft.ifftshift(start.values)
+    else:
+        rng = np.random.default_rng(start)
+        g[...] = np.fft.ifftshift(np.sqrt(ww) * np.exp(2j * np.pi * rng.random(ww.shape)))
+    grids = m.grids()
+    for p, a in amp.items():
+        np.sqrt(np.fft.ifftshift(grids[p].values), out=a)
+    for hat, p in ((m_hat, "ww"), (tt_hat, "tt")):
+        hat[...] = _unit_peak(np.fft.ifftshift(grids[p].values))
+
+
+def run_retrieval_stack(sets, cfg: RetrievalConfig, starts) -> list:
+    """Run the alternating-projection loop on a stack of measurement sets
+    that share the ww axes, each from its own start: ``starts[b]`` is a
+    state on the ww axes or the seed of sqrt(ww) with a uniformly random
+    phase (``cfg.seed`` is not read).  Returns, in order, each set's
+    :class:`RetrievalResult` or the exception that ended it; a set that
+    fails at set-up or goes non-finite is dropped from the stack at once,
+    and every other set's result is the same as in a stack of its own.
+
     The ww-plane error is evaluated on the estimate returned to the ww plane
     at the end of each cycle (before the next projection), which is the
     quantity the algorithm never increases when all four constraints are on.
-    A non-finite error, and so any non-finite pixel of the state, raises
-    :class:`RetrievalError`.  Buffer budget, in n x n complex units: 5 in
-    the loop (the state, two real planes, the active planes' amplitudes and
-    the unit-peak ww and tt planes), and the returned JSA; the state itself
-    is taken to the tt plane for the final tt error.
+    A non-finite error, and so any non-finite pixel of a set's state, ends
+    that set with :class:`RetrievalError`; numpy's overflow and invalid-value
+    warnings are off in the loop, because that check reports them per set.
+    Every numpy call but the FROG error covers the whole (B, n, n) stack;
+    the error stays per set, so each set's dot products sum in the order of
+    a lone run.  Buffer budget per set, in n x n complex units: 5
+    in the loop (the state, two real planes, the active planes' amplitudes
+    and the unit-peak ww and tt planes), and the returned JSA; the state
+    itself is taken to the tt plane for the final tt error.
     """
-    axis_s, axis_i = m.i_ww.axis_s, m.i_ww.axis_i
-    if start is None:
-        rng = np.random.default_rng(cfg.seed)
-        g = np.fft.ifftshift(np.sqrt(m.i_ww.values) * np.exp(2j * np.pi * rng.random(m.i_ww.values.shape)))
-    elif start.axis_s.compatible_with(axis_s) and start.axis_i.compatible_with(axis_i):
-        g = np.fft.ifftshift(start.values)
-    else:
-        raise ValueError("start axes do not match the measurements' ww axes")
-    grids = m.grids()
-    amp = {p: np.sqrt(np.fft.ifftshift(grids[p].values)) for p in cfg.constraint_mask}
-    m_hat, tt_hat = (_unit_peak(np.fft.ifftshift(grids[p].values)) for p in ("ww", "tt"))
+    if not sets:
+        return []
+    axis_s, axis_i = sets[0].i_ww.axis_s, sets[0].i_ww.axis_i
+    for m in sets:
+        if not (m.i_ww.axis_s.compatible_with(axis_s) and m.i_ww.axis_i.compatible_with(axis_i)):
+            raise ValueError("the measurement sets of a stack must share the ww axes")
+    shape = (len(sets), axis_s.count, axis_i.count)
+    g = np.empty(shape, dtype=complex)
+    amp = {p: np.empty(shape) for p in cfg.constraint_mask}
+    m_hat, tt_hat = np.empty(shape), np.empty(shape)
+    outcomes, live = [None] * len(sets), []  # live[i]: the index in sets of slice i
+    for b, (m, start) in enumerate(zip(sets, starts, strict=True)):
+        i = len(live)
+        try:
+            _load(m, start, g[i], {p: a[i] for p, a in amp.items()}, m_hat[i], tt_hat[i])
+        except Exception as exc:  # noqa: BLE001 - the set fails alone
+            outcomes[b] = exc
+            continue
+        live.append(b)
+    if not live:
+        return outcomes
+    g, m_hat, tt_hat = g[: len(live)], m_hat[: len(live)], tt_hat[: len(live)]
+    amp = {p: a[: len(live)] for p, a in amp.items()}
     # plane projected before the step, step transform, its axis, its unitary factor
     cycle = (
-        ("ww", np.fft.fft, 1, dft_scale(axis_i)),
-        ("wt", np.fft.fft, 0, dft_scale(axis_s)),
-        ("tt", np.fft.ifft, 1, dft_scale(conjugate_axis(axis_i))),
-        ("tw", np.fft.ifft, 0, dft_scale(conjugate_axis(axis_s))),
+        ("ww", np.fft.fft, -1, dft_scale(axis_i)),
+        ("wt", np.fft.fft, -2, dft_scale(axis_s)),
+        ("tt", np.fft.ifft, -1, dft_scale(conjugate_axis(axis_i))),
+        ("tw", np.fft.ifft, -2, dft_scale(conjugate_axis(axis_s))),
     )
     mag = np.abs(g)  # |g|; at the ww plane it is the one the last error left
     work = np.empty(g.shape)
-    scale = 1.0  # physical field = scale * g
-    history = np.empty(cfg.iterations)
+    scale = 1.0  # physical field = scale * g, the same for every set
+    history = np.empty((len(sets), cfg.iterations))
 
-    for k in range(cfg.iterations):
-        for plane, dft, axis, factor in cycle:
-            if plane in amp:
-                if plane != "ww":
-                    np.abs(g, out=mag)
-                _project(g, amp[plane], ZERO_MAGNITUDE_EPSILON / scale, mag)
-                scale = 1.0
-            dft(g, axis=axis, out=g)
-            scale *= factor
-        np.abs(g, out=mag)
-        err = _frog_error(m_hat, np.square(mag, out=work), work)
-        if not np.isfinite(err):
-            raise RetrievalError(f"non-finite state after iteration {k + 1}")
-        history[k] = err
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(cfg.iterations):
+            for plane, dft, axis, factor in cycle:
+                if plane in amp:
+                    if plane != "ww":
+                        np.abs(g, out=mag)
+                    _project(g, amp[plane], ZERO_MAGNITUDE_EPSILON / scale, mag)
+                    scale = 1.0
+                dft(g, axis=axis, out=g)
+                scale *= factor
+            np.abs(g, out=mag)
+            np.square(mag, out=work)
+            errs = [_frog_error(m_b, w_b, w_b) for m_b, w_b in zip(m_hat, work)]
+            for b, err in zip(live, errs):
+                history[b, k] = err
+            if not all(map(math.isfinite, errs)):
+                keep = [math.isfinite(err) for err in errs]
+                for b, ok in zip(live, keep):
+                    if not ok:
+                        outcomes[b] = RetrievalError(f"non-finite state after iteration {k + 1}")
+                live = [b for b, ok in zip(live, keep) if ok]
+                if not live:
+                    return outcomes
+                g, mag, work, m_hat, tt_hat = (x[keep] for x in (g, mag, work, m_hat, tt_hat))
+                amp = {p: a[keep] for p, a in amp.items()}
 
-    jsa = np.fft.fftshift(g)
-    jsa *= scale
-    np.fft.fft(np.fft.fft(g, axis=1, out=g), axis=0, out=g)
-    np.abs(g, out=mag)
-    err_tt = _frog_error(tt_hat, np.square(mag, out=mag), mag)
-    return RetrievalResult(
-        jsa=ComplexGrid2D(axis_s, axis_i, jsa),
-        error_history_ww=history,
-        error_final_tt=err_tt,
-        seed=cfg.seed if start is None else None,
-        iterations_run=cfg.iterations,
-    )
+    jsas = [ComplexGrid2D(axis_s, axis_i, np.fft.fftshift(g[i]) * scale) for i in range(len(live))]
+    np.fft.fft(np.fft.fft(g, axis=-1, out=g), axis=-2, out=g)
+    np.square(np.abs(g, out=mag), out=mag)
+    errs_tt = [_frog_error(t_b, m_b, m_b) for t_b, m_b in zip(tt_hat, mag)]
+    for i, b in enumerate(live):
+        outcomes[b] = RetrievalResult(
+            jsa=jsas[i],
+            error_history_ww=history[b],
+            error_final_tt=errs_tt[i],
+            seed=None if isinstance(starts[b], ComplexGrid2D) else starts[b],
+            iterations_run=cfg.iterations,
+        )
+    return outcomes

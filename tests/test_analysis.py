@@ -206,7 +206,7 @@ def test_monte_carlo_uncertainty_smoke():
     )
     state = synthesize_state(p, n=32)
     raw = simulate_measurements(state, GatingModel(gate=None))
-    trial = partial(pipeline._mc_trial, raw, cfg)
+    trial = partial(pipeline._mc_trials, raw, cfg)
     sd, values = monte_carlo_uncertainty(trial, trials=4, seed=3)
     assert set(sd) == {"chirp_s", "chirp_i"}
     assert len(values["chirp_s"]) == 4
@@ -226,7 +226,7 @@ def mc_trial():
         preprocess_enabled=False,
     )
     raw = simulate_measurements(synthesize_state(p, n=32), GatingModel(gate=None))
-    return partial(pipeline._mc_trial, raw, cfg)
+    return partial(pipeline._mc_trials, raw, cfg)
 
 
 def test_cpu_count_without_affinity_mask(monkeypatch):
@@ -247,14 +247,15 @@ def test_monte_carlo_results_do_not_depend_on_workers(mc_trial, monkeypatch):
 def test_monte_carlo_failed_trial_is_counted_and_logged(mc_trial, monkeypatch, caplog, cpus):
     trials, seed, failing = 5, 3, 1
     bad_seed = int(np.random.SeedSequence(seed).generate_state(2 * trials)[2 * failing + 1])
-    run_retrieval = pipeline.run_retrieval
+    run_retrieval_stack = pipeline.run_retrieval_stack
 
-    def flaky(m, cfg):
-        if cfg.seed == bad_seed:
-            raise RuntimeError(f"forced failure in process {os.getpid()}")
-        return run_retrieval(m, cfg)
+    def flaky(sets, cfg, seeds):
+        # the stack returns a failed set's exception in that set's slot
+        outcomes = run_retrieval_stack(sets, cfg, seeds)
+        forced = RuntimeError(f"forced failure in process {os.getpid()}")
+        return [forced if s == bad_seed else outcome for s, outcome in zip(seeds, outcomes)]
 
-    monkeypatch.setattr(pipeline, "run_retrieval", flaky)
+    monkeypatch.setattr(pipeline, "run_retrieval_stack", flaky)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
     with caplog.at_level(logging.WARNING, logger="biphoton.analysis"):
         _, values = monte_carlo_uncertainty(mc_trial, trials=trials, seed=seed)
@@ -266,3 +267,11 @@ def test_monte_carlo_failed_trial_is_counted_and_logged(mc_trial, monkeypatch, c
     # the trial ran in a worker process exactly when there were two CPUs
     in_this_process = f"in process {os.getpid()}'" in message
     assert in_this_process == (len(cpus) == 1)
+
+
+def test_monte_carlo_trials_do_not_depend_on_stack_size(mc_trial, monkeypatch):
+    seeds = [(11, 12), (13, 14), (15, 16)]
+    whole = mc_trial(seeds)  # n = 32: the three retrievals run as one stack
+    monkeypatch.setattr(pipeline, "MC_STACK_PIXELS", 1)  # a stack of one each
+    assert mc_trial(seeds) == whole
+    assert all(isinstance(outcome, tuple) for outcome in whole)

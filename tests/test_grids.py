@@ -98,6 +98,7 @@ def test_grids_pickle_round_trip(random_complex_grid):
         assert (h.axis_s, h.axis_i) == (g.axis_s, g.axis_i)
         assert h.values.dtype == g.values.dtype
         assert np.array_equal(h.values, g.values)
+        assert not h.values.flags.writeable
         with pytest.raises(FrozenInstanceError):
             h.values = g.values
 

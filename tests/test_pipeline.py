@@ -3,12 +3,14 @@
 import csv
 import json
 import logging
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from biphoton.grids import ComplexGrid2D
 from biphoton.pipeline import (
     AnalysisConfig,
     GatingConfig,
@@ -419,3 +421,26 @@ def test_grid_to_csv(tmp_path):
     assert rows[0] == ["signal_frequency", "idler_frequency", "re", "im"]
     assert len(rows) == 1 + 16 * 16
     assert float(rows[1][2]) == pytest.approx(state.values[0, 0].real)
+
+
+def _csv_per_cell(grid):
+    """grid_to_csv's file as first written: every cell, axis coordinates
+    included, formatted with its own repr."""
+    xs, ys, v = grid.axis_s.values(), grid.axis_i.values(), grid.values.ravel()
+    is_complex = isinstance(grid, ComplexGrid2D)
+    header = [f"{grid.axis_s.photon}_{grid.axis_s.domain}", f"{grid.axis_i.photon}_{grid.axis_i.domain}"]
+    header += ["re", "im"] if is_complex else ["value"]
+    columns = [np.repeat(xs, len(ys)), np.tile(ys, len(xs))]
+    columns += [v.real, v.imag] if is_complex else [v]
+    rows = zip(*(map(repr, c.tolist()) for c in columns))
+    return ("\r\n".join([",".join(header), *map(",".join, rows)]) + "\r\n").encode()
+
+
+def test_grid_to_csv_matches_per_cell_formula(tmp_path):
+    state = synthesize_state(GaussianStateParams(rho=-0.9, chirp_s=-10000.0, chirp_i=-12000.0), n=64)
+    # odd, unequal counts: a swapped axis or an off-by-one row would show
+    odd = ComplexGrid2D(replace(state.axis_s, count=33), replace(state.axis_i, count=31), state.values[16:49, 17:48])
+    for grid in (state.intensity(), odd):
+        path = tmp_path / "grid.csv"
+        grid_to_csv(grid, path)
+        assert path.read_bytes() == _csv_per_cell(grid)

@@ -30,6 +30,7 @@ from biphoton.retrieve import (
     frog_error,
     project_magnitude,
     run_retrieval,
+    run_retrieval_stack,
 )
 from biphoton.synth import GaussianStateParams, synthesize_state
 
@@ -389,6 +390,79 @@ def test_non_finite_state_raises_without_ww_constraint(chirped_n32, mask):
     huge = state.with_values(np.full(state.values.shape, 1e308 + 0j))
     with pytest.raises(RetrievalError, match="iteration 1"):
         run_retrieval(m, RetrievalConfig(iterations=3, constraint_mask=frozenset(mask)), start=huge)
+
+
+# ---------------------------------------------------------------------------
+# A stack of measurement sets against lone runs
+
+
+def _poisson_sets(n_s, n_i, count=4):
+    """Poisson draws of one chirped state's ideal planes on n_s x n_i axes
+    cut from the n = 64 or 128 grid; low counts put exact zeros in the
+    amplitudes."""
+    n = 64 if max(n_s, n_i) <= 64 else 128
+    _, state = _chirped_measurements(n)
+    lo_s, lo_i = n // 2 - n_s // 2, n // 2 - n_i // 2
+    cut = ComplexGrid2D(
+        replace(state.axis_s, count=n_s), replace(state.axis_i, count=n_i),
+        state.values[lo_s : lo_s + n_s, lo_i : lo_i + n_i],
+    )
+    m = simulate_measurements(cut, GatingModel(gate=None))
+    return [poissonize_set(m, 300.0, seed=10 * k) for k in range(count)]
+
+
+def _assert_same_result(got, want):
+    assert np.array_equal(got.jsa.values, want.jsa.values)
+    assert (got.jsa.axis_s, got.jsa.axis_i) == (want.jsa.axis_s, want.jsa.axis_i)
+    assert np.array_equal(got.error_history_ww, want.error_history_ww)
+    assert got.error_final_tt == want.error_final_tt
+    assert (got.seed, got.iterations_run) == (want.seed, want.iterations_run)
+
+
+# at n = 128 a batched dot product over the stack would sum in another order
+@pytest.mark.parametrize("shape", [(32, 32), (33, 31), (128, 128)], ids=["n32", "33x31", "n128"])
+@pytest.mark.parametrize("mask", [frozenset(PLANES), frozenset({"ww", "tt"})], ids=["all", "ww+tt"])
+def test_stack_gives_each_set_its_lone_result(shape, mask):
+    sets = _poisson_sets(*shape)
+    cfg = RetrievalConfig(iterations=15, constraint_mask=mask)
+    seeds = [3, 8, 8, 21]  # one seed twice, on different draws
+    stack = run_retrieval_stack(sets, cfg, seeds)
+    assert len(stack) == len(sets)
+    for m, seed, got in zip(sets, seeds, stack):
+        _assert_same_result(got, run_retrieval(m, replace(cfg, seed=seed)))
+    # a given start takes its place in the stack too
+    start = _flat_start(sets[1])
+    got = run_retrieval_stack(sets[:3], cfg, [3, start, 8])
+    _assert_same_result(got[1], run_retrieval(sets[1], cfg, start=start))
+    _assert_same_result(got[2], stack[2])
+
+
+def test_stack_failures_stay_alone():
+    # no filterwarnings mark: tier-1 turns warnings into errors, and the loop
+    # reports a non-finite set through its error, not through numpy warnings
+    sets = _poisson_sets(32, 32, count=5)
+    cfg = RetrievalConfig(iterations=6, constraint_mask=frozenset({"wt", "tw", "tt"}))
+    zero_tt = replace(sets[1], i_tt=sets[1].i_tt.with_values(np.zeros((32, 32))))
+    huge = ComplexGrid2D(sets[3].i_ww.axis_s, sets[3].i_ww.axis_i, np.full((32, 32), 1e308 + 0j))
+    outcomes = run_retrieval_stack([sets[0], zero_tt, sets[2], sets[3], sets[4]], cfg, [1, 2, 3, huge, 5])
+    assert repr(outcomes[1]) == "ValueError('measured grid is identically zero')"
+    assert repr(outcomes[3]) == "RetrievalError('non-finite state after iteration 1')"
+    for k, seed in ((0, 1), (2, 3), (4, 5)):
+        _assert_same_result(outcomes[k], run_retrieval(sets[k], replace(cfg, seed=seed)))
+    # the lone runs raise the same exceptions
+    with pytest.raises(ValueError, match="^measured grid is identically zero$"):
+        run_retrieval(zero_tt, replace(cfg, seed=2))
+    with pytest.raises(RetrievalError, match="^non-finite state after iteration 1$"):
+        run_retrieval(sets[3], cfg, start=huge)
+    # every set failing leaves nothing to run
+    assert [repr(o) for o in run_retrieval_stack([zero_tt], cfg, [2])] == [repr(outcomes[1])]
+
+
+def test_stack_needs_shared_ww_axes():
+    small, odd = _poisson_sets(32, 32, count=1) + _poisson_sets(33, 31, count=1)
+    with pytest.raises(ValueError, match="share the ww axes"):
+        run_retrieval_stack([small, odd], RetrievalConfig(iterations=2), [0, 1])
+    assert run_retrieval_stack([], RetrievalConfig(iterations=2), []) == []
 
 
 def _frog_error_reference(m, r):
