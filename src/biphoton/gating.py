@@ -427,7 +427,7 @@ def poissonize(h: IntensityGrid2D, peak_counts: float, seed: int) -> IntensityGr
     # the peak bin's mean can round one ulp above peak_counts
     mean = np.clip(h.values * (peak_counts / peak), 0.0, MAX_PEAK_COUNTS)
     rng = np.random.default_rng(seed)
-    return h.with_values(rng.poisson(mean).astype(float))
+    return h.with_values(rng.poisson(mean))  # the grid converts the counts to float
 
 
 def poissonize_set(m: MeasurementSet, peak_counts: float, seed: int) -> MeasurementSet:

@@ -96,7 +96,7 @@ def conjugate_axis(a: Axis) -> Axis:
 
 
 def _validated_values(values, axis_s, axis_i, dtype):
-    values = np.asarray(values, dtype=dtype)
+    values = np.array(values, dtype=dtype)  # always a copy, which the grid owns
     if values.shape != (axis_s.count, axis_i.count):
         raise ValueError(
             f"values shape {values.shape} does not match axes "
@@ -104,7 +104,6 @@ def _validated_values(values, axis_s, axis_i, dtype):
         )
     if not np.all(np.isfinite(values)):
         raise ValueError("grid contains non-finite values")
-    values = values.copy()
     values.flags.writeable = False
     return values
 

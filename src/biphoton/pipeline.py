@@ -255,9 +255,7 @@ def preprocess_set(m: MeasurementSet, cfg: PipelineConfig) -> MeasurementSet:
 MC_STACK_PIXELS = 2**15
 
 
-def _fit_chirps(result: RetrievalResult | Exception, cfg: PipelineConfig) -> tuple | str:
-    if isinstance(result, Exception):
-        return repr(result)
+def _fit_chirps(result: RetrievalResult, cfg: PipelineConfig) -> tuple | str:
     try:
         fit = fit_retrieved_phase(result.jsa, cfg.analysis.mask_sigma)
     except Exception as exc:  # noqa: BLE001 - failed trials are counted and logged
@@ -270,25 +268,21 @@ def _mc_trials(raw: MeasurementSet, cfg: PipelineConfig, seed_pairs) -> list:
     poissonize ``raw`` at ``analysis.monte_carlo.peak_counts`` with the first
     seed, preprocess, retrieve with the second seed and fit.  The retrievals
     run in stacks of ``MC_STACK_PIXELS`` pixels per plane (at least one set),
-    and a trial's result does not depend on its stack.  Returns, per pair,
-    (chirp_s, chirp_i) or the repr of the exception that ended the trial."""
+    and a trial's result does not depend on its stack: a stack that raises
+    is run again one trial at a time.  Returns, per pair, (chirp_s, chirp_i)
+    or the repr of the exception that ended the trial."""
     size = max(1, MC_STACK_PIXELS // raw.i_ww.values.size)
     outcomes = []
     for lo in range(0, len(seed_pairs), size):
         pairs = seed_pairs[lo : lo + size]
-        stack = [None] * len(pairs)  # each pair's outcome
-        slots, sets = [], []  # the pairs whose noisy set is ready, and their sets
-        for j, (noise_seed, _) in enumerate(pairs):
-            try:
-                noisy = poissonize_set(raw, cfg.analysis.monte_carlo_peak_counts, noise_seed)
-                sets.append(preprocess_set(noisy, cfg))
-                slots.append(j)
-            except Exception as exc:  # noqa: BLE001 - failed trials are counted and logged
-                stack[j] = repr(exc)
-        results = run_retrieval_stack(sets, cfg.retrieval, [pairs[j][1] for j in slots])
-        for j, result in zip(slots, results):
-            stack[j] = _fit_chirps(result, cfg)
-        outcomes += stack
+        try:
+            sets = [preprocess_set(poissonize_set(raw, cfg.analysis.monte_carlo_peak_counts, noise_seed), cfg)
+                    for noise_seed, _ in pairs]
+            results = run_retrieval_stack(sets, cfg.retrieval, [seed for _, seed in pairs])
+        except Exception as exc:  # noqa: BLE001 - failed trials are counted and logged
+            outcomes += [repr(exc)] if len(pairs) == 1 else [_mc_trials(raw, cfg, [pair])[0] for pair in pairs]
+            continue
+        outcomes += [_fit_chirps(result, cfg) for result in results]
     return outcomes
 
 

@@ -84,6 +84,9 @@ class RetrievalConfig:
         if not planes:
             # with no plane projected the ww error would read 0
             raise ValueError("retrieval.constraint_mask must name at least one plane")
+        for p in planes:
+            if not isinstance(p, str):
+                raise ValueError(f"retrieval.constraint_mask entries must be strings, not {p!r}")
         repeated = sorted({p for p in planes if planes.count(p) > 1})
         if repeated:
             raise ValueError(f"retrieval.constraint_mask names {', '.join(repeated)} more than once")
@@ -162,14 +165,11 @@ def run_retrieval(
     from ``start``, a state on the ww axes (the result's seed is then None),
     or else from sqrt(ww) with a uniformly random phase drawn from ``cfg.seed``.
 
-    This is :func:`run_retrieval_stack` on a stack of one, with its failure
-    raised: a non-finite state raises :class:`RetrievalError`, a start on
-    other axes or an identically zero ww or tt plane ``ValueError``.
+    This is :func:`run_retrieval_stack` on a stack of one: a non-finite
+    state raises :class:`RetrievalError`, a start on other axes or an
+    identically zero ww or tt plane ``ValueError``.
     """
-    (outcome,) = run_retrieval_stack([m], cfg, [cfg.seed if start is None else start])
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    return run_retrieval_stack([m], cfg, [cfg.seed if start is None else start])[0]
 
 
 def _load(m: MeasurementSet, start, g, amp, m_hat, tt_hat):
@@ -194,17 +194,17 @@ def run_retrieval_stack(sets, cfg: RetrievalConfig, starts) -> list:
     """Run the alternating-projection loop on a stack of measurement sets
     that share the ww axes, each from its own start: ``starts[b]`` is a
     state on the ww axes or the seed of sqrt(ww) with a uniformly random
-    phase (``cfg.seed`` is not read).  Returns, in order, each set's
-    :class:`RetrievalResult` or the exception that ended it; a set that
-    fails at set-up or goes non-finite is dropped from the stack at once,
-    and every other set's result is the same as in a stack of its own.
+    phase (``cfg.seed`` is not read).  Returns each set's
+    :class:`RetrievalResult` in order, each the same as in a stack of its
+    own; a set that fails raises what its lone run raises, for the stack.
 
     The ww-plane error is evaluated on the estimate returned to the ww plane
     at the end of each cycle (before the next projection), which is the
     quantity the algorithm never increases when all four constraints are on.
-    A non-finite error, and so any non-finite pixel of a set's state, ends
-    that set with :class:`RetrievalError`; numpy's overflow and invalid-value
-    warnings are off in the loop, because that check reports them per set.
+    A non-finite error, and so any non-finite pixel of a set's state, raises
+    :class:`RetrievalError`; numpy's overflow and invalid-value warnings are
+    off in the loop, because that check reports them: under a filter that
+    turns warnings into errors they would end the run with another exception.
     Every numpy call but the FROG error covers the whole (B, n, n) stack;
     the error stays per set, so each set's dot products sum in the order of
     a lone run.  Buffer budget per set, in n x n complex units: 5
@@ -222,19 +222,8 @@ def run_retrieval_stack(sets, cfg: RetrievalConfig, starts) -> list:
     g = np.empty(shape, dtype=complex)
     amp = {p: np.empty(shape) for p in cfg.constraint_mask}
     m_hat, tt_hat = np.empty(shape), np.empty(shape)
-    outcomes, live = [None] * len(sets), []  # live[i]: the index in sets of slice i
     for b, (m, start) in enumerate(zip(sets, starts, strict=True)):
-        i = len(live)
-        try:
-            _load(m, start, g[i], {p: a[i] for p, a in amp.items()}, m_hat[i], tt_hat[i])
-        except Exception as exc:  # noqa: BLE001 - the set fails alone
-            outcomes[b] = exc
-            continue
-        live.append(b)
-    if not live:
-        return outcomes
-    g, m_hat, tt_hat = g[: len(live)], m_hat[: len(live)], tt_hat[: len(live)]
-    amp = {p: a[: len(live)] for p, a in amp.items()}
+        _load(m, start, g[b], {p: a[b] for p, a in amp.items()}, m_hat[b], tt_hat[b])
     # plane projected before the step, step transform, its axis, its unitary factor
     cycle = (
         ("ww", np.fft.fft, -1, dft_scale(axis_i)),
@@ -243,9 +232,9 @@ def run_retrieval_stack(sets, cfg: RetrievalConfig, starts) -> list:
         ("tw", np.fft.ifft, -2, dft_scale(conjugate_axis(axis_s))),
     )
     mag = np.abs(g)  # |g|; at the ww plane it is the one the last error left
-    work = np.empty(g.shape)
+    work = np.empty(shape)
     scale = 1.0  # physical field = scale * g, the same for every set
-    history = np.empty((len(sets), cfg.iterations))
+    history = []  # per iteration, each set's ww error
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(cfg.iterations):
@@ -260,29 +249,20 @@ def run_retrieval_stack(sets, cfg: RetrievalConfig, starts) -> list:
             np.abs(g, out=mag)
             np.square(mag, out=work)
             errs = [_frog_error(m_b, w_b, w_b) for m_b, w_b in zip(m_hat, work)]
-            for b, err in zip(live, errs):
-                history[b, k] = err
+            history.append(errs)
             if not all(map(math.isfinite, errs)):
-                keep = [math.isfinite(err) for err in errs]
-                for b, ok in zip(live, keep):
-                    if not ok:
-                        outcomes[b] = RetrievalError(f"non-finite state after iteration {k + 1}")
-                live = [b for b, ok in zip(live, keep) if ok]
-                if not live:
-                    return outcomes
-                g, mag, work, m_hat, tt_hat = (x[keep] for x in (g, mag, work, m_hat, tt_hat))
-                amp = {p: a[keep] for p, a in amp.items()}
+                raise RetrievalError(f"non-finite state after iteration {k + 1}")
 
-    jsas = [ComplexGrid2D(axis_s, axis_i, np.fft.fftshift(g[i]) * scale) for i in range(len(live))]
+    jsas = [ComplexGrid2D(axis_s, axis_i, np.fft.fftshift(g_b) * scale) for g_b in g]
     np.fft.fft(np.fft.fft(g, axis=-1, out=g), axis=-2, out=g)
     np.square(np.abs(g, out=mag), out=mag)
-    errs_tt = [_frog_error(t_b, m_b, m_b) for t_b, m_b in zip(tt_hat, mag)]
-    for i, b in enumerate(live):
-        outcomes[b] = RetrievalResult(
-            jsa=jsas[i],
-            error_history_ww=history[b],
-            error_final_tt=errs_tt[i],
-            seed=None if isinstance(starts[b], ComplexGrid2D) else starts[b],
+    return [
+        RetrievalResult(
+            jsa=jsa,
+            error_history_ww=errs,
+            error_final_tt=_frog_error(t_b, m_b, m_b),
+            seed=None if isinstance(start, ComplexGrid2D) else start,
             iterations_run=cfg.iterations,
         )
-    return outcomes
+        for jsa, errs, t_b, m_b, start in zip(jsas, np.transpose(history), tt_hat, mag, starts)
+    ]

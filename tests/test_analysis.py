@@ -2,6 +2,7 @@
 
 import logging
 import os
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -250,10 +251,10 @@ def test_monte_carlo_failed_trial_is_counted_and_logged(mc_trial, monkeypatch, c
     run_retrieval_stack = pipeline.run_retrieval_stack
 
     def flaky(sets, cfg, seeds):
-        # the stack returns a failed set's exception in that set's slot
-        outcomes = run_retrieval_stack(sets, cfg, seeds)
-        forced = RuntimeError(f"forced failure in process {os.getpid()}")
-        return [forced if s == bad_seed else outcome for s, outcome in zip(seeds, outcomes)]
+        # a stack holding the bad seed fails as a whole, and then alone
+        if bad_seed in seeds:
+            raise RuntimeError(f"forced failure in process {os.getpid()}")
+        return run_retrieval_stack(sets, cfg, seeds)
 
     monkeypatch.setattr(pipeline, "run_retrieval_stack", flaky)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
@@ -275,3 +276,15 @@ def test_monte_carlo_trials_do_not_depend_on_stack_size(mc_trial, monkeypatch):
     monkeypatch.setattr(pipeline, "MC_STACK_PIXELS", 1)  # a stack of one each
     assert mc_trial(seeds) == whole
     assert all(isinstance(outcome, tuple) for outcome in whole)
+
+
+def test_monte_carlo_failed_stack_reruns_each_trial_alone(mc_trial):
+    # at 0.2 peak counts the second trial draws an all-zero plane, and the
+    # stack of three fails as a whole
+    raw, cfg = mc_trial.args
+    trial = partial(pipeline._mc_trials, raw, replace(cfg, analysis=AnalysisConfig(monte_carlo_peak_counts=0.2)))
+    pairs = [(11, 12), (13, 14), (15, 16)]
+    outcomes = trial(pairs)
+    assert outcomes == [trial([pair])[0] for pair in pairs]
+    assert outcomes[1] == "ValueError('measured grid is identically zero')"
+    assert isinstance(outcomes[0], tuple) and isinstance(outcomes[2], tuple)

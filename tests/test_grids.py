@@ -82,6 +82,16 @@ def test_grid_values_read_only(random_complex_grid):
         random_complex_grid.values[0, 0] = 1.0
 
 
+def test_grid_owns_a_float_copy_of_integer_values(random_complex_grid):
+    # Poisson counts arrive as int64; the grid converts them in its one copy
+    counts = np.arange(random_complex_grid.values.size, dtype=np.int64).reshape(random_complex_grid.values.shape)
+    h = IntensityGrid2D(random_complex_grid.axis_s, random_complex_grid.axis_i, counts)
+    assert h.values.dtype == np.float64
+    assert not h.values.flags.writeable
+    assert not np.shares_memory(h.values, counts)
+    assert np.array_equal(h.values, counts)
+
+
 def test_with_values_keeps_grid_type(random_complex_grid):
     for g in (random_complex_grid, random_complex_grid.intensity()):
         h = g.with_values(2 * g.values)

@@ -208,10 +208,13 @@ def test_from_manifest_rejects_wrong_types(manifest, key):
     ({"retrieval": {"constraint_mask": []}}, "retrieval.constraint_mask must name at least one plane"),
     ({"retrieval": {"constraint_mask": ["ww", "ww"]}}, "retrieval.constraint_mask names ww more than once"),
     ({"retrieval": {"constraint_mask": ["tt", "ww", "tt"]}}, "retrieval.constraint_mask names tt more than once"),
+    ({"retrieval": {"constraint_mask": ["ww", ["tt"]]}},
+     "retrieval.constraint_mask entries must be strings, not ['tt']"),
+    ({"retrieval": {"constraint_mask": ["ww", 3, "x"]}}, "retrieval.constraint_mask entries must be strings, not 3"),
     ({"retrieval": {"seed": -1}}, "retrieval.seed must be >= 0"),
     ({"seed": -1}, "seed must be >= 0"),
     ({"seed": -1, "retrieval": {"seed": 2}}, "seed must be >= 0"),
-], ids=["empty_mask", "repeated_ww", "repeated_tt", "negative_retrieval_seed",
+], ids=["empty_mask", "repeated_ww", "repeated_tt", "list_entry", "number_entry", "negative_retrieval_seed",
         "negative_seed", "negative_seed_with_retrieval_seed"])
 def test_from_manifest_rejects_bad_retrieval_settings(manifest, message):
     with pytest.raises(ValueError) as exc:

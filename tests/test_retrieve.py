@@ -117,6 +117,8 @@ def test_retrieval_config_validation():
                 {"seed": -3}):
         with pytest.raises(ValueError, match=r"^retrieval\."):
             RetrievalConfig(**bad)
+    with pytest.raises(ValueError, match=r"^retrieval\.constraint_mask entries must be strings, not None$"):
+        RetrievalConfig(constraint_mask=("ww", None))
 
 
 def test_start_on_other_axes_rejected_at_run(ideal_measurements):
@@ -437,25 +439,22 @@ def test_stack_gives_each_set_its_lone_result(shape, mask):
     _assert_same_result(got[2], stack[2])
 
 
-def test_stack_failures_stay_alone():
+def test_stack_raises_the_lone_run_exception():
     # no filterwarnings mark: tier-1 turns warnings into errors, and the loop
     # reports a non-finite set through its error, not through numpy warnings
-    sets = _poisson_sets(32, 32, count=5)
+    sets = _poisson_sets(32, 32, count=3)
     cfg = RetrievalConfig(iterations=6, constraint_mask=frozenset({"wt", "tw", "tt"}))
     zero_tt = replace(sets[1], i_tt=sets[1].i_tt.with_values(np.zeros((32, 32))))
-    huge = ComplexGrid2D(sets[3].i_ww.axis_s, sets[3].i_ww.axis_i, np.full((32, 32), 1e308 + 0j))
-    outcomes = run_retrieval_stack([sets[0], zero_tt, sets[2], sets[3], sets[4]], cfg, [1, 2, 3, huge, 5])
-    assert repr(outcomes[1]) == "ValueError('measured grid is identically zero')"
-    assert repr(outcomes[3]) == "RetrievalError('non-finite state after iteration 1')"
-    for k, seed in ((0, 1), (2, 3), (4, 5)):
-        _assert_same_result(outcomes[k], run_retrieval(sets[k], replace(cfg, seed=seed)))
-    # the lone runs raise the same exceptions
-    with pytest.raises(ValueError, match="^measured grid is identically zero$"):
-        run_retrieval(zero_tt, replace(cfg, seed=2))
-    with pytest.raises(RetrievalError, match="^non-finite state after iteration 1$"):
-        run_retrieval(sets[3], cfg, start=huge)
-    # every set failing leaves nothing to run
-    assert [repr(o) for o in run_retrieval_stack([zero_tt], cfg, [2])] == [repr(outcomes[1])]
+    huge = ComplexGrid2D(sets[1].i_ww.axis_s, sets[1].i_ww.axis_i, np.full((32, 32), 1e308 + 0j))
+    for bad, start, want in (
+        (zero_tt, _flat_start(sets[1]), "ValueError('measured grid is identically zero')"),
+        (sets[1], huge, "RetrievalError('non-finite state after iteration 1')"),
+    ):
+        with pytest.raises(Exception) as in_stack:
+            run_retrieval_stack([sets[0], bad, sets[2]], cfg, [1, start, 3])
+        with pytest.raises(Exception) as alone:
+            run_retrieval(bad, cfg, start=start)
+        assert repr(in_stack.value) == repr(alone.value) == want
 
 
 def test_stack_needs_shared_ww_axes():
