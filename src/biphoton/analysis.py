@@ -208,14 +208,14 @@ def _cpu_count():
 
 def monte_carlo_uncertainty(trial, trials: int, seed: int):
     """Per-coefficient spread of the fitted chirps over ``trials`` Monte
-    Carlo trials, each given a (noise_seed, retrieval_seed) pair.
-    ``trial(seed_pairs)`` runs the trials of a list of pairs and returns one
-    outcome per pair: (chirp_s, chirp_i), or a string naming the exception a
-    failed trial raised.  It is a module-level function, or a partial of
-    one, so that it pickles.  The seed pairs come from one ``SeedSequence``
-    of ``seed``.
+    Carlo trials, each given a noise seed.  ``trial(noise_seeds)`` runs the
+    trials of a list of seeds and returns one outcome per seed: (chirp_s,
+    chirp_i), or a string naming the exception a failed trial raised.  It is
+    a module-level function, or a partial of one, so that it pickles.  Trial
+    k's seed is entry 2k of ``generate_state(2 * trials)`` of one
+    ``SeedSequence`` of ``seed``; the odd entries are unused.
 
-    The pairs are split into one contiguous chunk per worker (chunk sizes
+    The seeds are split into one contiguous chunk per worker (chunk sizes
     differ by at most one), and the chunks run in forked worker processes,
     one per CPU in the affinity mask (at most one per trial), or as one
     chunk in this process when there is one worker or no fork.  Results are
@@ -232,12 +232,12 @@ def monte_carlo_uncertainty(trial, trials: int, seed: int):
 
     if trials < 2:
         raise ValueError("need at least 2 trials")
-    trial_seeds = np.random.SeedSequence(seed).generate_state(2 * trials).reshape(trials, 2)
-    seeds = [(int(a), int(b)) for a, b in trial_seeds]
+    seeds = np.random.SeedSequence(seed).generate_state(2 * trials)[::2].tolist()
     workers = min(_cpu_count(), trials)
     # fork, not spawn: a spawned worker imports numpy and biphoton again,
-    # which made 16 trials at n = 64 on 2 CPUs slower than running them here
-    # (1.7-2.1 s against 1.45 s; fork 0.7 s), and it needs a __main__ guard
+    # which made 16 warm trials at n = 64 on 2 CPUs slower than running them
+    # here (0.44 s against 0.25-0.29 s; fork 0.17-0.18 s), and it needs a
+    # __main__ guard
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
         bounds = [trials * w // workers for w in range(workers + 1)]
         chunks = [seeds[lo:hi] for lo, hi in zip(bounds, bounds[1:])]

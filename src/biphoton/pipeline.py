@@ -59,12 +59,16 @@ class AnalysisConfig:
     mask_sigma: float = 2.0
     monte_carlo_trials: int = 0
     monte_carlo_peak_counts: float = 1e4
+    # iterations of each trial's retrieval, started from the nominal JSA
+    monte_carlo_iterations: int = 50
 
     def __post_init__(self):
         if not self.mask_sigma > 0:
             raise ValueError("analysis.mask_sigma must be positive")
         if self.monte_carlo_trials != 0 and self.monte_carlo_trials < 2:
             raise ValueError("analysis.monte_carlo.trials must be 0 (off) or at least 2")
+        if self.monte_carlo_iterations < 1:
+            raise ValueError("analysis.monte_carlo.iterations must be >= 1")
         check_peak_counts("analysis.monte_carlo.peak_counts", self.monte_carlo_peak_counts)
 
 
@@ -130,6 +134,7 @@ _SECTIONS = {
 _RENAMED = {
     "gate_center": "gate.center", "gate_sigma": "gate.sigma",
     "monte_carlo_trials": "monte_carlo.trials", "monte_carlo_peak_counts": "monte_carlo.peak_counts",
+    "monte_carlo_iterations": "monte_carlo.iterations",
     "poisson_peak_counts": "noise.poisson_peak_counts",
 }
 # field type -> (Python types of the JSON values it takes, their JSON name)
@@ -263,24 +268,26 @@ def _fit_chirps(result: RetrievalResult, cfg: PipelineConfig) -> tuple | str:
     return fit.chirp_s, fit.chirp_i
 
 
-def _mc_trials(raw: MeasurementSet, cfg: PipelineConfig, seed_pairs) -> list:
-    """Monte Carlo trials, one per (noise_seed, retrieval_seed) pair:
-    poissonize ``raw`` at ``analysis.monte_carlo.peak_counts`` with the first
-    seed, preprocess, retrieve with the second seed and fit.  The retrievals
-    run in stacks of ``MC_STACK_PIXELS`` pixels per plane (at least one set),
-    and a trial's result does not depend on its stack: a stack that raises
-    is run again one trial at a time.  Returns, per pair, (chirp_s, chirp_i)
-    or the repr of the exception that ended the trial."""
+def _mc_trials(raw: MeasurementSet, cfg: PipelineConfig, start: ComplexGrid2D, noise_seeds) -> list:
+    """Monte Carlo trials, one per noise seed: poissonize ``raw`` at
+    ``analysis.monte_carlo.peak_counts`` with the seed, preprocess, retrieve
+    for ``analysis.monte_carlo.iterations`` from ``start`` (the nominal JSA)
+    and fit.  The retrievals run in stacks of ``MC_STACK_PIXELS`` pixels per
+    plane (at least one set), and a trial's result does not depend on its
+    stack: a stack that raises is run again one trial at a time.  Returns,
+    per seed, (chirp_s, chirp_i) or the repr of the exception that ended the
+    trial."""
     size = max(1, MC_STACK_PIXELS // raw.i_ww.values.size)
+    retrieval = replace(cfg.retrieval, iterations=cfg.analysis.monte_carlo_iterations)
     outcomes = []
-    for lo in range(0, len(seed_pairs), size):
-        pairs = seed_pairs[lo : lo + size]
+    for lo in range(0, len(noise_seeds), size):
+        seeds = noise_seeds[lo : lo + size]
         try:
-            sets = [preprocess_set(poissonize_set(raw, cfg.analysis.monte_carlo_peak_counts, noise_seed), cfg)
-                    for noise_seed, _ in pairs]
-            results = run_retrieval_stack(sets, cfg.retrieval, [seed for _, seed in pairs])
+            sets = [preprocess_set(poissonize_set(raw, cfg.analysis.monte_carlo_peak_counts, seed), cfg)
+                    for seed in seeds]
+            results = run_retrieval_stack(sets, retrieval, [start] * len(sets))
         except Exception as exc:  # noqa: BLE001 - failed trials are counted and logged
-            outcomes += [repr(exc)] if len(pairs) == 1 else [_mc_trials(raw, cfg, [pair])[0] for pair in pairs]
+            outcomes += [repr(exc)] if len(seeds) == 1 else [_mc_trials(raw, cfg, start, [s])[0] for s in seeds]
             continue
         outcomes += [_fit_chirps(result, cfg) for result in results]
     return outcomes
@@ -322,7 +329,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineOutput:
     if cfg.analysis.monte_carlo_trials:
         t0 = time.perf_counter()
         trials = cfg.analysis.monte_carlo_trials
-        monte_carlo = monte_carlo_uncertainty(partial(_mc_trials, raw, cfg), trials, cfg.seed)
+        monte_carlo = monte_carlo_uncertainty(partial(_mc_trials, raw, cfg, result.jsa), trials, cfg.seed)
         timings["monte_carlo"] = time.perf_counter() - t0
     return PipelineOutput(raw, constraints, truth, result, fit, witness, timings, monte_carlo)
 

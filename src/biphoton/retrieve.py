@@ -80,6 +80,9 @@ class RetrievalConfig:
             raise ValueError("retrieval.iterations must be >= 1")
         if self.seed < 0:
             raise ValueError("retrieval.seed must be >= 0")
+        if isinstance(self.constraint_mask, str):
+            raise ValueError("retrieval.constraint_mask must be a collection of plane names, "
+                             f"not the string {self.constraint_mask!r}")
         planes = list(self.constraint_mask)
         if not planes:
             # with no plane projected the ww error would read 0

@@ -21,14 +21,14 @@ from biphoton.analysis import (
     tbp_numeric,
     unwrap_phase_2d,
 )
-from biphoton.gating import GatingModel, simulate_measurements
+from biphoton.gating import GatingModel, poissonize_set, simulate_measurements
 from biphoton.pipeline import (
     AnalysisConfig,
     GatingConfig,
     PipelineConfig,
     StateConfig,
 )
-from biphoton.retrieve import RetrievalConfig
+from biphoton.retrieve import RetrievalConfig, run_retrieval
 from biphoton.synth import GaussianStateParams, gaussian_jsa, synthesize_state, tbp_gaussian
 
 
@@ -207,13 +207,18 @@ def test_monte_carlo_uncertainty_smoke():
     )
     state = synthesize_state(p, n=32)
     raw = simulate_measurements(state, GatingModel(gate=None))
-    trial = partial(pipeline._mc_trials, raw, cfg)
+    trial = partial(pipeline._mc_trials, raw, cfg, _nominal_jsa(raw, cfg))
     sd, values = monte_carlo_uncertainty(trial, trials=4, seed=3)
     assert set(sd) == {"chirp_s", "chirp_i"}
     assert len(values["chirp_s"]) == 4
     assert sd["chirp_s"] >= 0
     with pytest.raises(ValueError):
         monte_carlo_uncertainty(trial, trials=1, seed=0)
+
+
+def _nominal_jsa(raw, cfg):
+    """The JSA the pipeline retrieves from ``raw``: every trial's start."""
+    return run_retrieval(pipeline.preprocess_set(raw, cfg), cfg.retrieval).jsa
 
 
 @pytest.fixture(scope="module")
@@ -227,7 +232,7 @@ def mc_trial():
         preprocess_enabled=False,
     )
     raw = simulate_measurements(synthesize_state(p, n=32), GatingModel(gate=None))
-    return partial(pipeline._mc_trials, raw, cfg)
+    return partial(pipeline._mc_trials, raw, cfg, _nominal_jsa(raw, cfg))
 
 
 def test_cpu_count_without_affinity_mask(monkeypatch):
@@ -247,16 +252,16 @@ def test_monte_carlo_results_do_not_depend_on_workers(mc_trial, monkeypatch):
 @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one_worker", "two_workers"])
 def test_monte_carlo_failed_trial_is_counted_and_logged(mc_trial, monkeypatch, caplog, cpus):
     trials, seed, failing = 5, 3, 1
-    bad_seed = int(np.random.SeedSequence(seed).generate_state(2 * trials)[2 * failing + 1])
-    run_retrieval_stack = pipeline.run_retrieval_stack
+    bad_seed = int(np.random.SeedSequence(seed).generate_state(2 * trials)[2 * failing])
+    poissonize = pipeline.poissonize_set
 
-    def flaky(sets, cfg, seeds):
-        # a stack holding the bad seed fails as a whole, and then alone
-        if bad_seed in seeds:
+    def flaky(m, peak_counts, noise_seed):
+        # a stack holding the bad noise seed fails as a whole, and then alone
+        if noise_seed == bad_seed:
             raise RuntimeError(f"forced failure in process {os.getpid()}")
-        return run_retrieval_stack(sets, cfg, seeds)
+        return poissonize(m, peak_counts, noise_seed)
 
-    monkeypatch.setattr(pipeline, "run_retrieval_stack", flaky)
+    monkeypatch.setattr(pipeline, "poissonize_set", flaky)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
     with caplog.at_level(logging.WARNING, logger="biphoton.analysis"):
         _, values = monte_carlo_uncertainty(mc_trial, trials=trials, seed=seed)
@@ -271,7 +276,7 @@ def test_monte_carlo_failed_trial_is_counted_and_logged(mc_trial, monkeypatch, c
 
 
 def test_monte_carlo_trials_do_not_depend_on_stack_size(mc_trial, monkeypatch):
-    seeds = [(11, 12), (13, 14), (15, 16)]
+    seeds = [11, 13, 15]
     whole = mc_trial(seeds)  # n = 32: the three retrievals run as one stack
     monkeypatch.setattr(pipeline, "MC_STACK_PIXELS", 1)  # a stack of one each
     assert mc_trial(seeds) == whole
@@ -281,10 +286,33 @@ def test_monte_carlo_trials_do_not_depend_on_stack_size(mc_trial, monkeypatch):
 def test_monte_carlo_failed_stack_reruns_each_trial_alone(mc_trial):
     # at 0.2 peak counts the second trial draws an all-zero plane, and the
     # stack of three fails as a whole
-    raw, cfg = mc_trial.args
-    trial = partial(pipeline._mc_trials, raw, replace(cfg, analysis=AnalysisConfig(monte_carlo_peak_counts=0.2)))
-    pairs = [(11, 12), (13, 14), (15, 16)]
-    outcomes = trial(pairs)
-    assert outcomes == [trial([pair])[0] for pair in pairs]
+    raw, cfg, start = mc_trial.args
+    cfg = replace(cfg, analysis=AnalysisConfig(monte_carlo_peak_counts=0.2))
+    trial = partial(pipeline._mc_trials, raw, cfg, start)
+    seeds = [11, 13, 15]
+    outcomes = trial(seeds)
+    assert outcomes == [trial([seed])[0] for seed in seeds]
     assert outcomes[1] == "ValueError('measured grid is identically zero')"
     assert isinstance(outcomes[0], tuple) and isinstance(outcomes[2], tuple)
+
+
+@pytest.mark.parametrize("stack_pixels", [pipeline.MC_STACK_PIXELS, 1], ids=["stack_of_three", "stack_of_one"])
+def test_monte_carlo_trial_is_a_lone_warm_started_retrieval(monkeypatch, stack_pixels):
+    # gated and preprocessed, with trials of another length than the nominal run
+    p = GaussianStateParams(rho=-0.8, chirp_s=-8000.0, chirp_i=-9000.0)
+    cfg = PipelineConfig(
+        state=StateConfig(params=p, n=32),
+        retrieval=RetrievalConfig(iterations=40),
+        analysis=AnalysisConfig(monte_carlo_peak_counts=1e5, monte_carlo_iterations=30),
+    )
+    raw, _ = pipeline.simulate(cfg)
+    start = _nominal_jsa(raw, cfg)
+    seeds = [11, 13, 15]
+    retrieval = replace(cfg.retrieval, iterations=cfg.analysis.monte_carlo_iterations)
+    expected = []
+    for seed in seeds:
+        m = pipeline.preprocess_set(poissonize_set(raw, cfg.analysis.monte_carlo_peak_counts, seed), cfg)
+        fit = fit_retrieved_phase(run_retrieval(m, retrieval, start=start).jsa, cfg.analysis.mask_sigma)
+        expected.append((fit.chirp_s, fit.chirp_i))
+    monkeypatch.setattr(pipeline, "MC_STACK_PIXELS", stack_pixels)
+    assert pipeline._mc_trials(raw, cfg, start, seeds) == expected

@@ -119,6 +119,11 @@ def test_retrieval_config_validation():
             RetrievalConfig(**bad)
     with pytest.raises(ValueError, match=r"^retrieval\.constraint_mask entries must be strings, not None$"):
         RetrievalConfig(constraint_mask=("ww", None))
+    # a string is a collection of characters, not of plane names
+    for text in ("wwtt", "ww"):
+        with pytest.raises(ValueError, match=r"^retrieval\.constraint_mask must be a collection of plane names, "
+                                             rf"not the string '{text}'$"):
+            RetrievalConfig(constraint_mask=text)
 
 
 def test_start_on_other_axes_rejected_at_run(ideal_measurements):
