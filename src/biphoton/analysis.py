@@ -213,7 +213,7 @@ def monte_carlo_uncertainty(trial, trials: int, seed: int):
     chirp_i), or a string naming the exception a failed trial raised.  It is
     a module-level function, or a partial of one, so that it pickles.  Trial
     k's seed is entry 2k of ``generate_state(2 * trials)`` of one
-    ``SeedSequence`` of ``seed``; the odd entries are unused.
+    ``SeedSequence`` of ``seed``.
 
     The seeds are split into one contiguous chunk per worker (chunk sizes
     differ by at most one), and the chunks run in forked worker processes,
@@ -232,6 +232,7 @@ def monte_carlo_uncertainty(trial, trials: int, seed: int):
 
     if trials < 2:
         raise ValueError("need at least 2 trials")
+    # entry 2k: the stride keeps trial k's noise draw stable across versions
     seeds = np.random.SeedSequence(seed).generate_state(2 * trials)[::2].tolist()
     workers = min(_cpu_count(), trials)
     # fork, not spawn: a spawned worker imports numpy and biphoton again,

@@ -233,7 +233,6 @@ def pipeline(manifest_path, out_dir, seed, units, verbose):
     if output.monte_carlo is not None:
         sd, trials = output.monte_carlo
         analysis_doc["monte_carlo"] = {
-            "iterations": cfg.analysis.monte_carlo_iterations,
             "stddev": {k: _in_units(v, units) for k, v in sd.items()},
             "trials": {k: [_in_units(v, units) for v in vs] for k, vs in trials.items()},
         }

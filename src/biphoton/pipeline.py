@@ -59,16 +59,12 @@ class AnalysisConfig:
     mask_sigma: float = 2.0
     monte_carlo_trials: int = 0
     monte_carlo_peak_counts: float = 1e4
-    # iterations of each trial's retrieval, started from the nominal JSA
-    monte_carlo_iterations: int = 50
 
     def __post_init__(self):
         if not self.mask_sigma > 0:
             raise ValueError("analysis.mask_sigma must be positive")
         if self.monte_carlo_trials != 0 and self.monte_carlo_trials < 2:
             raise ValueError("analysis.monte_carlo.trials must be 0 (off) or at least 2")
-        if self.monte_carlo_iterations < 1:
-            raise ValueError("analysis.monte_carlo.iterations must be >= 1")
         check_peak_counts("analysis.monte_carlo.peak_counts", self.monte_carlo_peak_counts)
 
 
@@ -134,7 +130,6 @@ _SECTIONS = {
 _RENAMED = {
     "gate_center": "gate.center", "gate_sigma": "gate.sigma",
     "monte_carlo_trials": "monte_carlo.trials", "monte_carlo_peak_counts": "monte_carlo.peak_counts",
-    "monte_carlo_iterations": "monte_carlo.iterations",
     "poisson_peak_counts": "noise.poisson_peak_counts",
 }
 # field type -> (Python types of the JSON values it takes, their JSON name)
@@ -258,6 +253,8 @@ def preprocess_set(m: MeasurementSet, cfg: PipelineConfig) -> MeasurementSet:
 
 # pixels in one stack of Monte Carlo retrievals: 8 sets at n = 64, 2 at n = 128, 1 from n = 256
 MC_STACK_PIXELS = 2**15
+# iterations of each Monte Carlo trial's retrieval, started from the nominal JSA
+MC_ITERATIONS = 50
 
 
 def _fit_chirps(result: RetrievalResult, cfg: PipelineConfig) -> tuple | str:
@@ -271,14 +268,14 @@ def _fit_chirps(result: RetrievalResult, cfg: PipelineConfig) -> tuple | str:
 def _mc_trials(raw: MeasurementSet, cfg: PipelineConfig, start: ComplexGrid2D, noise_seeds) -> list:
     """Monte Carlo trials, one per noise seed: poissonize ``raw`` at
     ``analysis.monte_carlo.peak_counts`` with the seed, preprocess, retrieve
-    for ``analysis.monte_carlo.iterations`` from ``start`` (the nominal JSA)
-    and fit.  The retrievals run in stacks of ``MC_STACK_PIXELS`` pixels per
+    for ``MC_ITERATIONS`` iterations from ``start`` (the nominal JSA) and
+    fit.  The retrievals run in stacks of ``MC_STACK_PIXELS`` pixels per
     plane (at least one set), and a trial's result does not depend on its
     stack: a stack that raises is run again one trial at a time.  Returns,
     per seed, (chirp_s, chirp_i) or the repr of the exception that ended the
     trial."""
     size = max(1, MC_STACK_PIXELS // raw.i_ww.values.size)
-    retrieval = replace(cfg.retrieval, iterations=cfg.analysis.monte_carlo_iterations)
+    retrieval = replace(cfg.retrieval, iterations=MC_ITERATIONS)
     outcomes = []
     for lo in range(0, len(noise_seeds), size):
         seeds = noise_seeds[lo : lo + size]

@@ -303,12 +303,13 @@ def test_monte_carlo_trial_is_a_lone_warm_started_retrieval(monkeypatch, stack_p
     cfg = PipelineConfig(
         state=StateConfig(params=p, n=32),
         retrieval=RetrievalConfig(iterations=40),
-        analysis=AnalysisConfig(monte_carlo_peak_counts=1e5, monte_carlo_iterations=30),
+        analysis=AnalysisConfig(monte_carlo_peak_counts=1e5),
     )
     raw, _ = pipeline.simulate(cfg)
     start = _nominal_jsa(raw, cfg)
     seeds = [11, 13, 15]
-    retrieval = replace(cfg.retrieval, iterations=cfg.analysis.monte_carlo_iterations)
+    monkeypatch.setattr(pipeline, "MC_ITERATIONS", 30)
+    retrieval = replace(cfg.retrieval, iterations=pipeline.MC_ITERATIONS)
     expected = []
     for seed in seeds:
         m = pipeline.preprocess_set(poissonize_set(raw, cfg.analysis.monte_carlo_peak_counts, seed), cfg)

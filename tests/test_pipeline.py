@@ -139,7 +139,7 @@ EVERY_KEY = {
                "spectrometer_sigma": 0, "refractive_table_path": "table.json", "ideal": False},
     "preprocess": {"grid_n": 32, "alpha": 1, "rho_lp": 1, "allow_out_of_range": True},
     "retrieval": {"iterations": 20, "seed": 4, "constraint_mask": ["ww", "tt"]},
-    "analysis": {"mask_sigma": 3, "monte_carlo": {"trials": 2, "peak_counts": 100, "iterations": 7}},
+    "analysis": {"mask_sigma": 3, "monte_carlo": {"trials": 2, "peak_counts": 100}},
     "preprocess_enabled": False,
     "noise": {"poisson_peak_counts": 1000},
 }
@@ -160,8 +160,7 @@ def test_from_manifest_every_key():
         ),
         preprocess=PreprocessConfig(grid_n=32, alpha=1.0, rho_lp=1.0, allow_out_of_range=True),
         retrieval=RetrievalConfig(iterations=20, seed=4, constraint_mask=frozenset({"ww", "tt"})),
-        analysis=AnalysisConfig(mask_sigma=3.0, monte_carlo_trials=2, monte_carlo_peak_counts=100.0,
-                                monte_carlo_iterations=7),
+        analysis=AnalysisConfig(mask_sigma=3.0, monte_carlo_trials=2, monte_carlo_peak_counts=100.0),
         preprocess_enabled=False,
         poisson_peak_counts=1000.0,
         seed=3,
