@@ -2,9 +2,9 @@
 
 Subcommands: ``simulate``, ``preprocess``, ``retrieve``, ``analyze``,
 ``pipeline``.  All grid files use the Grid JSON format; manifests are JSON.
-Every command maps errors to the same exit codes: 2 invalid configuration or
-missing input, 3 retrieval produced non-finite values, 4 phase fit failed
-(also when more than 20% of the Monte Carlo trials fail).
+Every command maps errors to the same exit codes: 2 invalid configuration,
+missing input or memory exhaustion, 3 retrieval produced non-finite values,
+4 phase fit failed (also when more than 20% of the Monte Carlo trials fail).
 """
 
 import dataclasses
@@ -43,6 +43,8 @@ def _exit_codes():
         _fail(EXIT_FIT_FAILED, exc)
     except (ValueError, TypeError, OSError) as exc:
         _fail(EXIT_BAD_CONFIG, exc)
+    except MemoryError as exc:  # a grid too large for this machine
+        _fail(EXIT_BAD_CONFIG, str(exc) or "out of memory")
 
 
 def _load_json(path):
@@ -105,12 +107,12 @@ def _in_units(value, units, degree=2):
     return value / FS_PER_PS**degree if units == "ps2" else value
 
 
-def _result_doc(result):
+def _result_doc(result, seed):
     return {
         "jsa": grid_to_json(result.jsa),
         "error_history": result.error_history_ww.tolist(),
         "error_final_tt": result.error_final_tt,
-        "seed": result.seed,
+        "seed": seed,
         "iterations_run": result.iterations_run,
     }
 
@@ -187,7 +189,7 @@ def retrieve(measurements_path, iterations, seed, mask, out_path):
     """Run the alternating-projection phase retrieval from a random phase."""
     cfg = RetrievalConfig(iterations=iterations, seed=seed, constraint_mask=_parse_mask(mask))
     result = run_retrieval(_load_measurement_set(measurements_path), cfg)
-    _write_json(out_path, _result_doc(result))
+    _write_json(out_path, _result_doc(result, seed))
     click.echo(
         f"final errors: ww {result.error_history_ww[-1]:.4%}, tt {result.error_final_tt:.4%}"
     )
@@ -239,7 +241,7 @@ def pipeline(manifest_path, out_dir, seed, units, verbose):
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "result.json", _result_doc(output.result))
+    _write_json(out / "result.json", _result_doc(output.result, cfg.retrieval.seed))
     _write_json(out / "analysis.json", analysis_doc, indent=2)
 
     for key, grid in output.constraints.grids().items():

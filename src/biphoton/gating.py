@@ -190,14 +190,22 @@ class GatingModel:
             raise ValueError("finite crystal length needs a gate and a refractive model")
 
 
-def _gate_kernel(axis: Axis, gm: GatingModel):
-    """Upconversion kernel K[u, j] = G(w_u - w_j) * Phi_SFG; returns (K, w_u
-    step).  |Phi_SFG| <= 1, so the w_u grid spans the axis shifted by the gate
-    center and widened to where the gate's amplitude falls to 1e-6 of peak."""
-    gate = gm.gate
-    omega = axis.values()
+def kernel_bands(omega, gate: GatePulse):
+    """The upconverted and gate frequency bands, each (lo, hi), that the
+    upconversion kernel of the frequencies ``omega`` samples.  |Phi_SFG| <= 1,
+    so the w_u band is ``omega`` shifted by the gate center and widened to
+    where the gate's amplitude falls to 1e-6 of peak; w_g = w_u - w."""
     half = 2 * gate.sigma * np.sqrt(np.log(1e6))
     lo, hi = omega.min() + gate.center - half, omega.max() + gate.center + half
+    return (lo, hi), (lo - omega.max(), hi - omega.min())
+
+
+def _gate_kernel(axis: Axis, gm: GatingModel):
+    """Upconversion kernel K[u, j] = G(w_u - w_j) * Phi_SFG on the w_u band of
+    :func:`kernel_bands`; returns (K, w_u step)."""
+    gate = gm.gate
+    omega = axis.values()
+    (lo, hi), _ = kernel_bands(omega, gate)
     omega_u = np.linspace(lo, hi, gm.upconverted_grid_count)
     wg = omega_u[:, None] - omega[None, :]
     if gm.crystal_length == 0:

@@ -13,12 +13,12 @@ from typing import get_args
 import numpy as np
 
 from .analysis import PhaseFit, WitnessReport, fit_retrieved_phase, monte_carlo_uncertainty, tbp_numeric
-from .gating import GatePulse, GatingModel, RefractiveModel, check_peak_counts
+from .gating import GatePulse, GatingModel, RefractiveModel, check_peak_counts, kernel_bands
 from .gating import poissonize_set, simulate_measurements
 from .grids import FREQUENCY, ComplexGrid2D, IntensityGrid2D
 from .preprocess import PreprocessConfig, preprocess_grid
 from .retrieve import MeasurementSet, RetrievalConfig, RetrievalResult, run_retrieval, run_retrieval_stack
-from .synth import SPAN_SIGMAS, GaussianStateParams, synthesize_state
+from .synth import SPAN_SIGMAS, GaussianStateParams, frequency_axes, synthesize_state
 from .units import wavelength_to_omega
 
 
@@ -201,7 +201,9 @@ def build_gating_model(cfg: PipelineConfig) -> GatingModel:
 def _refractive_table(cfg):
     """The table at ``gating.refractive_table_path``, else the shipped one.  An
     L > 0 model looks it up at the gate, both photons and their upconverted
-    sums, so each must lie in its range; the message names the keys."""
+    sums, and each photon's gate kernel over its grid and the gate and
+    upconverted bands around it, so each must lie in its range; the message
+    names the keys."""
     path = cfg.gating.refractive_table_path
     try:
         table = RefractiveModel.from_json(path) if path else RefractiveModel.default()
@@ -209,12 +211,24 @@ def _refractive_table(cfg):
         raise ValueError(f"cannot read gating.refractive_table_path {path}: {exc}") from exc
     (lo_nm, hi_nm), c, p = table.valid_nm, cfg.gating.gate_center, cfg.state.params
     lo, hi = wavelength_to_omega(hi_nm), wavelength_to_omega(lo_nm)
+    outside = f"outside the refractive table's range [{lo_nm:g}, {hi_nm:g}] nm ({lo:.4g} to {hi:.4g} rad/fs)"
     gate, s, i = "gating.gate.center", "state.center_s", "state.center_i"
     for key, omega in ((gate, c), (s, p.center_s), (i, p.center_i),
                        (f"{gate} + {s}", c + p.center_s), (f"{gate} + {i}", c + p.center_i)):
         if not lo <= omega <= hi:
-            raise ValueError(f"{key} ({omega:.4g} rad/fs) is outside the refractive table's range "
-                             f"[{lo_nm:g}, {hi_nm:g}] nm ({lo:.4g} to {hi:.4g} rad/fs)")
+            raise ValueError(f"{key} ({omega:.4g} rad/fs) is {outside}")
+    gate_pulse, gate_keys = GatePulse(c, cfg.gating.gate_sigma), f"{gate}, gating.gate.sigma"
+    for axis, x in zip(frequency_axes(p, cfg.state.n), "si"):
+        omega = axis.values()
+        upconverted, gate_band = kernel_bands(omega, gate_pulse)
+        for what, keys, (a, b) in (
+            (f"the {axis.photon} grid", f"state.center_{x}, state.sigma_{x}", (omega.min(), omega.max())),
+            (f"the {axis.photon} kernel's gate band", f"{gate_keys}, state.sigma_{x}", gate_band),
+            (f"the {axis.photon} kernel's upconverted band", f"{gate_keys}, state.center_{x}, state.sigma_{x}",
+             upconverted),
+        ):
+            if not lo <= a <= b <= hi:
+                raise ValueError(f"{what} ({keys}) spans {a:.4g} to {b:.4g} rad/fs, {outside}")
     return table
 
 

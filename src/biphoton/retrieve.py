@@ -104,7 +104,6 @@ class RetrievalResult:
     jsa: ComplexGrid2D
     error_history_ww: np.ndarray
     error_final_tt: float
-    seed: int | None  # None when the run was given its start
     iterations_run: int
 
 
@@ -164,28 +163,26 @@ def frog_error(i_meas: IntensityGrid2D, i_rec) -> float:
 def run_retrieval(
     m: MeasurementSet, cfg: RetrievalConfig, start: ComplexGrid2D | None = None
 ) -> RetrievalResult:
-    """Run the alternating-projection loop for cfg.iterations iterations,
-    from ``start``, a state on the ww axes (the result's seed is then None),
-    or else from sqrt(ww) with a uniformly random phase drawn from ``cfg.seed``.
+    """Run the alternating-projection loop for cfg.iterations iterations
+    from ``start``, a state on the ww axes, or else from sqrt(ww) with a
+    uniformly random phase drawn from ``cfg.seed``: :func:`run_retrieval_stack`
+    on a stack of one."""
+    if start is None:
+        ww, rng = m.i_ww, np.random.default_rng(cfg.seed)
+        start = ComplexGrid2D(
+            ww.axis_s, ww.axis_i, np.sqrt(ww.values) * np.exp(2j * np.pi * rng.random(ww.values.shape))
+        )
+    return run_retrieval_stack([m], cfg, [start])[0]
 
-    This is :func:`run_retrieval_stack` on a stack of one: a non-finite
-    state raises :class:`RetrievalError`, a start on other axes or an
-    identically zero ww or tt plane ``ValueError``.
-    """
-    return run_retrieval_stack([m], cfg, [cfg.seed if start is None else start])[0]
 
-
-def _load(m: MeasurementSet, start, g, amp, m_hat, tt_hat):
+def _load(m: MeasurementSet, start: ComplexGrid2D, g, amp, m_hat, tt_hat):
     """Fill one slice of the stack, all ifftshift-ed: the start state in g,
     the active planes' amplitudes in amp and the unit-peak ww and tt planes."""
-    ww = m.i_ww.values
-    if isinstance(start, ComplexGrid2D):
-        if not (start.axis_s.compatible_with(m.i_ww.axis_s) and start.axis_i.compatible_with(m.i_ww.axis_i)):
-            raise ValueError("start axes do not match the measurements' ww axes")
-        g[...] = np.fft.ifftshift(start.values)
-    else:
-        rng = np.random.default_rng(start)
-        g[...] = np.fft.ifftshift(np.sqrt(ww) * np.exp(2j * np.pi * rng.random(ww.shape)))
+    if not isinstance(start, ComplexGrid2D):
+        raise TypeError(f"a start must be a ComplexGrid2D, not {type(start).__name__}")
+    if not (start.axis_s.compatible_with(m.i_ww.axis_s) and start.axis_i.compatible_with(m.i_ww.axis_i)):
+        raise ValueError("start axes do not match the measurements' ww axes")
+    g[...] = np.fft.ifftshift(start.values)
     grids = m.grids()
     for p, a in amp.items():
         np.sqrt(np.fft.ifftshift(grids[p].values), out=a)
@@ -195,11 +192,11 @@ def _load(m: MeasurementSet, start, g, amp, m_hat, tt_hat):
 
 def run_retrieval_stack(sets, cfg: RetrievalConfig, starts) -> list:
     """Run the alternating-projection loop on a stack of measurement sets
-    that share the ww axes, each from its own start: ``starts[b]`` is a
-    state on the ww axes or the seed of sqrt(ww) with a uniformly random
-    phase (``cfg.seed`` is not read).  Returns each set's
-    :class:`RetrievalResult` in order, each the same as in a stack of its
-    own; a set that fails raises what its lone run raises, for the stack.
+    that share the ww axes, each from its own start ``starts[b]``, a
+    :class:`~biphoton.grids.ComplexGrid2D` on the ww axes (else ``TypeError``
+    or ``ValueError``).  Returns each set's :class:`RetrievalResult` in order,
+    each the same as in a stack of its own; a set that fails raises what its
+    lone run raises, for the stack.
 
     The ww-plane error is evaluated on the estimate returned to the ww plane
     at the end of each cycle (before the next projection), which is the
@@ -210,10 +207,10 @@ def run_retrieval_stack(sets, cfg: RetrievalConfig, starts) -> list:
     turns warnings into errors they would end the run with another exception.
     Every numpy call but the FROG error covers the whole (B, n, n) stack;
     the error stays per set, so each set's dot products sum in the order of
-    a lone run.  Buffer budget per set, in n x n complex units: 5
-    in the loop (the state, two real planes, the active planes' amplitudes
-    and the unit-peak ww and tt planes), and the returned JSA; the state
-    itself is taken to the tt plane for the final tt error.
+    a lone run.  Buffer budget per set, in n x n complex units: 5 in the
+    loop (the state, two real planes, the active planes' amplitudes and the
+    unit-peak ww and tt planes), 2.5 of them freed before the returned JSA is
+    built; the state itself is taken to the tt plane for the final tt error.
     """
     if not sets:
         return []
@@ -256,6 +253,7 @@ def run_retrieval_stack(sets, cfg: RetrievalConfig, starts) -> list:
             if not all(map(math.isfinite, errs)):
                 raise RetrievalError(f"non-finite state after iteration {k + 1}")
 
+    del amp, m_hat, work
     jsas = [ComplexGrid2D(axis_s, axis_i, np.fft.fftshift(g_b) * scale) for g_b in g]
     np.fft.fft(np.fft.fft(g, axis=-1, out=g), axis=-2, out=g)
     np.square(np.abs(g, out=mag), out=mag)
@@ -264,8 +262,7 @@ def run_retrieval_stack(sets, cfg: RetrievalConfig, starts) -> list:
             jsa=jsa,
             error_history_ww=errs,
             error_final_tt=_frog_error(t_b, m_b, m_b),
-            seed=None if isinstance(start, ComplexGrid2D) else start,
             iterations_run=cfg.iterations,
         )
-        for jsa, errs, t_b, m_b, start in zip(jsas, np.transpose(history), tt_hat, mag, starts)
+        for jsa, errs, t_b, m_b in zip(jsas, np.transpose(history), tt_hat, mag)
     ]

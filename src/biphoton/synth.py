@@ -35,20 +35,26 @@ class GaussianStateParams:
             raise ParameterError("|state.rho| must be < 1")
 
 
+def frequency_axes(p: GaussianStateParams, n: int = 64, span_sigmas: float = SPAN_SIGMAS) -> tuple:
+    """The signal and idler axes of the state's n x n frequency grid, each
+    spanning +/- span_sigmas * sigma around its center."""
+    return (Axis(FREQUENCY, SIGNAL, p.center_s, 2 * span_sigmas * p.sigma_s / n, n),
+            Axis(FREQUENCY, IDLER, p.center_i, 2 * span_sigmas * p.sigma_i / n, n))
+
+
 def gaussian_jsa(p: GaussianStateParams, n: int = 64, span_sigmas: float = SPAN_SIGMAS) -> ComplexGrid2D:
     """Correlated Gaussian JSA on an n x n frequency grid.
 
-    The grid spans +/- span_sigmas * sigma per axis around the centers.  The
-    returned amplitude is real and positive (no chirp applied) and normalized
-    so that the squared magnitude integrates to one.
+    The grid is :func:`frequency_axes`.  The returned amplitude is real and
+    positive (no chirp applied) and normalized so that the squared magnitude
+    integrates to one.
     """
     if n < 16 or (n & (n - 1)) != 0:
         raise ParameterError("n must be a power of two >= 16")
     if span_sigmas < 6:
         raise ParameterError("span_sigmas must be >= 6")
 
-    axis_s = Axis(FREQUENCY, SIGNAL, p.center_s, 2 * span_sigmas * p.sigma_s / n, n)
-    axis_i = Axis(FREQUENCY, IDLER, p.center_i, 2 * span_sigmas * p.sigma_i / n, n)
+    axis_s, axis_i = frequency_axes(p, n, span_sigmas)
     ds = axis_s.offsets()[:, None] / p.sigma_s
     di = axis_i.offsets()[None, :] / p.sigma_i
     one_m_r2 = 1.0 - p.rho**2

@@ -564,6 +564,41 @@ def test_preprocess_grid_n_mismatch_fails_before_preprocessing(runner, tmp_path,
     assert "grid_n" in res.output and "state.n" in res.output
 
 
+def test_result_seed_is_the_retrieval_seed(runner, tmp_path):
+    # the top-level seed draws the noise; result.json records the seed of the random start
+    manifest = _write_manifest(tmp_path, dict(MANIFEST, seed=5, retrieval={"iterations": 5, "seed": 7}))
+    sim, run, result = tmp_path / "sim", tmp_path / "run", tmp_path / "result.json"
+    for args in (
+        ["pipeline", "--manifest", manifest, "--out", str(run)],
+        ["simulate", "--manifest", manifest, "--out", str(sim)],
+        ["retrieve", "--measurements", str(sim / "measurements.json"), "--iterations", "5", "--seed", "7",
+         "--out", str(result)],
+    ):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0, res.output
+    for path in (run / "result.json", result):
+        assert json.loads(path.read_text())["seed"] == 7, path
+
+
+NUMPY_OUT_OF_MEMORY = "Unable to allocate 8.00 TiB for an array with shape (1048576, 1048576) and data type float64"
+
+
+@pytest.mark.parametrize("command", ["simulate", "pipeline"])
+@pytest.mark.parametrize("error, message", [
+    (MemoryError(NUMPY_OUT_OF_MEMORY), NUMPY_OUT_OF_MEMORY),
+    (MemoryError(), "out of memory"),
+], ids=["numpy", "bare"])
+def test_memory_exhaustion_exits_2_with_one_line(runner, tmp_path, monkeypatch, command, error, message):
+    # a grid too large for the machine, such as state.n 2**20, passes parse
+    def out_of_memory(cfg):
+        raise error
+
+    monkeypatch.setattr(pl, "simulate", out_of_memory)
+    res = runner.invoke(main, [command, "--manifest", _write_manifest(tmp_path), "--out", str(tmp_path / "out")])
+    assert res.exit_code == EXIT_BAD_CONFIG, res.output
+    assert res.output == f"error: {message}\n"
+
+
 def test_pipeline_seed_override_changes_output(runner, tmp_path):
     manifest = _write_manifest(tmp_path)
     hist = {}
@@ -585,7 +620,8 @@ def test_refractive_range_error_is_one_line(runner, tmp_path):
     ])
     assert res.exit_code == EXIT_BAD_CONFIG, res.output
     assert re.fullmatch(
-        r"error: wavelength \d+(\.\d+)? to \d+(\.\d+)? nm outside the model range \[290, 2500\] nm\n", res.output
+        r"error: the signal grid \(state\.center_s, state\.sigma_s\) spans \d+(\.\d+)? to \d+(\.\d+)? rad/fs, "
+        r"outside the refractive table's range \[290, 2500\] nm \(0\.7535 to 6\.495 rad/fs\)\n", res.output
     ), res.output
 
 
@@ -602,7 +638,12 @@ def _no_work(*args, **kwargs):
     ({"state": {"n": 32}, "gating": {"spectrometer_sigma": 1e9}, "retrieval": {"iterations": 5}},
      "gating.spectrometer_sigma (1e+09 rad/fs) must be below the frequency grid's full width, "
      "16 state.sigma_s (0.16 rad/fs)"),
-], ids=["grid_n_mismatch", "gated_n48", "gate_center_out_of_range", "spectrometer_wider_than_grid"])
+    # the centers are inside the table; the signal grid's red edge is not
+    ({"state": {"n": 32, "center_s": 0.7635}, "gating": {"crystal_length_um": 1000}},
+     "the signal grid (state.center_s, state.sigma_s) spans 0.6835 to 0.8385 rad/fs, "
+     "outside the refractive table's range [290, 2500] nm (0.7535 to 6.495 rad/fs)"),
+], ids=["grid_n_mismatch", "gated_n48", "gate_center_out_of_range", "spectrometer_wider_than_grid",
+        "signal_grid_out_of_range"])
 def test_bad_manifest_fails_before_any_work(runner, tmp_path, monkeypatch, command, manifest, message):
     # no gating model, simulation or measurement grid before the manifest parses
     for module, name in ((pl, "build_gating_model"), (pl, "simulate_measurements"), (cli, "load_grid")):

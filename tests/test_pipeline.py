@@ -324,7 +324,18 @@ TABLE_RANGE = "[290, 2500] nm (0.7535 to 6.495 rad/fs)"
     # 2.289 + 4 is inside; the idler's 2.574 + 4 upconverts below 290 nm
     ({"gating": {"crystal_length_um": 1000, "gate": {"center": 4}}},
      f"gating.gate.center + state.center_i (6.574 rad/fs) is outside the refractive table's range {TABLE_RANGE}"),
-], ids=["gate_center", "center_s", "center_i", "idler_upconverted"])
+    # every point is inside; the bands the gate kernels evaluate around them are not
+    ({"state": {"n": 32, "center_s": 0.7635}, "gating": {"crystal_length_um": 1000}},
+     "the signal grid (state.center_s, state.sigma_s) spans 0.6835 to 0.8385 rad/fs, "
+     f"outside the refractive table's range {TABLE_RANGE}"),
+    ({"gating": {"crystal_length_um": 1000, "gate": {"center": 0.76}}},
+     "the signal kernel's gate band (gating.gate.center, gating.gate.sigma, state.sigma_s) spans 0.5739 to "
+     f"0.9461 rad/fs, outside the refractive table's range {TABLE_RANGE}"),
+    ({"gating": {"crystal_length_um": 1000, "gate": {"center": 3.85}}},
+     "the idler kernel's upconverted band (gating.gate.center, gating.gate.sigma, state.center_i, "
+     f"state.sigma_i) spans 6.315 to 6.53 rad/fs, outside the refractive table's range {TABLE_RANGE}"),
+], ids=["gate_center", "center_s", "center_i", "idler_upconverted", "signal_grid", "signal_gate_band",
+        "idler_upconverted_band"])
 def test_from_manifest_refuses_frequencies_outside_the_table(manifest, message):
     with pytest.raises(ValueError) as exc:
         PipelineConfig.from_manifest(manifest)
