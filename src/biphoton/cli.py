@@ -18,6 +18,7 @@ import click
 from . import pipeline as pl
 from .analysis import FitError, fit_retrieved_phase, tbp_numeric
 from .grids import ComplexGrid2D, IntensityGrid2D, grid_from_json, grid_to_json, load_grid, naming_file, save_grid
+from .grids import write_json
 from .retrieve import PLANES, MeasurementSet, RetrievalConfig, RetrievalError, run_retrieval
 from .units import FS_PER_PS
 
@@ -65,12 +66,6 @@ def _load_manifest(path, seed=None):
     return manifest, pl.PipelineConfig.from_manifest(manifest)
 
 
-def _write_json(path, doc, indent=None):
-    # json.dumps, unlike json.dump, encodes with the C encoder when indent is None
-    with open(path, "w") as fh:
-        fh.write(json.dumps(doc, indent=indent))
-
-
 def _write_grid(path, grid, manifest_echo=None):
     save_grid(path, grid, None if manifest_echo is None else {"manifest": manifest_echo})
 
@@ -84,7 +79,7 @@ def _write_planes(out_dir, m, index_name, suffix="", manifest_echo=None):
     for plane, grid in m.grids().items():
         files[f"i_{plane}"] = name = f"i_{plane}{suffix}.json"
         _write_grid(out / name, grid, manifest_echo)
-    _write_json(out / index_name, files)
+    write_json(out / index_name, files)
     return out
 
 
@@ -189,7 +184,7 @@ def retrieve(measurements_path, iterations, seed, mask, out_path):
     """Run the alternating-projection phase retrieval from a random phase."""
     cfg = RetrievalConfig(iterations=iterations, seed=seed, constraint_mask=_parse_mask(mask))
     result = run_retrieval(_load_measurement_set(measurements_path), cfg)
-    _write_json(out_path, _result_doc(result, seed))
+    write_json(out_path, _result_doc(result, seed))
     click.echo(
         f"final errors: ww {result.error_history_ww[-1]:.4%}, tt {result.error_final_tt:.4%}"
     )
@@ -212,7 +207,7 @@ def analyze(result_path, measurements_path, mask_sigma, units, out_path):
             raise TypeError("jsa must be a complex grid, not intensity")
     m = _load_measurement_set(measurements_path)
     doc = _analysis_doc(fit_retrieved_phase(jsa, cfg.mask_sigma), tbp_numeric(m.i_ww, m.i_tt), units)
-    _write_json(out_path, doc, indent=2)
+    write_json(out_path, doc, indent=2)
     click.echo(
         f"chirp_s {doc['phase_fit']['chirp_s']:.4g} {units}, "
         f"chirp_i {doc['phase_fit']['chirp_i']:.4g} {units}, "
@@ -241,8 +236,8 @@ def pipeline(manifest_path, out_dir, seed, units, verbose):
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "result.json", _result_doc(output.result, cfg.retrieval.seed))
-    _write_json(out / "analysis.json", analysis_doc, indent=2)
+    write_json(out / "result.json", _result_doc(output.result, cfg.retrieval.seed))
+    write_json(out / "analysis.json", analysis_doc, indent=2)
 
     for key, grid in output.constraints.grids().items():
         pl.grid_to_csv(grid, out / f"constraint_{key}.csv")

@@ -34,6 +34,7 @@ from .grids import (
     IntensityGrid2D,
     conjugate_axis,
     transform_photon,
+    unit_peak,
 )
 from .retrieve import MeasurementSet
 from .units import C_UM_FS, omega_to_wavelength
@@ -347,22 +348,18 @@ def _gated_planes_l0(F, step_s, step_i, sigma):
 def _blur_axis(values, sigma, step, axis):
     """Gaussian blur (s.d. sigma) along one axis by one n x n matrix product,
     as gaussian_filter1d with mode="constant": the kernel spans offsets
-    |d| <= int(4 sigma / step + 0.5), sums to 1, and sees zero off the grid."""
-    if sigma <= 0:
-        return values
+    |d| <= int(4 sigma / step + 0.5), sums to 1, and sees zero off the grid.
+    A radius-0 kernel (sigma = 0 among them) is the identity."""
     s = sigma / step
     radius = int(4 * s + 0.5)
+    if radius == 0:
+        return values
     d = np.arange(-radius, radius + 1)
     norm = np.exp(-0.5 / s**2 * d**2).sum()
     idx = np.arange(values.shape[axis])
     d = np.subtract.outer(idx, idx)
     B = np.where(np.abs(d) <= radius, np.exp(-0.5 / s**2 * d**2) / norm, 0.0)
     return B @ values if axis == 0 else values @ B
-
-
-def _unit_peak(values):
-    peak = values.max()
-    return values / peak if peak > 0 else values
 
 
 def simulate_measurements(state: ComplexGrid2D, gm: GatingModel) -> MeasurementSet:
@@ -398,7 +395,7 @@ def simulate_measurements(state: ComplexGrid2D, gm: GatingModel) -> MeasurementS
     i_wt = _blur_axis(i_wt, sig, step_s, 0)
     i_tw = _blur_axis(i_tw, sig, step_i, 1)
 
-    i_ww, i_wt, i_tw, i_tt = map(_unit_peak, (i_ww, i_wt, i_tw, i_tt))
+    i_ww, i_wt, i_tw, i_tt = map(unit_peak, (i_ww, i_wt, i_tw, i_tt))
 
     # first and last delay of tw's signal axis, wt's idler axis and both of tt's
     edge = max(max(p[0].max(), p[-1].max()) for p in (i_tw, i_wt.T, i_tt, i_tt.T))

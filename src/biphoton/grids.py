@@ -179,6 +179,12 @@ def transform_photon(g: ComplexGrid2D, photon: str) -> ComplexGrid2D:
     return ComplexGrid2D(*axes, v)
 
 
+def unit_peak(values):
+    """``values`` divided by their maximum, or unchanged when it is not positive."""
+    peak = values.max()
+    return values / peak if peak > 0 else values
+
+
 def total_power(g) -> float:
     """Riemann-sum power: sum(|values|^2) (complex) or sum(values) (intensity),
     times the product of axis steps."""
@@ -240,11 +246,16 @@ def grid_from_json(doc):
     return IntensityGrid2D(axis_s, axis_i, re)
 
 
+def write_json(path, doc, indent=None):
+    """Write ``doc`` as JSON, the one writer of every output document."""
+    # json.dumps, unlike json.dump, encodes with the C encoder when indent is None
+    with open(path, "w") as fh:
+        fh.write(json.dumps(doc, indent=indent))
+
+
 def save_grid(path, g, extra=None):
     """Write ``g`` as Grid JSON, with the keys of ``extra`` after the grid's."""
-    # json.dumps, unlike json.dump, encodes with the C encoder
-    with open(path, "w") as fh:
-        fh.write(json.dumps({**grid_to_json(g), **(extra or {})}))
+    write_json(path, {**grid_to_json(g), **(extra or {})})
 
 
 @contextmanager

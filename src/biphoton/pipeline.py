@@ -5,6 +5,7 @@ configuration objects back the CLI subcommands."""
 
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass, fields, replace
 from functools import partial
@@ -33,6 +34,13 @@ class StateConfig:
             raise ValueError("state.n must be a power of two >= 16")
 
 
+# The gate spectrum and the L = 0 lag weight divide by gating.gate.sigma**2,
+# a positive float on this range; preprocessing also squares the temporal s.d.
+# 1/(2 sigma), a finite float from GATE_SIGMA_MIN_PREPROCESSED up.
+GATE_SIGMA_RANGE = (math.sqrt(math.ulp(0.0)), math.sqrt(sys.float_info.max))
+GATE_SIGMA_MIN_PREPROCESSED = 0.5 / math.sqrt(sys.float_info.max)
+
+
 @dataclass(frozen=True)
 class GatingConfig:
     # 775 nm: a NIR gate matching a Ti:sapphire-like source
@@ -48,6 +56,10 @@ class GatingConfig:
         # GatingModel, refuses them too; GatingModel names library fields
         if not self.gate_sigma > 0:
             raise ValueError("gating.gate.sigma must be positive")
+        lo, hi = GATE_SIGMA_RANGE
+        if not self.ideal and not lo <= self.gate_sigma <= hi:  # the ideal gate has no sigma
+            raise ValueError(f"gating.gate.sigma ({self.gate_sigma:g} rad/fs) must lie in [{lo:.4g}, {hi:.4g}] "
+                             "rad/fs, where sigma**2 is a positive float")
         if not self.crystal_length_um >= 0:
             raise ValueError("gating.crystal_length_um must be >= 0")
         if not self.spectrometer_sigma >= 0:
@@ -90,6 +102,10 @@ class PipelineConfig:
             # size would break the frequency/delay pairing the retrieval needs
             raise ValueError(f"preprocess.grid_n ({grid_n}) must equal state.n ({self.state.n})")
         g = self.gating
+        if self.preprocess_enabled and not g.ideal and g.gate_sigma < GATE_SIGMA_MIN_PREPROCESSED:
+            raise ValueError(f"gating.gate.sigma ({g.gate_sigma:g} rad/fs) must be at least "
+                             f"{GATE_SIGMA_MIN_PREPROCESSED:.4g} rad/fs when preprocessing, "
+                             "where the temporal s.d. 1/(2 sigma) squares to a finite float")
         # the frequency grid spans 2 SPAN_SIGMAS sigma per axis; a narrower
         # spectrometer keeps the blur kernel's radius at most 4 n pixels
         p, span = self.state.params, 2 * SPAN_SIGMAS
@@ -97,8 +113,8 @@ class PipelineConfig:
             if not g.spectrometer_sigma < span * sigma:
                 raise ValueError(f"gating.spectrometer_sigma ({g.spectrometer_sigma:g} rad/fs) must be below the "
                                  f"frequency grid's full width, {span:g} {key} ({span * sigma:g} rad/fs)")
-        if g.crystal_length_um > 0 and not g.ideal and g.refractive_table_path is None:
-            _refractive_table(self)  # a table at a path is read when the gating model is built
+        if g.crystal_length_um > 0 and not g.ideal:
+            _refractive_table(self)
 
     @classmethod
     def from_manifest(cls, manifest):

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import IntensityGrid2D
+from .grids import IntensityGrid2D, unit_peak
 
 
 @dataclass(frozen=True)
@@ -78,11 +78,7 @@ def wiener_deconvolve(h: IntensityGrid2D, cfg: PreprocessConfig, response=(0.0, 
     pixels.  ``response`` = (sigma_s, sigma_i) is the response s.d. per axis,
     in that axis's units.  Output is clamped nonnegative and unit-peak
     normalized."""
-    out = np.clip(_wiener_filter(h, cfg, response), 0.0, None)
-    peak = out.max()
-    if peak > 0:
-        out = out / peak
-    return h.with_values(out)
+    return h.with_values(unit_peak(np.clip(_wiener_filter(h, cfg, response), 0.0, None)))
 
 
 def preprocess_grid(h: IntensityGrid2D, cfg: PreprocessConfig, response=(0.0, 0.0)) -> IntensityGrid2D:

@@ -4,7 +4,9 @@ import json
 import logging
 import re
 import subprocess
+import random
 import sys
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -629,6 +631,11 @@ def _no_work(*args, **kwargs):
     raise AssertionError("started work on settings that cannot run")
 
 
+GATE_SIGMA_RANGE_ERROR = (
+    "gating.gate.sigma ({} rad/fs) must lie in [2.223e-162, 1.341e+154] rad/fs, where sigma**2 is a positive float"
+)
+
+
 @pytest.mark.parametrize("command", ["simulate", "preprocess", "pipeline"])
 @pytest.mark.parametrize("manifest, message", [
     (dict(MANIFEST, preprocess={"grid_n": 64}), "preprocess.grid_n (64) must equal state.n (32)"),
@@ -642,9 +649,28 @@ def _no_work(*args, **kwargs):
     ({"state": {"n": 32, "center_s": 0.7635}, "gating": {"crystal_length_um": 1000}},
      "the signal grid (state.center_s, state.sigma_s) spans 0.6835 to 0.8385 rad/fs, "
      "outside the refractive table's range [290, 2500] nm (0.7535 to 6.495 rad/fs)"),
+    # a table at a path is checked at parse, as the shipped one is
+    ({"state": {"n": 32}, "gating": {"crystal_length_um": 1000, "gate": {"center": 10.0},
+                                     "refractive_table_path": "table.json"}},
+     "gating.gate.center (10 rad/fs) is outside the refractive table's range [290, 2500] nm (0.7535 to 6.495 rad/fs)"),
+    ({"state": {"n": 32}, "gating": {"crystal_length_um": 1000, "refractive_table_path": "no_such_table.json"}},
+     "cannot read gating.refractive_table_path no_such_table.json: "
+     "[Errno 2] No such file or directory: 'no_such_table.json'"),
+    # sigma**2 overflows in the L = 0 lag weight
+    ({"state": {"n": 16}, "gating": {"gate": {"sigma": 1e300}}}, GATE_SIGMA_RANGE_ERROR.format("1e+300")),
+    # sigma**2 underflows to 0 in the gate spectrum
+    ({"state": {"n": 16}, "gating": {"gate": {"sigma": 1e-300}, "crystal_length_um": 1000}},
+     GATE_SIGMA_RANGE_ERROR.format("1e-300")),
+    # (1/(2 sigma))**2 overflows in preprocessing
+    ({"state": {"n": 16}, "gating": {"gate": {"sigma": 1e-160}}},
+     "gating.gate.sigma (1e-160 rad/fs) must be at least 3.729e-155 rad/fs when preprocessing, "
+     "where the temporal s.d. 1/(2 sigma) squares to a finite float"),
 ], ids=["grid_n_mismatch", "gated_n48", "gate_center_out_of_range", "spectrometer_wider_than_grid",
-        "signal_grid_out_of_range"])
+        "signal_grid_out_of_range", "table_at_path_gate_center_out_of_range", "missing_table",
+        "gate_sigma_1e300", "gate_sigma_1e-300_l1000", "gate_sigma_1e-160_preprocessed"])
 def test_bad_manifest_fails_before_any_work(runner, tmp_path, monkeypatch, command, manifest, message):
+    monkeypatch.chdir(tmp_path)  # a relative refractive_table_path is read from the working directory
+    (tmp_path / "table.json").write_text(resources.files("biphoton.data").joinpath("bibo_sellmeier.json").read_text())
     # no gating model, simulation or measurement grid before the manifest parses
     for module, name in ((pl, "build_gating_model"), (pl, "simulate_measurements"), (cli, "load_grid")):
         monkeypatch.setattr(module, name, _no_work)
@@ -700,3 +726,64 @@ def test_coverage_warning_is_logged(runner, tmp_path, caplog, command):
     (record,) = caplog.records
     assert (record.name, record.levelno) == ("biphoton.gating", logging.WARNING)
     assert "delay-axis edge" in record.getMessage()
+
+
+@pytest.mark.parametrize("gating, sigma", [({"ideal": True}, 1e-300), ({}, 1e-170)], ids=["ideal", "gated"])
+def test_radius_zero_spectrometer_writes_the_unblurred_files(runner, tmp_path, gating, sigma):
+    # below 1/8 of a frequency step the blur kernel's radius is 0, and a
+    # radius-0 kernel is the identity, as no spectrometer is
+    runs = []
+    for spectrometer_sigma in (0, sigma):
+        manifest = {"state": {"n": 16}, "gating": dict(gating, spectrometer_sigma=spectrometer_sigma),
+                    "retrieval": {"iterations": 2}}
+        out = tmp_path / f"run_{spectrometer_sigma}"
+        res = runner.invoke(main, [
+            "pipeline", "--manifest", _write_manifest(tmp_path, manifest), "--out", str(out),
+        ])
+        assert res.exit_code == 0, res.output
+        runs.append(out)
+    names = sorted(path.name for path in runs[0].iterdir())
+    assert names == sorted(path.name for path in runs[1].iterdir()) and len(names) == 8
+    for name in names:
+        a, b = ((out / name).read_bytes() for out in runs)
+        if name == "report.txt":  # its time lines differ
+            a, b = ([line for line in text.splitlines() if not line.startswith(b"time ")] for text in (a, b))
+        assert a == b, name
+
+
+# the sweep below draws each key from these values: ordinary ones, and the
+# float extremes of gating.gate.sigma and gating.spectrometer_sigma
+SWEEP_VALUES = {
+    ("gating", "gate", "sigma"): [1e-300, 1e-200, 1e-160, 1e-154, 1e-10, 1 / 260, 0.01, 1.0, 1e100, 1e154, 1e200,
+                                  1e300],
+    ("gating", "spectrometer_sigma"): [0, 1e-300, 1e-170, 1e-10, 2e-4, 0.002, 0.05],
+    ("gating", "crystal_length_um"): [0, 1000],
+    ("gating", "ideal"): [False, False, True],
+    ("state", "rho"): [-0.95, 0.0, 0.9],
+    ("state", "chirp_s"): [0, -36000],
+    ("noise", "poisson_peak_counts"): [None, 10, 1e4, 1e18],
+    ("preprocess_enabled",): [True, False],
+}
+
+
+# A gate sigma far below the grid step, which the parent ran too, overflows
+# (d * step)**2 / sigma**2 in the lag weight or the gate spectrum to inf, and
+# exp maps that to the right weight, 0.  Any other warning stays an error.
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+def test_manifest_sweep_ends_in_a_documented_exit_code(runner, tmp_path):
+    # every manifest runs (exit 0, with finite outputs) or fails with exit 2, 3 or 4
+    rng = random.Random(23)
+    for k in range(100):
+        manifest = {"seed": k, "state": {"n": 16}, "retrieval": {"iterations": 2}}
+        for (*sections, key), values in SWEEP_VALUES.items():
+            section = manifest
+            for name in sections:
+                section = section.setdefault(name, {})
+            section[key] = rng.choice(values)
+        out = tmp_path / f"run{k}"
+        res = runner.invoke(main, [
+            "pipeline", "--manifest", _write_manifest(tmp_path, manifest), "--out", str(out),
+        ])
+        assert res.exit_code in (0, EXIT_BAD_CONFIG, EXIT_RETRIEVAL_NAN, EXIT_FIT_FAILED), (manifest, res.exception)
+        for path in out.iterdir() if res.exit_code == 0 else ():
+            assert not re.search(r"\b(nan|inf|infinity)\b", path.read_text(), re.IGNORECASE), (manifest, path.name)

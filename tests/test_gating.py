@@ -430,14 +430,20 @@ def test_spectrometer_blur_widens_marginal(chirped_state):
     assert sd1 == pytest.approx(np.sqrt(sd0**2 + sig**2), rel=1e-3)
 
 
-@pytest.mark.parametrize("shape, sigma_px", [((33, 31), 1.7), ((64, 64), 4.0), ((16, 16), 20.0)])
+@pytest.mark.parametrize("shape, sigma_px", [
+    ((33, 31), 1.7), ((64, 64), 4.0), ((16, 16), 20.0),
+    # below 1/8 px the kernel's radius is 0
+    ((16, 16), 0.12), ((33, 31), 1e-100), ((16, 16), 1e-300),
+])
 @pytest.mark.parametrize("axis", [0, 1])
 def test_blur_axis_matches_gaussian_filter1d(shape, sigma_px, axis):
     # (16, 16) at 20 px: the truncated kernel is wider than the axis
     values = np.random.default_rng(3).random(shape)
     step = 0.0005
     got = _blur_axis(values, sigma_px * step, step, axis)
-    want = gaussian_filter1d(values, sigma_px, axis=axis, mode="constant")
+    # gaussian_filter1d divides by sigma**2, which underflows to 0 at 1e-300 px;
+    # at every radius-0 sigma it can evaluate, it returns its input
+    want = gaussian_filter1d(values, sigma_px, axis=axis, mode="constant") if sigma_px > 1e-150 else values
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 

@@ -3,6 +3,7 @@
 import csv
 import json
 import logging
+import math
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -12,6 +13,8 @@ import pytest
 
 from biphoton.grids import ComplexGrid2D
 from biphoton.pipeline import (
+    GATE_SIGMA_MIN_PREPROCESSED,
+    GATE_SIGMA_RANGE,
     AnalysisConfig,
     GatingConfig,
     PipelineConfig,
@@ -145,7 +148,10 @@ EVERY_KEY = {
 }
 
 
-def test_from_manifest_every_key():
+def test_from_manifest_every_key(tmp_path, monkeypatch):
+    # the table at refractive_table_path is read at parse, from the working directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "table.json").write_text(resources.files("biphoton.data").joinpath("bibo_sellmeier.json").read_text())
     expected = PipelineConfig(
         state=StateConfig(
             params=GaussianStateParams(
@@ -246,16 +252,47 @@ def test_from_manifest_messages_name_their_key(manifest, message):
     assert str(exc.value) == message
 
 
+GATE_SIGMA_RANGE_RULE = "must lie in [2.223e-162, 1.341e+154] rad/fs, where sigma**2 is a positive float"
+
+
 @pytest.mark.parametrize("gating, message", [
     ({"gate": {"sigma": 0}}, "gating.gate.sigma must be positive"),
     ({"gate": {"sigma": -0.01}}, "gating.gate.sigma must be positive"),
     ({"crystal_length_um": -1}, "gating.crystal_length_um must be >= 0"),
     ({"spectrometer_sigma": -0.001}, "gating.spectrometer_sigma must be >= 0"),
-], ids=["zero_gate_sigma", "negative_gate_sigma", "negative_length", "negative_spectrometer_sigma"])
+    ({"gate": {"sigma": 1e200}}, f"gating.gate.sigma (1e+200 rad/fs) {GATE_SIGMA_RANGE_RULE}"),
+    ({"gate": {"sigma": 1e-200}}, f"gating.gate.sigma (1e-200 rad/fs) {GATE_SIGMA_RANGE_RULE}"),
+], ids=["zero_gate_sigma", "negative_gate_sigma", "negative_length", "negative_spectrometer_sigma",
+        "huge_gate_sigma", "tiny_gate_sigma"])
 def test_from_manifest_rejects_bad_gating(gating, message):
     with pytest.raises(ValueError) as exc:
         PipelineConfig.from_manifest({"gating": gating})
     assert str(exc.value) == message
+
+
+def test_gate_sigma_range_is_where_its_squares_are_floats():
+    lo, hi = GATE_SIGMA_RANGE
+    for sigma in (lo, hi, GATE_SIGMA_MIN_PREPROCESSED):
+        assert 0 < sigma**2 < math.inf
+        assert GatingConfig(gate_sigma=sigma).gate_sigma == sigma
+    assert (1.0 / (2.0 * GATE_SIGMA_MIN_PREPROCESSED)) ** 2 < math.inf
+    # further out, one of the squares leaves the float range
+    assert (lo / 2) ** 2 == 0
+    with pytest.raises(OverflowError):
+        math.nextafter(hi, math.inf) ** 2
+    below = math.nextafter(GATE_SIGMA_MIN_PREPROCESSED, 0.0)
+    with pytest.raises(OverflowError):
+        (1.0 / (2.0 * below)) ** 2
+    for sigma in (math.nextafter(lo, 0.0), math.nextafter(hi, math.inf)):
+        with pytest.raises(ValueError, match=r"^gating\.gate\.sigma \(.*\) must lie in"):
+            GatingConfig(gate_sigma=sigma)
+        # the ideal gate has no sigma to square
+        assert GatingConfig(gate_sigma=sigma, ideal=True).gate_sigma == sigma
+    with pytest.raises(ValueError, match=r"^gating\.gate\.sigma \(.*\) must be at least .* when preprocessing"):
+        PipelineConfig(gating=GatingConfig(gate_sigma=below))
+    # without preprocessing, or with the ideal gate, the temporal s.d. is never squared
+    PipelineConfig(gating=GatingConfig(gate_sigma=below), preprocess_enabled=False)
+    PipelineConfig(gating=GatingConfig(gate_sigma=below, ideal=True))
 
 
 def test_from_manifest_accepts_null_where_optional():
@@ -305,9 +342,8 @@ def test_refractive_table_path(tmp_path):
 def test_unreadable_refractive_table_names_its_key(tmp_path, text):
     table = tmp_path / "table.json"
     table.write_text(text)
-    cfg = PipelineConfig.from_manifest({"gating": {"crystal_length_um": 100, "refractive_table_path": str(table)}})
     with pytest.raises(ValueError, match=r"gating\.refractive_table_path"):
-        build_gating_model(cfg)
+        PipelineConfig.from_manifest({"gating": {"crystal_length_um": 100, "refractive_table_path": str(table)}})
 
 
 # the range of the shipped table, as the messages give it
@@ -345,15 +381,14 @@ def test_from_manifest_refuses_frequencies_outside_the_table(manifest, message):
         PipelineConfig.from_manifest(dict(manifest, gating=dict(manifest["gating"], **gating)))
 
 
-def test_table_at_a_path_is_range_checked_when_the_model_is_built(tmp_path):
-    # a table at a path is read when the gating model is built, not at parse
+def test_table_at_a_path_is_range_checked_at_parse(tmp_path):
+    # a table at a path is read and checked at parse, as the shipped one is
     table = tmp_path / "table.json"
     table.write_text(resources.files("biphoton.data").joinpath("bibo_sellmeier.json").read_text())
-    cfg = PipelineConfig.from_manifest({"gating": {
-        "crystal_length_um": 1000, "gate": {"center": 10.0}, "refractive_table_path": str(table),
-    }})
     with pytest.raises(ValueError, match=r"^gating\.gate\.center \(10 rad/fs\) is outside"):
-        build_gating_model(cfg)
+        PipelineConfig.from_manifest({"gating": {
+            "crystal_length_um": 1000, "gate": {"center": 10.0}, "refractive_table_path": str(table),
+        }})
 
 
 def test_readme_example_manifest_parses():
