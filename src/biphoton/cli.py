@@ -16,7 +16,7 @@ from pathlib import Path
 import click
 
 from . import pipeline as pl
-from .analysis import FitError, fit_retrieved_phase, tbp_numeric
+from .analysis import FitError
 from .grids import ComplexGrid2D, IntensityGrid2D, grid_from_json, grid_to_json, load_grid, naming_file, save_grid
 from .grids import write_json
 from .retrieve import PLANES, MeasurementSet, RetrievalConfig, RetrievalError, run_retrieval
@@ -112,8 +112,10 @@ def _result_doc(result, seed):
     }
 
 
-def _analysis_doc(fit, witness, units):
-    return {
+def _analysis_doc(fit, witness, units, monte_carlo=None):
+    """``analysis.json``: the phase fit in ``units``, the witness and, given
+    ``run_pipeline``'s (stddevs, trial values), the Monte Carlo spread."""
+    doc = {
         "phase_fit": {
             "chirp_s": _in_units(fit.chirp_s, units),
             "chirp_i": _in_units(fit.chirp_i, units),
@@ -127,6 +129,13 @@ def _analysis_doc(fit, witness, units):
         },
         "witness": dataclasses.asdict(witness),
     }
+    if monte_carlo is not None:
+        sd, trials = monte_carlo
+        doc["monte_carlo"] = {
+            "stddev": {k: _in_units(v, units) for k, v in sd.items()},
+            "trials": {k: [_in_units(v, units) for v in vs] for k, vs in trials.items()},
+        }
+    return doc
 
 
 @click.group()
@@ -205,8 +214,7 @@ def analyze(result_path, measurements_path, mask_sigma, units, out_path):
         jsa = grid_from_json(result_doc["jsa"])
         if not isinstance(jsa, ComplexGrid2D):
             raise TypeError("jsa must be a complex grid, not intensity")
-    m = _load_measurement_set(measurements_path)
-    doc = _analysis_doc(fit_retrieved_phase(jsa, cfg.mask_sigma), tbp_numeric(m.i_ww, m.i_tt), units)
+    doc = _analysis_doc(*pl.analyze(jsa, _load_measurement_set(measurements_path), cfg), units)
     write_json(out_path, doc, indent=2)
     click.echo(
         f"chirp_s {doc['phase_fit']['chirp_s']:.4g} {units}, "
@@ -226,13 +234,7 @@ def pipeline(manifest_path, out_dir, seed, units, verbose):
     """Run simulate -> preprocess -> retrieve -> analyze end to end."""
     _, cfg = _load_manifest(manifest_path, seed)
     output = pl.run_pipeline(cfg)
-    analysis_doc = _analysis_doc(output.fit, output.witness, units)
-    if output.monte_carlo is not None:
-        sd, trials = output.monte_carlo
-        analysis_doc["monte_carlo"] = {
-            "stddev": {k: _in_units(v, units) for k, v in sd.items()},
-            "trials": {k: [_in_units(v, units) for v in vs] for k, vs in trials.items()},
-        }
+    analysis_doc = _analysis_doc(output.fit, output.witness, units, output.monte_carlo)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -18,6 +18,7 @@ weight product is below the SVD's own relative cut, and the signal modes are
 summed in two fixed halves on two threads.
 """
 
+import contextvars
 import json
 import logging
 from dataclasses import dataclass, replace
@@ -66,7 +67,8 @@ def gate_spectrum(g: GatePulse, omega_g, tau):
     """Gate spectral amplitude at delay tau:
     (2*pi*sigma^2)^(-1/4) * exp(-(w - w0)^2 / (4 sigma^2) + i*tau*(w - w0))."""
     d = np.asarray(omega_g) - g.center
-    return (2 * np.pi * g.sigma**2) ** -0.25 * np.exp(-(d**2) / (4 * g.sigma**2) + 1j * tau * d)
+    with np.errstate(over="ignore"):  # far below the grid step: exp(-inf) = 0
+        return (2 * np.pi * g.sigma**2) ** -0.25 * np.exp(-(d**2) / (4 * g.sigma**2) + 1j * tau * d)
 
 
 def _sellmeier_n(coeffs, lambda_um):
@@ -292,8 +294,10 @@ def _gated_planes(F, modes_s, modes_i):
     # leaving the block joins the thread, so no caller forks beside it
     from concurrent.futures import ThreadPoolExecutor
 
+    # the worker runs in a copy of this thread's context, so the caller's
+    # np.errstate holds there too
     with ThreadPoolExecutor(1) as pool:
-        even = pool.submit(signal_half, 0)
+        even = pool.submit(contextvars.copy_context().run, signal_half, 0)
         odd_half_and_wt()
         even.result()
     (_, _, tw, tt), (_, _, tw_odd, tt_odd) = halves
@@ -320,7 +324,8 @@ def _gated_planes_l0(F, step_s, step_i, sigma):
 
     def lag_weight(n, step):
         d = np.fft.fftfreq(2 * n, 1.0 / (2 * n))
-        return np.exp(-((d * step) ** 2) / (8 * sigma**2))
+        with np.errstate(over="ignore"):  # far below the grid step: exp(-inf) = 0
+            return np.exp(-((d * step) ** 2) / (8 * sigma**2))
 
     w_s, w_i = lag_weight(ns, step_s), lag_weight(ni, step_i)
 
@@ -371,7 +376,8 @@ def simulate_measurements(state: ComplexGrid2D, gm: GatingModel) -> MeasurementS
     Fourier-domain intensity when the model has no gate).
     All outputs are normalized to unit peak.  When a delay plane (tw, wt or
     tt, gated or not) exceeds 1% of peak at a delay-axis edge, the result's
-    ``coverage_warning`` is set and a WARNING is logged.
+    ``coverage_warning`` is set and a WARNING is logged.  An L > 0 gate kernel
+    that keeps no mode, or whose mode sum overflows, raises ValueError.
     """
     if state.axis_s.domain != FREQUENCY or state.axis_i.domain != FREQUENCY:
         raise ValueError("state must be in the frequency-frequency domain")
@@ -387,10 +393,19 @@ def simulate_measurements(state: ComplexGrid2D, gm: GatingModel) -> MeasurementS
     elif gm.crystal_length == 0:
         i_tw, i_wt, i_tt = _gated_planes_l0(F, step_s, step_i, gm.gate.sigma)
     else:
-        # the kernels are dropped as soon as their modes are taken
-        modes_s = _svd_modes(*_gate_kernel(state.axis_s, gm))
-        modes_i = _svd_modes(*_gate_kernel(state.axis_i, gm))
-        i_tw, i_wt, i_tt = _gated_planes(F, modes_s, modes_i)
+        # the kernels are dropped as soon as their modes are taken; a gate far
+        # narrower than the w_u step can leave a kernel of zeros, or a few
+        # entries at the gate's peak amplitude whose mode sum overflows
+        at_sigma = f"at gate sigma {gm.gate.sigma:g} rad/fs"
+        axes = (state.axis_s, state.axis_i)
+        modes = [_svd_modes(*_gate_kernel(axis, gm)) for axis in axes]
+        for axis, (w, _) in zip(axes, modes):
+            if not w.size:
+                raise ValueError(f"the {axis.photon} gate kernel keeps no mode {at_sigma}: every entry is 0")
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            i_tw, i_wt, i_tt = _gated_planes(F, *modes)
+        if not all(np.isfinite(p).all() for p in (i_tw, i_wt, i_tt)):
+            raise ValueError(f"the gate kernels' mode sum overflows {at_sigma}")
     i_ww = _blur_axis(_blur_axis(np.abs(F) ** 2, sig, step_s, 0), sig, step_i, 1)
     i_wt = _blur_axis(i_wt, sig, step_s, 0)
     i_tw = _blur_axis(i_tw, sig, step_i, 1)

@@ -287,23 +287,15 @@ MC_STACK_PIXELS = 2**15
 MC_ITERATIONS = 50
 
 
-def _fit_chirps(result: RetrievalResult, cfg: PipelineConfig) -> tuple | str:
-    try:
-        fit = fit_retrieved_phase(result.jsa, cfg.analysis.mask_sigma)
-    except Exception as exc:  # noqa: BLE001 - failed trials are counted and logged
-        return repr(exc)
-    return fit.chirp_s, fit.chirp_i
-
-
 def _mc_trials(raw: MeasurementSet, cfg: PipelineConfig, start: ComplexGrid2D, noise_seeds) -> list:
     """Monte Carlo trials, one per noise seed: poissonize ``raw`` at
     ``analysis.monte_carlo.peak_counts`` with the seed, preprocess, retrieve
     for ``MC_ITERATIONS`` iterations from ``start`` (the nominal JSA) and
     fit.  The retrievals run in stacks of ``MC_STACK_PIXELS`` pixels per
     plane (at least one set), and a trial's result does not depend on its
-    stack: a stack that raises is run again one trial at a time.  Returns,
-    per seed, (chirp_s, chirp_i) or the repr of the exception that ended the
-    trial."""
+    stack: a chunk in which any of these steps raises is run again one trial
+    at a time.  Returns, per seed, (chirp_s, chirp_i) or the repr of the
+    exception that ended the trial."""
     size = max(1, MC_STACK_PIXELS // raw.i_ww.values.size)
     retrieval = replace(cfg.retrieval, iterations=MC_ITERATIONS)
     outcomes = []
@@ -313,11 +305,18 @@ def _mc_trials(raw: MeasurementSet, cfg: PipelineConfig, start: ComplexGrid2D, n
             sets = [preprocess_set(poissonize_set(raw, cfg.analysis.monte_carlo_peak_counts, seed), cfg)
                     for seed in seeds]
             results = run_retrieval_stack(sets, retrieval, [start] * len(sets))
+            fits = [fit_retrieved_phase(result.jsa, cfg.analysis.mask_sigma) for result in results]
         except Exception as exc:  # noqa: BLE001 - failed trials are counted and logged
             outcomes += [repr(exc)] if len(seeds) == 1 else [_mc_trials(raw, cfg, start, [s])[0] for s in seeds]
             continue
-        outcomes += [_fit_chirps(result, cfg) for result in results]
+        outcomes += [(fit.chirp_s, fit.chirp_i) for fit in fits]
     return outcomes
+
+
+def analyze(jsa: ComplexGrid2D, constraints: MeasurementSet, cfg: AnalysisConfig) -> tuple:
+    """The analyze stage: the ``PhaseFit`` of ``jsa`` and the ``WitnessReport``
+    of the constraints' ww and tt planes."""
+    return fit_retrieved_phase(jsa, cfg.mask_sigma), tbp_numeric(constraints.i_ww, constraints.i_tt)
 
 
 @dataclass(frozen=True)
@@ -335,29 +334,21 @@ class PipelineOutput:
 
 def run_pipeline(cfg: PipelineConfig) -> PipelineOutput:
     timings = {}
-    t0 = time.perf_counter()
-    raw, truth = simulate(cfg)
-    timings["simulate"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    constraints = preprocess_set(raw, cfg)
-    timings["preprocess"] = time.perf_counter() - t0
+    def stage(name, fn, *args):
+        t0 = time.perf_counter()
+        value = fn(*args)
+        timings[name] = time.perf_counter() - t0
+        return value
 
-    t0 = time.perf_counter()
-    result = run_retrieval(constraints, cfg.retrieval)
-    timings["retrieve"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    fit = fit_retrieved_phase(result.jsa, cfg.analysis.mask_sigma)
-    witness = tbp_numeric(constraints.i_ww, constraints.i_tt)
-    timings["analyze"] = time.perf_counter() - t0
-
+    raw, truth = stage("simulate", simulate, cfg)
+    constraints = stage("preprocess", preprocess_set, raw, cfg)
+    result = stage("retrieve", run_retrieval, constraints, cfg.retrieval)
+    fit, witness = stage("analyze", analyze, result.jsa, constraints, cfg.analysis)
     monte_carlo = None
     if cfg.analysis.monte_carlo_trials:
-        t0 = time.perf_counter()
-        trials = cfg.analysis.monte_carlo_trials
-        monte_carlo = monte_carlo_uncertainty(partial(_mc_trials, raw, cfg, result.jsa), trials, cfg.seed)
-        timings["monte_carlo"] = time.perf_counter() - t0
+        monte_carlo = stage("monte_carlo", monte_carlo_uncertainty, partial(_mc_trials, raw, cfg, result.jsa),
+                            cfg.analysis.monte_carlo_trials, cfg.seed)
     return PipelineOutput(raw, constraints, truth, result, fit, witness, timings, monte_carlo)
 
 

@@ -296,6 +296,29 @@ def test_monte_carlo_failed_stack_reruns_each_trial_alone(mc_trial):
     assert isinstance(outcomes[0], tuple) and isinstance(outcomes[2], tuple)
 
 
+def test_monte_carlo_failed_fit_reruns_each_trial_alone(mc_trial, monkeypatch):
+    # the second trial's fit fails; it is found by its lone-run JSA, which its
+    # stacked run reproduces bit for bit
+    raw, cfg, start = mc_trial.args
+    seeds = [11, 13, 15]
+    retrieval = replace(cfg.retrieval, iterations=pipeline.MC_ITERATIONS)
+    m = pipeline.preprocess_set(poissonize_set(raw, cfg.analysis.monte_carlo_peak_counts, seeds[1]), cfg)
+    failing = run_retrieval(m, retrieval, start=start).jsa
+    error = FitError("forced fit failure")
+    fit = pipeline.fit_retrieved_phase
+
+    def flaky(jsa, mask_sigma):
+        if np.array_equal(jsa.values, failing.values):
+            raise error
+        return fit(jsa, mask_sigma)
+
+    monkeypatch.setattr(pipeline, "fit_retrieved_phase", flaky)
+    outcomes = mc_trial(seeds)
+    assert outcomes == [mc_trial([seed])[0] for seed in seeds]
+    assert outcomes[1] == repr(error)
+    assert isinstance(outcomes[0], tuple) and isinstance(outcomes[2], tuple)
+
+
 @pytest.mark.parametrize("stack_pixels", [pipeline.MC_STACK_PIXELS, 1], ids=["stack_of_three", "stack_of_one"])
 def test_monte_carlo_trial_is_a_lone_warm_started_retrieval(monkeypatch, stack_pixels):
     # gated and preprocessed, with trials of another length than the nominal run

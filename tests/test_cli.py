@@ -751,6 +751,24 @@ def test_radius_zero_spectrometer_writes_the_unblurred_files(runner, tmp_path, g
         assert a == b, name
 
 
+# an L > 0 gate kernel with no mode, and one whose mode sum overflows
+@pytest.mark.parametrize("command", ["simulate", "pipeline"])
+@pytest.mark.parametrize("manifest, message", [
+    ({"state": {"n": 16, "sigma_s": 1e-30, "sigma_i": 1e-30},
+      "gating": {"gate": {"sigma": 7.856e-151}, "crystal_length_um": 1000}},
+     "the idler gate kernel keeps no mode at gate sigma 7.856e-151 rad/fs"),
+    ({"state": {"n": 16}, "gating": {"gate": {"sigma": 1e-160}, "crystal_length_um": 1000},
+      "preprocess_enabled": False},
+     "the gate kernels' mode sum overflows at gate sigma 1e-160 rad/fs"),
+], ids=["no_idler_mode", "overflowing_mode_sum"])
+def test_degenerate_gate_kernel_exits_2_before_writing(runner, tmp_path, command, manifest, message):
+    out = tmp_path / "out"
+    res = runner.invoke(main, [command, "--manifest", _write_manifest(tmp_path, manifest), "--out", str(out)])
+    assert res.exit_code == EXIT_BAD_CONFIG, res.output
+    assert res.output.startswith(f"error: {message}") and res.output.count("\n") == 1, res.output
+    assert not out.exists()
+
+
 # the sweep below draws each key from these values: ordinary ones, and the
 # float extremes of gating.gate.sigma and gating.spectrometer_sigma
 SWEEP_VALUES = {
@@ -766,10 +784,6 @@ SWEEP_VALUES = {
 }
 
 
-# A gate sigma far below the grid step, which the parent ran too, overflows
-# (d * step)**2 / sigma**2 in the lag weight or the gate spectrum to inf, and
-# exp maps that to the right weight, 0.  Any other warning stays an error.
-@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
 def test_manifest_sweep_ends_in_a_documented_exit_code(runner, tmp_path):
     # every manifest runs (exit 0, with finite outputs) or fails with exit 2, 3 or 4
     rng = random.Random(23)

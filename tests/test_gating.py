@@ -2,6 +2,7 @@
 
 import logging
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -399,6 +400,35 @@ def test_mode_sum_is_byte_identical_to_reference(chirped_state, shape, sigma):
     got = _gated_planes(state.values, *modes)
     for plane, g, want in zip(("tw", "wt", "tt"), got, _halves_reference(state.values, *modes)):
         assert np.array_equal(g, want), plane
+
+
+def test_tiny_gate_sigma_weights_far_frequencies_zero_without_warning():
+    # (d / sigma)**2 overflows to inf far below the grid step, and exp(-inf)
+    # = 0 is the right weight, in the gate spectrum and the L = 0 lag weight
+    gate = GatePulse(center=GATE_CENTER, sigma=1e-160)
+    amplitude = gate_spectrum(gate, GATE_CENTER + np.array([0.0, 1e-3]), 0.0)
+    assert amplitude[0] > 0 and amplitude[1] == 0
+    m = simulate_measurements(synthesize_state(GaussianStateParams(), n=16), GatingModel(gate=gate))
+    assert all(np.isfinite(grid.values).all() for grid in m.grids().values())
+
+
+# An L > 0 gate far narrower than the upconverted grid step: its kernel is 0
+# wherever the frequencies do not line up exactly, so either every entry is
+# 0 and a side keeps no mode, or a few entries hold the gate's peak amplitude
+# (2 pi sigma**2)**-0.25 and the mode sum overflows.
+@pytest.mark.parametrize("params, sigma, message", [
+    # at these grids one signal entry lines up; with the centers swapped, one idler entry
+    (GaussianStateParams(sigma_s=1e-30, sigma_i=1e-30), 7.856e-151, "idler gate kernel keeps no mode"),
+    (GaussianStateParams(sigma_s=1e-30, sigma_i=1e-30, center_s=2.574, center_i=2.289), 7.856e-151,
+     "signal gate kernel keeps no mode"),
+    (GaussianStateParams(), 1e-160, "gate kernels' mode sum overflows"),
+], ids=["no_idler_mode", "no_signal_mode", "overflowing_mode_sum"])
+def test_degenerate_gate_kernel_raises_value_error(params, sigma, message):
+    state = synthesize_state(params, n=16)
+    rm = RefractiveModel.default().tuned_for(params.center_s, GATE_CENTER)
+    gm = GatingModel(gate=GatePulse(center=GATE_CENTER, sigma=sigma), crystal_length=1000.0, refractive=rm)
+    with pytest.raises(ValueError, match=re.escape(f"{message} at gate sigma {sigma:g} rad/fs")):
+        simulate_measurements(state, gm)
 
 
 def test_coverage_warning_names_the_delay_planes(caplog):
