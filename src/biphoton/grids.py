@@ -12,6 +12,7 @@ time.
 """
 
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -72,9 +73,17 @@ class Axis:
             self.domain == other.domain
             and self.photon == other.photon
             and self.count == other.count
-            and np.isclose(self.center, other.center, rtol=1e-9, atol=1e-12)
-            and np.isclose(self.step, other.step, rtol=1e-9)
+            and _isclose(self.center, other.center, rtol=1e-9, atol=1e-12)
+            and _isclose(self.step, other.step, rtol=1e-9, atol=1e-8)
         )
+
+
+def _isclose(a, b, rtol, atol):
+    """``np.isclose(a, b, rtol, atol)`` for two floats, without the array
+    set-up that made it most of the cost of validating a ``MeasurementSet``:
+    |a - b| <= atol + rtol |b| when b is finite, else a == b, so inf matches
+    inf and NaN matches nothing."""
+    return a == b or (math.isfinite(b) and abs(a - b) <= atol + rtol * abs(b))
 
 
 def conjugate_axis(a: Axis) -> Axis:

@@ -218,8 +218,9 @@ def _refractive_table(cfg):
     """The table at ``gating.refractive_table_path``, else the shipped one.  An
     L > 0 model looks it up at the gate, both photons and their upconverted
     sums, and each photon's gate kernel over its grid and the gate and
-    upconverted bands around it, so each must lie in its range; the message
-    names the keys."""
+    upconverted bands around it, so each must lie in its range, and the gate
+    sigma must be at least the kernel's upconverted step; the message names
+    the keys."""
     path = cfg.gating.refractive_table_path
     try:
         table = RefractiveModel.from_json(path) if path else RefractiveModel.default()
@@ -237,6 +238,13 @@ def _refractive_table(cfg):
     for axis, x in zip(frequency_axes(p, cfg.state.n), "si"):
         omega = axis.values()
         upconverted, gate_band = kernel_bands(omega, gate_pulse)
+        # below the w_u step the kernel's sum over w_u misses the gate; from
+        # sigma = du up it is off by about 2 exp(-2 pi^2 sigma^2 / du^2) <= 5e-9
+        du = (upconverted[1] - upconverted[0]) / (GatingModel.upconverted_grid_count - 1)
+        if not cfg.gating.gate_sigma >= du:
+            raise ValueError(f"gating.gate.sigma ({cfg.gating.gate_sigma:g} rad/fs) must be at least {du:.4g} rad/fs "
+                             f"at L > 0, the {axis.photon} gate kernel's upconverted frequency step, "
+                             "so that the kernel resolves the gate")
         for what, keys, (a, b) in (
             (f"the {axis.photon} grid", f"state.center_{x}, state.sigma_{x}", (omega.min(), omega.max())),
             (f"the {axis.photon} kernel's gate band", f"{gate_keys}, state.sigma_{x}", gate_band),
@@ -284,7 +292,7 @@ def preprocess_set(m: MeasurementSet, cfg: PipelineConfig) -> MeasurementSet:
 # pixels in one stack of Monte Carlo retrievals: 8 sets at n = 64, 2 at n = 128, 1 from n = 256
 MC_STACK_PIXELS = 2**15
 # iterations of each Monte Carlo trial's retrieval, started from the nominal JSA
-MC_ITERATIONS = 50
+MC_ITERATIONS = 30
 
 
 def _mc_trials(raw: MeasurementSet, cfg: PipelineConfig, start: ComplexGrid2D, noise_seeds) -> list:

@@ -331,7 +331,7 @@ def test_monte_carlo_trial_is_a_lone_warm_started_retrieval(monkeypatch, stack_p
     raw, _ = pipeline.simulate(cfg)
     start = _nominal_jsa(raw, cfg)
     seeds = [11, 13, 15]
-    monkeypatch.setattr(pipeline, "MC_ITERATIONS", 30)
+    monkeypatch.setattr(pipeline, "MC_ITERATIONS", 20)
     retrieval = replace(cfg.retrieval, iterations=pipeline.MC_ITERATIONS)
     expected = []
     for seed in seeds:

@@ -634,6 +634,10 @@ def _no_work(*args, **kwargs):
 GATE_SIGMA_RANGE_ERROR = (
     "gating.gate.sigma ({} rad/fs) must lie in [2.223e-162, 1.341e+154] rad/fs, where sigma**2 is a positive float"
 )
+GATE_SIGMA_STEP_ERROR = (
+    "gating.gate.sigma ({} rad/fs) must be at least {} rad/fs at L > 0, the signal gate kernel's upconverted "
+    "frequency step, so that the kernel resolves the gate"
+)
 
 
 @pytest.mark.parametrize("command", ["simulate", "preprocess", "pipeline"])
@@ -665,9 +669,15 @@ GATE_SIGMA_RANGE_ERROR = (
     ({"state": {"n": 16}, "gating": {"gate": {"sigma": 1e-160}}},
      "gating.gate.sigma (1e-160 rad/fs) must be at least 3.729e-155 rad/fs when preprocessing, "
      "where the temporal s.d. 1/(2 sigma) squares to a finite float"),
+    # an L > 0 gate narrower than the kernel's upconverted step falls between its samples
+    ({"state": {"n": 32, "rho": -0.9, "chirp_s": -10000, "chirp_i": -12000},
+      "gating": {"gate": {"sigma": 1e-12}, "crystal_length_um": 1000}, "preprocess_enabled": False,
+      "retrieval": {"iterations": 100}},
+     GATE_SIGMA_STEP_ERROR.format("1e-12", "0.0006078")),
 ], ids=["grid_n_mismatch", "gated_n48", "gate_center_out_of_range", "spectrometer_wider_than_grid",
         "signal_grid_out_of_range", "table_at_path_gate_center_out_of_range", "missing_table",
-        "gate_sigma_1e300", "gate_sigma_1e-300_l1000", "gate_sigma_1e-160_preprocessed"])
+        "gate_sigma_1e300", "gate_sigma_1e-300_l1000", "gate_sigma_1e-160_preprocessed",
+        "gate_sigma_below_kernel_step_l1000"])
 def test_bad_manifest_fails_before_any_work(runner, tmp_path, monkeypatch, command, manifest, message):
     monkeypatch.chdir(tmp_path)  # a relative refractive_table_path is read from the working directory
     (tmp_path / "table.json").write_text(resources.files("biphoton.data").joinpath("bibo_sellmeier.json").read_text())
@@ -751,7 +761,9 @@ def test_radius_zero_spectrometer_writes_the_unblurred_files(runner, tmp_path, g
         assert a == b, name
 
 
-# an L > 0 gate kernel with no mode, and one whose mode sum overflows
+# an L > 0 gate kernel with no mode (its grid is one float wide, so the
+# upconverted step is 0 and any gate sigma passes the parse-time step rule),
+# and a gate whose mode sum would overflow, which that rule refuses
 @pytest.mark.parametrize("command", ["simulate", "pipeline"])
 @pytest.mark.parametrize("manifest, message", [
     ({"state": {"n": 16, "sigma_s": 1e-30, "sigma_i": 1e-30},
@@ -759,7 +771,7 @@ def test_radius_zero_spectrometer_writes_the_unblurred_files(runner, tmp_path, g
      "the idler gate kernel keeps no mode at gate sigma 7.856e-151 rad/fs"),
     ({"state": {"n": 16}, "gating": {"gate": {"sigma": 1e-160}, "crystal_length_um": 1000},
       "preprocess_enabled": False},
-     "the gate kernels' mode sum overflows at gate sigma 1e-160 rad/fs"),
+     GATE_SIGMA_STEP_ERROR.format("1e-160", "0.0005882")),
 ], ids=["no_idler_mode", "overflowing_mode_sum"])
 def test_degenerate_gate_kernel_exits_2_before_writing(runner, tmp_path, command, manifest, message):
     out = tmp_path / "out"

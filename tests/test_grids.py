@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biphoton import grids
 from biphoton.grids import (
     FREQUENCY,
     IDLER,
@@ -61,6 +62,21 @@ def test_conjugate_axis_involution():
     back = conjugate_axis(conjugate_axis(ax))
     assert back.compatible_with(ax)
     assert back.paired_center == ax.paired_center
+
+
+@pytest.mark.parametrize("rtol, atol", [(1e-9, 1e-12), (1e-9, 1e-8)])  # center, step
+def test_axis_isclose_matches_numpy_on_edge_values(rtol, atol):
+    edges = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, np.inf, -np.inf, np.nan]
+    # one rtol step either side of a value, and the nearest floats around it
+    for base in (1.0, -2.289, 3e-3):
+        edges.append(base)
+        for point in (base + (atol + rtol * abs(base)), base - (atol + rtol * abs(base))):
+            edges += [point, np.nextafter(point, np.inf), np.nextafter(point, -np.inf)]
+    for a in edges:
+        for b in edges:
+            with np.errstate(over="ignore"):  # 1e308 - -1e308
+                want = bool(np.isclose(a, b, rtol=rtol, atol=atol))
+            assert grids._isclose(a, b, rtol, atol) == want, (a, b)
 
 
 def test_grid_axis_roles_enforced(small_axes):
