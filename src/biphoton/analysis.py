@@ -16,7 +16,7 @@ TWO_PI = 2.0 * np.pi
 # the witness product must undercut 1 by this much, so rounding flags no separable state
 ENTANGLED_TOLERANCE = 1e-9
 
-logger = logging.getLogger(__name__)
+logger = logging.getLogger("biphoton")
 
 
 class FitError(RuntimeError):
@@ -236,9 +236,9 @@ def monte_carlo_uncertainty(trial, trials: int, seed: int):
     seeds = np.random.SeedSequence(seed).generate_state(2 * trials)[::2].tolist()
     workers = min(_cpu_count(), trials)
     # fork, not spawn: a spawned worker imports numpy and biphoton again,
-    # which made 16 warm trials at n = 64 on 2 CPUs slower than running them
-    # here (0.44 s against 0.25-0.29 s; fork 0.17-0.18 s), and it needs a
-    # __main__ guard
+    # which made 16 warm trials of 30 iterations at n = 64 on 2 CPUs slower
+    # than running them here (0.41 s against 0.17-0.18 s; fork 0.12-0.13 s),
+    # and it needs a __main__ guard
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
         bounds = [trials * w // workers for w in range(workers + 1)]
         chunks = [seeds[lo:hi] for lo, hi in zip(bounds, bounds[1:])]

@@ -138,6 +138,18 @@ def _analysis_doc(fit, witness, units, monte_carlo=None):
     return doc
 
 
+def _summary(result=None, fit=None, witness=None, units="fs2"):
+    """``report.txt``'s summary lines for the given retrieval result, phase fit (in ``units``) and witness."""
+    lines = []
+    if result is not None:
+        lines += [f"final error ww: {result.error_history_ww[-1]:.6%}", f"final error tt: {result.error_final_tt:.6%}"]
+    if fit is not None:
+        lines += [f"fitted chirp_{x}: {_in_units(getattr(fit, f'chirp_{x}'), units):.6g} {units}" for x in "si"]
+    if witness is not None:
+        lines.append(f"witness product: {witness.product:.6g} (entangled: {witness.entangled})")
+    return lines
+
+
 @click.group()
 def main():
     """Joint-spectral-amplitude reconstruction for energy-time entangled
@@ -194,9 +206,7 @@ def retrieve(measurements_path, iterations, seed, mask, out_path):
     cfg = RetrievalConfig(iterations=iterations, seed=seed, constraint_mask=_parse_mask(mask))
     result = run_retrieval(_load_measurement_set(measurements_path), cfg)
     write_json(out_path, _result_doc(result, seed))
-    click.echo(
-        f"final errors: ww {result.error_history_ww[-1]:.4%}, tt {result.error_final_tt:.4%}"
-    )
+    click.echo("\n".join(_summary(result)))
 
 
 @main.command()
@@ -214,13 +224,9 @@ def analyze(result_path, measurements_path, mask_sigma, units, out_path):
         jsa = grid_from_json(result_doc["jsa"])
         if not isinstance(jsa, ComplexGrid2D):
             raise TypeError("jsa must be a complex grid, not intensity")
-    doc = _analysis_doc(*pl.analyze(jsa, _load_measurement_set(measurements_path), cfg), units)
-    write_json(out_path, doc, indent=2)
-    click.echo(
-        f"chirp_s {doc['phase_fit']['chirp_s']:.4g} {units}, "
-        f"chirp_i {doc['phase_fit']['chirp_i']:.4g} {units}, "
-        f"witness product {doc['witness']['product']:.4g}"
-    )
+    fit, witness = pl.analyze(jsa, _load_measurement_set(measurements_path), cfg)
+    write_json(out_path, _analysis_doc(fit, witness, units), indent=2)
+    click.echo("\n".join(_summary(fit=fit, witness=witness, units=units)))
 
 
 @main.command()
@@ -245,15 +251,7 @@ def pipeline(manifest_path, out_dir, seed, units, verbose):
         pl.grid_to_csv(grid, out / f"constraint_{key}.csv")
     pl.grid_to_csv(output.result.jsa.intensity(), out / "reconstructed_ww_intensity.csv")
 
-    err_ww = output.result.error_history_ww[-1]
-    lines = [
-        f"final error ww: {err_ww:.6%}",
-        f"final error tt: {output.result.error_final_tt:.6%}",
-        f"fitted chirp_s: {_in_units(output.fit.chirp_s, units):.6g} {units}",
-        f"fitted chirp_i: {_in_units(output.fit.chirp_i, units):.6g} {units}",
-        f"witness product: {output.witness.product:.6g} "
-        f"(entangled: {output.witness.entangled})",
-    ]
+    lines = _summary(output.result, output.fit, output.witness, units)
     lines += [f"time {k}: {v:.3f} s" for k, v in output.timings.items()]
     (out / "report.txt").write_text("\n".join(lines) + "\n")
     if verbose:

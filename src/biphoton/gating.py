@@ -40,7 +40,7 @@ from .grids import (
 from .retrieve import MeasurementSet
 from .units import C_UM_FS, omega_to_wavelength
 
-logger = logging.getLogger(__name__)
+logger = logging.getLogger("biphoton")
 
 # the largest mean numpy's Generator.poisson takes
 MAX_PEAK_COUNTS = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)
@@ -193,29 +193,29 @@ class GatingModel:
             raise ValueError("finite crystal length needs a gate and a refractive model")
 
 
-def kernel_bands(omega, gate: GatePulse):
-    """The upconverted and gate frequency bands, each (lo, hi), that the
-    upconversion kernel of the frequencies ``omega`` samples.  |Phi_SFG| <= 1,
-    so the w_u band is ``omega`` shifted by the gate center and widened to
-    where the gate's amplitude falls to 1e-6 of peak; w_g = w_u - w."""
+def kernel_grid(omega, gate: GatePulse, count):
+    """The ``count`` upconverted frequencies w_u of the upconversion kernel of
+    the frequencies ``omega``, and the band (lo, hi) of w_g = w_u - w they span.
+    |Phi_SFG| <= 1, so w_u spans ``omega`` shifted by the gate center and
+    widened to where the gate's amplitude falls to 1e-6 of peak.  A gate sigma
+    below the w_u step du falls between the samples; from du up the kernel's
+    sum over w_u is off by about 2 exp(-2 pi^2 sigma^2 / du^2) <= 5e-9."""
     half = 2 * gate.sigma * np.sqrt(np.log(1e6))
-    lo, hi = omega.min() + gate.center - half, omega.max() + gate.center + half
-    return (lo, hi), (lo - omega.max(), hi - omega.min())
+    omega_u = np.linspace(omega.min() + gate.center - half, omega.max() + gate.center + half, count)
+    return omega_u, (omega_u[0] - omega.max(), omega_u[-1] - omega.min())
 
 
 def _gate_kernel(axis: Axis, gm: GatingModel):
-    """Upconversion kernel K[u, j] = G(w_u - w_j) * Phi_SFG on the w_u band of
-    :func:`kernel_bands`; returns (K, w_u step)."""
-    gate = gm.gate
-    omega = axis.values()
-    (lo, hi), _ = kernel_bands(omega, gate)
-    omega_u = np.linspace(lo, hi, gm.upconverted_grid_count)
-    wg = omega_u[:, None] - omega[None, :]
+    """Upconversion kernel K[u, j] = G(w_u - w_j) * Phi_SFG on the w_u of
+    :func:`kernel_grid`; returns (K, w_u step)."""
+    gate, omega = gm.gate, axis.values()
+    omega_u, _ = kernel_grid(omega, gate, gm.upconverted_grid_count)
+    du, wg = omega_u[1] - omega_u[0], omega_u[:, None] - omega[None, :]
     if gm.crystal_length == 0:
-        return gate_spectrum(gate, wg, 0.0), omega_u[1] - omega_u[0]
+        return gate_spectrum(gate, wg, 0.0), du
     # Phi_SFG first, so that its temporaries and those of G never coexist
     phi = phase_match(delta_k(gm.refractive, omega[None, :], wg, omega_u[:, None]), gm.crystal_length)
-    return np.multiply(gate_spectrum(gate, wg, 0.0), phi, out=phi), omega_u[1] - omega_u[0]
+    return np.multiply(gate_spectrum(gate, wg, 0.0), phi, out=phi), du
 
 
 # relative cut on singular values, and on products of them for mode pairs

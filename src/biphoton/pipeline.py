@@ -14,7 +14,7 @@ from typing import get_args
 import numpy as np
 
 from .analysis import PhaseFit, WitnessReport, fit_retrieved_phase, monte_carlo_uncertainty, tbp_numeric
-from .gating import GatePulse, GatingModel, RefractiveModel, check_peak_counts, kernel_bands
+from .gating import GatePulse, GatingModel, RefractiveModel, check_peak_counts, kernel_grid
 from .gating import poissonize_set, simulate_measurements
 from .grids import FREQUENCY, ComplexGrid2D, IntensityGrid2D
 from .preprocess import PreprocessConfig, preprocess_grid
@@ -106,13 +106,17 @@ class PipelineConfig:
             raise ValueError(f"gating.gate.sigma ({g.gate_sigma:g} rad/fs) must be at least "
                              f"{GATE_SIGMA_MIN_PREPROCESSED:.4g} rad/fs when preprocessing, "
                              "where the temporal s.d. 1/(2 sigma) squares to a finite float")
-        # the frequency grid spans 2 SPAN_SIGMAS sigma per axis; a narrower
-        # spectrometer keeps the blur kernel's radius at most 4 n pixels
-        p, span = self.state.params, 2 * SPAN_SIGMAS
-        for key, sigma in (("state.sigma_s", p.sigma_s), ("state.sigma_i", p.sigma_i)):
-            if not g.spectrometer_sigma < span * sigma:
+        # each grid needs n distinct frequencies and a finite delay step 2 pi / width;
+        # a narrower spectrometer keeps the blur kernel's radius at most 4 n pixels
+        for axis, x in zip(frequency_axes(self.state.params, self.state.n), "si"):
+            width, sigma = axis.count * axis.step, getattr(self.state.params, f"sigma_{x}")
+            if not (np.all(np.diff(axis.values()) > 0) and math.isfinite(2 * math.pi / width)):
+                raise ValueError(f"state.sigma_{x} ({sigma:g} rad/fs) is too narrow for a frequency grid at "
+                                 f"state.center_{x} ({axis.center:g} rad/fs): its {axis.count} samples must be distinct "
+                                 f"floats, and 2 pi over its width ({width:g} rad/fs) a finite delay step")
+            if not g.spectrometer_sigma < width:
                 raise ValueError(f"gating.spectrometer_sigma ({g.spectrometer_sigma:g} rad/fs) must be below the "
-                                 f"frequency grid's full width, {span:g} {key} ({span * sigma:g} rad/fs)")
+                                 f"frequency grid's full width, {2 * SPAN_SIGMAS:g} state.sigma_{x} ({width:g} rad/fs)")
         if g.crystal_length_um > 0 and not g.ideal:
             _refractive_table(self)
 
@@ -237,10 +241,8 @@ def _refractive_table(cfg):
     gate_pulse, gate_keys = GatePulse(c, cfg.gating.gate_sigma), f"{gate}, gating.gate.sigma"
     for axis, x in zip(frequency_axes(p, cfg.state.n), "si"):
         omega = axis.values()
-        upconverted, gate_band = kernel_bands(omega, gate_pulse)
-        # below the w_u step the kernel's sum over w_u misses the gate; from
-        # sigma = du up it is off by about 2 exp(-2 pi^2 sigma^2 / du^2) <= 5e-9
-        du = (upconverted[1] - upconverted[0]) / (GatingModel.upconverted_grid_count - 1)
+        omega_u, gate_band = kernel_grid(omega, gate_pulse, GatingModel.upconverted_grid_count)
+        du = omega_u[1] - omega_u[0]
         if not cfg.gating.gate_sigma >= du:
             raise ValueError(f"gating.gate.sigma ({cfg.gating.gate_sigma:g} rad/fs) must be at least {du:.4g} rad/fs "
                              f"at L > 0, the {axis.photon} gate kernel's upconverted frequency step, "
@@ -249,7 +251,7 @@ def _refractive_table(cfg):
             (f"the {axis.photon} grid", f"state.center_{x}, state.sigma_{x}", (omega.min(), omega.max())),
             (f"the {axis.photon} kernel's gate band", f"{gate_keys}, state.sigma_{x}", gate_band),
             (f"the {axis.photon} kernel's upconverted band", f"{gate_keys}, state.center_{x}, state.sigma_{x}",
-             upconverted),
+             (omega_u[0], omega_u[-1])),
         ):
             if not lo <= a <= b <= hi:
                 raise ValueError(f"{what} ({keys}) spans {a:.4g} to {b:.4g} rad/fs, {outside}")

@@ -263,7 +263,7 @@ def test_monte_carlo_failed_trial_is_counted_and_logged(mc_trial, monkeypatch, c
 
     monkeypatch.setattr(pipeline, "poissonize_set", flaky)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-    with caplog.at_level(logging.WARNING, logger="biphoton.analysis"):
+    with caplog.at_level(logging.WARNING, logger="biphoton"):
         _, values = monte_carlo_uncertainty(mc_trial, trials=trials, seed=seed)
     assert len(values["chirp_s"]) == len(values["chirp_i"]) == trials - 1
     (record,) = caplog.records

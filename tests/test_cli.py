@@ -301,11 +301,17 @@ def test_staged_chain_matches_pipeline(runner, tmp_path):
          "--measurements", str(pre / "constraints.json"), "--out", str(tmp_path / "analysis.json")],
         ["pipeline", "--manifest", manifest, "--out", str(run)],
     ]
+    printed = []
     for args in commands:
         res = runner.invoke(main, args)
         assert res.exit_code == 0, res.output
+        printed.append(res.stdout)
     for name in ("result.json", "analysis.json"):
         assert (tmp_path / name).read_bytes() == (run / name).read_bytes(), name
+    # retrieve prints report.txt's error lines, analyze its chirp and witness lines
+    report = (run / "report.txt").read_text().splitlines(keepends=True)
+    assert printed[2] == "".join(report[:2])
+    assert printed[3] == "".join(report[2:5])
 
 
 def test_pipeline_end_to_end(runner, tmp_path):
@@ -638,6 +644,11 @@ GATE_SIGMA_STEP_ERROR = (
     "gating.gate.sigma ({} rad/fs) must be at least {} rad/fs at L > 0, the signal gate kernel's upconverted "
     "frequency step, so that the kernel resolves the gate"
 )
+COLLAPSED_GRID_ERROR = (
+    "state.sigma_s ({} rad/fs) is too narrow for a frequency grid at state.center_s ({} rad/fs): its 16 samples "
+    "must be distinct floats, and 2 pi over its width ({} rad/fs) a finite delay step"
+)
+COLLAPSED_STATE = {"n": 16, "sigma_s": 1e-30, "sigma_i": 1e-30}
 
 
 @pytest.mark.parametrize("command", ["simulate", "preprocess", "pipeline"])
@@ -674,10 +685,24 @@ GATE_SIGMA_STEP_ERROR = (
       "gating": {"gate": {"sigma": 1e-12}, "crystal_length_um": 1000}, "preprocess_enabled": False,
       "retrieval": {"iterations": 100}},
      GATE_SIGMA_STEP_ERROR.format("1e-12", "0.0006078")),
+    # a grid narrower than the float spacing at its center repeats samples
+    ({"state": COLLAPSED_STATE, "retrieval": {"iterations": 20}},
+     COLLAPSED_GRID_ERROR.format("1e-30", "2.289", "1.6e-29")),
+    ({"state": COLLAPSED_STATE, "gating": {"ideal": True}, "retrieval": {"iterations": 20}},
+     COLLAPSED_GRID_ERROR.format("1e-30", "2.289", "1.6e-29")),
+    ({"state": {"n": 16, "sigma_s": 1e-17}, "retrieval": {"iterations": 20}},
+     COLLAPSED_GRID_ERROR.format("1e-17", "2.289", "1.6e-16")),
+    # at L > 0 its upconverted step is 0, which any gate sigma passes
+    ({"state": COLLAPSED_STATE, "gating": {"gate": {"sigma": 7.856e-151}, "crystal_length_um": 1000}},
+     COLLAPSED_GRID_ERROR.format("1e-30", "2.289", "1.6e-29")),
+    # distinct samples around 0, but the delay step 2 pi / width overflows
+    ({"state": {"n": 16, "sigma_s": 1e-310, "center_s": 0}, "gating": {"ideal": True}, "preprocess_enabled": False},
+     COLLAPSED_GRID_ERROR.format("1e-310", "0", "1.6e-309")),
 ], ids=["grid_n_mismatch", "gated_n48", "gate_center_out_of_range", "spectrometer_wider_than_grid",
         "signal_grid_out_of_range", "table_at_path_gate_center_out_of_range", "missing_table",
         "gate_sigma_1e300", "gate_sigma_1e-300_l1000", "gate_sigma_1e-160_preprocessed",
-        "gate_sigma_below_kernel_step_l1000"])
+        "gate_sigma_below_kernel_step_l1000", "collapsed_grid_l0", "collapsed_grid_ideal", "collapsed_signal_grid",
+        "collapsed_grid_l1000", "zero_center_grid_infinite_delay_step"])
 def test_bad_manifest_fails_before_any_work(runner, tmp_path, monkeypatch, command, manifest, message):
     monkeypatch.chdir(tmp_path)  # a relative refractive_table_path is read from the working directory
     (tmp_path / "table.json").write_text(resources.files("biphoton.data").joinpath("bibo_sellmeier.json").read_text())
@@ -734,7 +759,7 @@ def test_coverage_warning_is_logged(runner, tmp_path, caplog, command):
         res = runner.invoke(main, [command, "--manifest", manifest, "--out", str(tmp_path / "out"), "--verbose"])
     assert res.exit_code == 0, res.output
     (record,) = caplog.records
-    assert (record.name, record.levelno) == ("biphoton.gating", logging.WARNING)
+    assert (record.name, record.levelno) == ("biphoton", logging.WARNING)
     assert "delay-axis edge" in record.getMessage()
 
 
@@ -762,13 +787,12 @@ def test_radius_zero_spectrometer_writes_the_unblurred_files(runner, tmp_path, g
 
 
 # an L > 0 gate kernel with no mode (its grid is one float wide, so the
-# upconverted step is 0 and any gate sigma passes the parse-time step rule),
-# and a gate whose mode sum would overflow, which that rule refuses
+# upconverted step would be 0), which the grid rule refuses at parse, and a
+# gate whose mode sum would overflow, which the kernel-step rule refuses
 @pytest.mark.parametrize("command", ["simulate", "pipeline"])
 @pytest.mark.parametrize("manifest, message", [
-    ({"state": {"n": 16, "sigma_s": 1e-30, "sigma_i": 1e-30},
-      "gating": {"gate": {"sigma": 7.856e-151}, "crystal_length_um": 1000}},
-     "the idler gate kernel keeps no mode at gate sigma 7.856e-151 rad/fs"),
+    ({"state": COLLAPSED_STATE, "gating": {"gate": {"sigma": 7.856e-151}, "crystal_length_um": 1000}},
+     COLLAPSED_GRID_ERROR.format("1e-30", "2.289", "1.6e-29")),
     ({"state": {"n": 16}, "gating": {"gate": {"sigma": 1e-160}, "crystal_length_um": 1000},
       "preprocess_enabled": False},
      GATE_SIGMA_STEP_ERROR.format("1e-160", "0.0005882")),

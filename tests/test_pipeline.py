@@ -76,7 +76,7 @@ def test_run_pipeline_logs_coverage_warning(caplog):
         out = run_pipeline(PipelineConfig.from_manifest(COVERAGE_MANIFEST))
     assert out.raw.coverage_warning
     (record,) = caplog.records
-    assert (record.name, record.levelno) == ("biphoton.gating", logging.WARNING)
+    assert (record.name, record.levelno) == ("biphoton", logging.WARNING)
     assert "delay-axis edge" in record.getMessage()
 
 
