@@ -3,9 +3,14 @@ witness, sigma-contour masking, quality-guided 2D phase unwrapping, weighted
 polynomial phase fitting, and the Monte Carlo spread of fitted chirps over
 the trials a caller hands in (``pipeline`` defines the trial it runs)."""
 
+import functools
 import heapq
+import itertools
 import logging
+import math
 import os
+import signal
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,33 +120,45 @@ def unwrap_phase_2d(phase: np.ndarray, mask: np.ndarray, quality: np.ndarray | N
     if quality is None:
         quality = np.ones_like(phase)
     quality = np.asarray(quality, dtype=float)
+    rows, cols = phase.shape
 
-    seed = np.unravel_index(np.argmax(np.where(mask, quality, -np.inf)), phase.shape)
-    visited = np.zeros_like(mask)
-    visited[seed] = True
-    out = phase.copy()
+    # the fill runs on Python floats keyed by pixel, over the masked pixels
+    # only: indexing numpy scalars per pixel took about 3 times as long (n = 64
+    # to 256, the benchmark's chirped state at mask_sigma 2).  Pixel (r, c)
+    # is key r * (cols + 1) + c, so that a neighbour off the grid is a key of
+    # no masked pixel and needs no bounds check.
+    stride = cols + 1
+    rs, cs = np.nonzero(mask)
+    keys = (rs * stride + cs).tolist()
+    wrapped = dict(zip(keys, phase[mask].tolist()))
+    weight = dict(zip(keys, quality[mask].tolist()))
+    out = dict(wrapped)  # pixels the fill does not reach keep their wrapped phase
+    r, c = np.unravel_index(np.argmax(np.where(mask, quality, -np.inf)), phase.shape)
+    seed = int(r) * stride + int(c)
+    out.setdefault(seed, float(phase[r, c]))  # an unmasked seed: every masked quality is -inf
+    visited = {seed}
     heap = []
-    counter = 0
+    counter = itertools.count()
 
     def push_neighbors(p):
-        nonlocal counter
-        for dr, dc in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            q = (p[0] + dr, p[1] + dc)
-            if 0 <= q[0] < phase.shape[0] and 0 <= q[1] < phase.shape[1]:
-                if mask[q] and not visited[q]:
-                    heapq.heappush(heap, (-quality[q], counter, q, p))
-                    counter += 1
+        for q in (p + stride, p - stride, p + 1, p - 1):
+            if q in weight and q not in visited:
+                heapq.heappush(heap, (-weight[q], next(counter), q, p))
 
     push_neighbors(seed)
     while heap:
         _, _, q, p = heapq.heappop(heap)
-        if visited[q]:
+        if q in visited:
             continue
-        visited[q] = True
-        jump = phase[q] - out[p]
-        out[q] = phase[q] - TWO_PI * np.round(jump / TWO_PI)
+        visited.add(q)
+        turns = (wrapped[q] - out[p]) / TWO_PI
+        if math.isfinite(turns):  # np.round's rounding, half to even, and its signed zero
+            turns = math.copysign(round(turns), turns)
+        out[q] = wrapped[q] - TWO_PI * turns
         push_neighbors(q)
-    return out
+    result = phase.copy()
+    result[mask] = [out[k] for k in keys]
+    return result
 
 
 _MONOMIALS = [(a, b) for total in range(4) for a in range(total + 1) for b in [total - a]]
@@ -206,19 +223,141 @@ def _cpu_count():
         return os.cpu_count() or 1
 
 
-def monte_carlo_uncertainty(trial, trials: int, seed: int):
-    """Per-coefficient spread of the fitted chirps over ``trials`` Monte
-    Carlo trials, each given a noise seed.  ``trial(noise_seeds)`` runs the
-    trials of a list of seeds and returns one outcome per seed: (chirp_s,
-    chirp_i), or a string naming the exception a failed trial raised.  It is
-    a module-level function, or a partial of one, so that it pickles.  Trial
-    k's seed is entry 2k of ``generate_state(2 * trials)`` of one
-    ``SeedSequence`` of ``seed``.
+def _run_chunk(trial, seeds, conn, parent_ends):
+    """A forked worker's body: run ``trial`` on its chunk of seeds and send
+    the outcomes back on ``conn``.  The warm start is received the first
+    time ``trial`` asks for it; a closed pipe there, or when sending, means
+    the caller has stopped the run, and the worker exits quietly."""
+    # a terminal's Ctrl-C reaches the whole process group; the caller handles it and stops the workers
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for end in parent_ends:  # held open here, they would outlive the caller and keep a worker waiting for its start
+        end.close()
+
+    @functools.cache
+    def start():
+        try:
+            return conn.recv()
+        except EOFError:
+            sys.exit()  # SystemExit: not caught by a trial's ``except Exception``
+
+    try:
+        conn.send(trial(seeds, start))
+    except ConnectionError:
+        pass
+
+
+def _exchange(process, action, *args):
+    """``action(*args)`` on a worker's pipe.  A pipe the worker closed by
+    ending raises ``ChildProcessError`` instead of a hang or a pipe error."""
+    try:
+        return action(*args)
+    except (EOFError, ConnectionError):
+        # raised below, not as this error's context: kept as a context, a failed send's frames and
+        # the pickle buffer they export were left to the cycle collector, which raised BufferError
+        pass
+    process.join()
+    raise ChildProcessError(f"Monte Carlo worker {process.pid} ended with exit code {process.exitcode} "
+                            "before it returned its trials")
+
+
+class MonteCarloWorkers:
+    """Monte Carlo trials started before their warm start is known.
+
+    Trial k's noise seed is entry 2k of ``generate_state(2 * trials)`` of
+    one ``SeedSequence`` of ``seed``.  ``trial(noise_seeds, start)`` runs
+    the trials of a list of seeds and returns one outcome per seed:
+    (chirp_s, chirp_i), or a string naming the exception a failed trial
+    raised.  ``start()`` returns the warm start; a trial can prepare its
+    first trials before it calls it.
 
     The seeds are split into one contiguous chunk per worker (chunk sizes
-    differ by at most one), and the chunks run in forked worker processes,
-    one per CPU in the affinity mask (at most one per trial), or as one
-    chunk in this process when there is one worker or no fork.  Results are
+    differ by at most one), one worker per CPU in the affinity mask (at most
+    one per trial).  With more than one worker and fork available, each
+    chunk runs at once in a forked process, which inherits ``trial``, and
+    waits in ``start()`` until ``outcomes`` sends the start.  With one
+    worker or no fork, the whole list runs in this process inside
+    ``outcomes``.  Used as a context manager, the workers still running
+    when the block exits (on an exception) are terminated and joined.
+    """
+
+    def __init__(self, trial, trials: int, seed: int):
+        # imported here so that importing biphoton loads no process machinery
+        import multiprocessing
+
+        if trials < 2:
+            raise ValueError("need at least 2 trials")
+        self._trial = trial
+        # entry 2k: the stride keeps trial k's noise draw stable across versions
+        self.seeds = np.random.SeedSequence(seed).generate_state(2 * trials)[::2].tolist()
+        self._workers = []  # (process, this process's end of its pipe)
+        workers = min(_cpu_count(), trials)
+        if workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
+            return
+        # a Process and Pipe per worker, started now, not a pool at the call:
+        # the workers prepare their first stack while the caller retrieves the
+        # nominal state, and run the trials while it writes its files.  That
+        # carries most of a 24.6% cut in noisy_cli_mc_n64's recon_s_p50 (10 of
+        # 10 alternating 30 s pairs, 2-vCPU Xeon; the rest is unwrap_phase_2d's
+        # Python-float fill).  Fork, not spawn: the workers inherit ``trial``
+        # and the data it holds without a pickle or a fresh import of numpy.
+        context = multiprocessing.get_context("fork")
+        bounds = [trials * w // workers for w in range(workers + 1)]
+        try:
+            for lo, hi in zip(bounds, bounds[1:]):
+                parent_end, child_end = context.Pipe()
+                parent_ends = [end for _, end in self._workers] + [parent_end]
+                process = context.Process(target=_run_chunk, daemon=True,
+                                          args=(trial, self.seeds[lo:hi], child_end, parent_ends))
+                process.start()
+                child_end.close()  # the worker's end lives in the worker alone, so its exit closes the pipe
+                self._workers.append((process, parent_end))
+        except BaseException:
+            self.stop()
+            raise
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.stop()
+
+    def outcomes(self, start, meanwhile=None) -> list:
+        """Every trial's outcome, in trial order: send each worker ``start``,
+        call ``meanwhile()`` while they run, then collect them.  In this
+        process, ``meanwhile()`` runs first and then the trials.  A worker
+        that ends without returning its outcomes raises
+        ``ChildProcessError``."""
+        if not self._workers:
+            if meanwhile is not None:
+                meanwhile()
+            return self._trial(self.seeds, lambda: start)
+        for process, conn in self._workers:
+            _exchange(process, conn.send, start)
+        if meanwhile is not None:
+            meanwhile()
+        outcomes = []
+        for process, conn in self._workers:
+            outcomes += _exchange(process, conn.recv)
+        for process, conn in self._workers:
+            conn.close()
+            process.join()
+        self._workers = []
+        return outcomes
+
+    def stop(self):
+        """Terminate and join the workers that are still running."""
+        for process, conn in self._workers:
+            conn.close()
+            process.terminate()
+        for process, _ in self._workers:
+            process.join()
+        self._workers = []
+
+
+def monte_carlo_uncertainty(workers: MonteCarloWorkers, trials: int, start, meanwhile=None):
+    """Per-coefficient spread of the fitted chirps over the ``trials`` Monte
+    Carlo trials that ``workers`` run (``MonteCarloWorkers``) from the warm
+    start ``start``; ``meanwhile()`` runs while they do.  Results are
     collected in trial order, so they do not depend on the worker count as
     long as a trial's outcome does not depend on its chunk.  Each failed
     trial is logged at WARNING; more than 20% failed trials raise
@@ -226,26 +365,9 @@ def monte_carlo_uncertainty(trial, trials: int, seed: int):
 
     Returns (stddevs, trial_values) as dicts keyed by 'chirp_s' / 'chirp_i'.
     """
-    # imported here so that importing biphoton loads no process-pool machinery
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    if trials < 2:
-        raise ValueError("need at least 2 trials")
-    # entry 2k: the stride keeps trial k's noise draw stable across versions
-    seeds = np.random.SeedSequence(seed).generate_state(2 * trials)[::2].tolist()
-    workers = min(_cpu_count(), trials)
-    # fork, not spawn: a spawned worker imports numpy and biphoton again,
-    # which made 16 warm trials of 30 iterations at n = 64 on 2 CPUs slower
-    # than running them here (0.41 s against 0.17-0.18 s; fork 0.12-0.13 s),
-    # and it needs a __main__ guard
-    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-        bounds = [trials * w // workers for w in range(workers + 1)]
-        chunks = [seeds[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            outcomes = [outcome for chunk in pool.map(trial, chunks) for outcome in chunk]
-    else:
-        outcomes = trial(seeds)
+    if trials != len(workers.seeds):
+        raise ValueError(f"{trials} trials asked of workers started with {len(workers.seeds)}")
+    outcomes = workers.outcomes(start, meanwhile)
     values = {"chirp_s": [], "chirp_i": []}
     failures = []
     for t, outcome in enumerate(outcomes):

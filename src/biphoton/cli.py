@@ -9,8 +9,11 @@ missing input or memory exhaustion, 3 retrieval produced non-finite values,
 
 import dataclasses
 import json
+import shutil
 import sys
-from contextlib import contextmanager
+import tempfile
+from contextlib import contextmanager, suppress
+from functools import partial
 from pathlib import Path
 
 import click
@@ -229,6 +232,35 @@ def analyze(result_path, measurements_path, mask_sigma, units, out_path):
     click.echo("\n".join(_summary(fit=fit, witness=witness, units=units)))
 
 
+@contextmanager
+def _published(out):
+    """A staging directory inside ``out``: its files move into ``out`` when
+    the block succeeds.  When the block raises, neither they nor an ``out``
+    made here is left."""
+    made = not out.exists()
+    out.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
+    try:
+        yield staging
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        if made:
+            with suppress(OSError):  # left if something else was written there meanwhile
+                out.rmdir()
+        raise
+    for path in sorted(staging.iterdir()):
+        path.replace(out / path.name)
+    staging.rmdir()
+
+
+def _write_nominal(out, retrieval_seed, nominal):
+    """``result.json`` and the five CSVs of the nominal run."""
+    write_json(out / "result.json", _result_doc(nominal.result, retrieval_seed))
+    for key, grid in nominal.constraints.grids().items():
+        pl.grid_to_csv(grid, out / f"constraint_{key}.csv")
+    pl.grid_to_csv(nominal.result.jsa.intensity(), out / "reconstructed_ww_intensity.csv")
+
+
 @main.command()
 @click.option("--manifest", "manifest_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_dir", required=True, type=click.Path())
@@ -239,21 +271,15 @@ def analyze(result_path, measurements_path, mask_sigma, units, out_path):
 def pipeline(manifest_path, out_dir, seed, units, verbose):
     """Run simulate -> preprocess -> retrieve -> analyze end to end."""
     _, cfg = _load_manifest(manifest_path, seed)
-    output = pl.run_pipeline(cfg)
-    analysis_doc = _analysis_doc(output.fit, output.witness, units, output.monte_carlo)
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_json(out / "result.json", _result_doc(output.result, cfg.retrieval.seed))
-    write_json(out / "analysis.json", analysis_doc, indent=2)
-
-    for key, grid in output.constraints.grids().items():
-        pl.grid_to_csv(grid, out / f"constraint_{key}.csv")
-    pl.grid_to_csv(output.result.jsa.intensity(), out / "reconstructed_ww_intensity.csv")
-
-    lines = _summary(output.result, output.fit, output.witness, units)
-    lines += [f"time {k}: {v:.3f} s" for k, v in output.timings.items()]
-    (out / "report.txt").write_text("\n".join(lines) + "\n")
+    # the nominal files are written while the Monte Carlo trials run, and
+    # every file reaches --out only once the run has succeeded
+    with _published(Path(out_dir)) as staging:
+        output = pl.run_pipeline(cfg, meanwhile=partial(_write_nominal, staging, cfg.retrieval.seed))
+        write_json(staging / "analysis.json", _analysis_doc(output.fit, output.witness, units, output.monte_carlo),
+                   indent=2)
+        lines = _summary(output.result, output.fit, output.witness, units)
+        lines += [f"time {k}: {v:.3f} s" for k, v in output.timings.items()]
+        (staging / "report.txt").write_text("\n".join(lines) + "\n")
     if verbose:
         click.echo("\n".join(lines))
 

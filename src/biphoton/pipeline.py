@@ -7,13 +7,15 @@ import json
 import math
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 from functools import partial
 from typing import get_args
 
 import numpy as np
 
-from .analysis import PhaseFit, WitnessReport, fit_retrieved_phase, monte_carlo_uncertainty, tbp_numeric
+from .analysis import MonteCarloWorkers, PhaseFit, WitnessReport, fit_retrieved_phase, monte_carlo_uncertainty
+from .analysis import tbp_numeric
 from .gating import GatePulse, GatingModel, RefractiveModel, check_peak_counts, kernel_grid
 from .gating import poissonize_set, simulate_measurements
 from .grids import FREQUENCY, ComplexGrid2D, IntensityGrid2D
@@ -107,12 +109,17 @@ class PipelineConfig:
                              f"{GATE_SIGMA_MIN_PREPROCESSED:.4g} rad/fs when preprocessing, "
                              "where the temporal s.d. 1/(2 sigma) squares to a finite float")
         # each grid needs n distinct frequencies and a finite delay step 2 pi / width;
-        # a narrower spectrometer keeps the blur kernel's radius at most 4 n pixels
-        for axis, x in zip(frequency_axes(self.state.params, self.state.n), "si"):
-            width, sigma = axis.count * axis.step, getattr(self.state.params, f"sigma_{x}")
-            if not (np.all(np.diff(axis.values()) > 0) and math.isfinite(2 * math.pi / width)):
+        # a narrower spectrometer keeps the blur kernel's radius at most 4 n pixels.
+        # The samples are synth.frequency_axes', computed here: a subnormal sigma
+        # rounds their step to 0, which Axis would refuse without naming the key.
+        n = self.state.n
+        for x in "si":
+            sigma, center = getattr(self.state.params, f"sigma_{x}"), getattr(self.state.params, f"center_{x}")
+            step = 2 * SPAN_SIGMAS * sigma / n
+            samples, width = center + (np.arange(n) - n // 2) * step, n * step
+            if not (np.all(np.diff(samples) > 0) and math.isfinite(2 * math.pi / width)):
                 raise ValueError(f"state.sigma_{x} ({sigma:g} rad/fs) is too narrow for a frequency grid at "
-                                 f"state.center_{x} ({axis.center:g} rad/fs): its {axis.count} samples must be distinct "
+                                 f"state.center_{x} ({center:g} rad/fs): its {n} samples must be distinct "
                                  f"floats, and 2 pi over its width ({width:g} rad/fs) a finite delay step")
             if not g.spectrometer_sigma < width:
                 raise ValueError(f"gating.spectrometer_sigma ({g.spectrometer_sigma:g} rad/fs) must be below the "
@@ -297,15 +304,17 @@ MC_STACK_PIXELS = 2**15
 MC_ITERATIONS = 30
 
 
-def _mc_trials(raw: MeasurementSet, cfg: PipelineConfig, start: ComplexGrid2D, noise_seeds) -> list:
+def _mc_trials(raw: MeasurementSet, cfg: PipelineConfig, noise_seeds, start) -> list:
     """Monte Carlo trials, one per noise seed: poissonize ``raw`` at
     ``analysis.monte_carlo.peak_counts`` with the seed, preprocess, retrieve
-    for ``MC_ITERATIONS`` iterations from ``start`` (the nominal JSA) and
+    for ``MC_ITERATIONS`` iterations from ``start()`` (the nominal JSA) and
     fit.  The retrievals run in stacks of ``MC_STACK_PIXELS`` pixels per
-    plane (at least one set), and a trial's result does not depend on its
-    stack: a chunk in which any of these steps raises is run again one trial
-    at a time.  Returns, per seed, (chirp_s, chirp_i) or the repr of the
-    exception that ended the trial."""
+    plane (at least one set), and ``start()`` is first called once the
+    first stack is preprocessed, so a worker prepares one stack while the
+    nominal JSA is retrieved.  A trial's result does not depend on its
+    stack: a chunk in which any of these steps raises is run again one
+    trial at a time.  Returns, per seed, (chirp_s, chirp_i) or the repr of
+    the exception that ended the trial."""
     size = max(1, MC_STACK_PIXELS // raw.i_ww.values.size)
     retrieval = replace(cfg.retrieval, iterations=MC_ITERATIONS)
     outcomes = []
@@ -314,10 +323,10 @@ def _mc_trials(raw: MeasurementSet, cfg: PipelineConfig, start: ComplexGrid2D, n
         try:
             sets = [preprocess_set(poissonize_set(raw, cfg.analysis.monte_carlo_peak_counts, seed), cfg)
                     for seed in seeds]
-            results = run_retrieval_stack(sets, retrieval, [start] * len(sets))
+            results = run_retrieval_stack(sets, retrieval, [start()] * len(sets))
             fits = [fit_retrieved_phase(result.jsa, cfg.analysis.mask_sigma) for result in results]
         except Exception as exc:  # noqa: BLE001 - failed trials are counted and logged
-            outcomes += [repr(exc)] if len(seeds) == 1 else [_mc_trials(raw, cfg, start, [s])[0] for s in seeds]
+            outcomes += [repr(exc)] if len(seeds) == 1 else [_mc_trials(raw, cfg, [s], start)[0] for s in seeds]
             continue
         outcomes += [(fit.chirp_s, fit.chirp_i) for fit in fits]
     return outcomes
@@ -342,7 +351,17 @@ class PipelineOutput:
     monte_carlo: tuple | None
 
 
-def run_pipeline(cfg: PipelineConfig) -> PipelineOutput:
+def run_pipeline(cfg: PipelineConfig, meanwhile=None) -> PipelineOutput:
+    """Run the stages and, with ``analysis.monte_carlo.trials`` set, the
+    Monte Carlo trials.  Their workers start after preprocess, and prepare
+    their first trials while this process retrieves and analyzes the
+    nominal state.  ``meanwhile(nominal)``, if given, is called with the
+    nominal ``PipelineOutput`` (``monte_carlo`` None) once analyze is done:
+    while forked workers run the trials, before the trials when they run in
+    this process, and last without trials.  ``timings["monte_carlo"]`` is
+    the workers' start-up plus the wait for their trials, ``meanwhile``
+    included.  On any exception the workers are stopped before it
+    propagates."""
     timings = {}
 
     def stage(name, fn, *args):
@@ -353,13 +372,22 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineOutput:
 
     raw, truth = stage("simulate", simulate, cfg)
     constraints = stage("preprocess", preprocess_set, raw, cfg)
-    result = stage("retrieve", run_retrieval, constraints, cfg.retrieval)
-    fit, witness = stage("analyze", analyze, result.jsa, constraints, cfg.analysis)
-    monte_carlo = None
-    if cfg.analysis.monte_carlo_trials:
-        monte_carlo = stage("monte_carlo", monte_carlo_uncertainty, partial(_mc_trials, raw, cfg, result.jsa),
-                            cfg.analysis.monte_carlo_trials, cfg.seed)
-    return PipelineOutput(raw, constraints, truth, result, fit, witness, timings, monte_carlo)
+    trials = cfg.analysis.monte_carlo_trials
+    t0 = time.perf_counter()
+    workers = MonteCarloWorkers(partial(_mc_trials, raw, cfg), trials, cfg.seed) if trials else nullcontext()
+    started = time.perf_counter() - t0
+    with workers:
+        result = stage("retrieve", run_retrieval, constraints, cfg.retrieval)
+        fit, witness = stage("analyze", analyze, result.jsa, constraints, cfg.analysis)
+        nominal = PipelineOutput(raw, constraints, truth, result, fit, witness, timings, None)
+        if not trials:
+            if meanwhile is not None:
+                meanwhile(nominal)
+            return nominal
+        hook = partial(meanwhile, nominal) if meanwhile is not None else None
+        monte_carlo = stage("monte_carlo", monte_carlo_uncertainty, workers, trials, result.jsa, hook)
+    timings["monte_carlo"] += started  # starting the workers is part of the trials' time
+    return replace(nominal, monte_carlo=monte_carlo)
 
 
 def grid_to_csv(grid, path):

@@ -1,7 +1,13 @@
 """Masking, unwrapping, phase fitting, witness, Monte Carlo propagation."""
 
+import contextlib
+import heapq
 import logging
+import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 from dataclasses import replace
 from functools import partial
 
@@ -13,6 +19,7 @@ from hypothesis import strategies as st
 from biphoton import pipeline
 from biphoton.analysis import (
     FitError,
+    MonteCarloWorkers,
     _cpu_count,
     fit_phase_poly,
     fit_retrieved_phase,
@@ -126,6 +133,71 @@ def test_unwrap_gauge_covariance(k):
     assert np.allclose(shifted, base + 2 * np.pi * k, atol=1e-9)
 
 
+def _unwrap_reference(phase, mask, quality=None):
+    """The flood fill on numpy scalars and (row, col) tuples, as
+    ``unwrap_phase_2d`` ran it before its fill moved to Python floats."""
+    mask = np.asarray(mask, dtype=bool)
+    phase = np.array(phase, dtype=float)
+    quality = np.ones_like(phase) if quality is None else np.asarray(quality, dtype=float)
+    seed = np.unravel_index(np.argmax(np.where(mask, quality, -np.inf)), phase.shape)
+    visited = np.zeros_like(mask)
+    visited[seed] = True
+    out = phase.copy()
+    heap = []
+    counter = 0
+
+    def push_neighbors(p):
+        nonlocal counter
+        for dr, dc in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            q = (p[0] + dr, p[1] + dc)
+            if 0 <= q[0] < phase.shape[0] and 0 <= q[1] < phase.shape[1]:
+                if mask[q] and not visited[q]:
+                    heapq.heappush(heap, (-quality[q], counter, q, p))
+                    counter += 1
+
+    push_neighbors(seed)
+    while heap:
+        _, _, q, p = heapq.heappop(heap)
+        if visited[q]:
+            continue
+        visited[q] = True
+        jump = phase[q] - out[p]
+        out[q] = phase[q] - 2 * np.pi * np.round(jump / (2 * np.pi))
+        push_neighbors(q)
+    return out
+
+
+def test_unwrap_is_byte_identical_to_reference():
+    # signed zeros, half-turn jumps, quality ties and disconnected masks
+    for case in range(450):
+        rng = np.random.default_rng(case)
+        shape = tuple(rng.integers(2, 20, size=2))
+        phase = rng.uniform(-np.pi, np.pi, shape) * rng.choice([1.0, 5.0])
+        if case % 3 == 1:
+            phase[rng.random(shape) < 0.3] = 0.0
+            phase[rng.random(shape) < 0.3] = -0.0
+        if case % 3 == 2:
+            phase = np.round(rng.uniform(-6, 6, shape)) / 2 * np.pi
+        mask = rng.random(shape) < rng.uniform(0.2, 1.0)
+        mask.flat[rng.integers(mask.size)] = True
+        quality = (None, rng.random(shape), rng.integers(0, 3, shape).astype(float))[case % 3]
+        got = unwrap_phase_2d(phase, mask, quality)
+        assert got.tobytes() == _unwrap_reference(phase, mask, quality).tobytes(), case
+
+
+def test_unwrap_matches_reference_on_a_chirped_state():
+    jsa = synthesize_state(GaussianStateParams(rho=-0.9, chirp_s=-10000.0, chirp_i=-12000.0), n=64)
+    intensity = jsa.intensity()
+    args = (np.angle(jsa.values), sigma_mask(intensity, 2.0), intensity.values)
+    assert np.array_equal(unwrap_phase_2d(*args), _unwrap_reference(*args))
+    # every masked quality -inf: the seed is pixel (0, 0), masked or not
+    mask = np.zeros((6, 6), dtype=bool)
+    mask[2:4, 1:5] = True
+    phase = np.random.default_rng(1).uniform(-9, 9, (6, 6))
+    quality = np.full((6, 6), -np.inf)
+    assert unwrap_phase_2d(phase, mask, quality).tobytes() == _unwrap_reference(phase, mask, quality).tobytes()
+
+
 def test_fit_phase_poly_recovers_coefficients(gaussian_intensity):
     i = gaussian_intensity
     ds = i.axis_s.offsets()[:, None]
@@ -196,6 +268,13 @@ def test_tbp_rejects_empty():
         tbp_numeric(zero, m.i_tt)
 
 
+def _monte_carlo(trial, start, trials, seed, meanwhile=None):
+    """``monte_carlo_uncertainty`` as ``run_pipeline`` runs it: workers started
+    first, then handed the start."""
+    with MonteCarloWorkers(trial, trials, seed) as workers:
+        return monte_carlo_uncertainty(workers, trials, start, meanwhile)
+
+
 def test_monte_carlo_uncertainty_smoke():
     p = GaussianStateParams(rho=-0.8, chirp_s=-8000.0, chirp_i=-9000.0)
     cfg = PipelineConfig(
@@ -207,13 +286,13 @@ def test_monte_carlo_uncertainty_smoke():
     )
     state = synthesize_state(p, n=32)
     raw = simulate_measurements(state, GatingModel(gate=None))
-    trial = partial(pipeline._mc_trials, raw, cfg, _nominal_jsa(raw, cfg))
-    sd, values = monte_carlo_uncertainty(trial, trials=4, seed=3)
+    trial = partial(pipeline._mc_trials, raw, cfg)
+    sd, values = _monte_carlo(trial, _nominal_jsa(raw, cfg), trials=4, seed=3)
     assert set(sd) == {"chirp_s", "chirp_i"}
     assert len(values["chirp_s"]) == 4
     assert sd["chirp_s"] >= 0
     with pytest.raises(ValueError):
-        monte_carlo_uncertainty(trial, trials=1, seed=0)
+        MonteCarloWorkers(trial, trials=1, seed=0)
 
 
 def _nominal_jsa(raw, cfg):
@@ -222,7 +301,8 @@ def _nominal_jsa(raw, cfg):
 
 
 @pytest.fixture(scope="module")
-def mc_trial():
+def mc_case():
+    """(raw, cfg, start): the trials of ``partial(pipeline._mc_trials, raw, cfg)`` start from ``start``."""
     p = GaussianStateParams(rho=-0.8, chirp_s=-8000.0, chirp_i=-9000.0)
     cfg = PipelineConfig(
         state=StateConfig(params=p, n=32),
@@ -232,7 +312,12 @@ def mc_trial():
         preprocess_enabled=False,
     )
     raw = simulate_measurements(synthesize_state(p, n=32), GatingModel(gate=None))
-    return partial(pipeline._mc_trials, raw, cfg, _nominal_jsa(raw, cfg))
+    return raw, cfg, _nominal_jsa(raw, cfg)
+
+
+def _trials(raw, cfg, start, seeds):
+    """The outcomes of ``pipeline._mc_trials`` in this process."""
+    return pipeline._mc_trials(raw, cfg, seeds, lambda: start)
 
 
 def test_cpu_count_without_affinity_mask(monkeypatch):
@@ -240,17 +325,20 @@ def test_cpu_count_without_affinity_mask(monkeypatch):
     assert _cpu_count() == (os.cpu_count() or 1)
 
 
-def test_monte_carlo_results_do_not_depend_on_workers(mc_trial, monkeypatch):
+def test_monte_carlo_results_do_not_depend_on_workers(mc_case, monkeypatch):
+    raw, cfg, start = mc_case
     results = {}
     for cpus in ({0}, {0, 1}):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
-        results[len(cpus)] = monte_carlo_uncertainty(mc_trial, trials=5, seed=3)
+        results[len(cpus)] = _monte_carlo(partial(pipeline._mc_trials, raw, cfg), start, trials=5, seed=3)
     # one worker runs the trials in order in this process
     assert results[1] == results[2]
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one_worker", "two_workers"])
-def test_monte_carlo_failed_trial_is_counted_and_logged(mc_trial, monkeypatch, caplog, cpus):
+def test_monte_carlo_failed_trial_is_counted_and_logged(mc_case, monkeypatch, caplog, cpus):
+    raw, cfg, start = mc_case
     trials, seed, failing = 5, 3, 1
     bad_seed = int(np.random.SeedSequence(seed).generate_state(2 * trials)[2 * failing])
     poissonize = pipeline.poissonize_set
@@ -264,7 +352,7 @@ def test_monte_carlo_failed_trial_is_counted_and_logged(mc_trial, monkeypatch, c
     monkeypatch.setattr(pipeline, "poissonize_set", flaky)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
     with caplog.at_level(logging.WARNING, logger="biphoton"):
-        _, values = monte_carlo_uncertainty(mc_trial, trials=trials, seed=seed)
+        _, values = _monte_carlo(partial(pipeline._mc_trials, raw, cfg), start, trials=trials, seed=seed)
     assert len(values["chirp_s"]) == len(values["chirp_i"]) == trials - 1
     (record,) = caplog.records
     assert record.levelno == logging.WARNING
@@ -275,31 +363,30 @@ def test_monte_carlo_failed_trial_is_counted_and_logged(mc_trial, monkeypatch, c
     assert in_this_process == (len(cpus) == 1)
 
 
-def test_monte_carlo_trials_do_not_depend_on_stack_size(mc_trial, monkeypatch):
+def test_monte_carlo_trials_do_not_depend_on_stack_size(mc_case, monkeypatch):
     seeds = [11, 13, 15]
-    whole = mc_trial(seeds)  # n = 32: the three retrievals run as one stack
+    whole = _trials(*mc_case, seeds)  # n = 32: the three retrievals run as one stack
     monkeypatch.setattr(pipeline, "MC_STACK_PIXELS", 1)  # a stack of one each
-    assert mc_trial(seeds) == whole
+    assert _trials(*mc_case, seeds) == whole
     assert all(isinstance(outcome, tuple) for outcome in whole)
 
 
-def test_monte_carlo_failed_stack_reruns_each_trial_alone(mc_trial):
+def test_monte_carlo_failed_stack_reruns_each_trial_alone(mc_case):
     # at 0.2 peak counts the second trial draws an all-zero plane, and the
     # stack of three fails as a whole
-    raw, cfg, start = mc_trial.args
+    raw, cfg, start = mc_case
     cfg = replace(cfg, analysis=AnalysisConfig(monte_carlo_peak_counts=0.2))
-    trial = partial(pipeline._mc_trials, raw, cfg, start)
     seeds = [11, 13, 15]
-    outcomes = trial(seeds)
-    assert outcomes == [trial([seed])[0] for seed in seeds]
+    outcomes = _trials(raw, cfg, start, seeds)
+    assert outcomes == [_trials(raw, cfg, start, [seed])[0] for seed in seeds]
     assert outcomes[1] == "ValueError('measured grid is identically zero')"
     assert isinstance(outcomes[0], tuple) and isinstance(outcomes[2], tuple)
 
 
-def test_monte_carlo_failed_fit_reruns_each_trial_alone(mc_trial, monkeypatch):
+def test_monte_carlo_failed_fit_reruns_each_trial_alone(mc_case, monkeypatch):
     # the second trial's fit fails; it is found by its lone-run JSA, which its
     # stacked run reproduces bit for bit
-    raw, cfg, start = mc_trial.args
+    raw, cfg, start = mc_case
     seeds = [11, 13, 15]
     retrieval = replace(cfg.retrieval, iterations=pipeline.MC_ITERATIONS)
     m = pipeline.preprocess_set(poissonize_set(raw, cfg.analysis.monte_carlo_peak_counts, seeds[1]), cfg)
@@ -313,8 +400,8 @@ def test_monte_carlo_failed_fit_reruns_each_trial_alone(mc_trial, monkeypatch):
         return fit(jsa, mask_sigma)
 
     monkeypatch.setattr(pipeline, "fit_retrieved_phase", flaky)
-    outcomes = mc_trial(seeds)
-    assert outcomes == [mc_trial([seed])[0] for seed in seeds]
+    outcomes = _trials(*mc_case, seeds)
+    assert outcomes == [_trials(*mc_case, [seed])[0] for seed in seeds]
     assert outcomes[1] == repr(error)
     assert isinstance(outcomes[0], tuple) and isinstance(outcomes[2], tuple)
 
@@ -339,4 +426,124 @@ def test_monte_carlo_trial_is_a_lone_warm_started_retrieval(monkeypatch, stack_p
         fit = fit_retrieved_phase(run_retrieval(m, retrieval, start=start).jsa, cfg.analysis.mask_sigma)
         expected.append((fit.chirp_s, fit.chirp_i))
     monkeypatch.setattr(pipeline, "MC_STACK_PIXELS", stack_pixels)
-    assert pipeline._mc_trials(raw, cfg, start, seeds) == expected
+    assert _trials(raw, cfg, start, seeds) == expected
+
+
+def test_monte_carlo_trial_asks_for_its_start_after_its_first_stack(mc_case, monkeypatch):
+    # at n = 32 a stack holds the three sets: all are preprocessed before the start is needed
+    events = []
+    poissonize = pipeline.poissonize_set
+    monkeypatch.setattr(pipeline, "poissonize_set", lambda *args: events.append("poissonize") or poissonize(*args))
+    raw, cfg, start = mc_case
+
+    def started():
+        events.append("start")
+        return start
+
+    pipeline._mc_trials(raw, cfg, [11, 13, 15], started)
+    assert events == ["poissonize"] * 3 + ["start"]
+
+
+# bodies of forked workers: module-level, so that their failures name them
+
+
+def _prepare_then_start(ready, seeds, start):
+    ready.set()
+    return [(float(seed), start()) for seed in seeds]
+
+
+def _die(seeds, start):
+    os._exit(3)
+
+
+def _two_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+def test_monte_carlo_workers_run_before_the_start_is_sent(monkeypatch):
+    _two_cpus(monkeypatch)
+    ready = multiprocessing.get_context("fork").Event()
+    with MonteCarloWorkers(partial(_prepare_then_start, ready), trials=4, seed=0) as workers:
+        assert ready.wait(timeout=30)  # a worker runs its chunk before outcomes() sends the start
+        calls = []
+        outcomes = workers.outcomes("the start", lambda: calls.append("meanwhile"))
+    assert [start for _, start in outcomes] == ["the start"] * 4
+    assert [seed for seed, _ in outcomes] == [float(s) for s in workers.seeds]
+    assert calls == ["meanwhile"]
+    assert multiprocessing.active_children() == []
+
+
+def test_monte_carlo_worker_that_dies_raises(monkeypatch):
+    _two_cpus(monkeypatch)
+    with pytest.raises(ChildProcessError, match="ended with exit code 3 before it returned its trials"):
+        _monte_carlo(_die, "the start", trials=2, seed=0)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("where", ["before_outcomes", "in_meanwhile"])
+def test_monte_carlo_workers_stop_on_an_exception(monkeypatch, capfd, where):
+    _two_cpus(monkeypatch)
+    ready = multiprocessing.get_context("fork").Event()
+
+    def fail():
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        with MonteCarloWorkers(partial(_prepare_then_start, ready), trials=4, seed=0) as workers:
+            assert ready.wait(timeout=30)
+            if where == "before_outcomes":
+                fail()
+            workers.outcomes("the start", fail)
+    assert multiprocessing.active_children() == []
+    assert "Traceback" not in capfd.readouterr().err  # a stopped worker exits quietly
+
+
+def test_monte_carlo_workers_exit_when_their_caller_dies():
+    # each worker closes the other pipe ends it inherits, so the caller's end
+    # dies with the caller and a worker waiting for its start gets EOF
+    code = (
+        "import os\n"
+        "from biphoton.analysis import MonteCarloWorkers\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "workers = MonteCarloWorkers(lambda seeds, start: [start()] * len(seeds), 4, 0)\n"
+        "print(*(process.pid for process, _ in workers._workers), flush=True)\n"
+        "os._exit(0)\n"
+    )
+    # the workers inherit the output pipes: run() returns once every one has exited
+    try:
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    except subprocess.TimeoutExpired as exc:
+        for pid in (exc.stdout or b"").split():
+            os.kill(int(pid), signal.SIGKILL)
+        raise
+    assert out.returncode == 0, out.stderr
+    assert len(out.stdout.split()) == 2
+    assert "Traceback" not in out.stderr
+
+
+def test_monte_carlo_workers_leave_an_interrupt_to_their_caller():
+    # a terminal's Ctrl-C reaches the whole process group: the caller stops
+    # the workers, and only the caller reports the interrupt
+    code = (
+        "import multiprocessing, os, time\n"
+        "from biphoton.analysis import MonteCarloWorkers\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "running = multiprocessing.get_context('fork').Semaphore(0)\n"
+        "def trial(seeds, start):\n"
+        "    running.release()\n"
+        "    return [start()] * len(seeds)\n"
+        "with MonteCarloWorkers(trial, 4, 0):\n"
+        "    running.acquire(); running.acquire()\n"
+        "    print('running', flush=True)\n"
+        "    time.sleep(60)\n"
+    )
+    caller = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              text=True, start_new_session=True)
+    try:
+        assert caller.stdout.readline() == "running\n"
+        os.killpg(caller.pid, signal.SIGINT)
+        _, err = caller.communicate(timeout=60)  # returns once the workers, which hold stderr, have exited
+    finally:
+        with contextlib.suppress(ProcessLookupError):  # left only by a failure: the caller and its workers
+            os.killpg(caller.pid, signal.SIGKILL)
+    assert err.count("Traceback") == 1 and err.rstrip().endswith("KeyboardInterrupt"), err

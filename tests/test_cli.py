@@ -2,6 +2,8 @@
 
 import json
 import logging
+import multiprocessing
+import os
 import re
 import subprocess
 import random
@@ -15,6 +17,7 @@ from click.testing import CliRunner
 from biphoton import cli
 from biphoton import pipeline as pl
 from biphoton.cli import EXIT_BAD_CONFIG, EXIT_FIT_FAILED, EXIT_RETRIEVAL_NAN, main
+from biphoton.retrieve import RetrievalError
 from biphoton.units import FS_PER_PS
 
 MANIFEST = {
@@ -540,17 +543,108 @@ def test_import_loads_no_scipy_submodules():
     assert out.stdout.strip() == "[]"
 
 
+# 0.01 peak counts poissonize every plane to zero, so all 3 trials fail
+ALL_TRIALS_FAIL = {"state": {"n": 32}, "gating": {"ideal": True},
+                   "analysis": {"monte_carlo": {"trials": 3, "peak_counts": 0.01}}}
+
+
 def test_pipeline_monte_carlo_failures_exit_code(runner, tmp_path):
-    # 0.01 peak counts poissonize every plane to zero, so all 3 trials fail
-    manifest = _write_manifest(tmp_path, {
-        "state": {"n": 32}, "gating": {"ideal": True},
-        "analysis": {"monte_carlo": {"trials": 3, "peak_counts": 0.01}},
-    })
-    res = runner.invoke(main, ["pipeline", "--manifest", manifest, "--out", str(tmp_path / "run")])
+    manifest = _write_manifest(tmp_path, ALL_TRIALS_FAIL)
+    run = tmp_path / "run"
+    res = runner.invoke(main, ["pipeline", "--manifest", manifest, "--out", str(run)])
     assert res.exit_code == EXIT_FIT_FAILED, res.output
     assert res.output.startswith("error: 3/3 Monte Carlo trials failed")
-    # Monte Carlo runs before any output is written
-    assert not (tmp_path / "run" / "result.json").exists()
+    # the nominal files were written while the trials ran, but reach --out only on
+    # success: no result.json, analysis.json, report.txt, CSV or staging directory
+    # is left, nor the --out this run made
+    assert not run.exists()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one_cpu", "two_cpus"])
+def test_pipeline_failure_leaves_an_existing_out_as_it_was(runner, tmp_path, monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "notes.txt").write_text("kept")
+    res = runner.invoke(main, ["pipeline", "--manifest", _write_manifest(tmp_path, ALL_TRIALS_FAIL), "--out", str(run)])
+    assert res.exit_code == EXIT_FIT_FAILED, res.output
+    assert [p.name for p in run.iterdir()] == ["notes.txt"]
+    assert multiprocessing.active_children() == []
+
+
+def _retrieval_nan(*args):
+    raise RetrievalError("non-finite values at iteration 3")
+
+
+def _disk_full(*args):
+    raise OSError(28, "No space left on device")
+
+
+def _worker_dies(*args):
+    os._exit(9)
+
+
+# mask_sigma 0.01 keeps one pixel: the nominal fit fails after the workers have started
+NOMINAL_FIT_FAILS = {
+    "state": {"n": 32}, "gating": {"ideal": True}, "retrieval": {"iterations": 20},
+    "analysis": {"mask_sigma": 0.01, "monte_carlo": {"trials": 4}},
+}
+TRIALS_RUN = dict(MANIFEST, retrieval={"iterations": 20}, analysis={"monte_carlo": {"trials": 4, "peak_counts": 1e5}})
+PIPELINE_FILES = [
+    "result.json", "analysis.json", "report.txt", "reconstructed_ww_intensity.csv",
+    *(f"constraint_{plane}.csv" for plane in ("ww", "wt", "tw", "tt")),
+]
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one_cpu", "two_cpus"])
+@pytest.mark.parametrize("manifest, patch, code, message", [
+    (TRIALS_RUN, None, 0, None),
+    (NOMINAL_FIT_FAILS, None, EXIT_FIT_FAILED, "only 1 masked pixels; need at least 10"),
+    (TRIALS_RUN, ("run_retrieval", _retrieval_nan), EXIT_RETRIEVAL_NAN, "non-finite values at iteration 3"),
+    (TRIALS_RUN, ("grid_to_csv", _disk_full), EXIT_BAD_CONFIG, "[Errno 28] No space left on device"),
+], ids=["success", "nominal_fit_fails", "retrieval_nan", "write_fails"])
+def test_pipeline_leaves_no_worker_and_no_file_of_a_failed_run(
+    runner, tmp_path, monkeypatch, cpus, manifest, patch, code, message
+):
+    if patch is not None:
+        monkeypatch.setattr(pl, *patch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    run = tmp_path / "run"
+    res = runner.invoke(main, ["pipeline", "--manifest", _write_manifest(tmp_path, manifest), "--out", str(run)])
+    assert res.exit_code == code, res.output
+    assert multiprocessing.active_children() == []
+    if code == 0:
+        assert sorted(p.name for p in run.iterdir()) == sorted(PIPELINE_FILES)
+    else:
+        assert res.output.startswith(f"error: {message}") and res.output.count("\n") == 1, res.output
+        assert not run.exists()
+
+
+def test_pipeline_worker_that_dies_exits_2(runner, tmp_path, monkeypatch):
+    # two CPUs: the trials run in forked workers, and one dies without returning its outcomes
+    monkeypatch.setattr(pl, "_mc_trials", _worker_dies)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    run = tmp_path / "run"
+    res = runner.invoke(main, ["pipeline", "--manifest", _write_manifest(tmp_path, TRIALS_RUN), "--out", str(run)])
+    assert res.exit_code == EXIT_BAD_CONFIG, res.output
+    message = r"error: Monte Carlo worker \d+ ended with exit code 9 before it returned its trials\n"
+    assert re.fullmatch(message, res.output), res.output
+    assert multiprocessing.active_children() == []
+    assert not run.exists()
+
+
+def test_pipeline_nominal_fit_failure_with_trials_exits_in_a_subprocess(tmp_path):
+    # the installed command's own process: a worker left waiting would hang it
+    run = tmp_path / "run"
+    out = subprocess.run(
+        [sys.executable, "-m", "biphoton.cli", "pipeline", "--manifest", _write_manifest(tmp_path, NOMINAL_FIT_FAILS),
+         "--out", str(run)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == EXIT_FIT_FAILED, out.stderr
+    assert out.stderr == "error: only 1 masked pixels; need at least 10\n"
+    assert not run.exists()
 
 
 def test_preprocess_grid_n_mismatch_fails_before_preprocessing(runner, tmp_path, monkeypatch):
@@ -649,6 +743,10 @@ COLLAPSED_GRID_ERROR = (
     "must be distinct floats, and 2 pi over its width ({} rad/fs) a finite delay step"
 )
 COLLAPSED_STATE = {"n": 16, "sigma_s": 1e-30, "sigma_i": 1e-30}
+SUBNORMAL_GRID_ERROR = (
+    "state.sigma_{x} (4.94066e-324 rad/fs) is too narrow for a frequency grid at state.center_{x} ({center} rad/fs): "
+    "its 32 samples must be distinct floats, and 2 pi over its width (0 rad/fs) a finite delay step"
+)
 
 
 @pytest.mark.parametrize("command", ["simulate", "preprocess", "pipeline"])
@@ -698,11 +796,16 @@ COLLAPSED_STATE = {"n": 16, "sigma_s": 1e-30, "sigma_i": 1e-30}
     # distinct samples around 0, but the delay step 2 pi / width overflows
     ({"state": {"n": 16, "sigma_s": 1e-310, "center_s": 0}, "gating": {"ideal": True}, "preprocess_enabled": False},
      COLLAPSED_GRID_ERROR.format("1e-310", "0", "1.6e-309")),
+    # a subnormal sigma rounds the grid step 16 sigma / n to 0
+    ({"state": {"n": 32, "sigma_s": 5e-324}, "gating": {"ideal": True}},
+     SUBNORMAL_GRID_ERROR.format(x="s", center="2.289")),
+    ({"state": {"n": 32, "sigma_i": 5e-324}, "gating": {"ideal": True}},
+     SUBNORMAL_GRID_ERROR.format(x="i", center="2.574")),
 ], ids=["grid_n_mismatch", "gated_n48", "gate_center_out_of_range", "spectrometer_wider_than_grid",
         "signal_grid_out_of_range", "table_at_path_gate_center_out_of_range", "missing_table",
         "gate_sigma_1e300", "gate_sigma_1e-300_l1000", "gate_sigma_1e-160_preprocessed",
         "gate_sigma_below_kernel_step_l1000", "collapsed_grid_l0", "collapsed_grid_ideal", "collapsed_signal_grid",
-        "collapsed_grid_l1000", "zero_center_grid_infinite_delay_step"])
+        "collapsed_grid_l1000", "zero_center_grid_infinite_delay_step", "subnormal_sigma_s", "subnormal_sigma_i"])
 def test_bad_manifest_fails_before_any_work(runner, tmp_path, monkeypatch, command, manifest, message):
     monkeypatch.chdir(tmp_path)  # a relative refractive_table_path is read from the working directory
     (tmp_path / "table.json").write_text(resources.files("biphoton.data").joinpath("bibo_sellmeier.json").read_text())
