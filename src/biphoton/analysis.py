@@ -20,6 +20,8 @@ from .grids import ComplexGrid2D, IntensityGrid2D
 TWO_PI = 2.0 * np.pi
 # the witness product must undercut 1 by this much, so rounding flags no separable state
 ENTANGLED_TOLERANCE = 1e-9
+# the largest share of failed Monte Carlo trials a run reports a spread from
+MC_MAX_FAILED_SHARE = 0.2
 
 logger = logging.getLogger("biphoton")
 
@@ -274,10 +276,10 @@ class MonteCarloWorkers:
     differ by at most one), one worker per CPU in the affinity mask (at most
     one per trial).  With more than one worker and fork available, each
     chunk runs at once in a forked process, which inherits ``trial``, and
-    waits in ``start()`` until ``outcomes`` sends the start.  With one
-    worker or no fork, the whole list runs in this process inside
-    ``outcomes``.  Used as a context manager, the workers still running
-    when the block exits (on an exception) are terminated and joined.
+    waits in ``start()`` until ``send`` sends the start.  With one worker or
+    no fork, the whole list runs in this process inside ``collect``.  Used
+    as a context manager, the workers still running when the block exits
+    (on an exception) are terminated and joined.
     """
 
     def __init__(self, trial, trials: int, seed: int):
@@ -321,20 +323,19 @@ class MonteCarloWorkers:
     def __exit__(self, *exc_info):
         self.stop()
 
-    def outcomes(self, start, meanwhile=None) -> list:
-        """Every trial's outcome, in trial order: send each worker ``start``,
-        call ``meanwhile()`` while they run, then collect them.  In this
-        process, ``meanwhile()`` runs first and then the trials.  A worker
-        that ends without returning its outcomes raises
-        ``ChildProcessError``."""
-        if not self._workers:
-            if meanwhile is not None:
-                meanwhile()
-            return self._trial(self.seeds, lambda: start)
+    def send(self, start):
+        """Hand the trials their warm start ``start``: send it to each worker,
+        or keep it for ``collect`` when the trials run in this process."""
+        self._start = start
         for process, conn in self._workers:
             _exchange(process, conn.send, start)
-        if meanwhile is not None:
-            meanwhile()
+
+    def collect(self) -> list:
+        """Every trial's outcome, in trial order: the workers', or those of
+        the trials run here from the start ``send`` kept.  A worker that ends
+        without returning its outcomes raises ``ChildProcessError``."""
+        if not self._workers:
+            return self._trial(self.seeds, lambda: self._start)
         outcomes = []
         for process, conn in self._workers:
             outcomes += _exchange(process, conn.recv)
@@ -354,20 +355,19 @@ class MonteCarloWorkers:
         self._workers = []
 
 
-def monte_carlo_uncertainty(workers: MonteCarloWorkers, trials: int, start, meanwhile=None):
+def monte_carlo_uncertainty(workers: MonteCarloWorkers, trials: int):
     """Per-coefficient spread of the fitted chirps over the ``trials`` Monte
     Carlo trials that ``workers`` run (``MonteCarloWorkers``) from the warm
-    start ``start``; ``meanwhile()`` runs while they do.  Results are
-    collected in trial order, so they do not depend on the worker count as
-    long as a trial's outcome does not depend on its chunk.  Each failed
-    trial is logged at WARNING; more than 20% failed trials raise
-    ``FitError``.
+    start they were sent.  Results are collected in trial order, so they do
+    not depend on the worker count as long as a trial's outcome does not
+    depend on its chunk.  Each failed trial is logged at WARNING; more than
+    ``MC_MAX_FAILED_SHARE`` (20%) failed trials raise ``FitError``.
 
     Returns (stddevs, trial_values) as dicts keyed by 'chirp_s' / 'chirp_i'.
     """
     if trials != len(workers.seeds):
         raise ValueError(f"{trials} trials asked of workers started with {len(workers.seeds)}")
-    outcomes = workers.outcomes(start, meanwhile)
+    outcomes = workers.collect()
     values = {"chirp_s": [], "chirp_i": []}
     failures = []
     for t, outcome in enumerate(outcomes):
@@ -377,7 +377,7 @@ def monte_carlo_uncertainty(workers: MonteCarloWorkers, trials: int, start, mean
             continue
         values["chirp_s"].append(outcome[0])
         values["chirp_i"].append(outcome[1])
-    if len(failures) > 0.2 * trials:
+    if len(failures) > MC_MAX_FAILED_SHARE * trials:
         raise FitError(f"{len(failures)}/{trials} Monte Carlo trials failed: {failures[:3]}")
     stddevs = {k: float(np.std(v, ddof=1)) for k, v in values.items()}
     return stddevs, values

@@ -5,13 +5,17 @@ Subcommands: ``simulate``, ``preprocess``, ``retrieve``, ``analyze``,
 Every command maps errors to the same exit codes: 2 invalid configuration,
 missing input or memory exhaustion, 3 retrieval produced non-finite values,
 4 phase fit failed (also when more than 20% of the Monte Carlo trials fail).
+``pipeline`` exits 143 on SIGTERM, after it has cleaned up as on an error.
 """
 
 import dataclasses
 import json
+import os
 import shutil
+import signal
 import sys
 import tempfile
+import threading
 from contextlib import contextmanager, suppress
 from functools import partial
 from pathlib import Path
@@ -28,6 +32,12 @@ from .units import FS_PER_PS
 EXIT_BAD_CONFIG = 2
 EXIT_RETRIEVAL_NAN = 3
 EXIT_FIT_FAILED = 4
+EXIT_TERMINATED = 128 + signal.SIGTERM
+
+
+class _Terminated(BaseException):
+    """SIGTERM, raised in the main thread: a ``BaseException``, so that no
+    ``except Exception`` takes it for a failed step."""
 
 
 def _fail(code, message):
@@ -49,6 +59,32 @@ def _exit_codes():
         _fail(EXIT_BAD_CONFIG, exc)
     except MemoryError as exc:  # a grid too large for this machine
         _fail(EXIT_BAD_CONFIG, str(exc) or "out of memory")
+    except _Terminated:
+        _fail(EXIT_TERMINATED, "terminated by SIGTERM")
+
+
+@contextmanager
+def _sigterm_raises():
+    """Within the block, SIGTERM raises ``_Terminated`` in this process, so
+    that the run unwinds as on an error: the Monte Carlo workers stop and the
+    staging directory goes.  A forked worker, which inherits the handler,
+    exits at once.  The previous handler is restored on exit; off the main
+    thread, where no handler can be installed, the block runs as it is."""
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+    pid = os.getpid()
+
+    def terminated(signum, frame):
+        if os.getpid() != pid:
+            os._exit(EXIT_TERMINATED)
+        raise _Terminated
+
+    previous = signal.signal(signal.SIGTERM, terminated)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 def _load_json(path):
@@ -273,7 +309,7 @@ def pipeline(manifest_path, out_dir, seed, units, verbose):
     _, cfg = _load_manifest(manifest_path, seed)
     # the nominal files are written while the Monte Carlo trials run, and
     # every file reaches --out only once the run has succeeded
-    with _published(Path(out_dir)) as staging:
+    with _sigterm_raises(), _published(Path(out_dir)) as staging:
         output = pl.run_pipeline(cfg, meanwhile=partial(_write_nominal, staging, cfg.retrieval.seed))
         write_json(staging / "analysis.json", _analysis_doc(output.fit, output.witness, units, output.monte_carlo),
                    indent=2)

@@ -12,10 +12,8 @@ from dataclasses import dataclass, fields, replace
 from functools import partial
 from typing import get_args
 
-import numpy as np
-
-from .analysis import MonteCarloWorkers, PhaseFit, WitnessReport, fit_retrieved_phase, monte_carlo_uncertainty
-from .analysis import tbp_numeric
+from .analysis import MC_MAX_FAILED_SHARE, MonteCarloWorkers, PhaseFit, WitnessReport, fit_retrieved_phase
+from .analysis import monte_carlo_uncertainty, tbp_numeric
 from .gating import GatePulse, GatingModel, RefractiveModel, check_peak_counts, kernel_grid
 from .gating import poissonize_set, simulate_measurements
 from .grids import FREQUENCY, ComplexGrid2D, IntensityGrid2D
@@ -31,9 +29,7 @@ class StateConfig:
     n: int = 64
 
     def __post_init__(self):
-        # gaussian_jsa checks this too, for library callers
-        if self.n < 16 or self.n & (self.n - 1):
-            raise ValueError("state.n must be a power of two >= 16")
+        frequency_axes(self.params, self.n)  # the one grid rule, for n and each photon's samples
 
 
 # The gate spectrum and the L = 0 lag weight divide by gating.gate.sigma**2,
@@ -108,19 +104,9 @@ class PipelineConfig:
             raise ValueError(f"gating.gate.sigma ({g.gate_sigma:g} rad/fs) must be at least "
                              f"{GATE_SIGMA_MIN_PREPROCESSED:.4g} rad/fs when preprocessing, "
                              "where the temporal s.d. 1/(2 sigma) squares to a finite float")
-        # each grid needs n distinct frequencies and a finite delay step 2 pi / width;
-        # a narrower spectrometer keeps the blur kernel's radius at most 4 n pixels.
-        # The samples are synth.frequency_axes', computed here: a subnormal sigma
-        # rounds their step to 0, which Axis would refuse without naming the key.
-        n = self.state.n
-        for x in "si":
-            sigma, center = getattr(self.state.params, f"sigma_{x}"), getattr(self.state.params, f"center_{x}")
-            step = 2 * SPAN_SIGMAS * sigma / n
-            samples, width = center + (np.arange(n) - n // 2) * step, n * step
-            if not (np.all(np.diff(samples) > 0) and math.isfinite(2 * math.pi / width)):
-                raise ValueError(f"state.sigma_{x} ({sigma:g} rad/fs) is too narrow for a frequency grid at "
-                                 f"state.center_{x} ({center:g} rad/fs): its {n} samples must be distinct "
-                                 f"floats, and 2 pi over its width ({width:g} rad/fs) a finite delay step")
+        # a narrower spectrometer keeps the blur kernel's radius at most 4 n pixels
+        for axis, x in zip(frequency_axes(self.state.params, self.state.n), "si"):
+            width = axis.count * axis.step
             if not g.spectrometer_sigma < width:
                 raise ValueError(f"gating.spectrometer_sigma ({g.spectrometer_sigma:g} rad/fs) must be below the "
                                  f"frequency grid's full width, {2 * SPAN_SIGMAS:g} state.sigma_{x} ({width:g} rad/fs)")
@@ -332,6 +318,21 @@ def _mc_trials(raw: MeasurementSet, cfg: PipelineConfig, noise_seeds, start) -> 
     return outcomes
 
 
+def _refuse_doomed_trials(raw: MeasurementSet, peak_counts: float):
+    """Refuse Monte Carlo peak counts at which more than ``MC_MAX_FAILED_SHARE``
+    of the trials are expected to fail.  A trial fails when its ww or tt
+    draw is all zero, which a plane draws with probability exp(-peak_counts
+    * sum(plane) / max(plane)) (every bin a Poisson draw scaled to the
+    peak), so the expected share follows from the raw planes alone."""
+    drawn = [1 - math.exp(-peak_counts * g.values.sum() / g.values.max()) if g.values.max() > 0 else 0.0
+             for g in (raw.i_ww, raw.i_tt)]
+    share = 1 - drawn[0] * drawn[1]
+    if share > MC_MAX_FAILED_SHARE:
+        raise ValueError(f"analysis.monte_carlo.peak_counts ({peak_counts:g}) is too low: an expected {share:.0%} "
+                         "of the Monte Carlo trials would draw an all-zero ww or tt plane from the raw "
+                         f"measurements, above the {MC_MAX_FAILED_SHARE:.0%} at which the run fails")
+
+
 def analyze(jsa: ComplexGrid2D, constraints: MeasurementSet, cfg: AnalysisConfig) -> tuple:
     """The analyze stage: the ``PhaseFit`` of ``jsa`` and the ``WitnessReport``
     of the constraints' ww and tt planes."""
@@ -353,15 +354,14 @@ class PipelineOutput:
 
 def run_pipeline(cfg: PipelineConfig, meanwhile=None) -> PipelineOutput:
     """Run the stages and, with ``analysis.monte_carlo.trials`` set, the
-    Monte Carlo trials.  Their workers start after preprocess, and prepare
-    their first trials while this process retrieves and analyzes the
-    nominal state.  ``meanwhile(nominal)``, if given, is called with the
-    nominal ``PipelineOutput`` (``monte_carlo`` None) once analyze is done:
-    while forked workers run the trials, before the trials when they run in
-    this process, and last without trials.  ``timings["monte_carlo"]`` is
-    the workers' start-up plus the wait for their trials, ``meanwhile``
-    included.  On any exception the workers are stopped before it
-    propagates."""
+    Monte Carlo trials.  Their workers start after preprocess and prepare
+    their first trials while the nominal state is retrieved and analyzed.
+    Then they are sent the nominal JSA, ``meanwhile(nominal)``, if given, is
+    called once with the nominal ``PipelineOutput`` (``monte_carlo`` None),
+    and the trials are collected: the hook runs while forked workers run the
+    trials, before them in this process, and last without trials.
+    ``timings["monte_carlo"]`` is the workers' start-up, the send, the hook
+    and the wait.  On any exception the workers are stopped first."""
     timings = {}
 
     def stage(name, fn, *args):
@@ -371,8 +371,10 @@ def run_pipeline(cfg: PipelineConfig, meanwhile=None) -> PipelineOutput:
         return value
 
     raw, truth = stage("simulate", simulate, cfg)
-    constraints = stage("preprocess", preprocess_set, raw, cfg)
     trials = cfg.analysis.monte_carlo_trials
+    if trials:
+        _refuse_doomed_trials(raw, cfg.analysis.monte_carlo_peak_counts)
+    constraints = stage("preprocess", preprocess_set, raw, cfg)
     t0 = time.perf_counter()
     workers = MonteCarloWorkers(partial(_mc_trials, raw, cfg), trials, cfg.seed) if trials else nullcontext()
     started = time.perf_counter() - t0
@@ -380,13 +382,16 @@ def run_pipeline(cfg: PipelineConfig, meanwhile=None) -> PipelineOutput:
         result = stage("retrieve", run_retrieval, constraints, cfg.retrieval)
         fit, witness = stage("analyze", analyze, result.jsa, constraints, cfg.analysis)
         nominal = PipelineOutput(raw, constraints, truth, result, fit, witness, timings, None)
+        t0 = time.perf_counter()
+        if trials:
+            workers.send(result.jsa)
+        if meanwhile is not None:
+            meanwhile(nominal)
         if not trials:
-            if meanwhile is not None:
-                meanwhile(nominal)
             return nominal
-        hook = partial(meanwhile, nominal) if meanwhile is not None else None
-        monte_carlo = stage("monte_carlo", monte_carlo_uncertainty, workers, trials, result.jsa, hook)
-    timings["monte_carlo"] += started  # starting the workers is part of the trials' time
+        started += time.perf_counter() - t0
+        monte_carlo = stage("monte_carlo", monte_carlo_uncertainty, workers, trials)
+    timings["monte_carlo"] += started  # the start-up, the send and the hook are part of the trials' time
     return replace(nominal, monte_carlo=monte_carlo)
 
 

@@ -2,6 +2,7 @@
 optional quadratic spectral phase, plus the analytic diagnostics (Schmidt
 purity, Gaussian time-bandwidth product) that go with it."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,6 +10,10 @@ import numpy as np
 from .grids import FREQUENCY, IDLER, SIGNAL, Axis, ComplexGrid2D, DomainMismatchError
 
 SPAN_SIGMAS = 8.0  # the default grid half-width, in marginal s.d.s per axis
+# the most a grid's sample spacing may be off its step, as a fraction of it: grids
+# at sigma 1e-3 to 1 rad/fs (n 16 to 1024, centers 0.75 to 6.5 rad/fs) are off by
+# at most 4e-11, one whose step is a few ulps of its center by tens of percent
+STEP_TOLERANCE = 1e-6
 
 
 class ParameterError(ValueError):
@@ -37,9 +42,32 @@ class GaussianStateParams:
 
 def frequency_axes(p: GaussianStateParams, n: int = 64, span_sigmas: float = SPAN_SIGMAS) -> tuple:
     """The signal and idler axes of the state's n x n frequency grid, each
-    spanning +/- span_sigmas * sigma around its center."""
-    return (Axis(FREQUENCY, SIGNAL, p.center_s, 2 * span_sigmas * p.sigma_s / n, n),
-            Axis(FREQUENCY, IDLER, p.center_i, 2 * span_sigmas * p.sigma_i / n, n))
+    spanning +/- span_sigmas * sigma around its center.  The one grid rule:
+    ``ParameterError`` names an n that is not a power of two >= 16, a
+    span_sigmas below 6, and a photon whose samples center + (k - n//2) *
+    step are not distinct floats, are spaced more than ``STEP_TOLERANCE`` of
+    the step off it, or whose delay step 2 pi / width is not finite, checked
+    before ``Axis`` would refuse a step of 0 unnamed."""
+    if n < 16 or n & (n - 1):
+        raise ParameterError("state.n must be a power of two >= 16")
+    if span_sigmas < 6:
+        raise ParameterError("span_sigmas must be >= 6")
+    axes = []
+    for photon, x in ((SIGNAL, "s"), (IDLER, "i")):
+        sigma, center = getattr(p, f"sigma_{x}"), getattr(p, f"center_{x}")
+        step = 2 * span_sigmas * sigma / n
+        spacing, width = np.diff(center + (np.arange(n) - n // 2) * step), n * step
+        narrow = (f"state.sigma_{x} ({sigma:g} rad/fs) is too narrow for a frequency grid at "
+                  f"state.center_{x} ({center:g} rad/fs)")
+        if not (np.all(spacing > 0) and math.isfinite(2 * math.pi / width)):
+            raise ParameterError(f"{narrow}: its {n} samples must be distinct floats, and 2 pi over its width "
+                                 f"({width:g} rad/fs) a finite delay step")
+        off = np.max(np.abs(spacing - step)) / step
+        if not off <= STEP_TOLERANCE:
+            raise ParameterError(f"{narrow}: its samples are spaced up to {off:.2g} of its step ({step:g} rad/fs) "
+                                 f"off that step, more than {STEP_TOLERANCE:g}")
+        axes.append(Axis(FREQUENCY, photon, center, step, n))
+    return tuple(axes)
 
 
 def gaussian_jsa(p: GaussianStateParams, n: int = 64, span_sigmas: float = SPAN_SIGMAS) -> ComplexGrid2D:
@@ -49,11 +77,6 @@ def gaussian_jsa(p: GaussianStateParams, n: int = 64, span_sigmas: float = SPAN_
     positive (no chirp applied) and normalized so that the squared magnitude
     integrates to one.
     """
-    if n < 16 or (n & (n - 1)) != 0:
-        raise ParameterError("n must be a power of two >= 16")
-    if span_sigmas < 6:
-        raise ParameterError("span_sigmas must be >= 6")
-
     axis_s, axis_i = frequency_axes(p, n, span_sigmas)
     ds = axis_s.offsets()[:, None] / p.sigma_s
     di = axis_i.offsets()[None, :] / p.sigma_i

@@ -268,11 +268,12 @@ def test_tbp_rejects_empty():
         tbp_numeric(zero, m.i_tt)
 
 
-def _monte_carlo(trial, start, trials, seed, meanwhile=None):
+def _monte_carlo(trial, start, trials, seed):
     """``monte_carlo_uncertainty`` as ``run_pipeline`` runs it: workers started
-    first, then handed the start."""
+    first, then sent the start."""
     with MonteCarloWorkers(trial, trials, seed) as workers:
-        return monte_carlo_uncertainty(workers, trials, start, meanwhile)
+        workers.send(start)
+        return monte_carlo_uncertainty(workers, trials)
 
 
 def test_monte_carlo_uncertainty_smoke():
@@ -464,12 +465,11 @@ def test_monte_carlo_workers_run_before_the_start_is_sent(monkeypatch):
     _two_cpus(monkeypatch)
     ready = multiprocessing.get_context("fork").Event()
     with MonteCarloWorkers(partial(_prepare_then_start, ready), trials=4, seed=0) as workers:
-        assert ready.wait(timeout=30)  # a worker runs its chunk before outcomes() sends the start
-        calls = []
-        outcomes = workers.outcomes("the start", lambda: calls.append("meanwhile"))
+        assert ready.wait(timeout=30)  # a worker runs its chunk before send() sends the start
+        workers.send("the start")
+        outcomes = workers.collect()
     assert [start for _, start in outcomes] == ["the start"] * 4
     assert [seed for seed, _ in outcomes] == [float(s) for s in workers.seeds]
-    assert calls == ["meanwhile"]
     assert multiprocessing.active_children() == []
 
 
@@ -480,7 +480,7 @@ def test_monte_carlo_worker_that_dies_raises(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("where", ["before_outcomes", "in_meanwhile"])
+@pytest.mark.parametrize("where", ["before_send", "in_meanwhile"])
 def test_monte_carlo_workers_stop_on_an_exception(monkeypatch, capfd, where):
     _two_cpus(monkeypatch)
     ready = multiprocessing.get_context("fork").Event()
@@ -491,9 +491,11 @@ def test_monte_carlo_workers_stop_on_an_exception(monkeypatch, capfd, where):
     with pytest.raises(OSError, match="disk full"):
         with MonteCarloWorkers(partial(_prepare_then_start, ready), trials=4, seed=0) as workers:
             assert ready.wait(timeout=30)
-            if where == "before_outcomes":
+            if where == "before_send":
                 fail()
-            workers.outcomes("the start", fail)
+            workers.send("the start")
+            fail()  # where run_pipeline calls its hook, between send and collect
+            workers.collect()
     assert multiprocessing.active_children() == []
     assert "Traceback" not in capfd.readouterr().err  # a stopped worker exits quietly
 

@@ -1,13 +1,16 @@
 """CLI contracts: the subcommand chain, exit codes, determinism."""
 
+import contextlib
 import json
 import logging
 import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import random
 import sys
+import time
 from importlib import resources
 
 import numpy as np
@@ -543,13 +546,59 @@ def test_import_loads_no_scipy_submodules():
     assert out.stdout.strip() == "[]"
 
 
-# 0.01 peak counts poissonize every plane to zero, so all 3 trials fail
+# every trial fails when _trials_fail patches their retrieval
+TRIALS_FAIL = {"state": {"n": 32}, "gating": {"ideal": True}, "analysis": {"monte_carlo": {"trials": 3}}}
+# 0.01 peak counts poissonize the ww or tt plane of 98% of the trials to zero
 ALL_TRIALS_FAIL = {"state": {"n": 32}, "gating": {"ideal": True},
                    "analysis": {"monte_carlo": {"trials": 3, "peak_counts": 0.01}}}
+DOOMED_COUNTS_ERROR = (
+    "analysis.monte_carlo.peak_counts ({counts}) is too low: an expected {share} of the Monte Carlo trials would "
+    "draw an all-zero ww or tt plane from the raw measurements, above the 20% at which the run fails"
+)
 
 
-def test_pipeline_monte_carlo_failures_exit_code(runner, tmp_path):
-    manifest = _write_manifest(tmp_path, ALL_TRIALS_FAIL)
+@pytest.mark.parametrize("manifest, counts, share", [
+    ({"state": {"n": 32}, "gating": {"ideal": True}, "retrieval": {"iterations": 20},
+      "analysis": {"monte_carlo": {"trials": 4, "peak_counts": 1e-3}}}, "0.001", "100%"),
+    (ALL_TRIALS_FAIL, "0.01", "98%"),
+    ({"state": {"n": 32}, "gating": {"ideal": True}, "analysis": {"monte_carlo": {"trials": 6, "peak_counts": 0.2}}},
+     "0.2", "21%"),
+], ids=["counts_1e-3", "counts_0.01", "unchirped_counts_0.2"])
+def test_doomed_monte_carlo_counts_exit_2_before_the_trials(runner, tmp_path, monkeypatch, manifest, counts, share):
+    # the expected share of failed trials is taken from the raw planes: no worker starts
+    monkeypatch.setattr(pl, "MonteCarloWorkers", _no_work)
+    run = tmp_path / "run"
+    res = runner.invoke(main, ["pipeline", "--manifest", _write_manifest(tmp_path, manifest), "--out", str(run)])
+    assert res.exit_code == EXIT_BAD_CONFIG, res.output
+    assert res.output == "error: " + DOOMED_COUNTS_ERROR.format(counts=counts, share=share) + "\n"
+    assert not run.exists()
+
+
+def test_monte_carlo_counts_below_the_failure_share_run(runner, tmp_path, caplog):
+    # chirped at 0.2 peak counts: 11% of the trials are expected to fail, and
+    # trial 4 of 6 does; the run exits 0 with its warning
+    manifest = {"seed": 1, "state": {"rho": -0.9, "chirp_s": -10000, "chirp_i": -12000, "n": 32},
+                "gating": {"ideal": True}, "retrieval": {"iterations": 50},
+                "analysis": {"monte_carlo": {"trials": 6, "peak_counts": 0.2}}}
+    with caplog.at_level(logging.WARNING, logger="biphoton"):
+        res = runner.invoke(main, ["pipeline", "--manifest", _write_manifest(tmp_path, manifest),
+                                   "--out", str(tmp_path / "run")])
+    assert res.exit_code == 0, res.output
+    failed = [r.getMessage() for r in caplog.records if r.getMessage().startswith("Monte Carlo")]
+    assert failed == ["Monte Carlo trial 4 failed: ValueError('measured grid is identically zero')"]
+
+
+def _trials_fail(monkeypatch):
+    """Every trial's retrieval raises; set before the workers fork, so that they inherit it."""
+    def zero_grid(*args):
+        raise ValueError("measured grid is identically zero")
+
+    monkeypatch.setattr(pl, "run_retrieval_stack", zero_grid)
+
+
+def test_pipeline_monte_carlo_failures_exit_code(runner, tmp_path, monkeypatch):
+    _trials_fail(monkeypatch)
+    manifest = _write_manifest(tmp_path, TRIALS_FAIL)
     run = tmp_path / "run"
     res = runner.invoke(main, ["pipeline", "--manifest", manifest, "--out", str(run)])
     assert res.exit_code == EXIT_FIT_FAILED, res.output
@@ -564,10 +613,11 @@ def test_pipeline_monte_carlo_failures_exit_code(runner, tmp_path):
 @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one_cpu", "two_cpus"])
 def test_pipeline_failure_leaves_an_existing_out_as_it_was(runner, tmp_path, monkeypatch, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    _trials_fail(monkeypatch)
     run = tmp_path / "run"
     run.mkdir()
     (run / "notes.txt").write_text("kept")
-    res = runner.invoke(main, ["pipeline", "--manifest", _write_manifest(tmp_path, ALL_TRIALS_FAIL), "--out", str(run)])
+    res = runner.invoke(main, ["pipeline", "--manifest", _write_manifest(tmp_path, TRIALS_FAIL), "--out", str(run)])
     assert res.exit_code == EXIT_FIT_FAILED, res.output
     assert [p.name for p in run.iterdir()] == ["notes.txt"]
     assert multiprocessing.active_children() == []
@@ -644,6 +694,41 @@ def test_pipeline_nominal_fit_failure_with_trials_exits_in_a_subprocess(tmp_path
     )
     assert out.returncode == EXIT_FIT_FAILED, out.stderr
     assert out.stderr == "error: only 1 masked pixels; need at least 10\n"
+    assert not run.exists()
+
+
+@pytest.mark.parametrize("target", ["caller", "session"])
+def test_pipeline_sigterm_stops_the_run_and_leaves_no_file(tmp_path, target):
+    # SIGTERM to the command alone, or to its whole session as `timeout` sends it,
+    # once result.json is staged and the trials run: the workers stop, the staging
+    # directory and the --out the run made are removed, and it exits 143
+    manifest = {"seed": 1, "state": {"n": 128, "rho": -0.9, "chirp_s": -10000, "chirp_i": -12000},
+                "gating": {"crystal_length_um": 0}, "retrieval": {"iterations": 200},
+                "noise": {"poisson_peak_counts": 1e4}, "analysis": {"monte_carlo": {"trials": 64, "peak_counts": 1e4}}}
+    run = tmp_path / "run"
+    caller = subprocess.Popen(
+        [sys.executable, "-m", "biphoton.cli", "pipeline", "--manifest", _write_manifest(tmp_path, manifest),
+         "--out", str(run)],
+        stderr=subprocess.PIPE, text=True, start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not list(run.glob(".staging-*/result.json")):
+            assert caller.poll() is None and time.monotonic() < deadline, "the run ended before it staged result.json"
+            time.sleep(0.005)
+        (os.killpg if target == "session" else os.kill)(caller.pid, signal.SIGTERM)
+        _, err = caller.communicate(timeout=60)  # returns once the workers, which hold stderr, have exited
+        try:
+            os.killpg(caller.pid, 0)
+            left = True
+        except ProcessLookupError:
+            left = False
+    finally:
+        with contextlib.suppress(ProcessLookupError):  # left only by a failure
+            os.killpg(caller.pid, signal.SIGKILL)
+    assert not left, "a process of the run's session is still running"
+    assert caller.returncode == 143, err
+    assert err == "error: terminated by SIGTERM\n"
     assert not run.exists()
 
 
@@ -743,6 +828,10 @@ COLLAPSED_GRID_ERROR = (
     "must be distinct floats, and 2 pi over its width ({} rad/fs) a finite delay step"
 )
 COLLAPSED_STATE = {"n": 16, "sigma_s": 1e-30, "sigma_i": 1e-30}
+ULPS_APART_GRID_ERROR = (
+    "state.sigma_s (1e-15 rad/fs) is too narrow for a frequency grid at state.center_s (2.289 rad/fs): its samples "
+    "are spaced up to 0.33 of its step (1e-15 rad/fs) off that step, more than 1e-06"
+)
 SUBNORMAL_GRID_ERROR = (
     "state.sigma_{x} (4.94066e-324 rad/fs) is too narrow for a frequency grid at state.center_{x} ({center} rad/fs): "
     "its 32 samples must be distinct floats, and 2 pi over its width (0 rad/fs) a finite delay step"
@@ -801,11 +890,14 @@ SUBNORMAL_GRID_ERROR = (
      SUBNORMAL_GRID_ERROR.format(x="s", center="2.289")),
     ({"state": {"n": 32, "sigma_i": 5e-324}, "gating": {"ideal": True}},
      SUBNORMAL_GRID_ERROR.format(x="i", center="2.574")),
+    # distinct samples a few ulps of the center apart: their spacing is 33% off the step
+    ({"state": {"n": 16, "sigma_s": 1e-15}, "retrieval": {"iterations": 20}}, ULPS_APART_GRID_ERROR),
 ], ids=["grid_n_mismatch", "gated_n48", "gate_center_out_of_range", "spectrometer_wider_than_grid",
         "signal_grid_out_of_range", "table_at_path_gate_center_out_of_range", "missing_table",
         "gate_sigma_1e300", "gate_sigma_1e-300_l1000", "gate_sigma_1e-160_preprocessed",
         "gate_sigma_below_kernel_step_l1000", "collapsed_grid_l0", "collapsed_grid_ideal", "collapsed_signal_grid",
-        "collapsed_grid_l1000", "zero_center_grid_infinite_delay_step", "subnormal_sigma_s", "subnormal_sigma_i"])
+        "collapsed_grid_l1000", "zero_center_grid_infinite_delay_step", "subnormal_sigma_s", "subnormal_sigma_i",
+        "ulps_apart_grid"])
 def test_bad_manifest_fails_before_any_work(runner, tmp_path, monkeypatch, command, manifest, message):
     monkeypatch.chdir(tmp_path)  # a relative refractive_table_path is read from the working directory
     (tmp_path / "table.json").write_text(resources.files("biphoton.data").joinpath("bibo_sellmeier.json").read_text())

@@ -23,8 +23,8 @@ from biphoton.gating import (
     simulate_measurements,
 )
 from biphoton.gating import _blur_axis, _gate_kernel, _gated_planes, _gated_planes_l0, _svd_modes
-from biphoton.grids import IDLER, SIGNAL, ComplexGrid2D, transform_photon
-from biphoton.synth import GaussianStateParams, synthesize_state
+from biphoton.grids import FREQUENCY, IDLER, SIGNAL, Axis, ComplexGrid2D, transform_photon
+from biphoton.synth import SPAN_SIGMAS, GaussianStateParams, synthesize_state
 from biphoton.units import wavelength_to_omega
 
 GATE_CENTER = wavelength_to_omega(775.0)
@@ -424,7 +424,13 @@ def test_tiny_gate_sigma_weights_far_frequencies_zero_without_warning():
     (GaussianStateParams(), 1e-160, "gate kernels' mode sum overflows"),
 ], ids=["no_idler_mode", "no_signal_mode", "overflowing_mode_sum"])
 def test_degenerate_gate_kernel_raises_value_error(params, sigma, message):
-    state = synthesize_state(params, n=16)
+    # synth's grid rule refuses a grid one float wide, so the state is put on it by hand:
+    # its values, in units of sigma, are those of the sigma = 0.01 state
+    axes = []
+    for photon, x in ((SIGNAL, "s"), (IDLER, "i")):
+        step = 2 * SPAN_SIGMAS * getattr(params, f"sigma_{x}") / 16
+        axes.append(Axis(FREQUENCY, photon, getattr(params, f"center_{x}"), step, 16))
+    state = ComplexGrid2D(*axes, synthesize_state(replace(params, sigma_s=0.01, sigma_i=0.01), n=16).values)
     rm = RefractiveModel.default().tuned_for(params.center_s, GATE_CENTER)
     gm = GatingModel(gate=GatePulse(center=GATE_CENTER, sigma=sigma), crystal_length=1000.0, refractive=rm)
     with pytest.raises(ValueError, match=re.escape(f"{message} at gate sigma {sigma:g} rad/fs")):

@@ -4,6 +4,8 @@ import csv
 import json
 import logging
 import math
+import multiprocessing
+import os
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -11,6 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from biphoton import pipeline
+from biphoton.analysis import MonteCarloWorkers
 from biphoton.grids import ComplexGrid2D
 from biphoton.pipeline import (
     GATE_SIGMA_MIN_PREPROCESSED,
@@ -108,6 +112,41 @@ def test_run_pipeline_runs_monte_carlo_trials(trials):
     else:
         assert out.monte_carlo is None
         assert list(out.timings) == stages
+
+
+@pytest.mark.parametrize("trials, cpus", [(0, {0}), (3, {0}), (3, {0, 1})],
+                         ids=["no_trials", "one_cpu", "two_cpus"])
+def test_run_pipeline_calls_its_hook_once_between_send_and_collect(monkeypatch, trials, cpus):
+    # the hook gets the nominal output: while forked workers run the trials,
+    # before the trials when they run in this process, and last without trials
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    events = []
+
+    def recorded(name, fn):
+        def call(*args):
+            events.append(name)
+            return fn(*args)
+        return call
+
+    for owner, name, event in ((MonteCarloWorkers, "send", "send"), (MonteCarloWorkers, "collect", "collect"),
+                               (pipeline, "_mc_trials", "trials")):
+        monkeypatch.setattr(owner, name, recorded(event, getattr(owner, name)))
+
+    def hook(nominal):
+        events.append("hook")
+        assert nominal.monte_carlo is None
+        assert list(nominal.timings) == ["simulate", "preprocess", "retrieve", "analyze"]
+        assert len(multiprocessing.active_children()) == (2 if len(cpus) == 2 else 0)  # the forked workers run
+
+    cfg = PipelineConfig.from_manifest({
+        "state": {"n": 32}, "gating": {"ideal": True}, "retrieval": {"iterations": 20},
+        "analysis": {"monte_carlo": {"trials": trials, "peak_counts": 1e5}},
+    })
+    out = run_pipeline(cfg, meanwhile=hook)
+    expected = {0: ["hook"], 1: ["send", "hook", "collect", "trials"], 2: ["send", "hook", "collect"]}
+    assert events == expected[len(cpus) if trials else 0]
+    assert (out.monte_carlo is None) == (trials == 0)
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("manifest, key", [

@@ -10,6 +10,7 @@ from biphoton.synth import (
     GaussianStateParams,
     ParameterError,
     apply_chirp,
+    frequency_axes,
     gaussian_jsa,
     schmidt_purity,
     synthesize_state,
@@ -96,6 +97,42 @@ def test_parameter_validation():
         gaussian_jsa(GaussianStateParams(), n=64, span_sigmas=4)
     with pytest.raises(ParameterError):
         schmidt_purity(-1.0)
+
+
+TOO_NARROW = "state.sigma_{x} ({sigma} rad/fs) is too narrow for a frequency grid at state.center_{x} ({center} rad/fs)"
+DISTINCT = ": its {n} samples must be distinct floats, and 2 pi over its width ({width} rad/fs) a finite delay step"
+
+
+@pytest.mark.parametrize("params, n, message", [
+    (GaussianStateParams(), 48, "state.n must be a power of two >= 16"),
+    (GaussianStateParams(), 8, "state.n must be a power of two >= 16"),
+    # the samples collapse to fewer floats than n
+    (GaussianStateParams(sigma_s=1e-30, sigma_i=1e-30), 16,
+     TOO_NARROW.format(x="s", sigma="1e-30", center="2.289") + DISTINCT.format(n=16, width="1.6e-29")),
+    # the step 16 sigma / n rounds to 0, which Axis would refuse without naming the key
+    (GaussianStateParams(sigma_i=5e-324), 32,
+     TOO_NARROW.format(x="i", sigma="4.94066e-324", center="2.574") + DISTINCT.format(n=32, width="0")),
+    # distinct samples a few ulps of the center apart
+    (GaussianStateParams(sigma_s=1e-15), 16,
+     TOO_NARROW.format(x="s", sigma="1e-15", center="2.289")
+     + ": its samples are spaced up to 0.33 of its step (1e-15 rad/fs) off that step, more than 1e-06"),
+], ids=["n48", "n8", "collapsed_grid", "subnormal_sigma", "ulps_apart_grid"])
+def test_frequency_axes_refuses_an_unusable_grid(params, n, message):
+    # the one grid rule: every state built on the grid refuses it with the same message
+    for build in (frequency_axes, gaussian_jsa, synthesize_state):
+        with pytest.raises(ParameterError) as exc:
+            build(params, n)
+        assert str(exc.value) == message, build.__name__
+
+
+def test_frequency_axes_accepts_every_grid_of_the_sweep():
+    # at sigma 1e-3 to 1 rad/fs the samples are at most 4e-11 of a step off it,
+    # far inside the 1e-6 the rule allows
+    for n in (16, 64, 256, 1024):
+        for sigma in np.logspace(-3, 0, 7):
+            for center in (0.7535, 2.289, 6.495):
+                axis_s, _ = frequency_axes(GaussianStateParams(sigma_s=sigma, center_s=center), n)
+                assert (axis_s.count, axis_s.step, axis_s.center) == (n, 16 * sigma / n, center)
 
 
 @settings(max_examples=20, deadline=None)
