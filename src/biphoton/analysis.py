@@ -174,10 +174,9 @@ def fit_phase_poly(phase_unwrapped: np.ndarray, weights: IntensityGrid2D, mask: 
     npix = int(mask.sum())
     if npix < 10:
         raise FitError(f"only {npix} masked pixels; need at least 10")
-    ds = (weights.axis_s.values() - weights.axis_s.center)[:, None] * np.ones_like(phase_unwrapped)
-    di = (weights.axis_i.values() - weights.axis_i.center)[None, :] * np.ones_like(phase_unwrapped)
-    x = ds[mask]
-    y = di[mask]
+    rows, cols = np.nonzero(mask)
+    x = (weights.axis_s.values() - weights.axis_s.center)[rows]
+    y = (weights.axis_i.values() - weights.axis_i.center)[cols]
     z = np.asarray(phase_unwrapped, dtype=float)[mask]
     w = np.sqrt(np.clip(weights.values[mask], 0.0, None))
 

@@ -4,8 +4,9 @@ Subcommands: ``simulate``, ``preprocess``, ``retrieve``, ``analyze``,
 ``pipeline``.  All grid files use the Grid JSON format; manifests are JSON.
 Every command maps errors to the same exit codes: 2 invalid configuration,
 missing input or memory exhaustion, 3 retrieval produced non-finite values,
-4 phase fit failed (also when more than 20% of the Monte Carlo trials fail).
-``pipeline`` exits 143 on SIGTERM, after it has cleaned up as on an error.
+4 phase fit failed (also when more than 20% of the Monte Carlo trials fail),
+143 SIGTERM.  A command's files reach ``--out`` (for ``retrieve`` and
+``analyze``, its directory) only when it succeeds.
 """
 
 import dataclasses
@@ -48,9 +49,27 @@ def _fail(code, message):
 @contextmanager
 def _exit_codes():
     """Every command runs inside this: an error ends the command with an
-    ``error:`` line and its documented exit code, not a traceback."""
+    ``error:`` line and its documented exit code, not a traceback.  SIGTERM
+    raises ``_Terminated``, so that the command unwinds as on an error (the
+    Monte Carlo workers stop, the staging directory goes) and exits 143; a
+    forked worker, which inherits the handler, exits at once.  The previous
+    handler is back before the error line; off the main thread, where no
+    handler can be installed, SIGTERM is left as it is."""
+    pid = os.getpid()
+
+    def terminated(signum, frame):
+        if os.getpid() != pid:
+            os._exit(EXIT_TERMINATED)
+        raise _Terminated
+
+    main = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, terminated) if main else None
     try:
-        yield
+        try:
+            yield
+        finally:
+            if main:
+                signal.signal(signal.SIGTERM, previous)
     except RetrievalError as exc:
         _fail(EXIT_RETRIEVAL_NAN, exc)
     except FitError as exc:
@@ -61,30 +80,6 @@ def _exit_codes():
         _fail(EXIT_BAD_CONFIG, str(exc) or "out of memory")
     except _Terminated:
         _fail(EXIT_TERMINATED, "terminated by SIGTERM")
-
-
-@contextmanager
-def _sigterm_raises():
-    """Within the block, SIGTERM raises ``_Terminated`` in this process, so
-    that the run unwinds as on an error: the Monte Carlo workers stop and the
-    staging directory goes.  A forked worker, which inherits the handler,
-    exits at once.  The previous handler is restored on exit; off the main
-    thread, where no handler can be installed, the block runs as it is."""
-    if threading.current_thread() is not threading.main_thread():
-        yield
-        return
-    pid = os.getpid()
-
-    def terminated(signum, frame):
-        if os.getpid() != pid:
-            os._exit(EXIT_TERMINATED)
-        raise _Terminated
-
-    previous = signal.signal(signal.SIGTERM, terminated)
-    try:
-        yield
-    finally:
-        signal.signal(signal.SIGTERM, previous)
 
 
 def _load_json(path):
@@ -109,17 +104,14 @@ def _write_grid(path, grid, manifest_echo=None):
     save_grid(path, grid, None if manifest_echo is None else {"manifest": manifest_echo})
 
 
-def _write_planes(out_dir, m, index_name, suffix="", manifest_echo=None):
-    """Write the four planes of ``m`` to ``out_dir`` and an index file that
-    maps ``i_<plane>`` to each file name; returns the directory."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def _write_planes(out, m, index_name, suffix="", manifest_echo=None):
+    """Write the four planes of ``m`` to the directory ``out`` and an index
+    file that maps ``i_<plane>`` to each file name."""
     files = {}
     for plane, grid in m.grids().items():
         files[f"i_{plane}"] = name = f"i_{plane}{suffix}.json"
         _write_grid(out / name, grid, manifest_echo)
     write_json(out / index_name, files)
-    return out
 
 
 def _load_measurement_set(index_path):
@@ -189,6 +181,27 @@ def _summary(result=None, fit=None, witness=None, units="fs2"):
     return lines
 
 
+@contextmanager
+def _published(out):
+    """A staging directory inside ``out``: its files move into ``out`` when
+    the block succeeds.  When the block raises, neither they nor a directory
+    made here is left; a move that fails leaves the files moved before it."""
+    made = [d for d in (out, *out.parents) if not d.exists()]
+    out.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
+    try:
+        yield staging
+        for path in sorted(staging.iterdir()):
+            path.replace(out / path.name)
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        for d in made:
+            with suppress(OSError):  # left if something else was written there meanwhile
+                d.rmdir()
+        raise
+    staging.rmdir()
+
+
 @click.group()
 def main():
     """Joint-spectral-amplitude reconstruction for energy-time entangled
@@ -205,10 +218,11 @@ def simulate(manifest_path, out_dir, seed, verbose):
     """Write the four raw measurement grids and the ground-truth state."""
     manifest, cfg = _load_manifest(manifest_path, seed)
     raw, truth = pl.simulate(cfg)
-    out = _write_planes(out_dir, raw, "measurements.json", manifest_echo=manifest)
-    _write_grid(out / "truth.json", truth, manifest_echo=manifest)
+    with _published(Path(out_dir)) as staging:
+        _write_planes(staging, raw, "measurements.json", manifest_echo=manifest)
+        _write_grid(staging / "truth.json", truth, manifest_echo=manifest)
     if verbose:
-        click.echo(f"wrote 6 files to {out}")
+        click.echo(f"wrote 6 files to {Path(out_dir)}")
 
 
 @main.command()
@@ -221,9 +235,10 @@ def preprocess(manifest_path, measurements_path, out_dir, verbose):
     """Deconvolve raw measurement grids into retrieval constraints."""
     _, cfg = _load_manifest(manifest_path)
     clean = pl.preprocess_set(_load_measurement_set(measurements_path), cfg)
-    out = _write_planes(out_dir, clean, "constraints.json", suffix="_deconvolved")
+    with _published(Path(out_dir)) as staging:
+        _write_planes(staging, clean, "constraints.json", suffix="_deconvolved")
     if verbose:
-        click.echo(f"wrote constraints to {out}")
+        click.echo(f"wrote constraints to {Path(out_dir)}")
 
 
 def _parse_mask(mask):
@@ -244,7 +259,9 @@ def retrieve(measurements_path, iterations, seed, mask, out_path):
     """Run the alternating-projection phase retrieval from a random phase."""
     cfg = RetrievalConfig(iterations=iterations, seed=seed, constraint_mask=_parse_mask(mask))
     result = run_retrieval(_load_measurement_set(measurements_path), cfg)
-    write_json(out_path, _result_doc(result, seed))
+    out = Path(out_path)
+    with _published(out.parent) as staging:
+        write_json(staging / out.name, _result_doc(result, seed))
     click.echo("\n".join(_summary(result)))
 
 
@@ -264,29 +281,10 @@ def analyze(result_path, measurements_path, mask_sigma, units, out_path):
         if not isinstance(jsa, ComplexGrid2D):
             raise TypeError("jsa must be a complex grid, not intensity")
     fit, witness = pl.analyze(jsa, _load_measurement_set(measurements_path), cfg)
-    write_json(out_path, _analysis_doc(fit, witness, units), indent=2)
+    out = Path(out_path)
+    with _published(out.parent) as staging:
+        write_json(staging / out.name, _analysis_doc(fit, witness, units), indent=2)
     click.echo("\n".join(_summary(fit=fit, witness=witness, units=units)))
-
-
-@contextmanager
-def _published(out):
-    """A staging directory inside ``out``: its files move into ``out`` when
-    the block succeeds.  When the block raises, neither they nor an ``out``
-    made here is left."""
-    made = not out.exists()
-    out.mkdir(parents=True, exist_ok=True)
-    staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
-    try:
-        yield staging
-    except BaseException:
-        shutil.rmtree(staging, ignore_errors=True)
-        if made:
-            with suppress(OSError):  # left if something else was written there meanwhile
-                out.rmdir()
-        raise
-    for path in sorted(staging.iterdir()):
-        path.replace(out / path.name)
-    staging.rmdir()
 
 
 def _write_nominal(out, retrieval_seed, nominal):
@@ -309,7 +307,7 @@ def pipeline(manifest_path, out_dir, seed, units, verbose):
     _, cfg = _load_manifest(manifest_path, seed)
     # the nominal files are written while the Monte Carlo trials run, and
     # every file reaches --out only once the run has succeeded
-    with _sigterm_raises(), _published(Path(out_dir)) as staging:
+    with _published(Path(out_dir)) as staging:
         output = pl.run_pipeline(cfg, meanwhile=partial(_write_nominal, staging, cfg.retrieval.seed))
         write_json(staging / "analysis.json", _analysis_doc(output.fit, output.witness, units, output.monte_carlo),
                    indent=2)

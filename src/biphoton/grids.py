@@ -257,9 +257,11 @@ def grid_from_json(doc):
 
 def write_json(path, doc, indent=None):
     """Write ``doc`` as JSON, the one writer of every output document."""
-    # json.dumps, unlike json.dump, encodes with the C encoder when indent is None
+    # json.dumps, unlike json.dump, encodes with the C encoder when indent is None;
+    # it encodes before the file is opened, so a document that fails leaves it as it was
+    text = json.dumps(doc, indent=indent)
     with open(path, "w") as fh:
-        fh.write(json.dumps(doc, indent=indent))
+        fh.write(text)
 
 
 def save_grid(path, g, extra=None):

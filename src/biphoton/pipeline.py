@@ -335,8 +335,14 @@ def _refuse_doomed_trials(raw: MeasurementSet, peak_counts: float):
 
 def analyze(jsa: ComplexGrid2D, constraints: MeasurementSet, cfg: AnalysisConfig) -> tuple:
     """The analyze stage: the ``PhaseFit`` of ``jsa`` and the ``WitnessReport``
-    of the constraints' ww and tt planes."""
-    return fit_retrieved_phase(jsa, cfg.mask_sigma), tbp_numeric(constraints.i_ww, constraints.i_tt)
+    of the constraints' ww and tt planes.  ``ValueError`` unless ``jsa`` lies
+    on the constraints' ww axes, so that both come from one grid."""
+    ww = constraints.i_ww
+    if not (jsa.axis_s.compatible_with(ww.axis_s) and jsa.axis_i.compatible_with(ww.axis_i)):
+        got, want = (f"{g.axis_s.count} x {g.axis_i.count} samples, steps {g.axis_s.step:.6g} x "
+                     f"{g.axis_i.step:.6g} {g.axis_s.units}" for g in (jsa, ww))
+        raise ValueError(f"the JSA ({got}) is not on the constraints' ww axes ({want})")
+    return fit_retrieved_phase(jsa, cfg.mask_sigma), tbp_numeric(ww, constraints.i_tt)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from biphoton import pipeline
 from biphoton.analysis import (
+    _MONOMIALS,
     FitError,
     MonteCarloWorkers,
     _cpu_count,
@@ -215,6 +216,34 @@ def test_fit_phase_poly_recovers_coefficients(gaussian_intensity):
     assert fit.cross_term == pytest.approx(3000.0, rel=1e-6)
     assert fit.residual_rms < 1e-6
     assert fit.mask_pixel_count == int(mask.sum())
+
+
+def _fit_phase_poly_reference(phase, weights, mask):
+    """``fit_phase_poly`` with its former coordinates: two full n x n grids
+    indexed by the mask."""
+    ds = (weights.axis_s.values() - weights.axis_s.center)[:, None] * np.ones_like(phase)
+    di = (weights.axis_i.values() - weights.axis_i.center)[None, :] * np.ones_like(phase)
+    x, y = ds[mask], di[mask]
+    z = np.asarray(phase, dtype=float)[mask]
+    w = np.sqrt(np.clip(weights.values[mask], 0.0, None))
+    sx, sy = max(np.max(np.abs(x)), 1e-300), max(np.max(np.abs(y)), 1e-300)
+    design = np.stack([(x / sx) ** a * (y / sy) ** b for a, b in _MONOMIALS], axis=-1)
+    coeff = np.linalg.lstsq(design * w[:, None], z * w, rcond=None)[0]
+    coeffs = {(a, b): float(c / (sx**a * sy**b)) for (a, b), c in zip(_MONOMIALS, coeff)}
+    resid = design @ coeff - z
+    return coeffs, float(np.sqrt(np.sum((w * resid) ** 2) / np.sum(w**2)))
+
+
+@pytest.mark.parametrize("n", [64, 128, 256])
+def test_fit_phase_poly_is_byte_identical_to_reference(n):
+    jsa = synthesize_state(GaussianStateParams(rho=-0.9, chirp_s=-10000.0, chirp_i=-12000.0), n=n)
+    intensity = jsa.intensity()
+    mask = sigma_mask(intensity, 2.0)
+    phase = unwrap_phase_2d(np.angle(jsa.values), mask, quality=intensity.values)
+    fit = fit_phase_poly(phase, intensity, mask)
+    coeffs, residual_rms = _fit_phase_poly_reference(phase, intensity, mask)
+    assert fit.coefficients == coeffs and fit.residual_rms == residual_rms
+    assert (fit.chirp_s, fit.chirp_i, fit.cross_term) == (coeffs[(2, 0)], coeffs[(0, 2)], coeffs[(1, 1)])
 
 
 def test_fit_phase_poly_too_few_pixels(gaussian_intensity):

@@ -10,6 +10,7 @@ import signal
 import subprocess
 import random
 import sys
+import threading
 import time
 from importlib import resources
 
@@ -730,6 +731,186 @@ def test_pipeline_sigterm_stops_the_run_and_leaves_no_file(tmp_path, target):
     assert caller.returncode == 143, err
     assert err == "error: terminated by SIGTERM\n"
     assert not run.exists()
+
+
+# the files each staged command writes, into --out for simulate and preprocess
+STAGED_FILES = {
+    "simulate": ["measurements.json", "truth.json", *(f"i_{plane}.json" for plane in ("ww", "wt", "tw", "tt"))],
+    "preprocess": ["constraints.json", *(f"i_{plane}_deconvolved.json" for plane in ("ww", "wt", "tw", "tt"))],
+    "retrieve": ["result.json"],
+    "analyze": ["analysis.json"],
+}
+
+
+# MANIFEST with smaller chirps: no coverage warning, so stderr holds only an error
+STAGED_MANIFEST = dict(MANIFEST, state=dict(MANIFEST["state"], chirp_s=-4000.0, chirp_i=-5000.0))
+
+
+@pytest.fixture(scope="module")
+def staged_inputs(tmp_path_factory):
+    """The manifest, and the simulate, preprocess and retrieve outputs of STAGED_MANIFEST at 20 iterations."""
+    work = tmp_path_factory.mktemp("staged")
+    manifest = _write_manifest(work, STAGED_MANIFEST)
+    runner = CliRunner()
+    for args in (
+        ["simulate", "--manifest", manifest, "--out", str(work / "sim")],
+        ["preprocess", "--manifest", manifest, "--measurements", str(work / "sim" / "measurements.json"),
+         "--out", str(work / "pre")],
+        ["retrieve", "--measurements", str(work / "pre" / "constraints.json"), "--iterations", "20",
+         "--out", str(work / "result.json")],
+    ):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0, res.output
+    return work, manifest
+
+
+def _staged_command(staged_inputs, command, out):
+    """The arguments of a staged command that writes into the directory ``out``."""
+    work, manifest = staged_inputs
+    constraints = str(work / "pre" / "constraints.json")
+    return {
+        "simulate": ["simulate", "--manifest", manifest, "--seed", "2", "--out", str(out)],
+        "preprocess": ["preprocess", "--manifest", manifest, "--measurements", str(work / "sim" / "measurements.json"),
+                       "--out", str(out)],
+        "retrieve": ["retrieve", "--measurements", constraints, "--iterations", "20", "--out",
+                     str(out / "result.json")],
+        "analyze": ["analyze", "--result", str(work / "result.json"), "--measurements", constraints,
+                    "--out", str(out / "analysis.json")],
+    }[command]
+
+
+def _previous_output(out, command):
+    """An earlier run's files in ``out``: each file the command writes, holding 'previous'."""
+    out.mkdir(parents=True)
+    for name in STAGED_FILES[command]:
+        (out / name).write_text("previous")
+
+
+def _assert_previous_output(out, command):
+    assert sorted(p.name for p in out.iterdir()) == sorted(STAGED_FILES[command])
+    assert all((out / name).read_text() == "previous" for name in STAGED_FILES[command])
+
+
+def _fails_after_writing(write):
+    def failing(path, *args, **kwargs):
+        write(path, *args, **kwargs)
+        raise OSError(28, "No space left on device")
+
+    return failing
+
+
+@pytest.mark.parametrize("previous", [False, True], ids=["new_out", "previous_out"])
+@pytest.mark.parametrize("command", list(STAGED_FILES))
+def test_staged_command_failure_leaves_no_file(runner, tmp_path, monkeypatch, staged_inputs, command, previous):
+    # the first file is written, then the write fails: no partial plane or index is
+    # left, an earlier run's files are kept, and the directories the command made
+    # for --out (for retrieve and analyze, for its parent) are removed
+    out = tmp_path / "new" / "out"
+    if previous:
+        _previous_output(out, command)
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "save_grid", _fails_after_writing(cli.save_grid))
+        patched.setattr(cli, "write_json", _fails_after_writing(cli.write_json))
+        res = runner.invoke(main, _staged_command(staged_inputs, command, out))
+    assert res.exit_code == EXIT_BAD_CONFIG, res.output
+    assert res.output == "error: [Errno 28] No space left on device\n"
+    if previous:
+        _assert_previous_output(out, command)
+    else:
+        assert not (tmp_path / "new").exists()
+    # unpatched, the same command makes the missing directories and writes its files
+    res = runner.invoke(main, _staged_command(staged_inputs, command, out))
+    assert res.exit_code == 0, res.output
+    assert sorted(p.name for p in out.iterdir()) == sorted(STAGED_FILES[command])
+
+
+# runs a staged command whose first written file is followed by a wait: argv[1] is
+# a file to create once that file is written, the rest the command's arguments
+BLOCK_AFTER_FIRST_WRITE = """
+import sys, time
+from pathlib import Path
+from biphoton import cli
+
+def blocking(write):
+    def wait_after(path, *args, **kwargs):
+        write(path, *args, **kwargs)
+        Path(sys.argv[1]).touch()
+        time.sleep(60)
+    return wait_after
+
+cli.save_grid, cli.write_json = blocking(cli.save_grid), blocking(cli.write_json)
+cli.main(sys.argv[2:])
+"""
+
+
+@pytest.mark.parametrize("command", list(STAGED_FILES))
+def test_staged_command_sigterm_keeps_the_previous_files(tmp_path, staged_inputs, command):
+    # SIGTERM to the command's session, as `timeout` sends it, once its first file
+    # is staged: one error line, exit 143, no staging directory, the earlier files kept
+    out, written = tmp_path / "out", tmp_path / "written"
+    _previous_output(out, command)
+    caller = subprocess.Popen(
+        [sys.executable, "-c", BLOCK_AFTER_FIRST_WRITE, str(written), *_staged_command(staged_inputs, command, out)],
+        stderr=subprocess.PIPE, text=True, start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not written.exists():
+            assert caller.poll() is None and time.monotonic() < deadline, "the command ended before it wrote a file"
+            time.sleep(0.005)
+        os.killpg(caller.pid, signal.SIGTERM)
+        _, err = caller.communicate(timeout=60)
+    finally:
+        with contextlib.suppress(ProcessLookupError):  # left only by a failure
+            os.killpg(caller.pid, signal.SIGKILL)
+    assert caller.returncode == 143, err
+    assert err == "error: terminated by SIGTERM\n"
+    _assert_previous_output(out, command)
+
+
+def test_commands_restore_the_sigterm_handler_and_run_off_the_main_thread(runner, tmp_path):
+    before = signal.getsignal(signal.SIGTERM)
+    bad = _write_manifest(tmp_path, dict(MANIFEST, state=dict(MANIFEST["state"], rho=2.0)), "bad.json")
+    for manifest, code in ((_write_manifest(tmp_path), 0), (bad, EXIT_BAD_CONFIG)):
+        res = runner.invoke(main, ["simulate", "--manifest", manifest, "--out", str(tmp_path / "sim")])
+        assert res.exit_code == code, res.output
+        assert signal.getsignal(signal.SIGTERM) is before
+    # off the main thread no handler can be installed, and the command runs without one
+    results = []
+    thread = threading.Thread(target=lambda: results.append(runner.invoke(main, [
+        "simulate", "--manifest", _write_manifest(tmp_path), "--out", str(tmp_path / "sim_thread")])))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert results[0].exit_code == 0, results[0].output
+    assert sorted(p.name for p in (tmp_path / "sim_thread").iterdir()) == sorted(STAGED_FILES["simulate"])
+
+
+# the JSA of one manifest against the constraints of another: analyze refuses the pair
+@pytest.mark.parametrize("other, axes", [
+    ({"state": {"n": 64, "chirp_s": -5000}}, "64 x 64 samples, steps 0.0025 x 0.0025 rad/fs"),
+    ({"state": {"n": 32, "sigma_s": 0.02}}, "32 x 32 samples, steps 0.01 x 0.005 rad/fs"),
+], ids=["other_n", "other_sigma_s"])
+def test_analyze_refuses_a_jsa_of_another_grid(runner, tmp_path, other, axes):
+    ideal = {"gating": {"ideal": True}, "retrieval": {"iterations": 20}}
+    sim, pre = tmp_path / "sim", tmp_path / "pre"
+    other_manifest = _write_manifest(tmp_path, {**ideal, **other}, "other.json")
+    for args in (
+        ["simulate", "--manifest", _write_manifest(tmp_path, {**ideal, "state": {"n": 32}}), "--out", str(sim)],
+        ["retrieve", "--measurements", str(sim / "measurements.json"), "--iterations", "20",
+         "--out", str(tmp_path / "r32.json")],
+        ["simulate", "--manifest", other_manifest, "--out", str(tmp_path / "sim_other")],
+        ["preprocess", "--manifest", other_manifest, "--measurements", str(tmp_path / "sim_other" / "measurements.json"),
+         "--out", str(pre)],
+    ):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0, res.output
+    res = runner.invoke(main, ["analyze", "--result", str(tmp_path / "r32.json"),
+                               "--measurements", str(pre / "constraints.json"), "--out", str(tmp_path / "a.json")])
+    assert res.exit_code == EXIT_BAD_CONFIG, res.output
+    assert res.output == (f"error: the JSA (32 x 32 samples, steps 0.005 x 0.005 rad/fs) "
+                          f"is not on the constraints' ww axes ({axes})\n")
+    assert not (tmp_path / "a.json").exists()
 
 
 def test_preprocess_grid_n_mismatch_fails_before_preprocessing(runner, tmp_path, monkeypatch):

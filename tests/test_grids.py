@@ -25,6 +25,7 @@ from biphoton.grids import (
     save_grid,
     total_power,
     transform_photon,
+    write_json,
 )
 
 
@@ -195,6 +196,14 @@ def test_grid_json_intensity_round_trip(small_axes, tmp_path):
     g2 = load_grid(path)
     assert isinstance(g2, IntensityGrid2D)
     assert np.array_equal(g2.values, g.values)
+
+
+def test_write_json_keeps_the_previous_file_when_encoding_fails(tmp_path):
+    path = tmp_path / "doc.json"
+    write_json(path, {"x": 1})
+    with pytest.raises(TypeError):
+        write_json(path, {"x": object()})
+    assert path.read_text() == '{"x": 1}'
 
 
 def test_grid_json_schema_fields(random_complex_grid):
