@@ -276,31 +276,32 @@ class MonteCarloWorkers:
     one per trial).  With more than one worker and fork available, each
     chunk runs at once in a forked process, which inherits ``trial``, and
     waits in ``start()`` until ``send`` sends the start.  With one worker or
-    no fork, the whole list runs in this process inside ``collect``.  Used
-    as a context manager, the workers still running when the block exits
-    (on an exception) are terminated and joined.
+    no fork, the whole list runs in this process inside ``collect``; zero
+    trials, an empty pool, import no ``multiprocessing``.  Used as a context
+    manager, the workers still running when the block exits (on an
+    exception) are terminated and joined.
     """
 
     def __init__(self, trial, trials: int, seed: int):
-        # imported here so that importing biphoton loads no process machinery
-        import multiprocessing
-
-        if trials < 2:
-            raise ValueError("need at least 2 trials")
+        if trials == 1 or trials < 0:
+            raise ValueError(f"need 0 or at least 2 trials, not {trials}")
         self._trial = trial
         # entry 2k: the stride keeps trial k's noise draw stable across versions
         self.seeds = np.random.SeedSequence(seed).generate_state(2 * trials)[::2].tolist()
         self._workers = []  # (process, this process's end of its pipe)
         workers = min(_cpu_count(), trials)
-        if workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
+        if workers < 2:
+            return
+        # imported here: importing biphoton, or a pool of one worker or none, loads no process machinery
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
             return
         # a Process and Pipe per worker, started now, not a pool at the call:
         # the workers prepare their first stack while the caller retrieves the
-        # nominal state, and run the trials while it writes its files.  That
-        # carries most of a 24.6% cut in noisy_cli_mc_n64's recon_s_p50 (10 of
-        # 10 alternating 30 s pairs, 2-vCPU Xeon; the rest is unwrap_phase_2d's
-        # Python-float fill).  Fork, not spawn: the workers inherit ``trial``
-        # and the data it holds without a pickle or a fresh import of numpy.
+        # nominal state, and run the trials while it writes its files.  Fork,
+        # not spawn: the workers inherit ``trial`` and the data it holds
+        # without a pickle or a fresh import of numpy.
         context = multiprocessing.get_context("fork")
         bounds = [trials * w // workers for w in range(workers + 1)]
         try:
@@ -359,24 +360,20 @@ def monte_carlo_uncertainty(workers: MonteCarloWorkers, trials: int):
     Carlo trials that ``workers`` run (``MonteCarloWorkers``) from the warm
     start they were sent.  Results are collected in trial order, so they do
     not depend on the worker count as long as a trial's outcome does not
-    depend on its chunk.  Each failed trial is logged at WARNING; more than
-    ``MC_MAX_FAILED_SHARE`` (20%) failed trials raise ``FitError``.
+    depend on its chunk.  The failed trials are logged at WARNING in trial
+    order; more than ``MC_MAX_FAILED_SHARE`` (20%) of them raise ``FitError``.
 
     Returns (stddevs, trial_values) as dicts keyed by 'chirp_s' / 'chirp_i'.
     """
     if trials != len(workers.seeds):
         raise ValueError(f"{trials} trials asked of workers started with {len(workers.seeds)}")
     outcomes = workers.collect()
-    values = {"chirp_s": [], "chirp_i": []}
-    failures = []
-    for t, outcome in enumerate(outcomes):
-        if isinstance(outcome, str):
-            logger.warning("Monte Carlo trial %d failed: %s", t, outcome)
-            failures.append((t, outcome))
-            continue
-        values["chirp_s"].append(outcome[0])
-        values["chirp_i"].append(outcome[1])
+    failures = [(t, outcome) for t, outcome in enumerate(outcomes) if isinstance(outcome, str)]
+    for failure in failures:
+        logger.warning("Monte Carlo trial %d failed: %s", *failure)
     if len(failures) > MC_MAX_FAILED_SHARE * trials:
         raise FitError(f"{len(failures)}/{trials} Monte Carlo trials failed: {failures[:3]}")
+    fits = [outcome for outcome in outcomes if not isinstance(outcome, str)]
+    values = {"chirp_s": [fit[0] for fit in fits], "chirp_i": [fit[1] for fit in fits]}
     stddevs = {k: float(np.std(v, ddof=1)) for k, v in values.items()}
     return stddevs, values

@@ -10,6 +10,7 @@ missing input or memory exhaustion, 3 retrieval produced non-finite values,
 """
 
 import dataclasses
+import errno
 import json
 import os
 import shutil
@@ -184,14 +185,20 @@ def _summary(result=None, fit=None, witness=None, units="fs2"):
 @contextmanager
 def _published(out):
     """A staging directory inside ``out``: its files move into ``out`` when
-    the block succeeds.  When the block raises, neither they nor a directory
-    made here is left; a move that fails leaves the files moved before it."""
+    the block succeeds.  A target that is a directory refuses the publish
+    before any file moves, with an ``IsADirectoryError`` naming ``out / name``.
+    When the block or the publish raises, neither the files nor a directory
+    made here is left; only a move that fails keeps the files moved before it."""
     made = [d for d in (out, *out.parents) if not d.exists()]
     out.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
     try:
         yield staging
-        for path in sorted(staging.iterdir()):
+        paths = sorted(staging.iterdir())
+        for target in (out / path.name for path in paths):
+            if target.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
+        for path in paths:
             path.replace(out / path.name)
     except BaseException:
         shutil.rmtree(staging, ignore_errors=True)

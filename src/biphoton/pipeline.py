@@ -7,7 +7,6 @@ import json
 import math
 import sys
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 from functools import partial
 from typing import get_args
@@ -360,14 +359,15 @@ class PipelineOutput:
 
 def run_pipeline(cfg: PipelineConfig, meanwhile=None) -> PipelineOutput:
     """Run the stages and, with ``analysis.monte_carlo.trials`` set, the
-    Monte Carlo trials.  Their workers start after preprocess and prepare
-    their first trials while the nominal state is retrieved and analyzed.
-    Then they are sent the nominal JSA, ``meanwhile(nominal)``, if given, is
-    called once with the nominal ``PipelineOutput`` (``monte_carlo`` None),
-    and the trials are collected: the hook runs while forked workers run the
-    trials, before them in this process, and last without trials.
-    ``timings["monte_carlo"]`` is the workers' start-up, the send, the hook
-    and the wait.  On any exception the workers are stopped first."""
+    Monte Carlo trials.  Their workers (an empty pool without trials) start
+    after preprocess and prepare their first trials while the nominal state
+    is retrieved and analyzed.  Then they are sent the nominal JSA,
+    ``meanwhile(nominal)``, if given, is called once with the nominal
+    ``PipelineOutput`` (``monte_carlo`` None), and the trials are collected:
+    the hook runs while forked workers run the trials, before them in this
+    process, and last without trials.  ``timings["monte_carlo"]`` spans the
+    workers' start to the end of the collect, less retrieve and analyze.  On
+    any exception the workers are stopped first."""
     timings = {}
 
     def stage(name, fn, *args):
@@ -382,22 +382,18 @@ def run_pipeline(cfg: PipelineConfig, meanwhile=None) -> PipelineOutput:
         _refuse_doomed_trials(raw, cfg.analysis.monte_carlo_peak_counts)
     constraints = stage("preprocess", preprocess_set, raw, cfg)
     t0 = time.perf_counter()
-    workers = MonteCarloWorkers(partial(_mc_trials, raw, cfg), trials, cfg.seed) if trials else nullcontext()
-    started = time.perf_counter() - t0
-    with workers:
+    with MonteCarloWorkers(partial(_mc_trials, raw, cfg), trials, cfg.seed) as workers:
         result = stage("retrieve", run_retrieval, constraints, cfg.retrieval)
         fit, witness = stage("analyze", analyze, result.jsa, constraints, cfg.analysis)
         nominal = PipelineOutput(raw, constraints, truth, result, fit, witness, timings, None)
-        t0 = time.perf_counter()
         if trials:
             workers.send(result.jsa)
         if meanwhile is not None:
             meanwhile(nominal)
         if not trials:
             return nominal
-        started += time.perf_counter() - t0
-        monte_carlo = stage("monte_carlo", monte_carlo_uncertainty, workers, trials)
-    timings["monte_carlo"] += started  # the start-up, the send and the hook are part of the trials' time
+        monte_carlo = monte_carlo_uncertainty(workers, trials)
+        timings["monte_carlo"] = time.perf_counter() - t0 - timings["retrieve"] - timings["analyze"]
     return replace(nominal, monte_carlo=monte_carlo)
 
 

@@ -529,6 +529,58 @@ def test_monte_carlo_workers_stop_on_an_exception(monkeypatch, capfd, where):
     assert "Traceback" not in capfd.readouterr().err  # a stopped worker exits quietly
 
 
+def _seed_and_start(seeds, start):
+    return [(float(seed), start()) for seed in seeds]
+
+
+@pytest.mark.parametrize("trials, cpus, fork", [(0, {0}, True), (0, {0, 1}, True), (4, {0, 1}, False)],
+                         ids=["no_trials_one_cpu", "no_trials_two_cpus", "two_cpus_no_fork"])
+def test_monte_carlo_workers_start_no_process(monkeypatch, trials, cpus, fork):
+    # zero trials are an empty pool; without fork the trials run in this process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    if not fork:
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    with MonteCarloWorkers(_seed_and_start, trials, seed=0) as workers:
+        assert len(workers.seeds) == trials
+        assert multiprocessing.active_children() == []
+        workers.send("the start")
+        assert workers.collect() == [(float(seed), "the start") for seed in workers.seeds]
+
+
+@pytest.mark.parametrize("trials", [1, -1])
+def test_monte_carlo_workers_refuse_one_trial_and_fewer_than_zero(trials):
+    with pytest.raises(ValueError, match=f"^need 0 or at least 2 trials, not {trials}$"):
+        MonteCarloWorkers(_seed_and_start, trials, seed=0)
+
+
+def test_monte_carlo_workers_stop_the_started_workers_when_a_start_fails(monkeypatch):
+    # three workers: the second start fails, so the first worker is stopped and joined
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    process = multiprocessing.get_context("fork").Process
+    start = process.start
+    started = []
+
+    def start_once(self):
+        if started:
+            raise OSError(11, "Resource temporarily unavailable")
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(process, "start", start_once)
+    with pytest.raises(OSError, match=r"^\[Errno 11\] Resource temporarily unavailable$"):
+        MonteCarloWorkers(_seed_and_start, 6, seed=0)
+    assert len(started) == 1 and started[0].exitcode is not None
+    assert multiprocessing.active_children() == []
+
+
+def test_monte_carlo_uncertainty_refuses_another_trial_count(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    with MonteCarloWorkers(_seed_and_start, 3, seed=0) as workers:
+        workers.send("the start")
+        with pytest.raises(ValueError, match="^4 trials asked of workers started with 3$"):
+            monte_carlo_uncertainty(workers, 4)
+
+
 def test_monte_carlo_workers_exit_when_their_caller_dies():
     # each worker closes the other pipe ends it inherits, so the caller's end
     # dies with the caller and a worker waiting for its start gets EOF

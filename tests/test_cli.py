@@ -13,6 +13,7 @@ import sys
 import threading
 import time
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,6 +63,16 @@ def test_simulate_writes_grids(runner, tmp_path):
     assert (out / "truth.json").exists()
 
 
+def test_simulate_malformed_manifest_json_exit_code(runner, tmp_path):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text("{")
+    res = runner.invoke(main, ["simulate", "--manifest", str(manifest), "--out", str(tmp_path / "sim")])
+    assert res.exit_code == EXIT_BAD_CONFIG, res.output
+    assert res.output == (f"error: cannot read {manifest}: Expecting property name enclosed in double quotes: "
+                          "line 1 column 2 (char 1)\n")
+    assert not (tmp_path / "sim").exists()
+
+
 def test_simulate_deterministic_bytes(runner, tmp_path):
     manifest = _write_manifest(tmp_path)
     for d in ("a", "b"):
@@ -81,14 +92,17 @@ def test_simulate_bad_manifest_exit_code(runner, tmp_path):
 def test_full_chain(runner, tmp_path):
     manifest = _write_manifest(tmp_path)
     sim = tmp_path / "sim"
-    assert runner.invoke(main, ["simulate", "--manifest", manifest, "--out", str(sim)]).exit_code == 0
+    res = runner.invoke(main, ["simulate", "--manifest", manifest, "--out", str(sim), "--verbose"])
+    assert res.exit_code == 0, res.output
+    assert res.output == f"wrote 6 files to {sim}\n"
 
     pre = tmp_path / "pre"
     res = runner.invoke(main, [
         "preprocess", "--manifest", manifest,
-        "--measurements", str(sim / "measurements.json"), "--out", str(pre),
+        "--measurements", str(sim / "measurements.json"), "--out", str(pre), "--verbose",
     ])
     assert res.exit_code == 0, res.output
+    assert res.output == f"wrote constraints to {pre}\n"
 
     result_path = tmp_path / "result.json"
     res = runner.invoke(main, [
@@ -822,6 +836,31 @@ def test_staged_command_failure_leaves_no_file(runner, tmp_path, monkeypatch, st
     res = runner.invoke(main, _staged_command(staged_inputs, command, out))
     assert res.exit_code == 0, res.output
     assert sorted(p.name for p in out.iterdir()) == sorted(STAGED_FILES[command])
+
+
+@pytest.mark.parametrize("out_dir", ["run", "."], ids=["subdirectory", "working_directory"])
+@pytest.mark.parametrize("command", [*STAGED_FILES, "pipeline"])
+def test_publish_onto_a_directory_moves_no_file(runner, tmp_path, monkeypatch, staged_inputs, command, out_dir):
+    # the last file to move would replace a directory: the publish is refused
+    # before any file moves, the error names the user's path (not the staging
+    # directory), and an earlier run's files are kept
+    monkeypatch.chdir(tmp_path)
+    out = Path(out_dir)
+    files = PIPELINE_FILES if command == "pipeline" else STAGED_FILES[command]
+    directory = max(files)
+    out.mkdir(exist_ok=True)
+    for name in files:
+        (out / name).mkdir() if name == directory else (out / name).write_text("previous")
+    if command == "pipeline":
+        args = ["pipeline", "--manifest", staged_inputs[1], "--out", out_dir]
+    else:
+        args = _staged_command(staged_inputs, command, out)
+    res = runner.invoke(main, args)
+    assert res.exit_code == EXIT_BAD_CONFIG, res.output
+    assert res.output == f"error: [Errno 21] Is a directory: '{out / directory}'\n"
+    assert sorted(p.name for p in out.iterdir()) == sorted(files)
+    assert all((out / name).read_text() == "previous" for name in files if name != directory)
+    assert not any((out / directory).iterdir())
 
 
 # runs a staged command whose first written file is followed by a wait: argv[1] is

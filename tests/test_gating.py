@@ -563,6 +563,21 @@ def test_finite_crystal_suppresses_tails(chirped_state):
     assert tau_sd(2000.0) < tau_sd(0.0)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda state: GatePulse(center=GATE_CENTER, sigma=0.0), "gate sigma must be positive"),
+    (lambda state: GatePulse(center=GATE_CENTER, sigma=-0.01), "gate sigma must be positive"),
+    (lambda state: GatingModel(spectrometer_sigma=-1e-3), "spectrometer_sigma must be >= 0"),
+    (lambda state: simulate_measurements(transform_photon(state, IDLER), GatingModel()),
+     "state must be in the frequency-frequency domain"),
+    (lambda state: poissonize(simulate_measurements(state, GatingModel()).i_ww.with_values(np.zeros((64, 64))), 1e3, 0),
+     "cannot poissonize an all-zero grid"),
+], ids=["gate_sigma_0", "gate_sigma_negative", "spectrometer_sigma_negative", "state_off_the_frequency_axes",
+        "poissonize_all_zero"])
+def test_gating_refusals(chirped_state, call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(chirped_state)
+
+
 def test_gating_model_validation():
     with pytest.raises(ValueError):
         GatingModel(gate=None, crystal_length=500.0)

@@ -2,6 +2,7 @@
 
 import json
 import pickle
+import re
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -92,6 +93,23 @@ def test_grid_rejects_nonfinite(small_axes):
     v[3, 4] = np.nan
     with pytest.raises(ValueError):
         IntensityGrid2D(ax_s, ax_i, v)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda g: ComplexGrid2D(g.axis_s, g.axis_i, g.values[:, :16]),
+     "values shape (32, 16) does not match axes (32, 32)"),
+    (lambda g: transform_photon(g, "pump"), "unknown photon 'pump'"),
+], ids=["values_off_the_axes", "unknown_photon"])
+def test_grid_refusals(random_complex_grid, call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(random_complex_grid)
+
+
+def test_total_power_of_an_intensity_grid_is_its_field_power(random_complex_grid):
+    intensity = random_complex_grid.intensity()
+    assert isinstance(intensity, IntensityGrid2D)
+    assert total_power(intensity) == pytest.approx(total_power(random_complex_grid), rel=1e-14)
+    assert total_power(intensity) == pytest.approx(intensity.values.sum() * 0.0025 * 0.0030, rel=1e-14)
 
 
 def test_grid_values_read_only(random_complex_grid):

@@ -6,6 +6,9 @@ import logging
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
+import time
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -147,6 +150,37 @@ def test_run_pipeline_calls_its_hook_once_between_send_and_collect(monkeypatch, 
     assert events == expected[len(cpus) if trials else 0]
     assert (out.monte_carlo is None) == (trials == 0)
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one_cpu", "two_cpus"])
+def test_run_pipeline_timings_fit_in_its_wall_time(monkeypatch, cpus):
+    # monte_carlo is one span from the workers' start to the end of the collect,
+    # less retrieve and analyze: the hook's time is in it, and no time twice
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    cfg = PipelineConfig.from_manifest({
+        "state": {"n": 32}, "gating": {"ideal": True}, "retrieval": {"iterations": 20},
+        "analysis": {"monte_carlo": {"trials": 3, "peak_counts": 1e5}},
+    })
+    t0 = time.perf_counter()
+    out = run_pipeline(cfg, meanwhile=lambda nominal: time.sleep(0.05))
+    wall = time.perf_counter() - t0
+    assert list(out.timings) == ["simulate", "preprocess", "retrieve", "analyze", "monte_carlo"]
+    assert out.timings["monte_carlo"] >= 0.05
+    assert sum(out.timings.values()) <= wall
+
+
+def test_run_pipeline_without_trials_imports_no_multiprocessing():
+    code = (
+        "import sys\n"
+        "from biphoton.pipeline import PipelineConfig, run_pipeline\n"
+        "cfg = PipelineConfig.from_manifest({'state': {'n': 32}, 'gating': {'crystal_length_um': 0},"
+        " 'retrieval': {'iterations': 20}})\n"
+        "assert run_pipeline(cfg).monte_carlo is None\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("manifest, key", [

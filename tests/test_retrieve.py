@@ -1,5 +1,6 @@
 """Alternating-projection retrieval: projections, error metric, loop behavior."""
 
+import re
 from dataclasses import replace
 from itertools import combinations
 
@@ -105,6 +106,16 @@ def test_measurement_set_validation(ideal_measurements):
     complex_tt = ComplexGrid2D(m.i_tt.axis_s, m.i_tt.axis_i, m.i_tt.values + 1j)
     with pytest.raises(TypeError, match="^i_tt must be an IntensityGrid2D, not ComplexGrid2D$"):
         MeasurementSet(i_ww=m.i_ww, i_wt=m.i_wt, i_tw=m.i_tw, i_tt=complex_tt)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda m, state: MeasurementSet(i_ww=m.i_tt, i_wt=m.i_wt, i_tw=m.i_tw, i_tt=m.i_tt),
+     "i_ww must live on frequency-frequency axes"),
+    (lambda m, state: project_magnitude(state, m.i_tt), "projection axes do not match"),
+], ids=["ww_off_the_frequency_axes", "project_on_other_axes"])
+def test_measurement_axes_refusals(ideal_measurements, call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(*ideal_measurements)
 
 
 def test_retrieval_config_validation():

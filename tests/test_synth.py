@@ -1,11 +1,13 @@
 """Gaussian state synthesis: normalization, moments, Schmidt purity."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biphoton.grids import total_power
+from biphoton.grids import SIGNAL, DomainMismatchError, total_power, transform_photon
 from biphoton.synth import (
     GaussianStateParams,
     ParameterError,
@@ -84,6 +86,17 @@ def test_tbp_gaussian_values():
     assert tbp_gaussian(0.0) == pytest.approx(1.0)
     assert tbp_gaussian(-0.5) == pytest.approx(np.sqrt(1 / 3))
     assert tbp_gaussian(-0.9) == pytest.approx(np.sqrt(0.1 / 1.9))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: apply_chirp(transform_photon(gaussian_jsa(GaussianStateParams(), n=16), SIGNAL), 1.0, 1.0),
+     DomainMismatchError, "apply_chirp needs both axes in the frequency domain"),
+    (lambda: tbp_gaussian(1.0), ParameterError, "|rho| must be < 1"),
+    (lambda: tbp_gaussian(-1.5), ParameterError, "|rho| must be < 1"),
+], ids=["chirp_on_a_time_axis", "tbp_rho_1", "tbp_rho_-1.5"])
+def test_state_function_refusals(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_parameter_validation():
