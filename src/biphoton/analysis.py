@@ -8,7 +8,6 @@ import heapq
 import itertools
 import logging
 import math
-import os
 import signal
 import sys
 from dataclasses import dataclass
@@ -16,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import ComplexGrid2D, IntensityGrid2D
+from .retrieve import _cpu_count
 
 TWO_PI = 2.0 * np.pi
 # the witness product must undercut 1 by this much, so rounding flags no separable state
@@ -214,14 +214,6 @@ def fit_retrieved_phase(jsa: ComplexGrid2D, mask_sigma: float = 2.0) -> PhaseFit
     mask = sigma_mask(intensity, mask_sigma)
     unwrapped = unwrap_phase_2d(np.angle(jsa.values), mask, quality=intensity.values)
     return fit_phase_poly(unwrapped, intensity, mask)
-
-
-def _cpu_count():
-    """CPUs this process may run on: its affinity mask, else os.cpu_count()."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        return os.cpu_count() or 1
 
 
 def _run_chunk(trial, seeds, conn, parent_ends):

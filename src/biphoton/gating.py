@@ -15,7 +15,8 @@ through its SVD modes: all three gated planes (tw, wt and tt) are sums of
 squared centered FFTs of the state weighted by one mode per gated side, so no
 upconverted-frequency stack is ever built.  tt skips the mode pairs whose
 weight product is below the SVD's own relative cut, and the signal modes are
-summed in two fixed halves on two threads.
+summed in two fixed halves, on two threads when the process may run on two
+CPUs or more and one after the other on one CPU, where a thread was slower.
 """
 
 import contextvars
@@ -37,7 +38,7 @@ from .grids import (
     transform_photon,
     unit_peak,
 )
-from .retrieve import MeasurementSet
+from .retrieve import MeasurementSet, _cpu_count
 from .units import C_UM_FS, omega_to_wavelength
 
 logger = logging.getLogger("biphoton")
@@ -247,12 +248,13 @@ def _gated_planes(F, modes_s, modes_i):
     skips each pair with w_a w_b <= _MODE_CUT w_0 w_0', whose term carries at
     most 1e-12 of the largest pair's weight, as the per-side cut does for a
     single mode.  The signal modes are split into two fixed halves (even and
-    odd index), each summing its own partial tw and tt; the even half runs on
-    a worker thread while this one runs the odd half and wt.  The halves and
-    their sum do not depend on how the threads are scheduled, so neither does
-    the result.  The arrays are ifftshifted once on the way in and fftshifted
-    once on the way out; on an untransformed axis the pair is the identity,
-    for odd n too.  Buffer budget, in n x n complex units: 7.5 and the idler
+    odd index), each summing its own partial tw and tt; with two CPUs or more
+    the even half runs on a worker thread while this one runs the odd half
+    and wt, and on one CPU this thread runs both halves in turn.  The halves
+    and their sum depend neither on that choice nor on how the threads are
+    scheduled, so neither does the result.  The arrays are ifftshifted once
+    on the way in and fftshifted once on the way out; on an untransformed
+    axis the pair is the identity, for odd n too.  Buffer budget, in n x n complex units: 7.5 and the idler
     modes during the sum, 3 at the end.
     """
     (w_s, vh_s), (w_i, vh_i) = modes_s, modes_i
@@ -290,16 +292,20 @@ def _gated_planes(F, modes_s, modes_i):
             np.fft.fft(np.multiply(F0, v, out=Z), axis=1, out=Z)
             _add_abs2(wt, Z)
 
-    # imported here so that importing biphoton starts no thread machinery;
-    # leaving the block joins the thread, so no caller forks beside it
-    from concurrent.futures import ThreadPoolExecutor
-
-    # the worker runs in a copy of this thread's context, so the caller's
-    # np.errstate holds there too
-    with ThreadPoolExecutor(1) as pool:
-        even = pool.submit(contextvars.copy_context().run, signal_half, 0)
+    if _cpu_count() < 2:  # a thread on one CPU only adds its hand-offs
+        signal_half(0)
         odd_half_and_wt()
-        even.result()
+    else:
+        # imported here so that importing biphoton starts no thread machinery;
+        # leaving the block joins the thread, so no caller forks beside it
+        from concurrent.futures import ThreadPoolExecutor
+
+        # the worker runs in a copy of this thread's context, so the caller's
+        # np.errstate holds there too
+        with ThreadPoolExecutor(1) as pool:
+            even = pool.submit(contextvars.copy_context().run, signal_half, 0)
+            odd_half_and_wt()
+            even.result()
     (_, _, tw, tt), (_, _, tw_odd, tt_odd) = halves
     tw += tw_odd
     tt += tt_odd

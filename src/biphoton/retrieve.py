@@ -9,9 +9,14 @@ The loop works on plain arrays, and on a stack of measurement sets that
 share the ww axes at once (a lone run is a stack of one).  At entry each
 set's initial state and measured intensities are ``ifftshift``-ed once on
 both axes into its slice of the stack, so each centered transform becomes one
-``np.fft.fft``/``ifft`` along one axis of the whole stack, done in place; at
-exit each state is ``fftshift``-ed back into a single
-:class:`~biphoton.grids.ComplexGrid2D`.  The unitary factors of the transforms
+``np.fft.fft``/``ifft`` along one axis of the stack, done in place; at exit
+each state is ``fftshift``-ed back into a single
+:class:`~biphoton.grids.ComplexGrid2D`.  A stack of ``SPLIT_PIXELS`` pixels
+or more (from one 256 x 256 set) runs each iteration in halves on two threads
+when the process may run on two CPUs or more: the projections and the
+idler-axis transforms by rows, the signal-axis transforms by columns, with
+one hand-off at each change.  Every pixel is computed as in one piece, so
+the result does not depend on the split.  The unitary factors of the transforms
 (:func:`~biphoton.grids.dft_scale`) are not applied inside the loop: every
 projection resets the magnitude, so they are carried as one running scalar
 ``scale`` with ``physical field = scale * array``.  The zero-magnitude
@@ -19,8 +24,13 @@ epsilon is applied to the physical field: a pixel whose ``|scale * array|``
 is below ``ZERO_MAGNITUDE_EPSILON`` takes phase 1.
 """
 
+import contextvars
 import math
+import os
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -28,6 +38,9 @@ from .grids import FREQUENCY, ComplexGrid2D, IntensityGrid2D, conjugate_axis, df
 
 PLANES = ("ww", "wt", "tw", "tt")
 ZERO_MAGNITUDE_EPSILON = 1e-12
+# pixels per stack from which an iteration is split over two CPUs: a lone
+# n = 256 set ran in 0.74 of the serial time, n = 128 in 1.31 of it
+SPLIT_PIXELS = 2**16
 
 
 class RetrievalError(RuntimeError):
@@ -190,6 +203,57 @@ def _load(m: MeasurementSet, start: ComplexGrid2D, g, amp, m_hat, tt_hat):
         hat[...] = _unit_peak(np.fft.ifftshift(grids[p].values))
 
 
+def _cpu_count():
+    """CPUs this process may run on: its affinity mask, else os.cpu_count()."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _splits(pixels):
+    """Whether each iteration over a stack of ``pixels`` pixels runs in two
+    halves on two threads: from ``SPLIT_PIXELS`` up, with two CPUs or more,
+    and not in a multiprocessing child such as a forked Monte Carlo worker,
+    whose pool already runs one worker per CPU."""
+    if pixels < SPLIT_PIXELS or _cpu_count() < 2:
+        return False
+    multiprocessing = sys.modules.get("multiprocessing")  # a child has it loaded
+    return multiprocessing is None or multiprocessing.parent_process() is None
+
+
+@contextmanager
+def _phase_runner(shape, split):
+    """Yields ``run(phase, axis)``, which calls ``phase(at)`` on the parts
+    ``at`` of a stack of ``shape``: ``...`` for the whole stack, or with
+    ``split`` one half along ``axis`` on a helper thread and the other half
+    here.  The helper runs in a copy of this thread's context, so the
+    caller's ``np.errstate`` holds there too; an exception of either half is
+    raised here, and leaving the block joins the helper, so no caller forks
+    beside it."""
+    if not split:
+        yield lambda phase, axis: phase(...)
+        return
+    # imported here so that importing biphoton starts no thread machinery
+    from concurrent.futures import ThreadPoolExecutor
+
+    rows, cols = shape[-2] // 2, shape[-1] // 2
+    halves = {  # the helper's half first
+        -2: ((..., slice(rows), slice(None)), (..., slice(rows, None), slice(None))),
+        -1: ((..., slice(cols)), (..., slice(cols, None))),
+    }
+    context = contextvars.copy_context()
+    with ThreadPoolExecutor(1) as pool:
+
+        def run(phase, axis):
+            first, second = halves[axis]
+            helper = pool.submit(context.run, phase, first)
+            phase(second)
+            helper.result()
+
+        yield run
+
+
 def run_retrieval_stack(sets, cfg: RetrievalConfig, starts) -> list:
     """Run the alternating-projection loop on a stack of measurement sets
     that share the ww axes, each from its own start ``starts[b]``, a
@@ -205,9 +269,13 @@ def run_retrieval_stack(sets, cfg: RetrievalConfig, starts) -> list:
     :class:`RetrievalError`; numpy's overflow and invalid-value warnings are
     off in the loop, because that check reports them: under a filter that
     turns warnings into errors they would end the run with another exception.
-    Every numpy call but the FROG error covers the whole (B, n, n) stack;
-    the error stays per set, so each set's dot products sum in the order of
-    a lone run.  Buffer budget per set, in n x n complex units: 5 in the
+    Every projection, transform and modulus covers the whole (B, n, n) stack,
+    or one half of it, by rows or by columns, when ``_splits`` splits the
+    iteration over this thread and a helper; pixel by pixel the halves
+    compute what the whole does.  The FROG error, the history and the
+    finiteness check stay on this thread, over the whole stack, and the
+    error stays per set, so each set's dot products sum in the order of a
+    lone run.  Buffer budget per set, in n x n complex units: 5 in the
     loop (the state, two real planes, the active planes' amplitudes and the
     unit-peak ww and tt planes), 2.5 of them freed before the returned JSA is
     built; the state itself is taken to the tt plane for the final tt error.
@@ -224,30 +292,59 @@ def run_retrieval_stack(sets, cfg: RetrievalConfig, starts) -> list:
     m_hat, tt_hat = np.empty(shape), np.empty(shape)
     for b, (m, start) in enumerate(zip(sets, starts, strict=True)):
         _load(m, start, g[b], {p: a[b] for p, a in amp.items()}, m_hat[b], tt_hat[b])
-    # plane projected before the step, step transform, its axis, its unitary factor
-    cycle = (
-        ("ww", np.fft.fft, -1, dft_scale(axis_i)),
-        ("wt", np.fft.fft, -2, dft_scale(axis_s)),
-        ("tt", np.fft.ifft, -1, dft_scale(conjugate_axis(axis_i))),
-        ("tw", np.fft.ifft, -2, dft_scale(conjugate_axis(axis_s))),
+    # the plane projected before each step and the step's unitary factor
+    factors = (
+        ("ww", dft_scale(axis_i)),
+        ("wt", dft_scale(axis_s)),
+        ("tt", dft_scale(conjugate_axis(axis_i))),
+        ("tw", dft_scale(conjugate_axis(axis_s))),
     )
     mag = np.abs(g)  # |g|; at the ww plane it is the one the last error left
     work = np.empty(shape)
     scale = 1.0  # physical field = scale * g, the same for every set
+    eps = {}  # this iteration's zero-magnitude epsilon on g, per projected plane
     history = []  # per iteration, each set's ww error
 
-    with np.errstate(over="ignore", invalid="ignore"):
+    def project(plane, at):
+        if plane in amp:
+            g_at, mag_at = g[at], mag[at]
+            if plane != "ww":
+                np.abs(g_at, out=mag_at)
+            _project(g_at, amp[plane][at], eps[plane], mag_at)
+
+    def transform(dft, axis, at):
+        g_at = g[at]
+        dft(g_at, axis=axis, out=g_at)
+
+    def idler_leg(before, dft, after, at):
+        project(before, at)
+        transform(dft, -1, at)
+        project(after, at)
+
+    def modulus(at):
+        np.abs(g[at], out=mag[at])
+        np.square(mag[at], out=work[at])
+
+    # one iteration in five phases, each with the axis its halves split: the
+    # projections and the idler-axis transforms by rows, the signal-axis
+    # transforms by columns
+    phases = (
+        (-2, partial(idler_leg, "ww", np.fft.fft, "wt")),
+        (-1, partial(transform, np.fft.fft, -2)),
+        (-2, partial(idler_leg, "tt", np.fft.ifft, "tw")),
+        (-1, partial(transform, np.fft.ifft, -2)),
+        (-2, modulus),
+    )
+
+    with np.errstate(over="ignore", invalid="ignore"), _phase_runner(shape, _splits(g.size)) as run:
         for k in range(cfg.iterations):
-            for plane, dft, axis, factor in cycle:
+            for plane, factor in factors:
                 if plane in amp:
-                    if plane != "ww":
-                        np.abs(g, out=mag)
-                    _project(g, amp[plane], ZERO_MAGNITUDE_EPSILON / scale, mag)
+                    eps[plane] = ZERO_MAGNITUDE_EPSILON / scale
                     scale = 1.0
-                dft(g, axis=axis, out=g)
                 scale *= factor
-            np.abs(g, out=mag)
-            np.square(mag, out=work)
+            for axis, phase in phases:
+                run(phase, axis)
             errs = [_frog_error(m_b, w_b, w_b) for m_b, w_b in zip(m_hat, work)]
             history.append(errs)
             if not all(map(math.isfinite, errs)):

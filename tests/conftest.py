@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -17,3 +19,14 @@ def random_complex_grid(small_axes):
     rng = np.random.default_rng(7)
     v = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
     return ComplexGrid2D(ax_s, ax_i, v)
+
+
+@pytest.fixture
+def no_thread(monkeypatch):
+    """Starting a thread raises RuntimeError('no thread'), in this process and
+    in the processes it forks."""
+
+    def refused(self):
+        raise RuntimeError("no thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refused)

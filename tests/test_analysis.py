@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biphoton import pipeline
+from biphoton import pipeline, retrieve
 from biphoton.analysis import (
     _MONOMIALS,
     FitError,
@@ -363,6 +363,20 @@ def test_monte_carlo_results_do_not_depend_on_workers(mc_case, monkeypatch):
         results[len(cpus)] = _monte_carlo(partial(pipeline._mc_trials, raw, cfg), start, trials=5, seed=3)
     # one worker runs the trials in order in this process
     assert results[1] == results[2]
+    assert multiprocessing.active_children() == []
+
+
+def test_monte_carlo_workers_do_not_split_their_retrievals(mc_case, monkeypatch, no_thread):
+    # the pool runs one worker per CPU, so a forked worker's retrieval stays on
+    # its one thread even where this process would split it
+    raw, cfg, start = mc_case
+    trial = partial(pipeline._mc_trials, raw, cfg)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    want = _monte_carlo(trial, start, trials=4, seed=3)
+    monkeypatch.setattr(retrieve, "SPLIT_PIXELS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert _trials(raw, cfg, start, [11]) == ["RuntimeError('no thread')"]
+    assert _monte_carlo(trial, start, trials=4, seed=3) == want
     assert multiprocessing.active_children() == []
 
 

@@ -907,6 +907,54 @@ def test_staged_command_sigterm_keeps_the_previous_files(tmp_path, staged_inputs
     _assert_previous_output(out, command)
 
 
+# runs a command with every retrieval split into halves on two threads: argv[1] is a
+# file that receives whether the split was chosen, the rest the command's arguments
+SPLIT_RETRIEVALS = """
+import os, sys
+from pathlib import Path
+from biphoton import cli, retrieve
+
+retrieve.SPLIT_PIXELS = 1
+os.sched_getaffinity = lambda pid: {0, 1}
+splits = retrieve._splits
+
+def announced(pixels):
+    split = splits(pixels)
+    Path(sys.argv[1]).write_text(str(split))
+    return split
+
+retrieve._splits = announced
+cli.main(sys.argv[2:])
+"""
+
+
+def test_retrieve_sigterm_during_a_split_retrieval(tmp_path, staged_inputs):
+    # SIGTERM to the session while both threads run their halves: the helper
+    # thread is joined and the command exits 143 with one line and no file
+    work, _ = staged_inputs
+    out, split = tmp_path / "result.json", tmp_path / "split"
+    caller = subprocess.Popen(
+        [sys.executable, "-c", SPLIT_RETRIEVALS, str(split), "retrieve", "--measurements",
+         str(work / "pre" / "constraints.json"), "--iterations", "100000000", "--out", str(out)],
+        stderr=subprocess.PIPE, text=True, start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not split.exists() or not split.read_text():
+            assert caller.poll() is None and time.monotonic() < deadline, "the command ended before it retrieved"
+            time.sleep(0.005)
+        time.sleep(0.2)
+        os.killpg(caller.pid, signal.SIGTERM)
+        _, err = caller.communicate(timeout=60)
+    finally:
+        with contextlib.suppress(ProcessLookupError):  # left only by a failure
+            os.killpg(caller.pid, signal.SIGKILL)
+    assert split.read_text() == "True"
+    assert caller.returncode == 143, err
+    assert err == "error: terminated by SIGTERM\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["split"]
+
+
 def test_commands_restore_the_sigterm_handler_and_run_off_the_main_thread(runner, tmp_path):
     before = signal.getsignal(signal.SIGTERM)
     bad = _write_manifest(tmp_path, dict(MANIFEST, state=dict(MANIFEST["state"], rho=2.0)), "bad.json")

@@ -254,7 +254,7 @@ def test_pruned_pairs_match_all_pairs(chirped_state, shape):
 
 
 def test_gated_planes_do_not_depend_on_cpu_count(chirped_state):
-    # one CPU interleaves the worker thread's half with this thread's, two run
+    # one CPU runs the two halves one after the other on this thread, two run
     # them side by side; the modes are precomputed, so the SVD's BLAS threads
     # cannot differ
     try:
@@ -277,6 +277,16 @@ def test_gated_planes_do_not_depend_on_cpu_count(chirped_state):
         os.sched_setaffinity(0, mask)
     for plane, one, two in zip(("tw", "wt", "tt"), planes[1], planes[2]):
         assert np.array_equal(one, two), plane
+
+
+def test_gated_planes_start_no_thread_on_one_cpu(chirped_state, monkeypatch, no_thread):
+    modes_s, modes_i = _finite_crystal_modes(chirped_state)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    one = _gated_planes(chirped_state.values, modes_s, modes_i)
+    monkeypatch.undo()  # threads and both CPUs back
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    for plane, a, b in zip(("tw", "wt", "tt"), one, _gated_planes(chirped_state.values, modes_s, modes_i)):
+        assert np.array_equal(a, b), plane
 
 
 @pytest.mark.parametrize("shape", ["n64", "odd33x31"])

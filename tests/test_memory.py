@@ -5,11 +5,13 @@ numpy reports its array buffers to tracemalloc; LAPACK workspace and FFT plan
 caches are not seen.
 """
 
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from biphoton import retrieve
 from biphoton.gating import GatePulse, GatingModel, RefractiveModel, simulate_measurements
 from biphoton.grids import ComplexGrid2D
 from biphoton.retrieve import RetrievalConfig, run_retrieval
@@ -48,8 +50,13 @@ def test_simulate_measurements_memory_budget(length, budget, sigma):
     assert _peak_units(lambda: simulate_measurements(state, gm)) <= budget
 
 
-@pytest.mark.parametrize("init", ["random_phase", "flat_phase"])
-def test_run_retrieval_memory_budget(init):
+# split, each iteration runs in halves on two threads, forced here at n = 128
+@pytest.mark.parametrize("init, split", [("random_phase", False), ("flat_phase", False), ("random_phase", True)],
+                         ids=["random_phase", "flat_phase", "random_phase-split"])
+def test_run_retrieval_memory_budget(init, split, monkeypatch):
+    if split:
+        monkeypatch.setattr(retrieve, "SPLIT_PIXELS", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     m = simulate_measurements(synthesize_state(STATE, n=N), GatingModel(gate=None))
     flat = ComplexGrid2D(m.i_ww.axis_s, m.i_ww.axis_i, np.sqrt(m.i_ww.values))
     start = flat if init == "flat_phase" else None

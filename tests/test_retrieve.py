@@ -1,6 +1,8 @@
 """Alternating-projection retrieval: projections, error metric, loop behavior."""
 
+import os
 import re
+import threading
 from dataclasses import replace
 from itertools import combinations
 
@@ -278,20 +280,43 @@ def _chirped_measurements(n):
 MASKS = [frozenset(c) for r in range(1, 5) for c in combinations(PLANES, r)]
 
 
+def _mask_id(mask):
+    return "+".join(sorted(mask))
+
+
+def _force_path(monkeypatch, path):
+    """Run the loop serially, as on one CPU, or split over two threads
+    whatever the stack's size."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0} if path == "serial" else {0, 1})
+    if path == "split":
+        monkeypatch.setattr(retrieve, "SPLIT_PIXELS", 1)
+
+
+def _on_both_paths(argname, values, ids):
+    """``parametrize(argname, values, ids=ids)`` on the serial loop, and again
+    on the split loop with ``-split`` after each id; the test gets the loop
+    as ``path`` and forces it with ``_force_path``."""
+    return pytest.mark.parametrize(f"{argname}, path", [
+        pytest.param(value, path, id=ids(value) + ("-split" if path == "split" else ""))
+        for path in ("serial", "split") for value in values
+    ])
+
+
 @pytest.fixture(scope="module")
 def chirped_n32():
     return _chirped_measurements(32)
 
 
-@pytest.mark.parametrize("mask", MASKS, ids=lambda s: "+".join(sorted(s)))
-def test_array_core_matches_object_loop_every_mask(chirped_n32, mask):
+@_on_both_paths("mask", MASKS, _mask_id)
+def test_array_core_matches_object_loop_every_mask(chirped_n32, mask, path, monkeypatch):
+    _force_path(monkeypatch, path)
     m, _ = chirped_n32
     _assert_matches_oracle(m, RetrievalConfig(iterations=20, seed=3, constraint_mask=mask))
 
 
 def test_array_core_matches_object_loop_odd_n():
     # odd and unequal counts (33 x 31): fftshift and ifftshift differ, and a
-    # swapped axis would not broadcast
+    # swapped axis would not broadcast; split, the halves are unequal too
     _, state = _chirped_measurements(64)
     axis_s = replace(state.axis_s, count=33)
     axis_i = replace(state.axis_i, count=31)
@@ -317,6 +342,16 @@ def test_array_core_matches_object_loop_zero_regions(chirped_n32, monkeypatch):
     # it must act on the field at its unitary scale, not on the raw FFT output
     monkeypatch.setattr(retrieve, "ZERO_MAGNITUDE_EPSILON", 1e-3)
     _assert_matches_oracle(m, RetrievalConfig(iterations=20, seed=6))
+
+
+def test_array_core_matches_object_loop_odd_n_split(monkeypatch):
+    _force_path(monkeypatch, "split")
+    test_array_core_matches_object_loop_odd_n()
+
+
+def test_array_core_matches_object_loop_zero_regions_split(chirped_n32, monkeypatch):
+    _force_path(monkeypatch, "split")
+    test_array_core_matches_object_loop_zero_regions(chirped_n32, monkeypatch)
 
 
 def _reference_retrieval(m, cfg, start=None):
@@ -373,13 +408,15 @@ def _assert_matches_reference(m, cfg, start=None, reference_start=None):
     assert r.error_final_tt == err_tt
 
 
-@pytest.mark.parametrize("mask", MASKS, ids=lambda s: "+".join(sorted(s)))
-def test_run_retrieval_is_byte_identical_to_reference(identity_set, mask):
+@_on_both_paths("mask", MASKS, _mask_id)
+def test_run_retrieval_is_byte_identical_to_reference(identity_set, mask, path, monkeypatch):
+    _force_path(monkeypatch, path)
     _assert_matches_reference(identity_set, RetrievalConfig(iterations=12, seed=3, constraint_mask=mask))
 
 
-@pytest.mark.parametrize("init", ["flat_phase", "supplied"])
-def test_run_retrieval_is_byte_identical_to_reference_for_each_init(init):
+@_on_both_paths("init", ["flat_phase", "supplied"], str)
+def test_run_retrieval_is_byte_identical_to_reference_for_each_init(init, path, monkeypatch):
+    _force_path(monkeypatch, path)
     cfg = RetrievalConfig(iterations=12)
     for n in (32, 64):
         m, state = _chirped_measurements(n)
@@ -398,10 +435,17 @@ def test_non_finite_state_raises_retrieval_error(chirped_n32):
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
-@pytest.mark.parametrize("mask", [("wt",), ("tw",), ("wt", "tw", "tt")], ids="-".join)
-def test_non_finite_state_raises_without_ww_constraint(chirped_n32, mask):
+def test_non_finite_state_raises_retrieval_error_split(chirped_n32, monkeypatch):
+    _force_path(monkeypatch, "split")
+    test_non_finite_state_raises_retrieval_error(chirped_n32)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@_on_both_paths("mask", [("wt",), ("tw",), ("wt", "tw", "tt")], "-".join)
+def test_non_finite_state_raises_without_ww_constraint(chirped_n32, mask, path, monkeypatch):
     # the finiteness check rides on the ww error, which is computed whether or
     # not ww is projected
+    _force_path(monkeypatch, path)
     m, state = chirped_n32
     huge = state.with_values(np.full(state.values.shape, 1e308 + 0j))
     with pytest.raises(RetrievalError, match="iteration 1"):
@@ -436,9 +480,10 @@ def _assert_same_result(got, want):
 
 
 # at n = 128 a batched dot product over the stack would sum in another order
-@pytest.mark.parametrize("shape", [(32, 32), (33, 31), (128, 128)], ids=["n32", "33x31", "n128"])
+@_on_both_paths("shape", [(32, 32), (33, 31), (128, 128)], {(32, 32): "n32", (33, 31): "33x31", (128, 128): "n128"}.get)
 @pytest.mark.parametrize("mask", [frozenset(PLANES), frozenset({"ww", "tt"})], ids=["all", "ww+tt"])
-def test_stack_gives_each_set_its_lone_result(shape, mask):
+def test_stack_gives_each_set_its_lone_result(shape, mask, path, monkeypatch):
+    _force_path(monkeypatch, path)
     sets = _poisson_sets(*shape)
     cfg = RetrievalConfig(iterations=15, constraint_mask=mask)
     seeds = [3, 8, 8, 21]  # one seed twice, on different draws
@@ -473,6 +518,12 @@ def test_stack_raises_the_lone_run_exception():
         assert repr(in_stack.value) == repr(alone.value) == want
 
 
+def test_stack_raises_the_lone_run_exception_split(monkeypatch):
+    # the helper thread's half overflows too: np.errstate must hold there
+    _force_path(monkeypatch, "split")
+    test_stack_raises_the_lone_run_exception()
+
+
 def test_stack_needs_shared_ww_axes():
     small, odd = _poisson_sets(32, 32, count=1) + _poisson_sets(33, 31, count=1)
     cfg = RetrievalConfig(iterations=2)
@@ -486,6 +537,63 @@ def test_stack_starts_are_states():
     (m,) = _poisson_sets(32, 32, count=1)
     with pytest.raises(TypeError, match="^a start must be a ComplexGrid2D, not int$"):
         run_retrieval_stack([m], RetrievalConfig(iterations=2), [3])
+
+
+# ---------------------------------------------------------------------------
+# The split loop: each iteration in halves on two threads
+
+
+@pytest.fixture(scope="module")
+def gated_n256():
+    # a lone 256 x 256 set is SPLIT_PIXELS pixels, the least the loop splits
+    p = GaussianStateParams(rho=-0.8, chirp_s=-8000.0, chirp_i=-9000.0)
+    state = synthesize_state(p, n=256, span_sigmas=8)
+    return simulate_measurements(state, GatingModel(gate=GatePulse(2.432, 0.01)))
+
+
+def test_split_is_chosen_from_the_stack_size_and_the_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert retrieve._splits(256 * 256)
+    assert not retrieve._splits(128 * 128 * 3)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert not retrieve._splits(256 * 256)
+
+
+@pytest.mark.parametrize("mask", [frozenset(PLANES), frozenset({"ww", "tt"})], ids=["all", "ww+tt"])
+@pytest.mark.parametrize("path", ["serial", "split"])
+def test_n256_is_byte_identical_to_reference(gated_n256, mask, path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0} if path == "serial" else {0, 1})
+    _assert_matches_reference(gated_n256, RetrievalConfig(iterations=10, seed=3, constraint_mask=mask))
+
+
+def test_one_cpu_starts_no_thread(gated_n256, monkeypatch, no_thread):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    _assert_matches_reference(gated_n256, RetrievalConfig(iterations=4, seed=3))
+    # on two CPUs the same call would start one
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    with pytest.raises(RuntimeError, match="^no thread$"):
+        run_retrieval(gated_n256, RetrievalConfig(iterations=4, seed=3))
+
+
+@pytest.mark.parametrize("thread", ["helper", "caller"])
+def test_split_raises_a_phase_exception_of_either_thread(chirped_n32, monkeypatch, thread):
+    # and joins the helper thread, when it raises as when it returns
+    _force_path(monkeypatch, "split")
+    m, _ = chirped_n32
+    caller, project = threading.current_thread(), retrieve._project
+
+    def failing(g, amp, eps, mag):
+        if (threading.current_thread() is caller) == (thread == "caller"):
+            raise ZeroDivisionError(thread)
+        return project(g, amp, eps, mag)
+
+    before = threading.active_count()
+    run_retrieval(m, RetrievalConfig(iterations=3))
+    assert threading.active_count() == before
+    monkeypatch.setattr(retrieve, "_project", failing)
+    with pytest.raises(ZeroDivisionError, match=f"^{thread}$"):
+        run_retrieval(m, RetrievalConfig(iterations=3))
+    assert threading.active_count() == before
 
 
 def _frog_error_reference(m, r):
