@@ -2,6 +2,7 @@
 
 import os
 import re
+import sys
 import threading
 from dataclasses import replace
 from itertools import combinations
@@ -594,6 +595,35 @@ def test_split_raises_a_phase_exception_of_either_thread(chirped_n32, monkeypatc
     with pytest.raises(ZeroDivisionError, match=f"^{thread}$"):
         run_retrieval(m, RetrievalConfig(iterations=3))
     assert threading.active_count() == before
+
+
+def test_concurrent_split_retrievals_match_the_serial_ones(chirped_n32, monkeypatch):
+    # three callers, each with its helper, on at most two CPUs and switching
+    # threads every few microseconds: a half left unfinished or run twice at a
+    # hand-off would change the bytes
+    m, _ = chirped_n32
+    cfgs = [RetrievalConfig(iterations=20, seed=s) for s in (1, 2, 3)]
+    _force_path(monkeypatch, "serial")
+    want = [run_retrieval(m, cfg) for cfg in cfgs]
+    _force_path(monkeypatch, "split")
+    got = [None] * len(cfgs)
+
+    def caller(i):
+        got[i] = run_retrieval(m, cfgs[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=caller, args=(i,)) for i in range(len(cfgs))]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    for g, w in zip(got, want, strict=True):
+        _assert_same_result(g, w)
 
 
 def _frog_error_reference(m, r):
