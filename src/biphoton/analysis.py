@@ -166,14 +166,21 @@ def unwrap_phase_2d(phase: np.ndarray, mask: np.ndarray, quality: np.ndarray | N
 _MONOMIALS = [(a, b) for total in range(4) for a in range(total + 1) for b in [total - a]]
 
 
+def _masked_pixels(mask):
+    """The pixel count of a boolean mask, or ``FitError`` below the 10 a
+    degree-3 fit needs."""
+    npix = int(mask.sum())
+    if npix < len(_MONOMIALS):
+        raise FitError(f"only {npix} masked pixels; need at least {len(_MONOMIALS)}")
+    return npix
+
+
 def fit_phase_poly(phase_unwrapped: np.ndarray, weights: IntensityGrid2D, mask: np.ndarray) -> PhaseFit:
     """Intensity-weighted least-squares fit of the masked unwrapped phase to
     all 2D monomials of total degree <= 3 in (w_s - w_s0, w_i - w_i0), about
     the axis centres of ``weights``."""
     mask = np.asarray(mask, dtype=bool)
-    npix = int(mask.sum())
-    if npix < 10:
-        raise FitError(f"only {npix} masked pixels; need at least 10")
+    npix = _masked_pixels(mask)
     rows, cols = np.nonzero(mask)
     x = (weights.axis_s.values() - weights.axis_s.center)[rows]
     y = (weights.axis_i.values() - weights.axis_i.center)[cols]
@@ -212,6 +219,7 @@ def fit_retrieved_phase(jsa: ComplexGrid2D, mask_sigma: float = 2.0) -> PhaseFit
     """Mask, unwrap, and polynomial-fit the phase of a retrieved JSA."""
     intensity = jsa.intensity()
     mask = sigma_mask(intensity, mask_sigma)
+    _masked_pixels(mask)  # before the unwrap, which refuses an empty mask with a ValueError
     unwrapped = unwrap_phase_2d(np.angle(jsa.values), mask, quality=intensity.values)
     return fit_phase_poly(unwrapped, intensity, mask)
 

@@ -15,14 +15,15 @@ through its SVD modes: all three gated planes (tw, wt and tt) are sums of
 squared centered FFTs of the state weighted by one mode per gated side, so no
 upconverted-frequency stack is ever built.  tt skips the mode pairs whose
 weight product is below the SVD's own relative cut, and the signal modes are
-summed in two fixed halves, on two threads when the process may run on two
-CPUs or more and one after the other on one CPU, where a thread was slower.
+summed in two fixed halves: on two threads through the retrieval's helper
+(``retrieve._helper``) where ``retrieve._two_cpus`` allows, else one after
+the other on the calling thread.
 """
 
-import contextvars
 import json
 import logging
 from dataclasses import dataclass, replace
+from functools import partial
 from importlib import resources
 
 import numpy as np
@@ -38,7 +39,7 @@ from .grids import (
     transform_photon,
     unit_peak,
 )
-from .retrieve import MeasurementSet, _cpu_count
+from .retrieve import MeasurementSet, _helper, _two_cpus
 from .units import C_UM_FS, omega_to_wavelength
 
 logger = logging.getLogger("biphoton")
@@ -248,14 +249,15 @@ def _gated_planes(F, modes_s, modes_i):
     skips each pair with w_a w_b <= _MODE_CUT w_0 w_0', whose term carries at
     most 1e-12 of the largest pair's weight, as the per-side cut does for a
     single mode.  The signal modes are split into two fixed halves (even and
-    odd index), each summing its own partial tw and tt; with two CPUs or more
-    the even half runs on a worker thread while this one runs the odd half
-    and wt, and on one CPU this thread runs both halves in turn.  The halves
-    and their sum depend neither on that choice nor on how the threads are
-    scheduled, so neither does the result.  The arrays are ifftshifted once
-    on the way in and fftshifted once on the way out; on an untransformed
-    axis the pair is the identity, for odd n too.  Buffer budget, in n x n complex units: 7.5 and the idler
-    modes during the sum, 3 at the end.
+    odd index), each summing its own partial tw and tt: ``retrieve._helper``
+    runs the even half on its helper thread while this one runs the odd half
+    and wt, or, where ``retrieve._two_cpus`` does not allow a thread, both
+    in turn on this one.  The halves and their sum depend neither on that
+    choice nor on how the threads are scheduled, so neither does the result.
+    The arrays are ifftshifted once on the way in and fftshifted once on the
+    way out; on an untransformed axis the pair is the identity, for odd n
+    too.  Buffer budget, in n x n complex units: 7.5 and the idler modes
+    during the sum, 3 at the end.
     """
     (w_s, vh_s), (w_i, vh_i) = modes_s, modes_i
     # fold the weights into the modes so every term is a plain |.|^2; each
@@ -264,7 +266,7 @@ def _gated_planes(F, modes_s, modes_i):
     # w_i is sorted, so the idler partners of signal mode a are a prefix
     partners = [np.count_nonzero(w * w_i > _MODE_CUT * w_s[0] * w_i[0]) for w in w_s]
     F0 = np.fft.ifftshift(F)
-    # every n x n buffer is allocated here, as a worker thread's would come
+    # every n x n buffer is allocated here, as the helper thread's would come
     # from its own malloc arena and raise the peak RSS.  In n x n complex
     # units: F0 1; per half 3, the scratch Y and Z (|.|^2 squares them in
     # place) and the partial tw and tt; wt 0.5
@@ -292,20 +294,8 @@ def _gated_planes(F, modes_s, modes_i):
             np.fft.fft(np.multiply(F0, v, out=Z), axis=1, out=Z)
             _add_abs2(wt, Z)
 
-    if _cpu_count() < 2:  # a thread on one CPU only adds its hand-offs
-        signal_half(0)
-        odd_half_and_wt()
-    else:
-        # imported here so that importing biphoton starts no thread machinery;
-        # leaving the block joins the thread, so no caller forks beside it
-        from concurrent.futures import ThreadPoolExecutor
-
-        # the worker runs in a copy of this thread's context, so the caller's
-        # np.errstate holds there too
-        with ThreadPoolExecutor(1) as pool:
-            even = pool.submit(contextvars.copy_context().run, signal_half, 0)
-            odd_half_and_wt()
-            even.result()
+    with _helper(_two_cpus()) as both:
+        both(partial(signal_half, 0), odd_half_and_wt)
     (_, _, tw, tt), (_, _, tw_odd, tt_odd) = halves
     tw += tw_odd
     tt += tt_odd

@@ -72,6 +72,8 @@ class AnalysisConfig:
     def __post_init__(self):
         if not self.mask_sigma > 0:
             raise ValueError("analysis.mask_sigma must be positive")
+        if not math.isfinite(self.mask_sigma * self.mask_sigma):  # sigma_mask compares against it
+            raise ValueError(f"analysis.mask_sigma ({self.mask_sigma:g}) is too large: its square overflows")
         if self.monte_carlo_trials != 0 and self.monte_carlo_trials < 2:
             raise ValueError("analysis.monte_carlo.trials must be 0 (off) or at least 2")
         check_peak_counts("analysis.monte_carlo.peak_counts", self.monte_carlo_peak_counts)

@@ -25,6 +25,8 @@ class PreprocessConfig:
     allow_out_of_range: bool = False
 
     def __post_init__(self):
+        if not self.alpha > 0:  # also with allow_out_of_range: 0 divides 0 by 0 where G underflows
+            raise ValueError("preprocess.alpha must be positive: the Wiener filter divides by G**2 + alpha")
         if not self.allow_out_of_range:
             if not 0.05 <= self.alpha <= 0.2:
                 raise ValueError("preprocess.alpha outside [0.05, 0.2]; set allow_out_of_range to override")

@@ -211,66 +211,65 @@ def _cpu_count():
         return os.cpu_count() or 1
 
 
-def _splits(pixels):
-    """Whether each iteration over a stack of ``pixels`` pixels runs in two
-    halves on two threads: from ``SPLIT_PIXELS`` up, with two CPUs or more,
-    and not in a multiprocessing child such as a forked Monte Carlo worker,
-    whose pool already runs one worker per CPU."""
-    if pixels < SPLIT_PIXELS or _cpu_count() < 2:
+def _two_cpus():
+    """Whether work may run in two halves on two threads: the process's
+    affinity mask holds two CPUs or more, and it is not a multiprocessing
+    child such as a forked Monte Carlo worker, whose pool already runs one
+    worker per CPU."""
+    if _cpu_count() < 2:
         return False
     multiprocessing = sys.modules.get("multiprocessing")  # a child has it loaded
     return multiprocessing is None or multiprocessing.parent_process() is None
 
 
+def _splits(pixels):
+    """Whether each iteration over a stack of ``pixels`` pixels runs in two
+    halves on two threads: from ``SPLIT_PIXELS`` up, where :func:`_two_cpus`."""
+    return pixels >= SPLIT_PIXELS and _two_cpus()
+
+
 @contextmanager
-def _phase_runner(shape, split):
-    """Yields ``run(phase, axis)``, which calls ``phase(at)`` on the parts
-    ``at`` of a stack of ``shape``: ``...`` for the whole stack, or with
-    ``split`` one half along ``axis`` on a helper thread and the other half
-    here.  The helper runs in a copy of this thread's context, so the
-    caller's ``np.errstate`` holds there too; an exception of either half is
-    raised here, and leaving the block joins the helper, so no caller forks
-    beside it.  Each hand-off is one put and one get on a pair of queues,
-    which took 0.91 of the time of a thread pool's submit and result at
-    n = 256."""
-    if not split:
-        yield lambda phase, axis: phase(...)
+def _helper(active):
+    """Yields ``both(there, here)``, which calls ``there()`` on a helper
+    thread while ``here()`` runs on this one and returns once both have
+    ended; without ``active`` it calls them in that order on this thread and
+    no thread starts.  The helper runs in a copy of this thread's context,
+    so the caller's ``np.errstate`` holds there too; an exception of either
+    call is raised here, and leaving the block joins the helper, so no
+    caller forks beside it.  Each hand-off is one put and one get on a pair
+    of queues, which took 0.91 of the time of a thread pool's submit and
+    result at n = 256."""
+    if not active:
+        yield lambda there, here: (there(), here())
         return
     # imported here so that importing biphoton starts no thread machinery
     import queue
     import threading
 
-    rows, cols = shape[-2] // 2, shape[-1] // 2
-    halves = {  # the helper's half first
-        -2: ((..., slice(rows), slice(None)), (..., slice(rows, None), slice(None))),
-        -1: ((..., slice(cols)), (..., slice(cols, None))),
-    }
     jobs, outcomes = queue.SimpleQueue(), queue.SimpleQueue()
 
     def serve():
-        while (job := jobs.get()) is not None:
-            phase, at = job
+        while (there := jobs.get()) is not None:
             try:
-                phase(at)
+                there()
             except BaseException as exc:  # noqa: BLE001 - raised again on the calling thread
                 outcomes.put(exc)
             else:
                 outcomes.put(None)
 
-    def run(phase, axis):
-        first, second = halves[axis]
-        jobs.put((phase, first))
+    def both(there, here):
+        jobs.put(there)
         try:
-            phase(second)
+            here()
         finally:
-            exc = outcomes.get()  # the helper's half has ended
+            exc = outcomes.get()  # there() has ended
         if exc is not None:
             raise exc
 
-    helper = threading.Thread(target=contextvars.copy_context().run, args=(serve,), name="retrieval-helper")
+    helper = threading.Thread(target=contextvars.copy_context().run, args=(serve,), name="biphoton-helper")
     helper.start()
     try:
-        yield run
+        yield both
     finally:
         jobs.put(None)
         helper.join()
@@ -358,7 +357,14 @@ def run_retrieval_stack(sets, cfg: RetrievalConfig, starts) -> list:
         (-2, modulus),
     )
 
-    with np.errstate(over="ignore", invalid="ignore"), _phase_runner(shape, _splits(g.size)) as run:
+    split = _splits(g.size)
+    rows, cols = shape[-2] // 2, shape[-1] // 2
+    halves = {  # the helper's half first
+        -2: ((..., slice(rows), slice(None)), (..., slice(rows, None), slice(None))),
+        -1: ((..., slice(cols)), (..., slice(cols, None))),
+    }
+
+    with np.errstate(over="ignore", invalid="ignore"), _helper(split) as both:
         for k in range(cfg.iterations):
             for plane, factor in factors:
                 if plane in amp:
@@ -366,7 +372,10 @@ def run_retrieval_stack(sets, cfg: RetrievalConfig, starts) -> list:
                     scale = 1.0
                 scale *= factor
             for axis, phase in phases:
-                run(phase, axis)
+                if split:
+                    both(*(partial(phase, at) for at in halves[axis]))
+                else:
+                    phase(...)
             errs = [_frog_error(m_b, w_b, w_b) for m_b, w_b in zip(m_hat, work)]
             history.append(errs)
             if not all(map(math.isfinite, errs)):

@@ -372,6 +372,7 @@ def test_pipeline_grid_n_mismatch_fails_before_simulating(runner, tmp_path, monk
 
 @pytest.mark.parametrize("analysis, field", [
     ({"mask_sigma": 0}, "analysis.mask_sigma"),
+    ({"mask_sigma": 1.7e308}, "analysis.mask_sigma"),
     ({"monte_carlo": {"trials": 1}}, "analysis.monte_carlo.trials"),
     ({"monte_carlo": {"trials": 3, "peak_counts": 0}}, "analysis.monte_carlo.peak_counts"),
 ])
@@ -431,6 +432,9 @@ def test_pipeline_unknown_manifest_key_exit_code(runner, tmp_path, monkeypatch):
     ({"state": {"n": 48}}, "state.n"),
     ({"state": {"rho": 1.5}}, "state.rho"),
     ({"preprocess": {"alpha": 0.5}}, "preprocess.alpha"),
+    # the Wiener filter divides by G**2 + alpha, so no override admits alpha <= 0
+    ({"preprocess": {"alpha": -1, "allow_out_of_range": True}}, "preprocess.alpha"),
+    ({"preprocess": {"alpha": 0, "allow_out_of_range": True}}, "preprocess.alpha"),
     # no longer a field: the retrieval starts from a random phase
     ({"retrieval": {"init": "flat_phase"}}, "retrieval.init"),
     # above numpy's Poisson limit: refused at parse, not after the work
@@ -666,9 +670,12 @@ PIPELINE_FILES = [
 @pytest.mark.parametrize("manifest, patch, code, message", [
     (TRIALS_RUN, None, 0, None),
     (NOMINAL_FIT_FAILS, None, EXIT_FIT_FAILED, "only 1 masked pixels; need at least 10"),
+    # mask_sigma 1e-12 keeps no pixel: the same fit failure, not the unwrap's empty mask
+    (dict(NOMINAL_FIT_FAILS, analysis={"mask_sigma": 1e-12, "monte_carlo": {"trials": 4}}), None, EXIT_FIT_FAILED,
+     "only 0 masked pixels; need at least 10"),
     (TRIALS_RUN, ("run_retrieval", _retrieval_nan), EXIT_RETRIEVAL_NAN, "non-finite values at iteration 3"),
     (TRIALS_RUN, ("grid_to_csv", _disk_full), EXIT_BAD_CONFIG, "[Errno 28] No space left on device"),
-], ids=["success", "nominal_fit_fails", "retrieval_nan", "write_fails"])
+], ids=["success", "nominal_fit_fails", "nominal_fit_empty_mask", "retrieval_nan", "write_fails"])
 def test_pipeline_leaves_no_worker_and_no_file_of_a_failed_run(
     runner, tmp_path, monkeypatch, cpus, manifest, patch, code, message
 ):
@@ -1185,8 +1192,9 @@ def test_bad_manifest_fails_before_any_work(runner, tmp_path, monkeypatch, comma
 
 @pytest.mark.parametrize("args, message", [
     (["analyze", "--mask-sigma", "0"], "analysis.mask_sigma must be positive"),
+    (["analyze", "--mask-sigma", "1.7e308"], "analysis.mask_sigma (1.7e+308) is too large: its square overflows"),
     (["retrieve", "--mask", "wwxy"], "retrieval.constraint_mask has unknown planes ['xy']"),
-], ids=["analyze_mask_sigma", "retrieve_mask"])
+], ids=["analyze_mask_sigma", "analyze_huge_mask_sigma", "retrieve_mask"])
 def test_staged_options_fail_before_reading_files(runner, tmp_path, monkeypatch, args, message):
     monkeypatch.setattr(cli, "_load_json", _no_work)
     monkeypatch.setattr(cli, "load_grid", _no_work)

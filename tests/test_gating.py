@@ -1,8 +1,10 @@
 """Optical-gating forward model: gate pulse, phase matching, gated planes."""
 
 import logging
+import multiprocessing
 import os
 import re
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 from scipy.ndimage import gaussian_filter1d
 from scipy.optimize import brentq
 
+from biphoton import gating
 from biphoton.gating import (
     MAX_PEAK_COUNTS,
     GatePulse,
@@ -279,14 +282,43 @@ def test_gated_planes_do_not_depend_on_cpu_count(chirped_state):
         assert np.array_equal(one, two), plane
 
 
-def test_gated_planes_start_no_thread_on_one_cpu(chirped_state, monkeypatch, no_thread):
+@pytest.mark.parametrize("where", ["one_cpu", "multiprocessing_child"])
+def test_gated_planes_start_no_thread_without_two_cpus(chirped_state, monkeypatch, no_thread, where):
+    # a forked Monte Carlo worker sums both halves on its one thread, as the
+    # retrieval does there
     modes_s, modes_i = _finite_crystal_modes(chirped_state)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    if where == "one_cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
     one = _gated_planes(chirped_state.values, modes_s, modes_i)
     monkeypatch.undo()  # threads and both CPUs back
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     for plane, a, b in zip(("tw", "wt", "tt"), one, _gated_planes(chirped_state.values, modes_s, modes_i)):
         assert np.array_equal(a, b), plane
+
+
+@pytest.mark.parametrize("thread", ["helper", "caller"])
+def test_gated_planes_raise_an_exception_of_either_thread(chirped_state, monkeypatch, thread):
+    # the helper sums the even signal modes, the caller the odd ones and wt;
+    # the helper is joined when the sum raises as when it returns
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    modes_s, modes_i = _finite_crystal_modes(chirped_state)
+    caller, add_abs2 = threading.current_thread(), gating._add_abs2
+
+    def failing(acc, X):
+        if (threading.current_thread() is caller) == (thread == "caller"):
+            raise ZeroDivisionError(thread)
+        add_abs2(acc, X)
+
+    before = threading.active_count()
+    _gated_planes(chirped_state.values, modes_s, modes_i)
+    assert threading.active_count() == before
+    monkeypatch.setattr(gating, "_add_abs2", failing)
+    with pytest.raises(ZeroDivisionError, match=f"^{thread}$"):
+        _gated_planes(chirped_state.values, modes_s, modes_i)
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("shape", ["n64", "odd33x31"])

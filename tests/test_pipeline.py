@@ -301,6 +301,9 @@ def test_from_manifest_rejects_bad_retrieval_settings(manifest, message):
     assert str(exc.value) == message
 
 
+ALPHA_SIGN_RULE = "preprocess.alpha must be positive: the Wiener filter divides by G**2 + alpha"
+
+
 @pytest.mark.parametrize("manifest, message", [
     ({"state": {"n": 48}}, "state.n must be a power of two >= 16"),
     ({"state": {"n": 8}}, "state.n must be a power of two >= 16"),
@@ -308,6 +311,11 @@ def test_from_manifest_rejects_bad_retrieval_settings(manifest, message):
     ({"state": {"sigma_i": 0}}, "state.sigma_s and state.sigma_i must be positive"),
     ({"preprocess": {"alpha": 0.5}}, "preprocess.alpha outside [0.05, 0.2]; set allow_out_of_range to override"),
     ({"preprocess": {"rho_lp": 0.5}}, "preprocess.rho_lp outside [0.8, 1.0]; set allow_out_of_range to override"),
+    ({"preprocess": {"alpha": -1, "allow_out_of_range": True}}, ALPHA_SIGN_RULE),
+    ({"preprocess": {"alpha": 0, "allow_out_of_range": True}}, ALPHA_SIGN_RULE),
+    ({"preprocess": {"alpha": -1}}, ALPHA_SIGN_RULE),
+    # its square bounds the mask's Mahalanobis distance
+    ({"analysis": {"mask_sigma": 1.7e308}}, "analysis.mask_sigma (1.7e+308) is too large: its square overflows"),
     # at or above the frequency grid's full width (16 sigma per axis)
     ({"state": {"n": 32}, "gating": {"spectrometer_sigma": 1e9}},
      "gating.spectrometer_sigma (1e+09 rad/fs) must be below the frequency grid's full width, "

@@ -1,5 +1,6 @@
 """Alternating-projection retrieval: projections, error metric, loop behavior."""
 
+import multiprocessing
 import os
 import re
 import sys
@@ -556,6 +557,9 @@ def test_split_is_chosen_from_the_stack_size_and_the_cpus(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     assert retrieve._splits(256 * 256)
     assert not retrieve._splits(128 * 128 * 3)
+    monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
+    assert not retrieve._splits(256 * 256)
+    monkeypatch.undo()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert not retrieve._splits(256 * 256)
 
