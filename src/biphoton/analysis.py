@@ -1,21 +1,18 @@
 """Physics extraction: intensity moments and the time-bandwidth entanglement
 witness, sigma-contour masking, quality-guided 2D phase unwrapping, weighted
 polynomial phase fitting, and the Monte Carlo spread of fitted chirps over
-the trials a caller hands in (``pipeline`` defines the trial it runs)."""
+the trials that :class:`~biphoton.cpus.MonteCarloWorkers` run (``pipeline``
+defines the trial)."""
 
-import functools
 import heapq
 import itertools
 import logging
 import math
-import signal
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grids import ComplexGrid2D, IntensityGrid2D
-from .retrieve import _cpu_count
 
 TWO_PI = 2.0 * np.pi
 # the witness product must undercut 1 by this much, so rounding flags no separable state
@@ -224,141 +221,10 @@ def fit_retrieved_phase(jsa: ComplexGrid2D, mask_sigma: float = 2.0) -> PhaseFit
     return fit_phase_poly(unwrapped, intensity, mask)
 
 
-def _run_chunk(trial, seeds, conn, parent_ends):
-    """A forked worker's body: run ``trial`` on its chunk of seeds and send
-    the outcomes back on ``conn``.  The warm start is received the first
-    time ``trial`` asks for it; a closed pipe there, or when sending, means
-    the caller has stopped the run, and the worker exits quietly."""
-    # a terminal's Ctrl-C reaches the whole process group; the caller handles it and stops the workers
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    for end in parent_ends:  # held open here, they would outlive the caller and keep a worker waiting for its start
-        end.close()
-
-    @functools.cache
-    def start():
-        try:
-            return conn.recv()
-        except EOFError:
-            sys.exit()  # SystemExit: not caught by a trial's ``except Exception``
-
-    try:
-        conn.send(trial(seeds, start))
-    except ConnectionError:
-        pass
-
-
-def _exchange(process, action, *args):
-    """``action(*args)`` on a worker's pipe.  A pipe the worker closed by
-    ending raises ``ChildProcessError`` instead of a hang or a pipe error."""
-    try:
-        return action(*args)
-    except (EOFError, ConnectionError):
-        # raised below, not as this error's context: kept as a context, a failed send's frames and
-        # the pickle buffer they export were left to the cycle collector, which raised BufferError
-        pass
-    process.join()
-    raise ChildProcessError(f"Monte Carlo worker {process.pid} ended with exit code {process.exitcode} "
-                            "before it returned its trials")
-
-
-class MonteCarloWorkers:
-    """Monte Carlo trials started before their warm start is known.
-
-    Trial k's noise seed is entry 2k of ``generate_state(2 * trials)`` of
-    one ``SeedSequence`` of ``seed``.  ``trial(noise_seeds, start)`` runs
-    the trials of a list of seeds and returns one outcome per seed:
-    (chirp_s, chirp_i), or a string naming the exception a failed trial
-    raised.  ``start()`` returns the warm start; a trial can prepare its
-    first trials before it calls it.
-
-    The seeds are split into one contiguous chunk per worker (chunk sizes
-    differ by at most one), one worker per CPU in the affinity mask (at most
-    one per trial).  With more than one worker and fork available, each
-    chunk runs at once in a forked process, which inherits ``trial``, and
-    waits in ``start()`` until ``send`` sends the start.  With one worker or
-    no fork, the whole list runs in this process inside ``collect``; zero
-    trials, an empty pool, import no ``multiprocessing``.  Used as a context
-    manager, the workers still running when the block exits (on an
-    exception) are terminated and joined.
-    """
-
-    def __init__(self, trial, trials: int, seed: int):
-        if trials == 1 or trials < 0:
-            raise ValueError(f"need 0 or at least 2 trials, not {trials}")
-        self._trial = trial
-        # entry 2k: the stride keeps trial k's noise draw stable across versions
-        self.seeds = np.random.SeedSequence(seed).generate_state(2 * trials)[::2].tolist()
-        self._workers = []  # (process, this process's end of its pipe)
-        workers = min(_cpu_count(), trials)
-        if workers < 2:
-            return
-        # imported here: importing biphoton, or a pool of one worker or none, loads no process machinery
-        import multiprocessing
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            return
-        # a Process and Pipe per worker, started now, not a pool at the call:
-        # the workers prepare their first stack while the caller retrieves the
-        # nominal state, and run the trials while it writes its files.  Fork,
-        # not spawn: the workers inherit ``trial`` and the data it holds
-        # without a pickle or a fresh import of numpy.
-        context = multiprocessing.get_context("fork")
-        bounds = [trials * w // workers for w in range(workers + 1)]
-        try:
-            for lo, hi in zip(bounds, bounds[1:]):
-                parent_end, child_end = context.Pipe()
-                parent_ends = [end for _, end in self._workers] + [parent_end]
-                process = context.Process(target=_run_chunk, daemon=True,
-                                          args=(trial, self.seeds[lo:hi], child_end, parent_ends))
-                process.start()
-                child_end.close()  # the worker's end lives in the worker alone, so its exit closes the pipe
-                self._workers.append((process, parent_end))
-        except BaseException:
-            self.stop()
-            raise
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.stop()
-
-    def send(self, start):
-        """Hand the trials their warm start ``start``: send it to each worker,
-        or keep it for ``collect`` when the trials run in this process."""
-        self._start = start
-        for process, conn in self._workers:
-            _exchange(process, conn.send, start)
-
-    def collect(self) -> list:
-        """Every trial's outcome, in trial order: the workers', or those of
-        the trials run here from the start ``send`` kept.  A worker that ends
-        without returning its outcomes raises ``ChildProcessError``."""
-        if not self._workers:
-            return self._trial(self.seeds, lambda: self._start)
-        outcomes = []
-        for process, conn in self._workers:
-            outcomes += _exchange(process, conn.recv)
-        for process, conn in self._workers:
-            conn.close()
-            process.join()
-        self._workers = []
-        return outcomes
-
-    def stop(self):
-        """Terminate and join the workers that are still running."""
-        for process, conn in self._workers:
-            conn.close()
-            process.terminate()
-        for process, _ in self._workers:
-            process.join()
-        self._workers = []
-
-
-def monte_carlo_uncertainty(workers: MonteCarloWorkers, trials: int):
+def monte_carlo_uncertainty(workers, trials: int):
     """Per-coefficient spread of the fitted chirps over the ``trials`` Monte
-    Carlo trials that ``workers`` run (``MonteCarloWorkers``) from the warm
-    start they were sent.  Results are collected in trial order, so they do
+    Carlo trials that ``workers``, a :class:`~biphoton.cpus.MonteCarloWorkers`,
+    run from the warm start they were sent.  Results are collected in trial order, so they do
     not depend on the worker count as long as a trial's outcome does not
     depend on its chunk.  The failed trials are logged at WARNING in trial
     order; more than ``MC_MAX_FAILED_SHARE`` (20%) of them raise ``FitError``.

@@ -15,9 +15,9 @@ through its SVD modes: all three gated planes (tw, wt and tt) are sums of
 squared centered FFTs of the state weighted by one mode per gated side, so no
 upconverted-frequency stack is ever built.  tt skips the mode pairs whose
 weight product is below the SVD's own relative cut, and the signal modes are
-summed in two fixed halves: on two threads through the retrieval's helper
-(``retrieve._helper``) where ``retrieve._two_cpus`` allows, else one after
-the other on the calling thread.
+summed in two fixed halves: on two threads through :func:`~biphoton.cpus.helper`
+where :func:`~biphoton.cpus.workers` grants two CPUs, else one after the
+other on the calling thread.
 """
 
 import json
@@ -39,7 +39,8 @@ from .grids import (
     transform_photon,
     unit_peak,
 )
-from .retrieve import MeasurementSet, _helper, _two_cpus
+from .cpus import helper, workers
+from .retrieve import MeasurementSet
 from .units import C_UM_FS, omega_to_wavelength
 
 logger = logging.getLogger("biphoton")
@@ -249,10 +250,9 @@ def _gated_planes(F, modes_s, modes_i):
     skips each pair with w_a w_b <= _MODE_CUT w_0 w_0', whose term carries at
     most 1e-12 of the largest pair's weight, as the per-side cut does for a
     single mode.  The signal modes are split into two fixed halves (even and
-    odd index), each summing its own partial tw and tt: ``retrieve._helper``
-    runs the even half on its helper thread while this one runs the odd half
-    and wt, or, where ``retrieve._two_cpus`` does not allow a thread, both
-    in turn on this one.  The halves and their sum depend neither on that
+    odd index), each summing its own partial tw and tt: ``cpus.helper`` runs
+    the even half on its helper thread while this one runs the odd half and
+    wt, or, where ``cpus.workers`` grants one CPU, both in turn on this one.  The halves and their sum depend neither on that
     choice nor on how the threads are scheduled, so neither does the result.
     The arrays are ifftshifted once on the way in and fftshifted once on the
     way out; on an untransformed axis the pair is the identity, for odd n
@@ -294,7 +294,7 @@ def _gated_planes(F, modes_s, modes_i):
             np.fft.fft(np.multiply(F0, v, out=Z), axis=1, out=Z)
             _add_abs2(wt, Z)
 
-    with _helper(_two_cpus()) as both:
+    with helper(workers(2) == 2) as both:
         both(partial(signal_half, 0), odd_half_and_wt)
     (_, _, tw, tt), (_, _, tw_odd, tt_odd) = halves
     tw += tw_odd

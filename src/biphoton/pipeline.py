@@ -11,13 +11,15 @@ from dataclasses import dataclass, fields, replace
 from functools import partial
 from typing import get_args
 
-from .analysis import MC_MAX_FAILED_SHARE, MonteCarloWorkers, PhaseFit, WitnessReport, fit_retrieved_phase
-from .analysis import monte_carlo_uncertainty, tbp_numeric
+from .analysis import MC_MAX_FAILED_SHARE, PhaseFit, WitnessReport, fit_retrieved_phase, monte_carlo_uncertainty
+from .analysis import tbp_numeric
+from .cpus import MonteCarloWorkers
 from .gating import GatePulse, GatingModel, RefractiveModel, check_peak_counts, kernel_grid
 from .gating import poissonize_set, simulate_measurements
 from .grids import FREQUENCY, ComplexGrid2D, IntensityGrid2D
 from .preprocess import PreprocessConfig, preprocess_grid
-from .retrieve import MeasurementSet, RetrievalConfig, RetrievalResult, run_retrieval, run_retrieval_stack
+from .retrieve import UNIT_PEAK_PLANES, MeasurementSet, RetrievalConfig, RetrievalResult, run_retrieval
+from .retrieve import run_retrieval_stack
 from .synth import SPAN_SIGMAS, GaussianStateParams, frequency_axes, synthesize_state
 from .units import wavelength_to_omega
 
@@ -254,12 +256,17 @@ def _refractive_table(cfg):
 
 def simulate(cfg: PipelineConfig):
     """Forward model: returns (raw MeasurementSet, ground-truth state).  The
-    gating model is built first, so a bad one fails before any work."""
+    gating model is built first, so a bad one fails before any work, and a
+    noisy draw with an all-zero ww or tt plane is refused."""
     gm = build_gating_model(cfg)
     truth = synthesize_state(cfg.state.params, cfg.state.n)
     raw = simulate_measurements(truth, gm)
     if cfg.poisson_peak_counts is not None:
         raw = poissonize_set(raw, cfg.poisson_peak_counts, cfg.seed)
+        for p in UNIT_PEAK_PLANES:
+            if not raw.grids()[p].values.max() > 0:
+                raise ValueError(f"noise.poisson_peak_counts ({cfg.poisson_peak_counts:g}) is too low: it drew an "
+                                 f"all-zero {p} plane, which the retrieval cannot scale to unit peak")
     return raw, truth
 
 
@@ -326,12 +333,12 @@ def _refuse_doomed_trials(raw: MeasurementSet, peak_counts: float):
     * sum(plane) / max(plane)) (every bin a Poisson draw scaled to the
     peak), so the expected share follows from the raw planes alone."""
     drawn = [1 - math.exp(-peak_counts * g.values.sum() / g.values.max()) if g.values.max() > 0 else 0.0
-             for g in (raw.i_ww, raw.i_tt)]
+             for g in map(raw.grids().get, UNIT_PEAK_PLANES)]
     share = 1 - drawn[0] * drawn[1]
     if share > MC_MAX_FAILED_SHARE:
         raise ValueError(f"analysis.monte_carlo.peak_counts ({peak_counts:g}) is too low: an expected {share:.0%} "
-                         "of the Monte Carlo trials would draw an all-zero ww or tt plane from the raw "
-                         f"measurements, above the {MC_MAX_FAILED_SHARE:.0%} at which the run fails")
+                         f"of the Monte Carlo trials would draw an all-zero {' or '.join(UNIT_PEAK_PLANES)} plane "
+                         f"from the raw measurements, above the {MC_MAX_FAILED_SHARE:.0%} at which the run fails")
 
 
 def analyze(jsa: ComplexGrid2D, constraints: MeasurementSet, cfg: AnalysisConfig) -> tuple:

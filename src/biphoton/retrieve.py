@@ -13,8 +13,8 @@ both axes into its slice of the stack, so each centered transform becomes one
 each state is ``fftshift``-ed back into a single
 :class:`~biphoton.grids.ComplexGrid2D`.  A stack of ``SPLIT_PIXELS`` pixels
 or more (from one 256 x 256 set) runs each iteration in halves on two threads
-when the process may run on two CPUs or more: the projections and the
-idler-axis transforms by rows, the signal-axis transforms by columns, with
+(``cpus.helper``) where ``cpus.workers`` grants two CPUs: the projections and
+the idler-axis transforms by rows, the signal-axis transforms by columns, with
 one hand-off at each change.  Every pixel is computed as in one piece, so
 the result does not depend on the split.  The unitary factors of the transforms
 (:func:`~biphoton.grids.dft_scale`) are not applied inside the loop: every
@@ -24,19 +24,18 @@ epsilon is applied to the physical field: a pixel whose ``|scale * array|``
 is below ``ZERO_MAGNITUDE_EPSILON`` takes phase 1.
 """
 
-import contextvars
 import math
-import os
-import sys
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
+from .cpus import helper, workers
 from .grids import FREQUENCY, ComplexGrid2D, IntensityGrid2D, conjugate_axis, dft_scale
 
 PLANES = ("ww", "wt", "tw", "tt")
+# the planes each set scales to unit peak: ww for the error history, tt for the final error
+UNIT_PEAK_PLANES = ("ww", "tt")
 ZERO_MAGNITUDE_EPSILON = 1e-12
 # pixels per stack from which an iteration is split over two CPUs: a lone
 # n = 256 set ran in 0.68 of the serial time, n = 128 in 1.07 of it
@@ -199,80 +198,14 @@ def _load(m: MeasurementSet, start: ComplexGrid2D, g, amp, m_hat, tt_hat):
     grids = m.grids()
     for p, a in amp.items():
         np.sqrt(np.fft.ifftshift(grids[p].values), out=a)
-    for hat, p in ((m_hat, "ww"), (tt_hat, "tt")):
+    for hat, p in zip((m_hat, tt_hat), UNIT_PEAK_PLANES):
         hat[...] = _unit_peak(np.fft.ifftshift(grids[p].values))
-
-
-def _cpu_count():
-    """CPUs this process may run on: its affinity mask, else os.cpu_count()."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        return os.cpu_count() or 1
-
-
-def _two_cpus():
-    """Whether work may run in two halves on two threads: the process's
-    affinity mask holds two CPUs or more, and it is not a multiprocessing
-    child such as a forked Monte Carlo worker, whose pool already runs one
-    worker per CPU."""
-    if _cpu_count() < 2:
-        return False
-    multiprocessing = sys.modules.get("multiprocessing")  # a child has it loaded
-    return multiprocessing is None or multiprocessing.parent_process() is None
 
 
 def _splits(pixels):
     """Whether each iteration over a stack of ``pixels`` pixels runs in two
-    halves on two threads: from ``SPLIT_PIXELS`` up, where :func:`_two_cpus`."""
-    return pixels >= SPLIT_PIXELS and _two_cpus()
-
-
-@contextmanager
-def _helper(active):
-    """Yields ``both(there, here)``, which calls ``there()`` on a helper
-    thread while ``here()`` runs on this one and returns once both have
-    ended; without ``active`` it calls them in that order on this thread and
-    no thread starts.  The helper runs in a copy of this thread's context,
-    so the caller's ``np.errstate`` holds there too; an exception of either
-    call is raised here, and leaving the block joins the helper, so no
-    caller forks beside it.  Each hand-off is one put and one get on a pair
-    of queues, which took 0.91 of the time of a thread pool's submit and
-    result at n = 256."""
-    if not active:
-        yield lambda there, here: (there(), here())
-        return
-    # imported here so that importing biphoton starts no thread machinery
-    import queue
-    import threading
-
-    jobs, outcomes = queue.SimpleQueue(), queue.SimpleQueue()
-
-    def serve():
-        while (there := jobs.get()) is not None:
-            try:
-                there()
-            except BaseException as exc:  # noqa: BLE001 - raised again on the calling thread
-                outcomes.put(exc)
-            else:
-                outcomes.put(None)
-
-    def both(there, here):
-        jobs.put(there)
-        try:
-            here()
-        finally:
-            exc = outcomes.get()  # there() has ended
-        if exc is not None:
-            raise exc
-
-    helper = threading.Thread(target=contextvars.copy_context().run, args=(serve,), name="biphoton-helper")
-    helper.start()
-    try:
-        yield both
-    finally:
-        jobs.put(None)
-        helper.join()
+    halves on two threads: from ``SPLIT_PIXELS`` up, on two CPUs."""
+    return pixels >= SPLIT_PIXELS and workers(2) == 2
 
 
 def run_retrieval_stack(sets, cfg: RetrievalConfig, starts) -> list:
@@ -364,7 +297,7 @@ def run_retrieval_stack(sets, cfg: RetrievalConfig, starts) -> list:
         -1: ((..., slice(cols)), (..., slice(cols, None))),
     }
 
-    with np.errstate(over="ignore", invalid="ignore"), _helper(split) as both:
+    with np.errstate(over="ignore", invalid="ignore"), helper(split) as both:
         for k in range(cfg.iterations):
             for plane, factor in factors:
                 if plane in amp:

@@ -44,10 +44,12 @@ def frequency_axes(p: GaussianStateParams, n: int = 64, span_sigmas: float = SPA
     """The signal and idler axes of the state's n x n frequency grid, each
     spanning +/- span_sigmas * sigma around its center.  The one grid rule:
     ``ParameterError`` names an n that is not a power of two >= 16, a
-    span_sigmas below 6, and a photon whose samples center + (k - n//2) *
-    step are not distinct floats, are spaced more than ``STEP_TOLERANCE`` of
-    the step off it, or whose delay step 2 pi / width is not finite, checked
-    before ``Axis`` would refuse a step of 0 unnamed."""
+    span_sigmas below 6, and a photon whose outermost offset (n//2) * step
+    squares to inf (checked before any numpy arithmetic can warn), whose
+    samples center + (k - n//2) * step are not distinct floats, are spaced
+    more than ``STEP_TOLERANCE`` of the step off it, or whose delay step
+    2 pi / width is not finite, checked before ``Axis`` would refuse a step
+    of 0 unnamed."""
     if n < 16 or n & (n - 1):
         raise ParameterError("state.n must be a power of two >= 16")
     if span_sigmas < 6:
@@ -56,6 +58,10 @@ def frequency_axes(p: GaussianStateParams, n: int = 64, span_sigmas: float = SPA
     for photon, x in ((SIGNAL, "s"), (IDLER, "i")):
         sigma, center = getattr(p, f"sigma_{x}"), getattr(p, f"center_{x}")
         step = 2 * span_sigmas * sigma / n
+        edge = n // 2 * step
+        if not math.isfinite(edge * edge):  # the state's Gaussian and chirp square every offset
+            raise ParameterError(f"state.sigma_{x} ({sigma:g} rad/fs) is too wide for a frequency grid: its outermost "
+                                 f"offset from state.center_{x}, {span_sigmas:g} state.sigma_{x}, squares to inf")
         spacing, width = np.diff(center + (np.arange(n) - n // 2) * step), n * step
         narrow = (f"state.sigma_{x} ({sigma:g} rad/fs) is too narrow for a frequency grid at "
                   f"state.center_{x} ({center:g} rad/fs)")

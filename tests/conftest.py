@@ -1,3 +1,4 @@
+import multiprocessing
 import threading
 
 import numpy as np
@@ -30,3 +31,13 @@ def no_thread(monkeypatch):
         raise RuntimeError("no thread")
 
     monkeypatch.setattr(threading.Thread, "start", refused)
+
+
+@pytest.fixture
+def no_process(monkeypatch):
+    """Starting a ``multiprocessing`` process raises RuntimeError('no process')."""
+
+    def refused(self):
+        raise RuntimeError("no process")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refused)

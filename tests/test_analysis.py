@@ -20,8 +20,6 @@ from biphoton import pipeline, retrieve
 from biphoton.analysis import (
     _MONOMIALS,
     FitError,
-    MonteCarloWorkers,
-    _cpu_count,
     fit_phase_poly,
     fit_retrieved_phase,
     monte_carlo_uncertainty,
@@ -29,6 +27,7 @@ from biphoton.analysis import (
     tbp_numeric,
     unwrap_phase_2d,
 )
+from biphoton.cpus import MonteCarloWorkers
 from biphoton.gating import GatingModel, poissonize_set, simulate_measurements
 from biphoton.pipeline import (
     AnalysisConfig,
@@ -350,11 +349,6 @@ def _trials(raw, cfg, start, seeds):
     return pipeline._mc_trials(raw, cfg, seeds, lambda: start)
 
 
-def test_cpu_count_without_affinity_mask(monkeypatch):
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    assert _cpu_count() == (os.cpu_count() or 1)
-
-
 def test_monte_carlo_results_do_not_depend_on_workers(mc_case, monkeypatch):
     raw, cfg, start = mc_case
     results = {}
@@ -600,7 +594,7 @@ def test_monte_carlo_workers_exit_when_their_caller_dies():
     # dies with the caller and a worker waiting for its start gets EOF
     code = (
         "import os\n"
-        "from biphoton.analysis import MonteCarloWorkers\n"
+        "from biphoton.cpus import MonteCarloWorkers\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
         "workers = MonteCarloWorkers(lambda seeds, start: [start()] * len(seeds), 4, 0)\n"
         "print(*(process.pid for process, _ in workers._workers), flush=True)\n"
@@ -623,7 +617,7 @@ def test_monte_carlo_workers_leave_an_interrupt_to_their_caller():
     # the workers, and only the caller reports the interrupt
     code = (
         "import multiprocessing, os, time\n"
-        "from biphoton.analysis import MonteCarloWorkers\n"
+        "from biphoton.cpus import MonteCarloWorkers\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
         "running = multiprocessing.get_context('fork').Semaphore(0)\n"
         "def trial(seeds, start):\n"

@@ -593,6 +593,19 @@ def test_doomed_monte_carlo_counts_exit_2_before_the_trials(runner, tmp_path, mo
     assert not run.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "pipeline"])
+def test_all_zero_nominal_draw_exits_2_before_writing(runner, tmp_path, monkeypatch, command):
+    # 5e-324 peak counts draw all-zero planes: refused after the draw, before preprocessing
+    monkeypatch.setattr(pl, "preprocess_set", _no_work)
+    manifest = {"state": {"n": 32}, "gating": {"ideal": True}, "noise": {"poisson_peak_counts": 5e-324}}
+    out = tmp_path / "out"
+    res = runner.invoke(main, [command, "--manifest", _write_manifest(tmp_path, manifest), "--out", str(out)])
+    assert res.exit_code == EXIT_BAD_CONFIG, res.output
+    assert res.output == ("error: noise.poisson_peak_counts (4.94066e-324) is too low: it drew an all-zero ww "
+                          "plane, which the retrieval cannot scale to unit peak\n")
+    assert not out.exists()
+
+
 def test_monte_carlo_counts_below_the_failure_share_run(runner, tmp_path, caplog):
     # chirped at 0.2 peak counts: 11% of the trials are expected to fail, and
     # trial 4 of 6 does; the run exits 0 with its warning
@@ -1107,6 +1120,8 @@ ULPS_APART_GRID_ERROR = (
     "state.sigma_s (1e-15 rad/fs) is too narrow for a frequency grid at state.center_s (2.289 rad/fs): its samples "
     "are spaced up to 0.33 of its step (1e-15 rad/fs) off that step, more than 1e-06"
 )
+WIDE_GRID_ERROR = ("state.sigma_s ({} rad/fs) is too wide for a frequency grid: its outermost offset from "
+                   "state.center_s, 8 state.sigma_s, squares to inf")
 SUBNORMAL_GRID_ERROR = (
     "state.sigma_{x} (4.94066e-324 rad/fs) is too narrow for a frequency grid at state.center_{x} ({center} rad/fs): "
     "its 32 samples must be distinct floats, and 2 pi over its width (0 rad/fs) a finite delay step"
@@ -1167,12 +1182,15 @@ SUBNORMAL_GRID_ERROR = (
      SUBNORMAL_GRID_ERROR.format(x="i", center="2.574")),
     # distinct samples a few ulps of the center apart: their spacing is 33% off the step
     ({"state": {"n": 16, "sigma_s": 1e-15}, "retrieval": {"iterations": 20}}, ULPS_APART_GRID_ERROR),
+    # the outermost offset squares to inf, or the step itself overflows: no numpy warning first
+    ({"state": {"n": 16, "sigma_s": 1e300, "center_i": 1000}}, WIDE_GRID_ERROR.format("1e+300")),
+    ({"state": {"n": 16, "sigma_s": 1.7e308}}, WIDE_GRID_ERROR.format("1.7e+308")),
 ], ids=["grid_n_mismatch", "gated_n48", "gate_center_out_of_range", "spectrometer_wider_than_grid",
         "signal_grid_out_of_range", "table_at_path_gate_center_out_of_range", "missing_table",
         "gate_sigma_1e300", "gate_sigma_1e-300_l1000", "gate_sigma_1e-160_preprocessed",
         "gate_sigma_below_kernel_step_l1000", "collapsed_grid_l0", "collapsed_grid_ideal", "collapsed_signal_grid",
         "collapsed_grid_l1000", "zero_center_grid_infinite_delay_step", "subnormal_sigma_s", "subnormal_sigma_i",
-        "ulps_apart_grid"])
+        "ulps_apart_grid", "wide_grid_squares_to_inf", "wide_grid_step_overflows"])
 def test_bad_manifest_fails_before_any_work(runner, tmp_path, monkeypatch, command, manifest, message):
     monkeypatch.chdir(tmp_path)  # a relative refractive_table_path is read from the working directory
     (tmp_path / "table.json").write_text(resources.files("biphoton.data").joinpath("bibo_sellmeier.json").read_text())

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from biphoton import pipeline
-from biphoton.analysis import MonteCarloWorkers
+from biphoton.cpus import MonteCarloWorkers
 from biphoton.grids import ComplexGrid2D
 from biphoton.pipeline import (
     GATE_SIGMA_MIN_PREPROCESSED,
@@ -302,6 +302,8 @@ def test_from_manifest_rejects_bad_retrieval_settings(manifest, message):
 
 
 ALPHA_SIGN_RULE = "preprocess.alpha must be positive: the Wiener filter divides by G**2 + alpha"
+WIDE_GRID_ERROR = ("state.sigma_{} ({} rad/fs) is too wide for a frequency grid: its outermost offset from "
+                   "state.center_{}, 8 state.sigma_{}, squares to inf")
 
 
 @pytest.mark.parametrize("manifest, message", [
@@ -316,6 +318,10 @@ ALPHA_SIGN_RULE = "preprocess.alpha must be positive: the Wiener filter divides 
     ({"preprocess": {"alpha": -1}}, ALPHA_SIGN_RULE),
     # its square bounds the mask's Mahalanobis distance
     ({"analysis": {"mask_sigma": 1.7e308}}, "analysis.mask_sigma (1.7e+308) is too large: its square overflows"),
+    # the state's Gaussian and chirp square every grid offset
+    ({"state": {"n": 16, "sigma_s": 1e300, "center_i": 1000}}, WIDE_GRID_ERROR.format("s", "1e+300", "s", "s")),
+    ({"state": {"n": 16, "sigma_s": 1.7e308}}, WIDE_GRID_ERROR.format("s", "1.7e+308", "s", "s")),
+    ({"state": {"sigma_i": 1e160}}, WIDE_GRID_ERROR.format("i", "1e+160", "i", "i")),
     # at or above the frequency grid's full width (16 sigma per axis)
     ({"state": {"n": 32}, "gating": {"spectrometer_sigma": 1e9}},
      "gating.spectrometer_sigma (1e+09 rad/fs) must be below the frequency grid's full width, "
@@ -383,6 +389,38 @@ def test_from_manifest_accepts_null_where_optional():
         "gating": {"refractive_table_path": None},
     })
     assert cfg == PipelineConfig()
+
+
+ZERO_DRAW_ERROR = ("noise.poisson_peak_counts ({}) is too low: it drew an all-zero {} plane, which the retrieval "
+                   "cannot scale to unit peak")
+
+
+@pytest.mark.parametrize("plane, refused", [("ww", True), ("tt", True), ("wt", False)])
+def test_simulate_refuses_a_noisy_draw_that_zeroes_a_unit_peak_plane(monkeypatch, plane, refused):
+    # the retrieval scales ww and tt to unit peak; an all-zero wt or tw plane is data
+    poissonize = pipeline.poissonize_set
+
+    def zeroed(m, counts, seed):
+        noisy = poissonize(m, counts, seed)
+        grid = noisy.grids()[plane]
+        return replace(noisy, **{f"i_{plane}": grid.with_values(np.zeros_like(grid.values))})
+
+    monkeypatch.setattr(pipeline, "poissonize_set", zeroed)
+    cfg = PipelineConfig.from_manifest({"state": {"n": 16}, "gating": {"ideal": True},
+                                        "noise": {"poisson_peak_counts": 1e4}})
+    if not refused:
+        assert not simulate(cfg)[0].i_wt.values.any()
+        return
+    with pytest.raises(ValueError) as exc:
+        simulate(cfg)
+    assert str(exc.value) == ZERO_DRAW_ERROR.format("10000", plane)
+
+
+def test_simulate_refuses_peak_counts_that_draw_all_zero_planes():
+    cfg = PipelineConfig.from_manifest({"state": {"n": 16}, "noise": {"poisson_peak_counts": 5e-324}})
+    with pytest.raises(ValueError) as exc:
+        simulate(cfg)
+    assert str(exc.value) == ZERO_DRAW_ERROR.format("4.94066e-324", "ww")
 
 
 @pytest.mark.parametrize("counts", [0, 0.0, -5])
