@@ -1,7 +1,10 @@
 """Command-line interface.
 
 Subcommands: ``simulate``, ``preprocess``, ``retrieve``, ``analyze``,
-``pipeline``.  All grid files use the Grid JSON format; manifests are JSON.
+``pipeline``.  All grid files use the Grid JSON format of ``grids.grid_to_json``
+(the axes, and in ``values_b64`` base64 of the row-major little-endian
+values; a file in the earlier ``values_re``/``values_im`` list form is still
+read); manifests are JSON.
 Every command maps errors to the same exit codes: 2 invalid configuration,
 missing input or memory exhaustion, 3 retrieval produced non-finite values,
 4 phase fit failed (also when more than 20% of the Monte Carlo trials fail),

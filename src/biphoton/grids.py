@@ -11,6 +11,7 @@ conjugate domain of the axis it acts on: time from frequency, frequency from
 time.
 """
 
+import binascii
 import json
 import math
 from contextlib import contextmanager
@@ -230,29 +231,54 @@ def _axis_from_json(d):
     )
 
 
+# the byte layout of values_b64 for each grid kind: little-endian, whatever the machine
+_FILE_DTYPES = {"complex": np.dtype("<c16"), "intensity": np.dtype("<f8")}
+
+
 def grid_to_json(g) -> dict:
-    doc = {
-        "kind": "complex" if isinstance(g, ComplexGrid2D) else "intensity",
+    """The grid's Grid JSON document; ``values_b64`` holds base64 of its
+    row-major values as little-endian float64 or complex128."""
+    kind = "complex" if isinstance(g, ComplexGrid2D) else "intensity"
+    values = np.ascontiguousarray(g.values, dtype=_FILE_DTYPES[kind])
+    return {
+        "kind": kind,
         "axis_s": _axis_to_json(g.axis_s),
         "axis_i": _axis_to_json(g.axis_i),
-        "values_re": np.real(g.values).ravel().tolist(),
+        "values_b64": binascii.b2a_base64(values, newline=False).decode("ascii"),
     }
-    if isinstance(g, ComplexGrid2D):
-        doc["values_im"] = np.imag(g.values).ravel().tolist()
-    return doc
+
+
+def _decoded_values(payload, shape, dtype):
+    if not isinstance(payload, str):
+        raise TypeError(f"values_b64 must be a string, not {type(payload).__name__}")
+    try:
+        raw = binascii.a2b_base64(payload, strict_mode=True)
+    except ValueError as exc:
+        raise ValueError(f"values_b64 is not base64: {exc}") from None
+    size = shape[0] * shape[1] * dtype.itemsize
+    if len(raw) != size:
+        raise ValueError(f"values_b64 holds {len(raw)} bytes, not the {size} of {shape[0]} x {shape[1]} values "
+                         f"of {dtype.itemsize} bytes")
+    return np.frombuffer(raw, dtype).reshape(shape)
 
 
 def grid_from_json(doc):
+    """The grid of a Grid JSON document.  One without ``values_b64`` but with
+    ``values_re`` (and, when complex, ``values_im``) is read in the earlier
+    list form."""
     axis_s = _axis_from_json(doc["axis_s"])
     axis_i = _axis_from_json(doc["axis_i"])
     shape = (axis_s.count, axis_i.count)
-    re = np.asarray(doc["values_re"], dtype=float).reshape(shape)
-    if doc["kind"] == "complex":
-        im = np.asarray(doc["values_im"], dtype=float).reshape(shape)
-        return ComplexGrid2D(axis_s, axis_i, re + 1j * im)
-    if doc["kind"] != "intensity":
-        raise ValueError(f"unknown grid kind {doc['kind']!r}")
-    return IntensityGrid2D(axis_s, axis_i, re)
+    kind = doc["kind"]
+    if kind not in _FILE_DTYPES:
+        raise ValueError(f"unknown grid kind {kind!r}")
+    cls = ComplexGrid2D if kind == "complex" else IntensityGrid2D
+    if "values_b64" in doc or "values_re" not in doc:
+        return cls(axis_s, axis_i, _decoded_values(doc["values_b64"], shape, _FILE_DTYPES[kind]))
+    values = np.asarray(doc["values_re"], dtype=float).reshape(shape)
+    if kind == "complex":
+        values = values + 1j * np.asarray(doc["values_im"], dtype=float).reshape(shape)
+    return cls(axis_s, axis_i, values)
 
 
 def write_json(path, doc, indent=None):

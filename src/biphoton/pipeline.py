@@ -254,19 +254,26 @@ def _refractive_table(cfg):
     return table
 
 
+def _refuse_zero_planes(m: MeasurementSet, cause: str):
+    """Refuse an all-zero ww or tt plane, which the retrieval cannot scale to
+    unit peak; ``cause`` names the key that zeroed it."""
+    for p in UNIT_PEAK_PLANES:
+        if not m.grids()[p].values.max() > 0:
+            raise ValueError(f"{cause} an all-zero {p} plane, which the retrieval cannot scale to unit peak")
+
+
 def simulate(cfg: PipelineConfig):
     """Forward model: returns (raw MeasurementSet, ground-truth state).  The
-    gating model is built first, so a bad one fails before any work, and a
-    noisy draw with an all-zero ww or tt plane is refused."""
+    gating model is built first, so a bad one fails before any work, and an
+    all-zero ww or tt plane is refused: one that phase matching over the
+    crystal zeroes, and one that a noisy draw zeroes."""
     gm = build_gating_model(cfg)
     truth = synthesize_state(cfg.state.params, cfg.state.n)
     raw = simulate_measurements(truth, gm)
+    _refuse_zero_planes(raw, f"gating.crystal_length_um ({cfg.gating.crystal_length_um:g} um) is too long: it gives")
     if cfg.poisson_peak_counts is not None:
         raw = poissonize_set(raw, cfg.poisson_peak_counts, cfg.seed)
-        for p in UNIT_PEAK_PLANES:
-            if not raw.grids()[p].values.max() > 0:
-                raise ValueError(f"noise.poisson_peak_counts ({cfg.poisson_peak_counts:g}) is too low: it drew an "
-                                 f"all-zero {p} plane, which the retrieval cannot scale to unit peak")
+        _refuse_zero_planes(raw, f"noise.poisson_peak_counts ({cfg.poisson_peak_counts:g}) is too low: it drew")
     return raw, truth
 
 

@@ -45,23 +45,26 @@ def frequency_axes(p: GaussianStateParams, n: int = 64, span_sigmas: float = SPA
     spanning +/- span_sigmas * sigma around its center.  The one grid rule:
     ``ParameterError`` names an n that is not a power of two >= 16, a
     span_sigmas below 6, and a photon whose outermost offset (n//2) * step
-    squares to inf (checked before any numpy arithmetic can warn), whose
-    samples center + (k - n//2) * step are not distinct floats, are spaced
-    more than ``STEP_TOLERANCE`` of the step off it, or whose delay step
-    2 pi / width is not finite, checked before ``Axis`` would refuse a step
-    of 0 unnamed."""
+    squares or cubes to inf (checked before any numpy arithmetic can warn),
+    whose samples center + (k - n//2) * step are not distinct floats, are
+    spaced more than ``STEP_TOLERANCE`` of the step off it, or whose delay
+    step 2 pi / width is not finite, checked before ``Axis`` would refuse a
+    step of 0 unnamed; then the chirps whose phase at the grid's corner,
+    |chirp_s| edge_s**2 + |chirp_i| edge_i**2, is not a finite float."""
     if n < 16 or n & (n - 1):
         raise ParameterError("state.n must be a power of two >= 16")
     if span_sigmas < 6:
         raise ParameterError("span_sigmas must be >= 6")
-    axes = []
+    axes, phases = [], {}
     for photon, x in ((SIGNAL, "s"), (IDLER, "i")):
         sigma, center = getattr(p, f"sigma_{x}"), getattr(p, f"center_{x}")
         step = 2 * span_sigmas * sigma / n
         edge = n // 2 * step
-        if not math.isfinite(edge * edge):  # the state's Gaussian and chirp square every offset
+        # the state's Gaussian and chirp square every offset, the phase fit's degree-3 monomials cube it
+        if not math.isfinite(edge * edge * edge):
+            power = "squares to inf" if not math.isfinite(edge * edge) else "cubes to inf in the degree-3 phase fit"
             raise ParameterError(f"state.sigma_{x} ({sigma:g} rad/fs) is too wide for a frequency grid: its outermost "
-                                 f"offset from state.center_{x}, {span_sigmas:g} state.sigma_{x}, squares to inf")
+                                 f"offset from state.center_{x}, {span_sigmas:g} state.sigma_{x}, {power}")
         spacing, width = np.diff(center + (np.arange(n) - n // 2) * step), n * step
         narrow = (f"state.sigma_{x} ({sigma:g} rad/fs) is too narrow for a frequency grid at "
                   f"state.center_{x} ({center:g} rad/fs)")
@@ -73,6 +76,13 @@ def frequency_axes(p: GaussianStateParams, n: int = 64, span_sigmas: float = SPA
             raise ParameterError(f"{narrow}: its samples are spaced up to {off:.2g} of its step ({step:g} rad/fs) "
                                  f"off that step, more than {STEP_TOLERANCE:g}")
         axes.append(Axis(FREQUENCY, photon, center, step, n))
+        phases[x] = abs(float(getattr(p, f"chirp_{x}"))) * edge * edge  # a float overflows to inf without a warning
+    if not math.isfinite(phases["s"] + phases["i"]):  # apply_chirp's phase at the grid's corner
+        named = [x for x in "si" if not math.isfinite(phases[x])] or ["s", "i"]
+        what = " and ".join(f"state.chirp_{x} ({getattr(p, f'chirp_{x}'):g} fs^2)" for x in named)
+        raise ParameterError(f"{what} {'is' if len(named) == 1 else 'are'} too large for the frequency grid: its "
+                             f"corner phase |state.chirp_s| ({span_sigmas:g} state.sigma_s)**2 + |state.chirp_i| "
+                             f"({span_sigmas:g} state.sigma_i)**2 overflows")
     return tuple(axes)
 
 

@@ -1,5 +1,6 @@
 """CLI contracts: the subcommand chain, exit codes, determinism."""
 
+import base64
 import contextlib
 import json
 import logging
@@ -222,10 +223,19 @@ def test_malformed_grid_file_exit_code(runner, tmp_path, command):
         "retrieve", "--measurements", str(sim / "measurements.json"), "--iterations", "5", "--out", result_path,
     ])
     grid = json.loads((sim / "i_tt.json").read_text())
+    legacy = {key: value for key, value in grid.items() if key != "values_b64"}
+    payload = grid["values_b64"]
     documents = {
         "{}": " has no key 'axis_s'",
         "[]": ": list indices must be integers or slices, not str",
-        json.dumps(dict(grid, values_re=[0.0] * 5)): ": cannot reshape array of size 5 into shape (32,32)",
+        json.dumps(dict(legacy, values_re=[0.0] * 5)): ": cannot reshape array of size 5 into shape (32,32)",
+        json.dumps(dict(grid, values_b64=payload[:-4])):
+            ": values_b64 holds 8190 bytes, not the 8192 of 32 x 32 values of 8 bytes",
+        json.dumps(dict(grid, values_b64="!" + payload[1:])): ": values_b64 is not base64: Only base64 data is allowed",
+        json.dumps(dict(grid, values_b64=[0.0] * 5)): ": values_b64 must be a string, not list",
+        json.dumps(dict(grid, values_b64=base64.b64encode(np.full(32 * 32, np.nan).tobytes()).decode())):
+            ": grid contains non-finite values",
+        json.dumps(legacy): " has no key 'values_b64'",
         json.dumps(dict(grid, kind="weird")): ": unknown grid kind 'weird'",
         (sim / "truth.json").read_text(): ": i_tt must be an intensity grid, not complex",
     }
@@ -603,6 +613,22 @@ def test_all_zero_nominal_draw_exits_2_before_writing(runner, tmp_path, monkeypa
     assert res.exit_code == EXIT_BAD_CONFIG, res.output
     assert res.output == ("error: noise.poisson_peak_counts (4.94066e-324) is too low: it drew an all-zero ww "
                           "plane, which the retrieval cannot scale to unit peak\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "pipeline"])
+@pytest.mark.parametrize("length", [1e100, 1e300])
+def test_all_zero_noiseless_plane_exits_2_before_writing(runner, tmp_path, monkeypatch, command, length):
+    # phase matching over a crystal this long leaves an all-zero tt plane (at
+    # 1e300 um wt and tw too): refused after the simulation, before preprocessing
+    monkeypatch.setattr(pl, "preprocess_set", _no_work)
+    manifest = {"state": {"n": 16}, "gating": {"crystal_length_um": length}}
+    out = tmp_path / "out"
+    res = runner.invoke(main, [command, "--manifest", _write_manifest(tmp_path, manifest), "--out", str(out)])
+    assert res.exit_code == EXIT_BAD_CONFIG, res.output
+    assert res.output.splitlines()[-1] == (f"error: gating.crystal_length_um ({length:g} um) is too long: it gives "
+                                           "an all-zero tt plane, which the retrieval cannot scale to unit peak")
+    assert res.output.count("error:") == 1
     assert not out.exists()
 
 
@@ -1122,6 +1148,10 @@ ULPS_APART_GRID_ERROR = (
 )
 WIDE_GRID_ERROR = ("state.sigma_s ({} rad/fs) is too wide for a frequency grid: its outermost offset from "
                    "state.center_s, 8 state.sigma_s, squares to inf")
+WIDE_GRID_CUBE_ERROR = ("state.sigma_{x} ({} rad/fs) is too wide for a frequency grid: its outermost offset from "
+                        "state.center_{x}, 8 state.sigma_{x}, cubes to inf in the degree-3 phase fit")
+CHIRP_ERROR = ("{} too large for the frequency grid: its corner phase |state.chirp_s| (8 state.sigma_s)**2 + "
+               "|state.chirp_i| (8 state.sigma_i)**2 overflows")
 SUBNORMAL_GRID_ERROR = (
     "state.sigma_{x} (4.94066e-324 rad/fs) is too narrow for a frequency grid at state.center_{x} ({center} rad/fs): "
     "its 32 samples must be distinct floats, and 2 pi over its width (0 rad/fs) a finite delay step"
@@ -1185,12 +1215,23 @@ SUBNORMAL_GRID_ERROR = (
     # the outermost offset squares to inf, or the step itself overflows: no numpy warning first
     ({"state": {"n": 16, "sigma_s": 1e300, "center_i": 1000}}, WIDE_GRID_ERROR.format("1e+300")),
     ({"state": {"n": 16, "sigma_s": 1.7e308}}, WIDE_GRID_ERROR.format("1.7e+308")),
+    # the phase fit's degree-3 monomials cube the outermost offset: no overflow warning after the run
+    ({"state": {"n": 16, "sigma_s": 1e150}, "retrieval": {"iterations": 3}},
+     WIDE_GRID_CUBE_ERROR.format("1e+150", x="s")),
+    ({"state": {"n": 16, "sigma_i": 1e153}, "retrieval": {"iterations": 3}},
+     WIDE_GRID_CUBE_ERROR.format("1e+153", x="i")),
+    # the chirp phase overflows in one term, or only in their sum at the grid's corner
+    ({"state": {"n": 16, "sigma_i": 1, "chirp_i": 1.7e308}, "retrieval": {"iterations": 3}},
+     CHIRP_ERROR.format("state.chirp_i (1.7e+308 fs^2) is")),
+    ({"state": {"n": 16, "sigma_s": 1, "sigma_i": 1, "chirp_s": -2e306, "chirp_i": -2e306}},
+     CHIRP_ERROR.format("state.chirp_s (-2e+306 fs^2) and state.chirp_i (-2e+306 fs^2) are")),
 ], ids=["grid_n_mismatch", "gated_n48", "gate_center_out_of_range", "spectrometer_wider_than_grid",
         "signal_grid_out_of_range", "table_at_path_gate_center_out_of_range", "missing_table",
         "gate_sigma_1e300", "gate_sigma_1e-300_l1000", "gate_sigma_1e-160_preprocessed",
         "gate_sigma_below_kernel_step_l1000", "collapsed_grid_l0", "collapsed_grid_ideal", "collapsed_signal_grid",
         "collapsed_grid_l1000", "zero_center_grid_infinite_delay_step", "subnormal_sigma_s", "subnormal_sigma_i",
-        "ulps_apart_grid", "wide_grid_squares_to_inf", "wide_grid_step_overflows"])
+        "ulps_apart_grid", "wide_grid_squares_to_inf", "wide_grid_step_overflows", "wide_grid_cubes_to_inf",
+        "wide_idler_grid_cubes_to_inf", "chirp_phase_overflows", "chirp_phase_sum_overflows"])
 def test_bad_manifest_fails_before_any_work(runner, tmp_path, monkeypatch, command, manifest, message):
     monkeypatch.chdir(tmp_path)  # a relative refractive_table_path is read from the working directory
     (tmp_path / "table.json").write_text(resources.files("biphoton.data").joinpath("bibo_sellmeier.json").read_text())

@@ -1,5 +1,6 @@
 """Axes, transforms, and Grid JSON serialization."""
 
+import base64
 import json
 import pickle
 import re
@@ -228,10 +229,76 @@ def test_grid_json_schema_fields(random_complex_grid):
     doc = grid_to_json(random_complex_grid)
     assert doc["kind"] == "complex"
     assert doc["axis_s"]["units"] == "rad/fs"
-    assert len(doc["values_re"]) == 32 * 32
-    assert len(doc["values_im"]) == 32 * 32
+    assert "values_re" not in doc and "values_im" not in doc
+    values = np.frombuffer(base64.b64decode(doc["values_b64"], validate=True), dtype="<c16")
+    assert len(values) == 32 * 32
     # row-major layout: element [j, k] at index j*count_i + k
-    assert doc["values_re"][1] == pytest.approx(random_complex_grid.values[0, 1].real)
+    assert values[1] == random_complex_grid.values[0, 1]
+    intensity = grid_to_json(random_complex_grid.intensity())
+    assert len(base64.b64decode(intensity["values_b64"], validate=True)) == 32 * 32 * 8
+
+
+def _legacy_grid_to_json(g):
+    """The Grid JSON writer before ``values_b64``: the real and imaginary parts
+    as row-major lists of floats, the reference that the reader still takes."""
+    doc = {
+        "kind": "complex" if isinstance(g, ComplexGrid2D) else "intensity",
+        "axis_s": grids._axis_to_json(g.axis_s),
+        "axis_i": grids._axis_to_json(g.axis_i),
+        "values_re": np.real(g.values).ravel().tolist(),
+    }
+    if isinstance(g, ComplexGrid2D):
+        doc["values_im"] = np.imag(g.values).ravel().tolist()
+    return doc
+
+
+# signed zeros, the smallest subnormals and the largest magnitudes the manifests take
+EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308]
+
+
+def _bits(values):
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+def _extreme_grids():
+    ax_s, ax_i = Axis(FREQUENCY, SIGNAL, 2.0, 0.01, 33), Axis(FREQUENCY, IDLER, 2.5, 0.02, 31)
+    rng = np.random.default_rng(11)
+    v = rng.standard_normal((33, 31)) + 1j * rng.standard_normal((33, 31))
+    v[0, : len(EXTREMES)] = np.array(EXTREMES) + 1j * np.array(EXTREMES[::-1])
+    g = ComplexGrid2D(ax_s, ax_i, v)
+    # a grid may hold Fortran-ordered values; the file is row-major either way
+    transposed = ComplexGrid2D(ax_s, ax_i, np.asfortranarray(v))
+    assert transposed.values.flags.f_contiguous
+    return [g, transposed, IntensityGrid2D(ax_s, ax_i, v.real), IntensityGrid2D(ax_s, ax_i, v.imag)]
+
+
+@pytest.mark.parametrize("index", range(4), ids=["complex", "fortran_ordered", "intensity_re", "intensity_im"])
+def test_grid_json_round_trip_is_bitwise(tmp_path, index):
+    g = _extreme_grids()[index]
+    path = tmp_path / "g.json"
+    save_grid(path, g)
+    h = load_grid(path)
+    assert type(h) is type(g) and (h.axis_s, h.axis_i) == (g.axis_s, g.axis_i)
+    assert np.array_equal(_bits(h.values), _bits(g.values))
+    assert not h.values.flags.writeable
+
+
+@pytest.mark.parametrize("index", range(4), ids=["complex", "fortran_ordered", "intensity_re", "intensity_im"])
+def test_legacy_grid_json_decodes_to_the_same_values(index):
+    g = _extreme_grids()[index]
+    legacy = grid_from_json(json.loads(json.dumps(_legacy_grid_to_json(g))))
+    current = grid_from_json(json.loads(json.dumps(grid_to_json(g))))
+    assert type(legacy) is type(current) is type(g)
+    assert (legacy.axis_s, legacy.axis_i) == (current.axis_s, current.axis_i)
+    assert np.array_equal(_bits(legacy.values), _bits(current.values))
+
+
+def test_grid_json_payload_is_half_the_legacy_size(small_axes):
+    rng = np.random.default_rng(5)
+    g = ComplexGrid2D(*small_axes, rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32)))
+    for grid in (g, g.intensity()):
+        current, legacy = (len(json.dumps(f(grid))) for f in (grid_to_json, _legacy_grid_to_json))
+        assert current < 0.6 * legacy
 
 
 def test_grid_json_unknown_kind(random_complex_grid):

@@ -114,6 +114,8 @@ def test_parameter_validation():
 
 TOO_NARROW = "state.sigma_{x} ({sigma} rad/fs) is too narrow for a frequency grid at state.center_{x} ({center} rad/fs)"
 DISTINCT = ": its {n} samples must be distinct floats, and 2 pi over its width ({width} rad/fs) a finite delay step"
+CHIRP_RULE = ("too large for the frequency grid: its corner phase |state.chirp_s| (8 state.sigma_s)**2 + "
+              "|state.chirp_i| (8 state.sigma_i)**2 overflows")
 
 
 @pytest.mark.parametrize("params, n, message", [
@@ -129,13 +131,33 @@ DISTINCT = ": its {n} samples must be distinct floats, and 2 pi over its width (
     (GaussianStateParams(sigma_s=1e-15), 16,
      TOO_NARROW.format(x="s", sigma="1e-15", center="2.289")
      + ": its samples are spaced up to 0.33 of its step (1e-15 rad/fs) off that step, more than 1e-06"),
-], ids=["n48", "n8", "collapsed_grid", "subnormal_sigma", "ulps_apart_grid"])
+    # the phase fit cubes the outermost offset 8 sigma
+    (GaussianStateParams(sigma_s=1e150), 16,
+     "state.sigma_s (1e+150 rad/fs) is too wide for a frequency grid: its outermost offset from state.center_s, "
+     "8 state.sigma_s, cubes to inf in the degree-3 phase fit"),
+    # apply_chirp's phase at the grid's corner overflows
+    (GaussianStateParams(sigma_i=1, chirp_i=1.7e308), 16, "state.chirp_i (1.7e+308 fs^2) is " + CHIRP_RULE),
+    (GaussianStateParams(sigma_s=1, sigma_i=1, chirp_s=-2e306, chirp_i=-2e306), 16,
+     "state.chirp_s (-2e+306 fs^2) and state.chirp_i (-2e+306 fs^2) are " + CHIRP_RULE),
+], ids=["n48", "n8", "collapsed_grid", "subnormal_sigma", "ulps_apart_grid", "wide_grid_cubes_to_inf",
+        "chirp_phase_overflows", "chirp_phase_sum_overflows"])
 def test_frequency_axes_refuses_an_unusable_grid(params, n, message):
     # the one grid rule: every state built on the grid refuses it with the same message
     for build in (frequency_axes, gaussian_jsa, synthesize_state):
         with pytest.raises(ParameterError) as exc:
             build(params, n)
         assert str(exc.value) == message, build.__name__
+
+
+def test_largest_finite_chirp_phase_synthesizes_without_warning():
+    # n = 16, sigma 1: the outermost offset is 8, so the corner phase is 64 (|chirp_s| + |chirp_i|);
+    # tier-1 turns numpy's overflow warnings into errors
+    edge_square = 64.0
+    chirp = np.nextafter(np.finfo(float).max / edge_square, 0)
+    g = synthesize_state(GaussianStateParams(sigma_s=1, sigma_i=1, chirp_s=chirp), 16)
+    assert np.all(np.isfinite(g.values))
+    with pytest.raises(ParameterError, match=r"^state\.chirp_s \(.*\) and state\.chirp_i"):
+        frequency_axes(GaussianStateParams(sigma_s=1, sigma_i=1, chirp_s=chirp, chirp_i=chirp), 16)
 
 
 def test_frequency_axes_accepts_every_grid_of_the_sweep():
