@@ -1,13 +1,16 @@
 """Where work runs: :func:`workers`, the one rule for the CPUs this process
-may use; :func:`helper`, a second thread for one half of a split; and
-:class:`MonteCarloWorkers`, the Monte Carlo trials in forked processes.  In
-a ``multiprocessing`` child none of them starts a thread or a process."""
+may use; :class:`Partner`, a forked process for one half of a split, where
+:func:`partner_ok` allows it; and :class:`MonteCarloWorkers`, the Monte Carlo
+trials in forked processes.  In a ``multiprocessing`` child none of them
+starts a process."""
 
-import contextvars
 import functools
+import math
 import os
+import platform
 import signal
 import sys
+import threading
 from contextlib import contextmanager
 
 import numpy as np
@@ -28,51 +31,159 @@ def workers(limit):
     return min(count, limit)
 
 
-@contextmanager
-def helper(active):
-    """Yields ``both(there, here)``, which calls ``there()`` on a helper
-    thread while ``here()`` runs on this one and returns once both have
-    ended; without ``active`` it calls them in that order on this thread and
-    no thread starts.  The helper runs in a copy of this thread's context,
-    so the caller's ``np.errstate`` holds there too; an exception of either
-    call is raised here, and leaving the block joins the helper, so no
-    caller forks beside it.  Each hand-off is one put and one get on a pair
-    of queues, which took 0.91 of the time of a thread pool's submit and
-    result at n = 256."""
-    if not active:
-        yield lambda there, here: (there(), here())
-        return
-    # imported here so that importing biphoton starts no thread machinery
-    import queue
-    import threading
+# the partner runs on x86-64 alone: the sync counts need each side's stores to
+# reach the other in program order (total store order), which this hardware keeps
+_STORE_ORDERED = ("x86_64", "amd64")
+# the mapping's first page holds the two sides' sync counts, a cache line
+# apart, and the length of the partner's pickled exception (int64 slots),
+# whose bytes follow up to _HEADER; the arrays start on the next page
+_CALLER, _PARTNER, _ERROR_LENGTH = 0, 8, 16
+_ERROR_AT, _HEADER = 192, 4096
+_ALIGN = 64
+# spins between two sched_yield calls, and checks that the other side lives
+_SPINS = 128
 
-    jobs, outcomes = queue.SimpleQueue(), queue.SimpleQueue()
 
-    def serve():
-        while (there := jobs.get()) is not None:
-            try:
-                there()
-            except BaseException as exc:  # noqa: BLE001 - raised again on the calling thread
-                outcomes.put(exc)
-            else:
-                outcomes.put(None)
+def partner_ok() -> bool:
+    """Whether a block may run one half in a forked :class:`Partner`: two CPUs
+    by :func:`workers`, ``os.fork`` exists, this process runs one thread
+    (forking beside another can deadlock the child), and the hardware keeps
+    stores in order (x86-64)."""
+    return (workers(2) == 2 and hasattr(os, "fork") and threading.active_count() == 1
+            and platform.machine() in _STORE_ORDERED)
 
-    def both(there, here):
-        jobs.put(there)
+
+class Partner:
+    """One half of a block in a forked process, beside the calling one.
+
+    ``Partner(*specs)`` maps ``arrays``, one zeroed array per (shape, dtype)
+    spec, in one anonymous shared mapping.  The arrays are ordinary numpy
+    arrays that both processes see, and the mapping is freed with the last
+    of them.  ``with partner.running(there):`` forks the partner, which runs
+    ``there()`` on its copy of this process while the block's body runs here.
+    Each side calls ``sync()`` after each step, as a barrier: it counts the
+    step done in its slot of the mapping and spins until the other side has
+    done as many.  There is no queue and no interpreter lock between the
+    sides.  Leaving the block normally waits for the partner to end; an
+    exception the partner raises, with its type and message, is raised here
+    then, or from the ``sync()`` that waits for it.  Either way, and when the
+    body raises, the partner is reaped before the block is left, killed
+    first when it still runs.  A partner whose caller has ended exits at its
+    next spin.
+    """
+
+    def __init__(self, *specs):
+        import mmap  # here: importing biphoton, or a run on one CPU, maps nothing
+
+        offsets, size = [], _HEADER
+        for shape, dtype in specs:
+            offsets.append(size)
+            size += -(-math.prod(shape) * np.dtype(dtype).itemsize // _ALIGN) * _ALIGN
+        self._map = mmap.mmap(-1, size)  # anonymous and MAP_SHARED: written on both sides of the fork
+        self.arrays = [np.frombuffer(self._map, dtype, math.prod(shape), offset).reshape(shape)
+                       for (shape, dtype), offset in zip(specs, offsets)]
+        self._slots = memoryview(self._map)[:_ERROR_AT].cast("q")
+        self._side, self._other = _CALLER, _PARTNER
+        self._steps = 0
+        self._pid = self._caller = None  # the partner's pid here, the caller's pid there
+        self._alive = False  # here: the partner is forked and not yet reaped
+
+    @contextmanager
+    def running(self, there):
+        """Fork the partner, which runs ``there()`` while the block runs here."""
+        caller = os.getpid()
+        # blocked across the fork, so that neither signal runs the caller's handlers in the partner
+        blocked = signal.pthread_sigmask(signal.SIG_BLOCK, (signal.SIGINT, signal.SIGTERM))
         try:
-            here()
+            pid = os.fork()
+            if pid == 0:
+                self._serve(there, caller, blocked)
+            self._pid, self._alive = pid, True
         finally:
-            exc = outcomes.get()  # there() has ended
-        if exc is not None:
-            raise exc
+            signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
+        try:
+            yield
+            if self._alive:
+                self._ended(os.waitpid(self._pid, 0)[1])
+        finally:
+            if self._alive:
+                os.kill(self._pid, signal.SIGKILL)
+                os.waitpid(self._pid, 0)
+                self._alive = False
 
-    thread = threading.Thread(target=contextvars.copy_context().run, args=(serve,), name="biphoton-helper")
-    thread.start()
-    try:
-        yield both
-    finally:
-        jobs.put(None)
-        thread.join()
+    def sync(self):
+        """Count one more step done on this side, then wait until the other
+        side has done as many.  Every ``_SPINS`` spins the wait yields the
+        CPU, so that a third runnable process slows it only gradually, and
+        checks that the other side still runs."""
+        self._steps += 1
+        slots, other, steps = self._slots, self._other, self._steps
+        slots[self._side] = steps
+        spins = 0
+        while slots[other] < steps:
+            spins += 1
+            if spins % _SPINS == 0:
+                os.sched_yield()
+                self._check(steps)
+
+    def _check(self, steps):
+        if self._caller is not None:  # in the partner, which is reparented when the caller ends
+            if os.getppid() != self._caller:
+                raise ChildProcessError(f"the caller of partner process {os.getpid()} ended")
+            return
+        if self._alive:
+            pid, status = os.waitpid(self._pid, os.WNOHANG)
+            if not pid:
+                return
+            self._ended(status)
+        # the partner returned: from its last step, or before this one
+        if self._slots[self._other] < steps:
+            raise ChildProcessError(f"partner process {self._pid} ended before its step {steps}")
+
+    def _ended(self, status):
+        """The partner has ended with wait status ``status`` and is reaped:
+        raise its exception, or ``ChildProcessError`` when it did not end by
+        returning."""
+        self._alive = False
+        code = os.waitstatus_to_exitcode(status)
+        if code == 0:
+            return
+        length = self._slots[_ERROR_LENGTH]
+        if length:
+            import pickle
+
+            raise pickle.loads(self._map[_ERROR_AT:_ERROR_AT + length])
+        raise ChildProcessError(f"partner process {self._pid} ended with exit code {code} before its half was done")
+
+    def _serve(self, there, caller, blocked):
+        """The partner's body: run ``there()``, and leave only through
+        ``os._exit``, so that none of the caller's ``finally`` blocks, atexit
+        handlers or buffered output runs here.  An exception is pickled into
+        the mapping for the caller."""
+        code = 1
+        try:
+            # a terminal's Ctrl-C reaches the whole process group; the caller handles it and stops the partner
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+            signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
+            self._side, self._other, self._caller = _PARTNER, _CALLER, caller
+            there()
+            code = 0
+        except BaseException as exc:  # noqa: BLE001 - raised again in the caller
+            import pickle
+
+            try:
+                data = pickle.dumps(exc)
+                pickle.loads(data)
+            except Exception:  # noqa: BLE001 - an exception that does not round-trip is named instead
+                data = b""
+            if not 0 < len(data) <= _HEADER - _ERROR_AT:
+                named = f"partner process {os.getpid()} raised {type(exc).__name__}: {exc}"
+                data = pickle.dumps(ChildProcessError(named[:_HEADER // 2]))
+            self._map[_ERROR_AT:_ERROR_AT + len(data)] = data
+            self._slots[_ERROR_LENGTH] = len(data)
+        finally:
+            os._exit(code)
 
 
 def _run_chunk(trial, seeds, conn, parent_ends):

@@ -15,9 +15,9 @@ through its SVD modes: all three gated planes (tw, wt and tt) are sums of
 squared centered FFTs of the state weighted by one mode per gated side, so no
 upconverted-frequency stack is ever built.  tt skips the mode pairs whose
 weight product is below the SVD's own relative cut, and the signal modes are
-summed in two fixed halves: on two threads through :func:`~biphoton.cpus.helper`
-where :func:`~biphoton.cpus.workers` grants two CPUs, else one after the
-other on the calling thread.
+summed in two fixed halves: in this process and a forked
+:class:`~biphoton.cpus.Partner` where :func:`~biphoton.cpus.partner_ok`
+allows it, else one after the other in this process.
 """
 
 import json
@@ -39,7 +39,7 @@ from .grids import (
     transform_photon,
     unit_peak,
 )
-from .cpus import helper, workers
+from .cpus import Partner, partner_ok
 from .retrieve import MeasurementSet
 from .units import C_UM_FS, omega_to_wavelength
 
@@ -250,14 +250,16 @@ def _gated_planes(F, modes_s, modes_i):
     skips each pair with w_a w_b <= _MODE_CUT w_0 w_0', whose term carries at
     most 1e-12 of the largest pair's weight, as the per-side cut does for a
     single mode.  The signal modes are split into two fixed halves (even and
-    odd index), each summing its own partial tw and tt: ``cpus.helper`` runs
-    the even half on its helper thread while this one runs the odd half and
-    wt, or, where ``cpus.workers`` grants one CPU, both in turn on this one.  The halves and their sum depend neither on that
-    choice nor on how the threads are scheduled, so neither does the result.
-    The arrays are ifftshifted once on the way in and fftshifted once on the
-    way out; on an untransformed axis the pair is the identity, for odd n
-    too.  Buffer budget, in n x n complex units: 7.5 and the idler modes
-    during the sum, 3 at the end.
+    odd index), each summing its own partial tw and tt: a forked
+    ``cpus.Partner`` sums the even half into the shared mapping while this
+    process sums the odd half and wt, or, where ``cpus.partner_ok`` refuses a
+    partner, this process sums both in turn.  The halves and their sum depend
+    neither on that choice nor on how the processes are scheduled, so neither
+    does the result.  The arrays are ifftshifted once on the way in and
+    fftshifted once on the way out; on an untransformed axis the pair is the
+    identity, for odd n too.  Buffer budget in this process, in n x n complex
+    units: 5.5 and the idler modes during the sum (1 of them in the mapping
+    when split), 3 at the end.
     """
     (w_s, vh_s), (w_i, vh_i) = modes_s, modes_i
     # fold the weights into the modes so every term is a plain |.|^2; each
@@ -266,19 +268,17 @@ def _gated_planes(F, modes_s, modes_i):
     # w_i is sorted, so the idler partners of signal mode a are a prefix
     partners = [np.count_nonzero(w * w_i > _MODE_CUT * w_s[0] * w_i[0]) for w in w_s]
     F0 = np.fft.ifftshift(F)
-    # every n x n buffer is allocated here, as the helper thread's would come
-    # from its own malloc arena and raise the peak RSS.  In n x n complex
-    # units: F0 1; per half 3, the scratch Y and Z (|.|^2 squares them in
-    # place) and the partial tw and tt; wt 0.5
+    # in n x n complex units: F0 1; the scratch Y and Z 2 (|.|^2 squares them
+    # in place); each half's partial tw and tt 1; wt 0.5.  The even half's
+    # planes are in the mapping a partner writes, when there is one; the
+    # partner writes its own copy of the scratch
     shape = F.shape
-    halves = [
-        (np.empty(shape, complex), np.empty(shape, complex), np.zeros(shape), np.zeros(shape))
-        for _ in range(2)
-    ]
-    wt = np.zeros(shape)
+    pair = Partner((shape, float), (shape, float)) if partner_ok() else None
+    tw, tt = pair.arrays if pair else (np.zeros(shape), np.zeros(shape))
+    tw_odd, tt_odd, wt = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+    Y, Z = np.empty(shape, complex), np.empty(shape, complex)
 
-    def signal_half(h):
-        Y, Z, tw, tt = halves[h]
+    def signal_half(h, tw, tt):
         for w, vh, k in zip(w_s[h::2], vh_s[h::2], partners[h::2]):
             u = np.fft.ifftshift(vh * w)
             np.fft.fft(np.multiply(F0, u[:, None], out=Y), axis=0, out=Y)
@@ -288,18 +288,20 @@ def _gated_planes(F, modes_s, modes_i):
             _add_abs2(tw, Y)  # after its last read: this squares Y in place
 
     def odd_half_and_wt():
-        signal_half(1)
-        Z = halves[1][1]
+        signal_half(1, tw_odd, tt_odd)
         for v in vs:
             np.fft.fft(np.multiply(F0, v, out=Z), axis=1, out=Z)
             _add_abs2(wt, Z)
 
-    with helper(workers(2) == 2) as both:
-        both(partial(signal_half, 0), odd_half_and_wt)
-    (_, _, tw, tt), (_, _, tw_odd, tt_odd) = halves
+    if pair is None:
+        signal_half(0, tw, tt)
+        odd_half_and_wt()
+    else:
+        with pair.running(partial(signal_half, 0, tw, tt)):
+            odd_half_and_wt()
     tw += tw_odd
     tt += tt_odd
-    del halves, tw_odd, tt_odd, F0  # before the shifted copies (1.5)
+    del tw_odd, tt_odd, Y, Z, F0  # before the shifted copies (1.5)
     return tuple(np.fft.fftshift(plane) for plane in (tw, wt, tt))
 
 

@@ -291,12 +291,21 @@ def _plane_response_sigmas(grid: IntensityGrid2D, cfg: PipelineConfig):
 
 def preprocess_set(m: MeasurementSet, cfg: PipelineConfig) -> MeasurementSet:
     """Deconvolve all four planes with the per-axis instrument responses
-    implied by the gating configuration."""
+    implied by the gating configuration.  A ww or tt plane that this turns
+    all-zero is refused, naming the keys that set the grids and the
+    responses; one that was all-zero before is left to the caller."""
     if not cfg.preprocess_enabled:
         return m
-    cleaned = {f"i_{p}": preprocess_grid(g, cfg.preprocess, _plane_response_sigmas(g, cfg))
-               for p, g in m.grids().items()}
-    return replace(m, **cleaned)
+    cleaned = replace(m, **{f"i_{p}": preprocess_grid(g, cfg.preprocess, _plane_response_sigmas(g, cfg))
+                            for p, g in m.grids().items()})
+    if all(m.grids()[p].values.max() > 0 for p in UNIT_PEAK_PLANES):
+        s, g = cfg.state.params, cfg.gating
+        keys = [f"state.sigma_s ({s.sigma_s:g} rad/fs)", f"state.sigma_i ({s.sigma_i:g} rad/fs)"]
+        if not g.ideal:
+            keys.append(f"gating.gate.sigma ({g.gate_sigma:g} rad/fs)")
+        cause = f"{', '.join(keys)} and gating.spectrometer_sigma ({g.spectrometer_sigma:g} rad/fs): preprocessing gives"
+        _refuse_zero_planes(cleaned, cause)
+    return cleaned
 
 
 # pixels in one stack of Monte Carlo retrievals: 8 sets at n = 64, 2 at n = 128, 1 from n = 256

@@ -52,7 +52,8 @@ def corner_suppress(h: IntensityGrid2D) -> IntensityGrid2D:
 
 def _response_transfer(n, step, sigma):
     k = 2 * np.pi * np.fft.fftfreq(n, d=step)
-    return np.exp(-(k**2) * sigma**2 / 2.0)
+    with np.errstate(over="ignore"):  # a response far wider than the grid step: exp(-inf) = 0
+        return np.exp(-(k**2) * sigma**2 / 2.0)
 
 
 def _wiener_filter(h: IntensityGrid2D, cfg: PreprocessConfig, response=(0.0, 0.0)) -> np.ndarray:

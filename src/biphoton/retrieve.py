@@ -12,10 +12,11 @@ both axes into its slice of the stack, so each centered transform becomes one
 ``np.fft.fft``/``ifft`` along one axis of the stack, done in place; at exit
 each state is ``fftshift``-ed back into a single
 :class:`~biphoton.grids.ComplexGrid2D`.  A stack of ``SPLIT_PIXELS`` pixels
-or more (from one 256 x 256 set) runs each iteration in halves on two threads
-(``cpus.helper``) where ``cpus.workers`` grants two CPUs: the projections and
-the idler-axis transforms by rows, the signal-axis transforms by columns, with
-one hand-off at each change.  Every pixel is computed as in one piece, so
+or more (from one 128 x 128 set) runs each iteration in halves in two
+processes, this one and a forked :class:`~biphoton.cpus.Partner`, where
+``cpus.partner_ok`` allows it: the projections and the idler-axis transforms
+by rows, the signal-axis transforms by columns, with one sync at each change.
+Every pixel is computed as in one piece, so
 the result does not depend on the split.  The unitary factors of the transforms
 (:func:`~biphoton.grids.dft_scale`) are not applied inside the loop: every
 projection resets the magnitude, so they are carried as one running scalar
@@ -30,16 +31,18 @@ from functools import partial
 
 import numpy as np
 
-from .cpus import helper, workers
+from .cpus import Partner, partner_ok
 from .grids import FREQUENCY, ComplexGrid2D, IntensityGrid2D, conjugate_axis, dft_scale
 
 PLANES = ("ww", "wt", "tw", "tt")
 # the planes each set scales to unit peak: ww for the error history, tt for the final error
 UNIT_PEAK_PLANES = ("ww", "tt")
 ZERO_MAGNITUDE_EPSILON = 1e-12
-# pixels per stack from which an iteration is split over two CPUs: a lone
-# n = 256 set ran in 0.68 of the serial time, n = 128 in 1.07 of it
-SPLIT_PIXELS = 2**16
+# pixels per stack from which an iteration is split over two processes: a
+# lone n = 128 set ran in 0.66 of the serial time and n = 256 in 0.62 (the
+# thread split read 1.07 and 0.68); n = 64 stays serial beside the Monte
+# Carlo workers of a pipeline (README "Retrieval on two CPUs")
+SPLIT_PIXELS = 2**14
 
 
 class RetrievalError(RuntimeError):
@@ -204,8 +207,9 @@ def _load(m: MeasurementSet, start: ComplexGrid2D, g, amp, m_hat, tt_hat):
 
 def _splits(pixels):
     """Whether each iteration over a stack of ``pixels`` pixels runs in two
-    halves on two threads: from ``SPLIT_PIXELS`` up, on two CPUs."""
-    return pixels >= SPLIT_PIXELS and workers(2) == 2
+    halves in two processes: from ``SPLIT_PIXELS`` up, where
+    ``cpus.partner_ok`` allows a partner."""
+    return pixels >= SPLIT_PIXELS and partner_ok()
 
 
 def run_retrieval_stack(sets, cfg: RetrievalConfig, starts) -> list:
@@ -225,14 +229,20 @@ def run_retrieval_stack(sets, cfg: RetrievalConfig, starts) -> list:
     turns warnings into errors they would end the run with another exception.
     Every projection, transform and modulus covers the whole (B, n, n) stack,
     or one half of it, by rows or by columns, when ``_splits`` splits the
-    iteration over this thread and a helper; pixel by pixel the halves
-    compute what the whole does.  The FROG error, the history and the
-    finiteness check stay on this thread, over the whole stack, and the
-    error stays per set, so each set's dot products sum in the order of a
-    lone run.  Buffer budget per set, in n x n complex units: 5 in the
-    loop (the state, two real planes, the active planes' amplitudes and the
-    unit-peak ww and tt planes), 2.5 of them freed before the returned JSA is
-    built; the state itself is taken to the tt plane for the final tt error.
+    iteration over this process and a partner: both run the same loop, each
+    on its half of each phase, and sync after each phase, so pixel by pixel
+    the halves compute what the whole does.  The state and the two real
+    planes live in the mapping the partner shares; the amplitudes and the
+    unit-peak planes, which it only reads, are its copies from the fork.  The
+    FROG error, the history and the finiteness check stay in this process,
+    over the whole stack, while the partner runs its half of the next
+    iteration's first phase, which reads only the state, |g| and the ww
+    amplitude; the error stays per set, so each set's dot products sum in the
+    order of a lone run.  Buffer budget per set, in n x n complex units: 5 in
+    the loop (the state, two real planes, the active planes' amplitudes and
+    the unit-peak ww and tt planes), 2.5 of them freed before the returned JSA
+    is built (2 when split: the mapping holds work until the return); the
+    state itself is taken to the tt plane for the final tt error.
     """
     if not sets:
         return []
@@ -241,7 +251,9 @@ def run_retrieval_stack(sets, cfg: RetrievalConfig, starts) -> list:
         if not (m.i_ww.axis_s.compatible_with(axis_s) and m.i_ww.axis_i.compatible_with(axis_i)):
             raise ValueError("the measurement sets of a stack must share the ww axes")
     shape = (len(sets), axis_s.count, axis_i.count)
-    g = np.empty(shape, dtype=complex)
+    # the state and the two real planes: shared with the partner when split
+    pair = Partner((shape, complex), (shape, float), (shape, float)) if _splits(math.prod(shape)) else None
+    g, mag, work = pair.arrays if pair else (np.empty(shape, complex), np.empty(shape), np.empty(shape))
     amp = {p: np.empty(shape) for p in cfg.constraint_mask}
     m_hat, tt_hat = np.empty(shape), np.empty(shape)
     for b, (m, start) in enumerate(zip(sets, starts, strict=True)):
@@ -253,9 +265,7 @@ def run_retrieval_stack(sets, cfg: RetrievalConfig, starts) -> list:
         ("tt", dft_scale(conjugate_axis(axis_i))),
         ("tw", dft_scale(conjugate_axis(axis_s))),
     )
-    mag = np.abs(g)  # |g|; at the ww plane it is the one the last error left
-    work = np.empty(shape)
-    scale = 1.0  # physical field = scale * g, the same for every set
+    np.abs(g, out=mag)  # |g|; at the ww plane it is the one the last error left
     eps = {}  # this iteration's zero-magnitude epsilon on g, per projected plane
     history = []  # per iteration, each set's ww error
 
@@ -290,29 +300,36 @@ def run_retrieval_stack(sets, cfg: RetrievalConfig, starts) -> list:
         (-2, modulus),
     )
 
-    split = _splits(g.size)
-    rows, cols = shape[-2] // 2, shape[-1] // 2
-    halves = {  # the helper's half first
-        -2: ((..., slice(rows), slice(None)), (..., slice(rows, None), slice(None))),
-        -1: ((..., slice(cols)), (..., slice(cols, None))),
-    }
+    def iterate(at, sync, errors):
+        """The loop on this process's part of each phase, ``at[axis]``, with
+        ``sync()`` after each phase; with ``errors``, each set's ww error
+        after each iteration.  Returns the final scale."""
+        scale = 1.0  # physical field = scale * g, the same for every set
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(cfg.iterations):
+                for plane, factor in factors:
+                    if plane in amp:
+                        eps[plane] = ZERO_MAGNITUDE_EPSILON / scale
+                        scale = 1.0
+                    scale *= factor
+                for axis, phase in phases:
+                    phase(at[axis])
+                    sync()
+                if errors:
+                    errs = [_frog_error(m_b, w_b, w_b) for m_b, w_b in zip(m_hat, work)]
+                    history.append(errs)
+                    if not all(map(math.isfinite, errs)):
+                        raise RetrievalError(f"non-finite state after iteration {k + 1}")
+        return scale
 
-    with np.errstate(over="ignore", invalid="ignore"), helper(split) as both:
-        for k in range(cfg.iterations):
-            for plane, factor in factors:
-                if plane in amp:
-                    eps[plane] = ZERO_MAGNITUDE_EPSILON / scale
-                    scale = 1.0
-                scale *= factor
-            for axis, phase in phases:
-                if split:
-                    both(*(partial(phase, at) for at in halves[axis]))
-                else:
-                    phase(...)
-            errs = [_frog_error(m_b, w_b, w_b) for m_b, w_b in zip(m_hat, work)]
-            history.append(errs)
-            if not all(map(math.isfinite, errs)):
-                raise RetrievalError(f"non-finite state after iteration {k + 1}")
+    if pair is None:
+        scale = iterate({-2: ..., -1: ...}, lambda: None, True)
+    else:
+        rows, cols = shape[-2] // 2, shape[-1] // 2
+        first = {-2: (..., slice(rows), slice(None)), -1: (..., slice(cols))}
+        second = {-2: (..., slice(rows, None), slice(None)), -1: (..., slice(cols, None))}
+        with pair.running(partial(iterate, first, pair.sync, False)):
+            scale = iterate(second, pair.sync, True)
 
     del amp, m_hat, work
     jsas = [ComplexGrid2D(axis_s, axis_i, np.fft.fftshift(g_b) * scale) for g_b in g]

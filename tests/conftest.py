@@ -1,9 +1,10 @@
 import multiprocessing
-import threading
+import os
 
 import numpy as np
 import pytest
 
+from biphoton import cpus
 from biphoton.grids import FREQUENCY, IDLER, SIGNAL, Axis, ComplexGrid2D
 
 
@@ -23,14 +24,33 @@ def random_complex_grid(small_axes):
 
 
 @pytest.fixture
-def no_thread(monkeypatch):
-    """Starting a thread raises RuntimeError('no thread'), in this process and
-    in the processes it forks."""
+def no_fork(monkeypatch):
+    """Forking a split's partner process raises RuntimeError('no fork'), in
+    this process and in the processes it forks."""
 
-    def refused(self):
-        raise RuntimeError("no thread")
+    def refused(self, there):
+        raise RuntimeError("no fork")
 
-    monkeypatch.setattr(threading.Thread, "start", refused)
+    monkeypatch.setattr(cpus.Partner, "running", refused)
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """The pids of the processes ``os.fork`` starts during the test; each must
+    be reaped by the end of the test."""
+    pids, fork = [], os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
+    yield pids
+    for pid in pids:
+        with pytest.raises(ChildProcessError):  # no such child: reaped
+            os.waitpid(pid, os.WNOHANG)
 
 
 @pytest.fixture

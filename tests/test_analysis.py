@@ -360,16 +360,16 @@ def test_monte_carlo_results_do_not_depend_on_workers(mc_case, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_monte_carlo_workers_do_not_split_their_retrievals(mc_case, monkeypatch, no_thread):
-    # the pool runs one worker per CPU, so a forked worker's retrieval stays on
-    # its one thread even where this process would split it
+def test_monte_carlo_workers_do_not_split_their_retrievals(mc_case, monkeypatch, no_fork):
+    # the pool runs one worker per CPU, so a forked worker's retrieval stays in
+    # its one process even where this process would split it
     raw, cfg, start = mc_case
     trial = partial(pipeline._mc_trials, raw, cfg)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     want = _monte_carlo(trial, start, trials=4, seed=3)
     monkeypatch.setattr(retrieve, "SPLIT_PIXELS", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    assert _trials(raw, cfg, start, [11]) == ["RuntimeError('no thread')"]
+    assert _trials(raw, cfg, start, [11]) == ["RuntimeError('no fork')"]
     assert _monte_carlo(trial, start, trials=4, seed=3) == want
     assert multiprocessing.active_children() == []
 

@@ -632,6 +632,37 @@ def test_all_zero_noiseless_plane_exits_2_before_writing(runner, tmp_path, monke
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["preprocess", "pipeline"])
+@pytest.mark.parametrize("state, gate_sigma, keys", [
+    # the gate's temporal response, 1/(2 sigma) = 5e153 fs, overflows exp's
+    # argument on the delay axes (exp(-inf) = 0 is the right value)
+    ({"n": 16, "sigma_s": 1e100}, 1e-154, "state.sigma_s (1e+100 rad/fs), state.sigma_i (0.01 rad/fs)"),
+    ({"n": 16, "sigma_s": 7e101, "sigma_i": 7e101}, None, "state.sigma_s (7e+101 rad/fs), state.sigma_i (7e+101 rad/fs)"),
+], ids=["gate_response_overflows", "wide_spectra"])
+def test_plane_zeroed_by_preprocessing_exits_2_naming_the_keys(runner, tmp_path, command, state, gate_sigma, keys):
+    # a delay grid far finer than the gate's temporal response: the raw tt
+    # plane is not zero, and preprocessing turns it all-zero
+    manifest = {"state": state, "retrieval": {"iterations": 3}}
+    if gate_sigma is not None:
+        manifest["gating"] = {"gate": {"sigma": gate_sigma}}
+    path = _write_manifest(tmp_path, manifest)
+    measurements = []
+    if command == "preprocess":
+        res = runner.invoke(main, ["simulate", "--manifest", path, "--out", str(tmp_path / "sim")])
+        assert res.exit_code == 0, res.output
+        measurements = ["--measurements", str(tmp_path / "sim" / "measurements.json")]
+    out = tmp_path / "out"
+    res = runner.invoke(main, [command, "--manifest", path, *measurements, "--out", str(out)])
+    assert res.exit_code == EXIT_BAD_CONFIG, res.output
+    sigma = f"{gate_sigma if gate_sigma is not None else 1 / 260:g}"
+    assert res.output.splitlines()[-1] == (
+        f"error: {keys}, gating.gate.sigma ({sigma} rad/fs) and gating.spectrometer_sigma (0 rad/fs): "
+        "preprocessing gives "
+        "an all-zero tt plane, which the retrieval cannot scale to unit peak")
+    assert res.output.count("error:") == 1
+    assert not out.exists()
+
+
 def test_monte_carlo_counts_below_the_failure_share_run(runner, tmp_path, caplog):
     # chirped at 0.2 peak counts: 11% of the trials are expected to fail, and
     # trial 4 of 6 does; the run exits 0 with its warning
@@ -953,8 +984,9 @@ def test_staged_command_sigterm_keeps_the_previous_files(tmp_path, staged_inputs
     _assert_previous_output(out, command)
 
 
-# runs a command with every retrieval split into halves on two threads: argv[1] is a
-# file that receives whether the split was chosen, the rest the command's arguments
+# runs a command with every retrieval split into halves in two processes: argv[1] is a
+# file that receives whether the split was chosen and then, on a second line, the
+# partner's pid; the rest are the command's arguments
 SPLIT_RETRIEVALS = """
 import os, sys
 from pathlib import Path
@@ -962,43 +994,97 @@ from biphoton import cli, retrieve
 
 retrieve.SPLIT_PIXELS = 1
 os.sched_getaffinity = lambda pid: {0, 1}
-splits = retrieve._splits
+splits, project, caller, note = retrieve._splits, retrieve._project, os.getpid(), Path(sys.argv[1])
 
 def announced(pixels):
     split = splits(pixels)
-    Path(sys.argv[1]).write_text(str(split))
+    note.write_text(str(split))
     return split
 
-retrieve._splits = announced
+def noted(*args):
+    # the first projection of each process: the partner notes its pid
+    retrieve._project = project
+    if os.getpid() != caller:
+        with note.open("a") as fh:
+            fh.write(f"\\n{os.getpid()}")
+    return project(*args)
+
+retrieve._splits, retrieve._project = announced, noted
 cli.main(sys.argv[2:])
 """
 
 
-def test_retrieve_sigterm_during_a_split_retrieval(tmp_path, staged_inputs):
-    # SIGTERM to the session while both threads run their halves: the helper
-    # thread is joined and the command exits 143 with one line and no file
+def _live_processes(session):
+    """The processes of ``session`` that have not ended (zombies count as ended)."""
+    live = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        with contextlib.suppress(OSError):  # a process that ended meanwhile
+            state, _, _, sid = stat.read_text().rsplit(")", 1)[1].split()[:4]
+            if int(sid) == session and state != "Z":
+                live.append(int(stat.parent.name))
+    return live
+
+
+@contextlib.contextmanager
+def _split_retrieve(tmp_path, staged_inputs):
+    """A split ``retrieve`` of many iterations in a session of its own: yields
+    the command's process and its partner's pid once both run their halves.
+    The session is killed on the way out."""
     work, _ = staged_inputs
-    out, split = tmp_path / "result.json", tmp_path / "split"
+    note = tmp_path / "split"
     caller = subprocess.Popen(
-        [sys.executable, "-c", SPLIT_RETRIEVALS, str(split), "retrieve", "--measurements",
-         str(work / "pre" / "constraints.json"), "--iterations", "100000000", "--out", str(out)],
+        [sys.executable, "-c", SPLIT_RETRIEVALS, str(note), "retrieve", "--measurements",
+         str(work / "pre" / "constraints.json"), "--iterations", "100000000", "--out", str(tmp_path / "result.json")],
         stderr=subprocess.PIPE, text=True, start_new_session=True,
     )
     try:
         deadline = time.monotonic() + 60
-        while not split.exists() or not split.read_text():
-            assert caller.poll() is None and time.monotonic() < deadline, "the command ended before it retrieved"
+        while not note.exists() or len(note.read_text().splitlines()) < 2:
+            assert caller.poll() is None and time.monotonic() < deadline, "the command ended before it split"
             time.sleep(0.005)
+        split, partner = note.read_text().splitlines()
+        assert split == "True"
         time.sleep(0.2)
-        os.killpg(caller.pid, signal.SIGTERM)
-        _, err = caller.communicate(timeout=60)
+        assert sorted(_live_processes(caller.pid)) == sorted([caller.pid, int(partner)])
+        yield caller, int(partner)
     finally:
         with contextlib.suppress(ProcessLookupError):  # left only by a failure
             os.killpg(caller.pid, signal.SIGKILL)
-    assert split.read_text() == "True"
+        caller.communicate(timeout=60)
+
+
+def test_retrieve_sigterm_during_a_split_retrieval(tmp_path, staged_inputs):
+    # SIGTERM to the session while both processes run their halves: the
+    # partner ends, and the command exits 143 with one line and no file
+    with _split_retrieve(tmp_path, staged_inputs) as (caller, _):
+        os.killpg(caller.pid, signal.SIGTERM)
+        _, err = caller.communicate(timeout=60)
     assert caller.returncode == 143, err
     assert err == "error: terminated by SIGTERM\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["split"]
+    assert _live_processes(caller.pid) == []
+
+
+def test_retrieve_exits_2_when_its_partner_is_killed(tmp_path, staged_inputs):
+    # the command's spin sees the partner gone: one error line, no hang
+    with _split_retrieve(tmp_path, staged_inputs) as (caller, partner):
+        os.kill(partner, signal.SIGKILL)
+        _, err = caller.communicate(timeout=60)
+    assert caller.returncode == EXIT_BAD_CONFIG, err
+    assert err == f"error: partner process {partner} ended with exit code -9 before its half was done\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["split"]
+    assert _live_processes(caller.pid) == []
+
+
+def test_partner_exits_when_its_caller_is_killed(tmp_path, staged_inputs):
+    # nothing is left to reap the partner's work: it sees its parent change and exits
+    with _split_retrieve(tmp_path, staged_inputs) as (caller, partner):
+        os.kill(caller.pid, signal.SIGKILL)
+        caller.wait(timeout=60)
+        deadline = time.monotonic() + 10
+        while _live_processes(caller.pid) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert _live_processes(caller.pid) == []
 
 
 def test_commands_restore_the_sigterm_handler_and_run_off_the_main_thread(runner, tmp_path):

@@ -1,14 +1,17 @@
-"""The one CPU rule: how many CPUs a process uses, and no thread or process
-of its own inside a ``multiprocessing`` child."""
+"""The one CPU rule: how many CPUs a process uses, and no process of its own
+inside a ``multiprocessing`` child; and the forked partner of a split."""
 
 import multiprocessing
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
+import numpy as np
 import pytest
 
 from biphoton import pipeline
-from biphoton.cpus import MonteCarloWorkers, workers
+from biphoton.cpus import MonteCarloWorkers, Partner, workers
 
 
 def _in_a_child(monkeypatch):
@@ -78,3 +81,62 @@ def test_run_pipeline_in_a_pool_worker_runs_its_trials_there(monkeypatch, pool):
             got = executor.submit(_monte_carlo_and_children).result()
     assert got == (want, [0])
     assert multiprocessing.active_children() == []
+
+
+def test_partner_sync_is_a_barrier_on_shared_arrays(forked):
+    # each side writes its slot at every step: after a sync the other's write
+    # of that step is seen, and a second sync keeps the next write from
+    # landing before the other side has read
+    pair = Partner(((2,), np.int64))
+    (slots,) = pair.arrays
+    assert slots.tolist() == [0, 0]
+
+    def program(side):
+        for step in range(1, 2001):
+            slots[side] = step
+            pair.sync()
+            if slots[1 - side] != step:
+                raise AssertionError(f"side {side} saw {slots[1 - side]} at step {step}")
+            pair.sync()
+
+    with pair.running(partial(program, 0)):
+        program(1)
+    assert slots.tolist() == [2000, 2000]
+    assert len(forked) == 1
+
+
+def test_partner_names_an_exception_that_does_not_pickle(forked):
+    class Local(Exception):
+        pass
+
+    def there():
+        raise Local("in the partner")
+
+    with pytest.raises(ChildProcessError) as exc:
+        with Partner().running(there):
+            pass
+    (pid,) = forked
+    assert str(exc.value) == f"partner process {pid} raised Local: in the partner"
+
+
+@pytest.mark.parametrize("steps", [1, 0])
+def test_partner_that_ends_while_the_caller_waits(monkeypatch, forked, steps):
+    # the partner ends while the caller yields in its spin: after its step,
+    # which is not an error, or before it, which is
+    monkeypatch.setattr(os, "sched_yield", lambda: time.sleep(0.05))
+    pair = Partner()
+
+    def there():
+        time.sleep(0.01)
+        for _ in range(steps):
+            pair.sync()
+
+    if steps:
+        with pair.running(there):
+            pair.sync()
+    else:
+        with pytest.raises(ChildProcessError) as exc:
+            with pair.running(there):
+                pair.sync()
+        (pid,) = forked
+        assert str(exc.value) == f"partner process {pid} ended before its step 1"

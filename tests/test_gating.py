@@ -4,7 +4,7 @@ import logging
 import multiprocessing
 import os
 import re
-import threading
+import signal
 from dataclasses import replace
 
 import numpy as np
@@ -257,8 +257,8 @@ def test_pruned_pairs_match_all_pairs(chirped_state, shape):
 
 
 def test_gated_planes_do_not_depend_on_cpu_count(chirped_state):
-    # one CPU runs the two halves one after the other on this thread, two run
-    # them side by side; the modes are precomputed, so the SVD's BLAS threads
+    # one CPU runs the two halves one after the other in this process, two
+    # run them side by side in two; the modes are precomputed, so the SVD's BLAS threads
     # cannot differ
     try:
         mask = os.sched_getaffinity(0)
@@ -283,8 +283,8 @@ def test_gated_planes_do_not_depend_on_cpu_count(chirped_state):
 
 
 @pytest.mark.parametrize("where", ["one_cpu", "multiprocessing_child"])
-def test_gated_planes_start_no_thread_without_two_cpus(chirped_state, monkeypatch, no_thread, where):
-    # a forked Monte Carlo worker sums both halves on its one thread, as the
+def test_gated_planes_fork_no_partner_without_two_cpus(chirped_state, monkeypatch, no_fork, where):
+    # a forked Monte Carlo worker sums both halves in its one process, as the
     # retrieval does there
     modes_s, modes_i = _finite_crystal_modes(chirped_state)
     if where == "one_cpu":
@@ -293,32 +293,47 @@ def test_gated_planes_start_no_thread_without_two_cpus(chirped_state, monkeypatc
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
     one = _gated_planes(chirped_state.values, modes_s, modes_i)
-    monkeypatch.undo()  # threads and both CPUs back
+    monkeypatch.undo()  # forks and both CPUs back
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     for plane, a, b in zip(("tw", "wt", "tt"), one, _gated_planes(chirped_state.values, modes_s, modes_i)):
         assert np.array_equal(a, b), plane
 
 
-@pytest.mark.parametrize("thread", ["helper", "caller"])
-def test_gated_planes_raise_an_exception_of_either_thread(chirped_state, monkeypatch, thread):
-    # the helper sums the even signal modes, the caller the odd ones and wt;
-    # the helper is joined when the sum raises as when it returns
+@pytest.mark.parametrize("side", ["partner", "caller"])
+def test_gated_planes_raise_an_exception_of_either_process(chirped_state, monkeypatch, forked, side):
+    # the partner sums the even signal modes, the caller the odd ones and wt;
+    # the partner is reaped when the sum raises as when it returns
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     modes_s, modes_i = _finite_crystal_modes(chirped_state)
-    caller, add_abs2 = threading.current_thread(), gating._add_abs2
+    caller, add_abs2 = os.getpid(), gating._add_abs2
 
     def failing(acc, X):
-        if (threading.current_thread() is caller) == (thread == "caller"):
-            raise ZeroDivisionError(thread)
+        if (os.getpid() == caller) == (side == "caller"):
+            raise ZeroDivisionError(side)
         add_abs2(acc, X)
 
-    before = threading.active_count()
     _gated_planes(chirped_state.values, modes_s, modes_i)
-    assert threading.active_count() == before
     monkeypatch.setattr(gating, "_add_abs2", failing)
-    with pytest.raises(ZeroDivisionError, match=f"^{thread}$"):
+    with pytest.raises(ZeroDivisionError, match=f"^{side}$"):
         _gated_planes(chirped_state.values, modes_s, modes_i)
-    assert threading.active_count() == before
+    assert len(forked) == 2
+
+
+def test_gated_planes_raise_child_process_error_when_the_partner_is_killed(chirped_state, monkeypatch, forked):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    modes_s, modes_i = _finite_crystal_modes(chirped_state)
+    caller, add_abs2 = os.getpid(), gating._add_abs2
+
+    def killed(acc, X):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        add_abs2(acc, X)
+
+    monkeypatch.setattr(gating, "_add_abs2", killed)
+    with pytest.raises(ChildProcessError) as exc:
+        _gated_planes(chirped_state.values, modes_s, modes_i)
+    (pid,) = forked
+    assert str(exc.value) == f"partner process {pid} ended with exit code -9 before its half was done"
 
 
 @pytest.mark.parametrize("shape", ["n64", "odd33x31"])
@@ -430,7 +445,10 @@ def test_closed_form_l0_is_byte_identical_to_reference(chirped_state, shape, sig
 
 @GATE_SIGMAS
 @IDENTITY_SHAPES
-def test_mode_sum_is_byte_identical_to_reference(chirped_state, shape, sigma):
+@pytest.mark.parametrize("path", ["serial", "split"])
+def test_mode_sum_is_byte_identical_to_reference(chirped_state, shape, sigma, path, monkeypatch, forked):
+    # serial, both halves run in this process; split, the even half in a partner
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0} if path == "serial" else {0, 1})
     state = _identity_state(shape, chirped_state)
     rm = RefractiveModel.default().tuned_for(state.axis_s.center, GATE_CENTER)
     gm = GatingModel(gate=GatePulse(center=GATE_CENTER, sigma=sigma), crystal_length=1000.0, refractive=rm)
@@ -442,6 +460,7 @@ def test_mode_sum_is_byte_identical_to_reference(chirped_state, shape, sigma):
     got = _gated_planes(state.values, *modes)
     for plane, g, want in zip(("tw", "wt", "tt"), got, _halves_reference(state.values, *modes)):
         assert np.array_equal(g, want), plane
+    assert len(forked) == (path == "split")
 
 
 def test_tiny_gate_sigma_weights_far_frequencies_zero_without_warning():

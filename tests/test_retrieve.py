@@ -2,7 +2,9 @@
 
 import multiprocessing
 import os
+import platform
 import re
+import signal
 import sys
 import threading
 from dataclasses import replace
@@ -287,7 +289,7 @@ def _mask_id(mask):
 
 
 def _force_path(monkeypatch, path):
-    """Run the loop serially, as on one CPU, or split over two threads
+    """Run the loop serially, as on one CPU, or split over two processes
     whatever the stack's size."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0} if path == "serial" else {0, 1})
     if path == "split":
@@ -521,7 +523,7 @@ def test_stack_raises_the_lone_run_exception():
 
 
 def test_stack_raises_the_lone_run_exception_split(monkeypatch):
-    # the helper thread's half overflows too: np.errstate must hold there
+    # the partner's half overflows too: np.errstate must hold there
     _force_path(monkeypatch, "split")
     test_stack_raises_the_lone_run_exception()
 
@@ -542,69 +544,97 @@ def test_stack_starts_are_states():
 
 
 # ---------------------------------------------------------------------------
-# The split loop: each iteration in halves on two threads
+# The split loop: each iteration in halves in two processes
 
 
 @pytest.fixture(scope="module")
 def gated_n256():
-    # a lone 256 x 256 set is SPLIT_PIXELS pixels, the least the loop splits
     p = GaussianStateParams(rho=-0.8, chirp_s=-8000.0, chirp_i=-9000.0)
     state = synthesize_state(p, n=256, span_sigmas=8)
     return simulate_measurements(state, GatingModel(gate=GatePulse(2.432, 0.01)))
 
 
 def test_split_is_chosen_from_the_stack_size_and_the_cpus(monkeypatch):
+    # a lone 128 x 128 set is SPLIT_PIXELS pixels, the least the loop splits
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    assert retrieve._splits(256 * 256)
-    assert not retrieve._splits(128 * 128 * 3)
+    assert retrieve._splits(128 * 128)
+    assert not retrieve._splits(64 * 64 * 3)
+    monkeypatch.setattr(threading, "active_count", lambda: 2)  # forking beside a thread can deadlock
+    assert not retrieve._splits(128 * 128)
+    monkeypatch.undo()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.delattr(os, "fork")
+    assert not retrieve._splits(128 * 128)
+    monkeypatch.undo()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(platform, "machine", lambda: "aarch64")  # stores may be seen out of order
+    assert not retrieve._splits(128 * 128)
+    monkeypatch.undo()
     monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
-    assert not retrieve._splits(256 * 256)
+    assert not retrieve._splits(128 * 128)
     monkeypatch.undo()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert not retrieve._splits(256 * 256)
+    assert not retrieve._splits(128 * 128)
 
 
 @pytest.mark.parametrize("mask", [frozenset(PLANES), frozenset({"ww", "tt"})], ids=["all", "ww+tt"])
 @pytest.mark.parametrize("path", ["serial", "split"])
-def test_n256_is_byte_identical_to_reference(gated_n256, mask, path, monkeypatch):
+def test_n256_is_byte_identical_to_reference(gated_n256, mask, path, monkeypatch, forked):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0} if path == "serial" else {0, 1})
     _assert_matches_reference(gated_n256, RetrievalConfig(iterations=10, seed=3, constraint_mask=mask))
+    assert len(forked) == (path == "split")
 
 
-def test_one_cpu_starts_no_thread(gated_n256, monkeypatch, no_thread):
+def test_one_cpu_forks_no_partner(gated_n256, monkeypatch, no_fork):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     _assert_matches_reference(gated_n256, RetrievalConfig(iterations=4, seed=3))
-    # on two CPUs the same call would start one
+    # on two CPUs the same call would fork one
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    with pytest.raises(RuntimeError, match="^no thread$"):
+    with pytest.raises(RuntimeError, match="^no fork$"):
         run_retrieval(gated_n256, RetrievalConfig(iterations=4, seed=3))
 
 
-@pytest.mark.parametrize("thread", ["helper", "caller"])
-def test_split_raises_a_phase_exception_of_either_thread(chirped_n32, monkeypatch, thread):
-    # and joins the helper thread, when it raises as when it returns
+@pytest.mark.parametrize("side", ["partner", "caller"])
+def test_split_raises_a_phase_exception_of_either_process(chirped_n32, monkeypatch, forked, side):
+    # with its type and message, and reaps the partner, when it raises as when it returns
     _force_path(monkeypatch, "split")
     m, _ = chirped_n32
-    caller, project = threading.current_thread(), retrieve._project
+    caller, project = os.getpid(), retrieve._project
 
     def failing(g, amp, eps, mag):
-        if (threading.current_thread() is caller) == (thread == "caller"):
-            raise ZeroDivisionError(thread)
+        if (os.getpid() == caller) == (side == "caller"):
+            raise ZeroDivisionError(side)
         return project(g, amp, eps, mag)
 
-    before = threading.active_count()
     run_retrieval(m, RetrievalConfig(iterations=3))
-    assert threading.active_count() == before
     monkeypatch.setattr(retrieve, "_project", failing)
-    with pytest.raises(ZeroDivisionError, match=f"^{thread}$"):
+    with pytest.raises(ZeroDivisionError, match=f"^{side}$"):
         run_retrieval(m, RetrievalConfig(iterations=3))
-    assert threading.active_count() == before
+    assert len(forked) == 2
 
 
-def test_concurrent_split_retrievals_match_the_serial_ones(chirped_n32, monkeypatch):
-    # three callers, each with its helper, on at most two CPUs and switching
-    # threads every few microseconds: a half left unfinished or run twice at a
-    # hand-off would change the bytes
+def test_split_raises_child_process_error_when_the_partner_is_killed(chirped_n32, monkeypatch, forked):
+    # the caller's spin sees the partner gone instead of waiting for it
+    _force_path(monkeypatch, "split")
+    m, _ = chirped_n32
+    caller, project = os.getpid(), retrieve._project
+
+    def killed(g, amp, eps, mag):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return project(g, amp, eps, mag)
+
+    monkeypatch.setattr(retrieve, "_project", killed)
+    with pytest.raises(ChildProcessError) as exc:
+        run_retrieval(m, RetrievalConfig(iterations=3))
+    (pid,) = forked
+    assert str(exc.value) == f"partner process {pid} ended with exit code -9 before its half was done"
+
+
+def test_concurrent_split_retrievals_match_the_serial_ones(chirped_n32, monkeypatch, no_fork):
+    # three callers on at most two CPUs, switching threads every few
+    # microseconds: in a process with more than one thread the halves run in
+    # sequence, and no partner is forked beside the threads
     m, _ = chirped_n32
     cfgs = [RetrievalConfig(iterations=20, seed=s) for s in (1, 2, 3)]
     _force_path(monkeypatch, "serial")
