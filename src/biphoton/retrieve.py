@@ -40,8 +40,9 @@ UNIT_PEAK_PLANES = ("ww", "tt")
 ZERO_MAGNITUDE_EPSILON = 1e-12
 # pixels per stack from which an iteration is split over two processes: a
 # lone n = 128 set ran in 0.66 of the serial time and n = 256 in 0.62 (the
-# thread split read 1.07 and 0.68); n = 64 stays serial beside the Monte
-# Carlo workers of a pipeline (README "Retrieval on two CPUs")
+# thread split read 1.07 and 0.68); splitting n = 64 too (2**12) made the
+# CLI workload's nominal retrievals, run beside its Monte Carlo workers,
+# 1.18 times as slow (README "Retrieval on two CPUs")
 SPLIT_PIXELS = 2**14
 
 
