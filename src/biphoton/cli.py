@@ -56,14 +56,11 @@ def _exit_codes():
     ``error:`` line and its documented exit code, not a traceback.  SIGTERM
     raises ``_Terminated``, so that the command unwinds as on an error (the
     Monte Carlo workers stop, the staging directory goes) and exits 143; a
-    forked worker, which inherits the handler, exits at once.  The previous
+    forked child keeps SIGTERM's default action and dies.  The previous
     handler is back before the error line; off the main thread, where no
     handler can be installed, SIGTERM is left as it is."""
-    pid = os.getpid()
 
     def terminated(signum, frame):
-        if os.getpid() != pid:
-            os._exit(EXIT_TERMINATED)
         raise _Terminated
 
     main = threading.current_thread() is threading.main_thread()

@@ -1,34 +1,65 @@
 """Where work runs: :func:`workers`, the one rule for the CPUs this process
 may use; :class:`Partner`, a forked process for one half of a split, where
 :func:`partner_ok` allows it; and :class:`MonteCarloWorkers`, the Monte Carlo
-trials in forked processes.  In a ``multiprocessing`` child none of them
-starts a process."""
+trials in forked processes, both started by :func:`_fork`.  In a process it
+started, or in a ``multiprocessing`` child, none of them starts a process."""
 
 import functools
 import math
 import os
+import pickle
 import platform
 import signal
 import sys
 import threading
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager
 
 import numpy as np
+
+_forked = False  # set in a process that _fork started
 
 
 def workers(limit):
     """The CPUs this process may use, at most ``limit``: those in its affinity
-    mask, else ``os.cpu_count()``.  A ``multiprocessing`` child, such as a
-    forked Monte Carlo worker or a caller's pool worker, uses one, as its
-    pool already runs one process per CPU."""
+    mask, else ``os.cpu_count()``.  A process that :func:`_fork` started, or
+    a ``multiprocessing`` child such as a caller's pool worker, uses one, as
+    its pool already runs one process per CPU."""
     multiprocessing = sys.modules.get("multiprocessing")  # a child has it loaded
-    if multiprocessing is not None and multiprocessing.parent_process() is not None:
+    if _forked or multiprocessing is not None and multiprocessing.parent_process() is not None:
         return min(1, limit)
     try:
         count = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask on this platform
         count = os.cpu_count() or 1
     return min(count, limit)
+
+
+def _fork(body, close=()):
+    """Fork a child that closes the sockets ``close`` and runs ``body()``; its
+    pid.  The child ignores SIGINT (a terminal's Ctrl-C reaches the whole
+    process group, and the caller stops the child), leaves SIGTERM at its
+    default and exits only through ``os._exit``, 1 when ``body`` raises: no
+    ``finally`` block, atexit handler or traceback of the caller runs there."""
+    global _forked
+    # blocked across the fork, so that neither signal runs the caller's handlers in the child
+    blocked = signal.pthread_sigmask(signal.SIG_BLOCK, (signal.SIGINT, signal.SIGTERM))
+    try:
+        pid = os.fork()
+        if pid == 0:
+            try:
+                _forked = True
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                signal.signal(signal.SIGTERM, signal.SIG_DFL)
+                signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
+                for end in close:
+                    end.close()
+                body()
+                os._exit(0)
+            finally:  # reached when a step above raised
+                os._exit(1)
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
+    return pid
 
 
 # the partner runs on x86-64 alone: the sync counts need each side's stores to
@@ -91,16 +122,7 @@ class Partner:
     @contextmanager
     def running(self, there):
         """Fork the partner, which runs ``there()`` while the block runs here."""
-        caller = os.getpid()
-        # blocked across the fork, so that neither signal runs the caller's handlers in the partner
-        blocked = signal.pthread_sigmask(signal.SIG_BLOCK, (signal.SIGINT, signal.SIGTERM))
-        try:
-            pid = os.fork()
-            if pid == 0:
-                self._serve(there, caller, blocked)
-            self._pid, self._alive = pid, True
-        finally:
-            signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
+        self._pid, self._alive = _fork(functools.partial(self._serve, there, os.getpid())), True
         try:
             yield
             if self._alive:
@@ -150,28 +172,15 @@ class Partner:
             return
         length = self._slots[_ERROR_LENGTH]
         if length:
-            import pickle
-
             raise pickle.loads(self._map[_ERROR_AT:_ERROR_AT + length])
         raise ChildProcessError(f"partner process {self._pid} ended with exit code {code} before its half was done")
 
-    def _serve(self, there, caller, blocked):
-        """The partner's body: run ``there()``, and leave only through
-        ``os._exit``, so that none of the caller's ``finally`` blocks, atexit
-        handlers or buffered output runs here.  An exception is pickled into
-        the mapping for the caller."""
-        code = 1
+    def _serve(self, there, caller):
+        """The partner's body: ``there()``, whose exception is pickled for the caller."""
+        self._side, self._other, self._caller = _PARTNER, _CALLER, caller
         try:
-            # a terminal's Ctrl-C reaches the whole process group; the caller handles it and stops the partner
-            signal.signal(signal.SIGINT, signal.SIG_IGN)
-            signal.signal(signal.SIGTERM, signal.SIG_DFL)
-            signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
-            self._side, self._other, self._caller = _PARTNER, _CALLER, caller
             there()
-            code = 0
-        except BaseException as exc:  # noqa: BLE001 - raised again in the caller
-            import pickle
-
+        except BaseException as exc:
             try:
                 data = pickle.dumps(exc)
                 pickle.loads(data)
@@ -182,48 +191,29 @@ class Partner:
                 data = pickle.dumps(ChildProcessError(named[:_HEADER // 2]))
             self._map[_ERROR_AT:_ERROR_AT + len(data)] = data
             self._slots[_ERROR_LENGTH] = len(data)
-        finally:
-            os._exit(code)
+            raise
 
 
-def _run_chunk(trial, seeds, conn, parent_ends):
+def _run_chunk(trial, seeds, conn):
     """A forked worker's body: run ``trial`` on its chunk of seeds and send
-    the outcomes back on ``conn``.  The warm start is received the first
-    time ``trial`` asks for it; a closed pipe there, or when sending, means
-    the caller has stopped the run, and the worker exits quietly."""
-    # a terminal's Ctrl-C reaches the whole process group; the caller handles it and stops the workers
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    for end in parent_ends:  # held open here, they would outlive the caller and keep a worker waiting for its start
-        end.close()
+    the outcomes back on ``conn``.  The start is read when ``trial`` first
+    asks for it, or after it, so that the worker's exit reads as end-of-file
+    to the caller, not as a reset; end-of-file there stops the worker."""
 
     @functools.cache
     def start():
-        try:
-            return conn.recv()
-        except EOFError:
-            sys.exit()  # SystemExit: not caught by a trial's ``except Exception``
+        with conn.makefile("rb") as reader:
+            try:
+                return pickle.load(reader)
+            except EOFError:
+                raise SystemExit from None  # not caught by a trial's ``except Exception``
 
-    try:
-        conn.send(trial(seeds, start))
-    except ConnectionError:
-        pass
-
-
-def _exchange(process, action, *args):
-    """``action(*args)`` on a worker's pipe.  A pipe the worker closed by
-    ending raises ``ChildProcessError`` instead of a hang or a pipe error."""
-    try:
-        return action(*args)
-    except (EOFError, ConnectionError):
-        # raised below, not as this error's context: kept as a context, a failed send's frames and
-        # the pickle buffer they export were left to the cycle collector, which raised BufferError
-        pass
-    process.join()
-    raise ChildProcessError(f"Monte Carlo worker {process.pid} ended with exit code {process.exitcode} "
-                            "before it returned its trials")
+    outcomes = trial(seeds, start)
+    start()
+    conn.sendall(pickle.dumps(outcomes))
 
 
-class MonteCarloWorkers:
+class MonteCarloWorkers(AbstractContextManager):
     """Monte Carlo trials started before their warm start is known.
 
     Trial k's noise seed is entry 2k of ``generate_state(2 * trials)`` of
@@ -234,14 +224,12 @@ class MonteCarloWorkers:
     first trials before it calls it.
 
     The seeds are split into one contiguous chunk per worker (chunk sizes
-    differ by at most one), ``workers(trials)`` of them.  With more than one
-    worker and fork available, each chunk runs at once in a forked process,
-    which inherits ``trial``, and waits in ``start()`` until ``send`` sends
-    the start.  With one worker (as in a ``multiprocessing`` child) or no
-    fork, the whole list runs in this process inside ``collect``; zero
-    trials, an empty pool, import no ``multiprocessing``.  Used as a context
-    manager, the workers still running when the block exits (on an
-    exception) are terminated and joined.
+    differ by at most one), ``workers(trials)`` of them.  With two or more
+    and ``os.fork``, each chunk runs at once in a forked process, which
+    inherits ``trial`` and waits in ``start()`` until ``send`` sends the
+    start; otherwise (zero trials make an empty pool) the whole list runs in
+    this process inside ``collect``.  Used as a context manager, the workers
+    still running when the block exits (on an exception) are killed.
     """
 
     def __init__(self, trial, trials: int, seed: int):
@@ -250,37 +238,26 @@ class MonteCarloWorkers:
         self._trial = trial
         # entry 2k: the stride keeps trial k's noise draw stable across versions
         self.seeds = np.random.SeedSequence(seed).generate_state(2 * trials)[::2].tolist()
-        self._workers = []  # (process, this process's end of its pipe)
+        self._workers = []  # [pid, this process's end of its socket pair]
         count = workers(trials)
-        if count < 2:
+        if count < 2 or not hasattr(os, "fork"):
             return
-        # imported here: importing biphoton, or a pool of one worker or none, loads no process machinery
-        import multiprocessing
+        import socket  # here: importing biphoton, or a pool of one worker or none, loads no socket
 
-        if "fork" not in multiprocessing.get_all_start_methods():
-            return
-        # a Process and Pipe per worker, started now, not a pool at the call:
-        # the workers prepare their first stack while the caller retrieves the
-        # nominal state, and run the trials while it writes its files.  Fork,
-        # not spawn: the workers inherit ``trial`` and the data it holds
-        # without a pickle or a fresh import of numpy.
-        context = multiprocessing.get_context("fork")
+        # started now: the workers prepare their first stack while the caller
+        # retrieves the nominal state.  Fork, not spawn: they inherit ``trial``
+        # and its data.  A socket pair buffers a pickled n = 64 start; a pipe does not.
         bounds = [trials * w // count for w in range(count + 1)]
         try:
             for lo, hi in zip(bounds, bounds[1:]):
-                parent_end, child_end = context.Pipe()
-                parent_ends = [end for _, end in self._workers] + [parent_end]
-                process = context.Process(target=_run_chunk, daemon=True,
-                                          args=(trial, self.seeds[lo:hi], child_end, parent_ends))
-                process.start()
-                child_end.close()  # the worker's end lives in the worker alone, so its exit closes the pipe
-                self._workers.append((process, parent_end))
+                here, there = socket.socketpair()
+                self._workers.append(worker := [None, here])  # its pid once forked
+                with there:  # each end in one process alone, so that either side sees the other's exit
+                    worker[0] = _fork(functools.partial(_run_chunk, trial, self.seeds[lo:hi], there),
+                                      close=[end for _, end in self._workers])
         except BaseException:
             self.stop()
             raise
-
-    def __enter__(self):
-        return self
 
     def __exit__(self, *exc_info):
         self.stop()
@@ -289,8 +266,12 @@ class MonteCarloWorkers:
         """Hand the trials their warm start ``start``: send it to each worker,
         or keep it for ``collect`` when the trials run in this process."""
         self._start = start
-        for process, conn in self._workers:
-            _exchange(process, conn.send, start)
+        data = pickle.dumps(start) if self._workers else b""
+        for worker in list(self._workers):
+            try:
+                worker[1].sendall(data)
+            except ConnectionError:  # the worker has ended
+                self._reap(worker)
 
     def collect(self) -> list:
         """Every trial's outcome, in trial order: the workers', or those of
@@ -299,19 +280,29 @@ class MonteCarloWorkers:
         if not self._workers:
             return self._trial(self.seeds, lambda: self._start)
         outcomes = []
-        for process, conn in self._workers:
-            outcomes += _exchange(process, conn.recv)
-        for process, conn in self._workers:
-            conn.close()
-            process.join()
-        self._workers = []
+        for worker in list(self._workers):
+            try:
+                with worker[1].makefile("rb") as reader:
+                    data = reader.read()  # up to the worker's exit
+            except ConnectionError:  # reset: the worker ended without reading its start
+                data = b""
+            self._reap(worker)
+            outcomes += pickle.loads(data)
         return outcomes
 
+    def _reap(self, worker):
+        """Reap ``worker``, which has closed its socket; ``ChildProcessError`` unless it exited 0."""
+        self._workers.remove(worker)
+        worker[1].close()
+        if code := os.waitstatus_to_exitcode(os.waitpid(worker[0], 0)[1]):
+            raise ChildProcessError(f"Monte Carlo worker {worker[0]} ended with exit code {code} "
+                                    "before it returned its trials")
+
     def stop(self):
-        """Terminate and join the workers that are still running."""
-        for process, conn in self._workers:
+        """Kill and reap the workers that are still running."""
+        for pid, conn in self._workers:
             conn.close()
-            process.terminate()
-        for process, _ in self._workers:
-            process.join()
+            if pid is not None:  # None: its fork failed
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
         self._workers = []

@@ -3,6 +3,7 @@ the retrieval: corner-suppression background subtraction and Wiener
 deconvolution with a top-hat low-pass.  Every plane keeps its own grid: the
 retrieval needs each delay axis to stay the conjugate of its frequency axis."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,9 @@ class PreprocessConfig:
     def __post_init__(self):
         if not self.alpha > 0:  # also with allow_out_of_range: 0 divides 0 by 0 where G underflows
             raise ValueError("preprocess.alpha must be positive: the Wiener filter divides by G**2 + alpha")
+        if not 0 < self.rho_lp <= math.sqrt(2):  # also with allow_out_of_range: the radius is squared
+            raise ValueError(f"preprocess.rho_lp ({self.rho_lp:g}) must lie in (0, sqrt 2]: "
+                             "a wider top-hat keeps no pixel more")
         if not self.allow_out_of_range:
             if not 0.05 <= self.alpha <= 0.2:
                 raise ValueError("preprocess.alpha outside [0.05, 0.2]; set allow_out_of_range to override")

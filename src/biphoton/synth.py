@@ -47,10 +47,11 @@ def frequency_axes(p: GaussianStateParams, n: int = 64, span_sigmas: float = SPA
     span_sigmas below 6, and a photon whose outermost offset (n//2) * step
     squares or cubes to inf (checked before any numpy arithmetic can warn),
     whose samples center + (k - n//2) * step are not distinct floats, are
-    spaced more than ``STEP_TOLERANCE`` of the step off it, or whose delay
-    step 2 pi / width is not finite, checked before ``Axis`` would refuse a
-    step of 0 unnamed; then the chirps whose phase at the grid's corner,
-    |chirp_s| edge_s**2 + |chirp_i| edge_i**2, is not a finite float."""
+    spaced more than ``STEP_TOLERANCE`` of the step off it, whose delay step
+    2 pi / width is not finite (before ``Axis`` would refuse a step of 0
+    unnamed), or whose n**2 pixels of 2 pi / step**2 sum to inf; then the
+    chirps whose phase at the grid's corner, |chirp_s| edge_s**2 +
+    |chirp_i| edge_i**2, is not a finite float."""
     if n < 16 or n & (n - 1):
         raise ParameterError("state.n must be a power of two >= 16")
     if span_sigmas < 6:
@@ -71,6 +72,10 @@ def frequency_axes(p: GaussianStateParams, n: int = 64, span_sigmas: float = SPA
         if not (np.all(spacing > 0) and math.isfinite(2 * math.pi / width)):
             raise ParameterError(f"{narrow}: its {n} samples must be distinct floats, and 2 pi over its width "
                                  f"({width:g} rad/fs) a finite delay step")
+        # a retrieved JSA's intensity reaches 2 pi / step**2, summed over n**2 pixels; (pi / step)**2 is smaller
+        if not math.isfinite((root := n * math.sqrt(2 * math.pi) / step) * root):
+            raise ParameterError(f"{narrow}: a JSA on its step ({step:g} rad/fs) reaches intensities of 2 pi / "
+                                 f"step**2, whose sum over its {n} x {n} pixels overflows")
         off = np.max(np.abs(spacing - step)) / step
         if not off <= STEP_TOLERANCE:
             raise ParameterError(f"{narrow}: its samples are spaced up to {off:.2g} of its step ({step:g} rad/fs) "

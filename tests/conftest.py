@@ -1,4 +1,3 @@
-import multiprocessing
 import os
 
 import numpy as np
@@ -25,13 +24,13 @@ def random_complex_grid(small_axes):
 
 @pytest.fixture
 def no_fork(monkeypatch):
-    """Forking a split's partner process raises RuntimeError('no fork'), in
-    this process and in the processes it forks."""
+    """Forking a split's partner process or a Monte Carlo worker raises
+    RuntimeError('no fork'), in this process and in the processes it forks."""
 
-    def refused(self, there):
+    def refused(body, close=()):
         raise RuntimeError("no fork")
 
-    monkeypatch.setattr(cpus.Partner, "running", refused)
+    monkeypatch.setattr(cpus, "_fork", refused)
 
 
 @pytest.fixture
@@ -52,12 +51,3 @@ def forked(monkeypatch):
         with pytest.raises(ChildProcessError):  # no such child: reaped
             os.waitpid(pid, os.WNOHANG)
 
-
-@pytest.fixture
-def no_process(monkeypatch):
-    """Starting a ``multiprocessing`` process raises RuntimeError('no process')."""
-
-    def refused(self):
-        raise RuntimeError("no process")
-
-    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refused)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biphoton import pipeline, retrieve
+from biphoton import cpus, pipeline, retrieve
 from biphoton.analysis import (
     _MONOMIALS,
     FitError,
@@ -349,7 +349,7 @@ def _trials(raw, cfg, start, seeds):
     return pipeline._mc_trials(raw, cfg, seeds, lambda: start)
 
 
-def test_monte_carlo_results_do_not_depend_on_workers(mc_case, monkeypatch):
+def test_monte_carlo_results_do_not_depend_on_workers(mc_case, monkeypatch, forked):
     raw, cfg, start = mc_case
     results = {}
     for cpus in ({0}, {0, 1}):
@@ -357,12 +357,16 @@ def test_monte_carlo_results_do_not_depend_on_workers(mc_case, monkeypatch):
         results[len(cpus)] = _monte_carlo(partial(pipeline._mc_trials, raw, cfg), start, trials=5, seed=3)
     # one worker runs the trials in order in this process
     assert results[1] == results[2]
-    assert multiprocessing.active_children() == []
+    assert len(forked) == 2
 
 
-def test_monte_carlo_workers_do_not_split_their_retrievals(mc_case, monkeypatch, no_fork):
+def test_monte_carlo_workers_do_not_split_their_retrievals(mc_case, monkeypatch, forked):
     # the pool runs one worker per CPU, so a forked worker's retrieval stays in
     # its one process even where this process would split it
+    def refused(self, there):
+        raise RuntimeError("no fork")
+
+    monkeypatch.setattr(cpus.Partner, "running", refused)
     raw, cfg, start = mc_case
     trial = partial(pipeline._mc_trials, raw, cfg)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
@@ -371,7 +375,7 @@ def test_monte_carlo_workers_do_not_split_their_retrievals(mc_case, monkeypatch,
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     assert _trials(raw, cfg, start, [11]) == ["RuntimeError('no fork')"]
     assert _monte_carlo(trial, start, trials=4, seed=3) == want
-    assert multiprocessing.active_children() == []
+    assert len(forked) == 2
 
 
 @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one_worker", "two_workers"])
@@ -498,7 +502,7 @@ def _two_cpus(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
 
-def test_monte_carlo_workers_run_before_the_start_is_sent(monkeypatch):
+def test_monte_carlo_workers_run_before_the_start_is_sent(monkeypatch, forked):
     _two_cpus(monkeypatch)
     ready = multiprocessing.get_context("fork").Event()
     with MonteCarloWorkers(partial(_prepare_then_start, ready), trials=4, seed=0) as workers:
@@ -507,18 +511,18 @@ def test_monte_carlo_workers_run_before_the_start_is_sent(monkeypatch):
         outcomes = workers.collect()
     assert [start for _, start in outcomes] == ["the start"] * 4
     assert [seed for seed, _ in outcomes] == [float(s) for s in workers.seeds]
-    assert multiprocessing.active_children() == []
+    assert len(forked) == 2
 
 
-def test_monte_carlo_worker_that_dies_raises(monkeypatch):
+def test_monte_carlo_worker_that_dies_raises(monkeypatch, forked):
     _two_cpus(monkeypatch)
     with pytest.raises(ChildProcessError, match="ended with exit code 3 before it returned its trials"):
         _monte_carlo(_die, "the start", trials=2, seed=0)
-    assert multiprocessing.active_children() == []
+    assert len(forked) == 2
 
 
 @pytest.mark.parametrize("where", ["before_send", "in_meanwhile"])
-def test_monte_carlo_workers_stop_on_an_exception(monkeypatch, capfd, where):
+def test_monte_carlo_workers_stop_on_an_exception(monkeypatch, capfd, forked, where):
     _two_cpus(monkeypatch)
     ready = multiprocessing.get_context("fork").Event()
 
@@ -533,7 +537,7 @@ def test_monte_carlo_workers_stop_on_an_exception(monkeypatch, capfd, where):
             workers.send("the start")
             fail()  # where run_pipeline calls its hook, between send and collect
             workers.collect()
-    assert multiprocessing.active_children() == []
+    assert len(forked) == 2
     assert "Traceback" not in capfd.readouterr().err  # a stopped worker exits quietly
 
 
@@ -543,14 +547,14 @@ def _seed_and_start(seeds, start):
 
 @pytest.mark.parametrize("trials, cpus, fork", [(0, {0}, True), (0, {0, 1}, True), (4, {0, 1}, False)],
                          ids=["no_trials_one_cpu", "no_trials_two_cpus", "two_cpus_no_fork"])
-def test_monte_carlo_workers_start_no_process(monkeypatch, trials, cpus, fork):
+def test_monte_carlo_workers_start_no_process(monkeypatch, forked, trials, cpus, fork):
     # zero trials are an empty pool; without fork the trials run in this process
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
     if not fork:
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.delattr(os, "fork")
     with MonteCarloWorkers(_seed_and_start, trials, seed=0) as workers:
         assert len(workers.seeds) == trials
-        assert multiprocessing.active_children() == []
+        assert forked == []
         workers.send("the start")
         assert workers.collect() == [(float(seed), "the start") for seed in workers.seeds]
 
@@ -561,24 +565,20 @@ def test_monte_carlo_workers_refuse_one_trial_and_fewer_than_zero(trials):
         MonteCarloWorkers(_seed_and_start, trials, seed=0)
 
 
-def test_monte_carlo_workers_stop_the_started_workers_when_a_start_fails(monkeypatch):
-    # three workers: the second start fails, so the first worker is stopped and joined
+def test_monte_carlo_workers_stop_the_started_workers_when_a_start_fails(monkeypatch, forked):
+    # three workers: the second fork fails, so the first worker is killed and reaped
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    process = multiprocessing.get_context("fork").Process
-    start = process.start
-    started = []
+    fork = os.fork
 
-    def start_once(self):
-        if started:
+    def fork_once():
+        if forked:
             raise OSError(11, "Resource temporarily unavailable")
-        started.append(self)
-        start(self)
+        return fork()
 
-    monkeypatch.setattr(process, "start", start_once)
+    monkeypatch.setattr(os, "fork", fork_once)
     with pytest.raises(OSError, match=r"^\[Errno 11\] Resource temporarily unavailable$"):
         MonteCarloWorkers(_seed_and_start, 6, seed=0)
-    assert len(started) == 1 and started[0].exitcode is not None
-    assert multiprocessing.active_children() == []
+    assert len(forked) == 1
 
 
 def test_monte_carlo_uncertainty_refuses_another_trial_count(monkeypatch):
@@ -590,14 +590,14 @@ def test_monte_carlo_uncertainty_refuses_another_trial_count(monkeypatch):
 
 
 def test_monte_carlo_workers_exit_when_their_caller_dies():
-    # each worker closes the other pipe ends it inherits, so the caller's end
-    # dies with the caller and a worker waiting for its start gets EOF
+    # each worker closes the caller's socket ends it inherits, so the caller's
+    # end dies with the caller and a worker waiting for its start gets EOF
     code = (
         "import os\n"
         "from biphoton.cpus import MonteCarloWorkers\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
         "workers = MonteCarloWorkers(lambda seeds, start: [start()] * len(seeds), 4, 0)\n"
-        "print(*(process.pid for process, _ in workers._workers), flush=True)\n"
+        "print(*(pid for pid, _ in workers._workers), flush=True)\n"
         "os._exit(0)\n"
     )
     # the workers inherit the output pipes: run() returns once every one has exited

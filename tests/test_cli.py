@@ -4,7 +4,6 @@ import base64
 import contextlib
 import json
 import logging
-import multiprocessing
 import os
 import re
 import signal
@@ -685,7 +684,7 @@ def _trials_fail(monkeypatch):
     monkeypatch.setattr(pl, "run_retrieval_stack", zero_grid)
 
 
-def test_pipeline_monte_carlo_failures_exit_code(runner, tmp_path, monkeypatch):
+def test_pipeline_monte_carlo_failures_exit_code(runner, tmp_path, monkeypatch, forked):
     _trials_fail(monkeypatch)
     manifest = _write_manifest(tmp_path, TRIALS_FAIL)
     run = tmp_path / "run"
@@ -696,11 +695,10 @@ def test_pipeline_monte_carlo_failures_exit_code(runner, tmp_path, monkeypatch):
     # success: no result.json, analysis.json, report.txt, CSV or staging directory
     # is left, nor the --out this run made
     assert not run.exists()
-    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one_cpu", "two_cpus"])
-def test_pipeline_failure_leaves_an_existing_out_as_it_was(runner, tmp_path, monkeypatch, cpus):
+def test_pipeline_failure_leaves_an_existing_out_as_it_was(runner, tmp_path, monkeypatch, forked, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
     _trials_fail(monkeypatch)
     run = tmp_path / "run"
@@ -709,7 +707,7 @@ def test_pipeline_failure_leaves_an_existing_out_as_it_was(runner, tmp_path, mon
     res = runner.invoke(main, ["pipeline", "--manifest", _write_manifest(tmp_path, TRIALS_FAIL), "--out", str(run)])
     assert res.exit_code == EXIT_FIT_FAILED, res.output
     assert [p.name for p in run.iterdir()] == ["notes.txt"]
-    assert multiprocessing.active_children() == []
+    assert len(forked) == (len(cpus) == 2) * 2
 
 
 def _retrieval_nan(*args):
@@ -747,7 +745,7 @@ PIPELINE_FILES = [
     (TRIALS_RUN, ("grid_to_csv", _disk_full), EXIT_BAD_CONFIG, "[Errno 28] No space left on device"),
 ], ids=["success", "nominal_fit_fails", "nominal_fit_empty_mask", "retrieval_nan", "write_fails"])
 def test_pipeline_leaves_no_worker_and_no_file_of_a_failed_run(
-    runner, tmp_path, monkeypatch, cpus, manifest, patch, code, message
+    runner, tmp_path, monkeypatch, forked, cpus, manifest, patch, code, message
 ):
     if patch is not None:
         monkeypatch.setattr(pl, *patch)
@@ -755,7 +753,7 @@ def test_pipeline_leaves_no_worker_and_no_file_of_a_failed_run(
     run = tmp_path / "run"
     res = runner.invoke(main, ["pipeline", "--manifest", _write_manifest(tmp_path, manifest), "--out", str(run)])
     assert res.exit_code == code, res.output
-    assert multiprocessing.active_children() == []
+    assert len(forked) == (len(cpus) == 2) * 2
     if code == 0:
         assert sorted(p.name for p in run.iterdir()) == sorted(PIPELINE_FILES)
     else:
@@ -763,7 +761,7 @@ def test_pipeline_leaves_no_worker_and_no_file_of_a_failed_run(
         assert not run.exists()
 
 
-def test_pipeline_worker_that_dies_exits_2(runner, tmp_path, monkeypatch):
+def test_pipeline_worker_that_dies_exits_2(runner, tmp_path, monkeypatch, forked):
     # two CPUs: the trials run in forked workers, and one dies without returning its outcomes
     monkeypatch.setattr(pl, "_mc_trials", _worker_dies)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -772,7 +770,7 @@ def test_pipeline_worker_that_dies_exits_2(runner, tmp_path, monkeypatch):
     assert res.exit_code == EXIT_BAD_CONFIG, res.output
     message = r"error: Monte Carlo worker \d+ ended with exit code 9 before it returned its trials\n"
     assert re.fullmatch(message, res.output), res.output
-    assert multiprocessing.active_children() == []
+    assert len(forked) == 2
     assert not run.exists()
 
 
@@ -1238,6 +1236,11 @@ WIDE_GRID_CUBE_ERROR = ("state.sigma_{x} ({} rad/fs) is too wide for a frequency
                         "state.center_{x}, 8 state.sigma_{x}, cubes to inf in the degree-3 phase fit")
 CHIRP_ERROR = ("{} too large for the frequency grid: its corner phase |state.chirp_s| (8 state.sigma_s)**2 + "
                "|state.chirp_i| (8 state.sigma_i)**2 overflows")
+NARROW_DELAY_GRID_ERROR = (
+    "state.sigma_s ({sigma} rad/fs) is too narrow for a frequency grid at state.center_s ({center} rad/fs): a JSA on "
+    "its step ({sigma} rad/fs) reaches intensities of 2 pi / step**2, whose sum over its 16 x 16 pixels overflows"
+)
+RHO_LP_ERROR = ("preprocess.rho_lp ({}) must lie in (0, sqrt 2]: a wider top-hat keeps no pixel more")
 SUBNORMAL_GRID_ERROR = (
     "state.sigma_{x} (4.94066e-324 rad/fs) is too narrow for a frequency grid at state.center_{x} ({center} rad/fs): "
     "its 32 samples must be distinct floats, and 2 pi over its width (0 rad/fs) a finite delay step"
@@ -1291,6 +1294,18 @@ SUBNORMAL_GRID_ERROR = (
     # distinct samples around 0, but the delay step 2 pi / width overflows
     ({"state": {"n": 16, "sigma_s": 1e-310, "center_s": 0}, "gating": {"ideal": True}, "preprocess_enabled": False},
      COLLAPSED_GRID_ERROR.format("1e-310", "0", "1.6e-309")),
+    # the delay axis' outermost offset pi / step squares to inf: a spectrometer transfer that is
+    # inf * 0, or a covariance that overflows, before the grid rule named the key
+    ({"state": {"n": 16, "center_s": 0, "sigma_s": 1e-200}, "gating": {"ideal": True}, "retrieval": {"iterations": 2}},
+     NARROW_DELAY_GRID_ERROR.format(sigma="1e-200", center="0")),
+    ({"state": {"rho": 0.0, "center_s": 1e-154, "sigma_s": 1e-154, "n": 16}, "preprocess_enabled": False,
+      "retrieval": {"iterations": 1}},
+     NARROW_DELAY_GRID_ERROR.format(sigma="1e-154", center="1e-154")),
+    # the top-hat's radius squared overflows, or a radius of its magnitude was taken, under the override too
+    ({"state": {"n": 16}, "preprocess": {"allow_out_of_range": True, "rho_lp": 1e300}, "retrieval": {"iterations": 2}},
+     RHO_LP_ERROR.format("1e+300")),
+    ({"state": {"n": 16}, "preprocess": {"allow_out_of_range": True, "rho_lp": -0.9}, "retrieval": {"iterations": 2}},
+     RHO_LP_ERROR.format("-0.9")),
     # a subnormal sigma rounds the grid step 16 sigma / n to 0
     ({"state": {"n": 32, "sigma_s": 5e-324}, "gating": {"ideal": True}},
      SUBNORMAL_GRID_ERROR.format(x="s", center="2.289")),
@@ -1315,7 +1330,9 @@ SUBNORMAL_GRID_ERROR = (
         "signal_grid_out_of_range", "table_at_path_gate_center_out_of_range", "missing_table",
         "gate_sigma_1e300", "gate_sigma_1e-300_l1000", "gate_sigma_1e-160_preprocessed",
         "gate_sigma_below_kernel_step_l1000", "collapsed_grid_l0", "collapsed_grid_ideal", "collapsed_signal_grid",
-        "collapsed_grid_l1000", "zero_center_grid_infinite_delay_step", "subnormal_sigma_s", "subnormal_sigma_i",
+        "collapsed_grid_l1000", "zero_center_grid_infinite_delay_step", "delay_axis_squares_to_inf_ideal",
+        "delay_axis_squares_to_inf_unpreprocessed", "rho_lp_1e300", "rho_lp_negative", "subnormal_sigma_s",
+        "subnormal_sigma_i",
         "ulps_apart_grid", "wide_grid_squares_to_inf", "wide_grid_step_overflows", "wide_grid_cubes_to_inf",
         "wide_idler_grid_cubes_to_inf", "chirp_phase_overflows", "chirp_phase_sum_overflows"])
 def test_bad_manifest_fails_before_any_work(runner, tmp_path, monkeypatch, command, manifest, message):
@@ -1333,6 +1350,23 @@ def test_bad_manifest_fails_before_any_work(runner, tmp_path, monkeypatch, comma
     assert res.exit_code == EXIT_BAD_CONFIG, res.output
     assert res.output == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+# the narrowest signal grid the rule takes at n = 16, centered at 0: one float narrower is refused
+NARROWEST_SIGMA = 2.9912460413853584e-153
+
+
+def test_narrowest_grid_runs_to_a_documented_exit_without_a_warning(runner, tmp_path):
+    # tier-1 turns numpy's warnings into errors, so a warning would end the run with exit 1
+    state = {"n": 16, "center_s": 0, "sigma_s": NARROWEST_SIGMA}
+    narrower = dict(state, sigma_s=float(np.nextafter(NARROWEST_SIGMA, 0)))
+    with pytest.raises(ValueError, match=r"^state\.sigma_s \(2\.99125e-153 rad/fs\) is too narrow"):
+        pl.PipelineConfig.from_manifest({"state": narrower})
+    manifest = {"state": state, "gating": {"ideal": True}, "retrieval": {"iterations": 2}}
+    res = runner.invoke(main, ["pipeline", "--manifest", _write_manifest(tmp_path, manifest),
+                               "--out", str(tmp_path / "run")])
+    assert res.exit_code == EXIT_FIT_FAILED, res.output
+    assert res.output == "error: only 5 masked pixels; need at least 10\n"
 
 
 @pytest.mark.parametrize("args, message", [

@@ -1,8 +1,10 @@
 """The one CPU rule: how many CPUs a process uses, and no process of its own
-inside a ``multiprocessing`` child; and the forked partner of a split."""
+inside a process forked here or a ``multiprocessing`` child; and the forked
+partner of a split."""
 
 import multiprocessing
 import os
+import signal
 import time
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 from biphoton import pipeline
-from biphoton.cpus import MonteCarloWorkers, Partner, workers
+from biphoton.cpus import MonteCarloWorkers, Partner, partner_ok, workers
 
 
 def _in_a_child(monkeypatch):
@@ -41,9 +43,9 @@ def _seed_and_start(seeds, start):
     return [(float(seed), start()) for seed in seeds]
 
 
-def test_monte_carlo_workers_in_a_multiprocessing_child_start_no_process(monkeypatch, no_process):
+def test_monte_carlo_workers_in_a_multiprocessing_child_start_no_process(monkeypatch, no_fork):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    with pytest.raises(RuntimeError, match="^no process$"):  # in the main process the pool forks
+    with pytest.raises(RuntimeError, match="^no fork$"):  # in the main process the pool forks
         MonteCarloWorkers(_seed_and_start, 4, 0)
     _in_a_child(monkeypatch)
     with MonteCarloWorkers(_seed_and_start, 4, 0) as pool:
@@ -51,36 +53,72 @@ def test_monte_carlo_workers_in_a_multiprocessing_child_start_no_process(monkeyp
         assert pool.collect() == [(float(seed), "the start") for seed in pool.seeds]
 
 
+def _cpus_seen(seeds, start):
+    return [(workers(8), partner_ok())] * len(seeds)
+
+
+def test_a_forked_monte_carlo_worker_uses_one_cpu(monkeypatch, forked):
+    # a worker forked here is marked as one: it splits nothing over a partner
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    with MonteCarloWorkers(_cpus_seen, 4, 0) as pool:
+        pool.send("the start")
+        assert pool.collect() == [(1, False)] * 4
+    assert len(forked) == 2
+    assert workers(8) == 2  # this process is not marked
+
+
+def _interrupted(seeds, start):
+    os.kill(os.getpid(), signal.SIGINT)  # as a terminal's Ctrl-C reaches every process of its group
+    return [start()] * len(seeds)
+
+
+def test_a_forked_monte_carlo_worker_leaves_sigint_to_its_caller(monkeypatch, forked):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    with MonteCarloWorkers(_interrupted, 2, 0) as pool:
+        pool.send("the start")
+        assert pool.collect() == ["the start"] * 2
+    assert len(forked) == 2
+
+
 MC_MANIFEST = {"seed": 1, "state": {"n": 32, "rho": -0.9, "chirp_s": -10000, "chirp_i": -12000},
                "gating": {"ideal": True}, "retrieval": {"iterations": 20},
                "analysis": {"monte_carlo": {"trials": 4, "peak_counts": 1e5}}}
 
 
-def _monte_carlo_and_children():
-    """``run_pipeline``'s Monte Carlo spread on ``MC_MANIFEST``, and the live
-    child processes of the process that runs it while the trials run."""
-    children = []
-    out = pipeline.run_pipeline(pipeline.PipelineConfig.from_manifest(MC_MANIFEST),
-                                meanwhile=lambda nominal: children.append(len(multiprocessing.active_children())))
-    return out.monte_carlo, children
+def _monte_carlo_and_forks():
+    """``run_pipeline``'s Monte Carlo spread on ``MC_MANIFEST``, and how many
+    processes the process that runs it has forked while the trials run."""
+    pids, forks, fork = [], [], os.fork
+
+    def recorded():
+        pids.append(fork())
+        return pids[-1]
+
+    os.fork = recorded
+    try:
+        out = pipeline.run_pipeline(pipeline.PipelineConfig.from_manifest(MC_MANIFEST),
+                                    meanwhile=lambda nominal: forks.append(len(pids)))
+    finally:
+        os.fork = fork
+    return out.monte_carlo, forks
 
 
 @pytest.mark.parametrize("pool", ["pool", "process_pool_executor"])
-def test_run_pipeline_in_a_pool_worker_runs_its_trials_there(monkeypatch, pool):
+def test_run_pipeline_in_a_pool_worker_runs_its_trials_there(monkeypatch, forked, pool):
     # a caller's pool already runs one process per CPU: inside its worker the
     # trials run in that process, with the main process's spread
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    want, children = _monte_carlo_and_children()
-    assert children == [2]  # here the trials run in two forked workers
+    want, forks = _monte_carlo_and_forks()
+    assert forks == [2]  # here the trials run in two forked workers
     context = multiprocessing.get_context("fork")
     if pool == "pool":
         with context.Pool(1) as workers_pool:
-            got = workers_pool.apply(_monte_carlo_and_children)
+            got = workers_pool.apply(_monte_carlo_and_forks)
     else:
         with ProcessPoolExecutor(1, mp_context=context) as executor:
-            got = executor.submit(_monte_carlo_and_children).result()
+            got = executor.submit(_monte_carlo_and_forks).result()
     assert got == (want, [0])
-    assert multiprocessing.active_children() == []
+    assert len(forked) == 3  # the two workers and the pool's worker, all reaped
 
 
 def test_partner_sync_is_a_barrier_on_shared_arrays(forked):

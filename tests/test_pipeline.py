@@ -4,7 +4,6 @@ import csv
 import json
 import logging
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -119,7 +118,7 @@ def test_run_pipeline_runs_monte_carlo_trials(trials):
 
 @pytest.mark.parametrize("trials, cpus", [(0, {0}), (3, {0}), (3, {0, 1})],
                          ids=["no_trials", "one_cpu", "two_cpus"])
-def test_run_pipeline_calls_its_hook_once_between_send_and_collect(monkeypatch, trials, cpus):
+def test_run_pipeline_calls_its_hook_once_between_send_and_collect(monkeypatch, forked, trials, cpus):
     # the hook gets the nominal output: while forked workers run the trials,
     # before the trials when they run in this process, and last without trials
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
@@ -139,7 +138,7 @@ def test_run_pipeline_calls_its_hook_once_between_send_and_collect(monkeypatch, 
         events.append("hook")
         assert nominal.monte_carlo is None
         assert list(nominal.timings) == ["simulate", "preprocess", "retrieve", "analyze"]
-        assert len(multiprocessing.active_children()) == (2 if len(cpus) == 2 else 0)  # the forked workers run
+        assert len(forked) == (2 if trials and len(cpus) == 2 else 0)  # the workers were forked
 
     cfg = PipelineConfig.from_manifest({
         "state": {"n": 32}, "gating": {"ideal": True}, "retrieval": {"iterations": 20},
@@ -149,7 +148,7 @@ def test_run_pipeline_calls_its_hook_once_between_send_and_collect(monkeypatch, 
     expected = {0: ["hook"], 1: ["send", "hook", "collect", "trials"], 2: ["send", "hook", "collect"]}
     assert events == expected[len(cpus) if trials else 0]
     assert (out.monte_carlo is None) == (trials == 0)
-    assert multiprocessing.active_children() == []
+    assert len(forked) == (2 if trials and len(cpus) == 2 else 0)
 
 
 @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one_cpu", "two_cpus"])
@@ -169,13 +168,15 @@ def test_run_pipeline_timings_fit_in_its_wall_time(monkeypatch, cpus):
     assert sum(out.timings.values()) <= wall
 
 
-def test_run_pipeline_without_trials_imports_no_multiprocessing():
+@pytest.mark.parametrize("trials", [0, 4], ids=["no_trials", "four_trials_on_two_cpus"])
+def test_run_pipeline_imports_no_multiprocessing(trials):
     code = (
-        "import sys\n"
+        "import os, sys\n"
         "from biphoton.pipeline import PipelineConfig, run_pipeline\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
         "cfg = PipelineConfig.from_manifest({'state': {'n': 32}, 'gating': {'crystal_length_um': 0},"
-        " 'retrieval': {'iterations': 20}})\n"
-        "assert run_pipeline(cfg).monte_carlo is None\n"
+        f" 'retrieval': {{'iterations': 20}}, 'analysis': {{'monte_carlo': {{'trials': {trials}}}}}}})\n"
+        f"assert (run_pipeline(cfg).monte_carlo is None) == {trials == 0}\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
@@ -316,6 +317,11 @@ WIDE_GRID_ERROR = ("state.sigma_{} ({} rad/fs) is too wide for a frequency grid:
     ({"preprocess": {"alpha": -1, "allow_out_of_range": True}}, ALPHA_SIGN_RULE),
     ({"preprocess": {"alpha": 0, "allow_out_of_range": True}}, ALPHA_SIGN_RULE),
     ({"preprocess": {"alpha": -1}}, ALPHA_SIGN_RULE),
+    # the top-hat squares its radius rho_lp n / 2
+    ({"preprocess": {"rho_lp": 1e300, "allow_out_of_range": True}},
+     "preprocess.rho_lp (1e+300) must lie in (0, sqrt 2]: a wider top-hat keeps no pixel more"),
+    ({"preprocess": {"rho_lp": 0, "allow_out_of_range": True}},
+     "preprocess.rho_lp (0) must lie in (0, sqrt 2]: a wider top-hat keeps no pixel more"),
     # its square bounds the mask's Mahalanobis distance
     ({"analysis": {"mask_sigma": 1.7e308}}, "analysis.mask_sigma (1.7e+308) is too large: its square overflows"),
     # the state's Gaussian and chirp square every grid offset

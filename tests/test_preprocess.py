@@ -1,5 +1,7 @@
 """Background suppression and Wiener deconvolution."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,6 +45,16 @@ def test_config_validation():
         PreprocessConfig(rho_lp=0.5)
     # escape hatch
     PreprocessConfig(alpha=1e-6, rho_lp=1.0, allow_out_of_range=True)
+
+
+def test_top_hat_at_the_largest_rho_lp_keeps_every_pixel():
+    # from sqrt 2 up the top-hat of radius rho_lp n / 2 reaches the grid's corners
+    ax_s, ax_i = _pixel_axes(16)
+    g = IntensityGrid2D(ax_s, ax_i, _gaussian_spot(16, 2.0))
+    cfg = PreprocessConfig(alpha=0.1, rho_lp=math.sqrt(2), allow_out_of_range=True)
+    np.testing.assert_allclose(_wiener_filter(g, cfg), g.values / 1.1, atol=1e-15)
+    with pytest.raises(ValueError, match=r"^preprocess\.rho_lp \(1\.41421\) must lie in \(0, sqrt 2\]"):
+        PreprocessConfig(rho_lp=float(np.nextafter(math.sqrt(2), 2)), allow_out_of_range=True)
 
 
 def test_wiener_round_trip_noiseless():
